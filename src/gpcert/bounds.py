@@ -316,47 +316,55 @@ def probabilistic_lipschitz(spec: KernelSpec, box: DomainBox, delta_L: float) ->
     return float(np.linalg.norm(per_axis))
 
 
+def geometric_bisect(feasible, lo: float, hi: float) -> float | None:
+    """Largest feasible point of [lo, hi] when the feasible set is (0, t*].
+
+    Returns hi if it is feasible and None if lo is not.  Otherwise bisects at
+    mid = sqrt(lo hi) and stops once mid no longer lies strictly between lo
+    and hi, where no further probe can move either end (about 60 probes
+    over [1e-12, r]), and returns lo.
+    """
+    if feasible(hi):
+        return hi
+    if not feasible(lo):
+        return None
+    while True:
+        mid = math.sqrt(lo * hi)  # geometric: tau spans many decades
+        if not lo < mid < hi:
+            return lo
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 @dataclass(frozen=True)
 class TauSearchResult:
     tau: float
     report: BoundReport = field(repr=False)
 
 
-def auto_tau(
-    model: GPModel,
-    delta: float,
-    L_f: float,
-    box: DomainBox,
-    negligible_fraction: float = 0.01,
-    tau_floor: float = 1e-12,
-) -> TauSearchResult:
-    """Largest tau for which gamma(tau) <= fraction * sqrt(beta(tau)) * sigma_f.
+def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox) -> TauSearchResult:
+    """Largest tau for which gamma(tau) <= 0.01 sqrt(beta(tau)) sigma_f.
 
     Implements the default grid-constant rule: make the continuity correction
-    negligible relative to the confidence term at prior scale.  Found by
-    bisection; the feasible set is an interval (0, tau*].
+    negligible relative to the confidence term at prior scale.  The feasible
+    set is an interval (0, tau*], searched by :func:`geometric_bisect` over
+    [1e-12, r], which stops once the midpoint no longer lies strictly between
+    the ends; L_k, L_sigma and L_mu are computed once, before the search.
     """
     spec = model.kernel
-    sigma_f = spec.sigma_f
+    L_k = kernels.kernel_lipschitz(spec, box)
+    L_sigma = kernels.stddev_lipschitz(spec, box) if spec.stationary else None
+    L_mu = mean_lipschitz(model, L_k)
 
     def feasible(tau: float) -> bool:
-        params = BoundParams(tau=tau, delta=delta, L_f=L_f)
-        rep = bound_constants(model, params, box)
-        return rep.gamma <= negligible_fraction * math.sqrt(rep.beta) * sigma_f
+        b = beta(tau, delta, box)
+        om = stddev_modulus(spec, tau, L_k, L_sigma)
+        return gamma(tau, L_mu, L_f, b, om) <= 0.01 * math.sqrt(b) * spec.sigma_f
 
-    hi = box.edge
-    if feasible(hi):
-        tau = hi
-    else:
-        lo = tau_floor
-        if not feasible(lo):
-            raise ValueError("no feasible tau in the search range; check L_f and the box")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)  # geometric bisection: tau spans many decades
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        tau = lo
+    tau = geometric_bisect(feasible, 1e-12, box.edge)
+    if tau is None:
+        raise ValueError("no feasible tau in the search range; check L_f and the box")
     params = BoundParams(tau=tau, delta=delta, L_f=L_f)
-    return TauSearchResult(tau=tau, report=bound_constants(model, params, box))
+    return TauSearchResult(tau=tau, report=bound_constants(model, params, box, L_k=L_k))

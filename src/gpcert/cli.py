@@ -28,7 +28,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.linalg
 
 from . import bounds as bnd
 from . import density as dens
@@ -38,7 +37,7 @@ from . import tracking as trk
 from .errors import GPCertError
 from .gp import TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, benchmark_system, run_closed_loop
+from .simulation import ReferenceSpec, benchmark_system, prior_factor, run_closed_loop
 from .tracking import LinearPlant, closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
@@ -184,10 +183,15 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
+def _half_step_times(horizon: float, dt: float) -> np.ndarray:
+    """Times 0, dt/2, ..., n dt (n = horizon / dt): every RK4 stage time."""
+    n = int(round(horizon / dt))
+    return np.arange(2 * n + 1) * (dt / 2.0)
+
+
 def _eta_half_grid(model, rep, ref: ReferenceSpec, horizon: float, dt: float):
     """sigma and eta along the reference on the half-step grid RK4 needs."""
-    n = int(round(horizon / dt))
-    t_half = np.arange(2 * n + 1) * (dt / 2.0)
+    t_half = _half_step_times(horizon, dt)
     sigma = model.predict_stddev(ref.state(t_half))
     eta = math.sqrt(rep.beta) * sigma + rep.gamma
     return t_half, sigma, eta
@@ -361,6 +365,7 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     n_profile = 128
     t_profile = np.arange(n_profile) * (ref.period / n_profile)
     profile_points = ref.state(t_profile)
+    half_step_points = ref.state(_half_step_times(horizon, dt))
 
     rows = []
     violations = 0
@@ -375,22 +380,13 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
 
         rho = dens.data_density_batch(model, profile_points)
         rho_min = float(rho.min())
-        tau = trk.tau_for_density(model, rho_min, box, delta, L_f, L_k)
-        beta = bnd.beta(tau, delta, box)
-        loop = trk.gains_for_kappa(plant, kappa_target, L_sigma, beta)
-
-        L_mu = bnd.mean_lipschitz(model, L_k)
-        om = bnd.stddev_modulus(spec, tau, L_k, L_sigma)
-        gam = bnd.gamma(tau, L_mu, L_f, beta, om)
-        n_steps = int(round(horizon / dt))
-        t_half = np.arange(2 * n_steps + 1) * (dt / 2.0)
-        sigma_ref = model.predict_stddev(ref.state(t_half))
-        sup_eta = 1.05 * float(np.max(math.sqrt(beta) * sigma_ref + gam))
-        upsilon_bar = trk.max_tracking_bound(loop, sup_eta, L_sigma, beta)
-
+        cert = trk.certify(model, rho_min, half_step_points,
+                           lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
+                           box, delta, L_f, L_k, L_sigma)
+        loop = cert.loop
         sim = run_closed_loop(loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise)
         e_max = float(sim.error_norms.max())
-        if e_max > upsilon_bar:
+        if e_max > cert.upsilon_bar:
             violations += 1
 
         sigma_profile = model.predict_stddev(profile_points)
@@ -404,9 +400,9 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
         )
         rows.append({
             "pitch": pitch, "n_train": len(data), "rho_min": rho_min,
-            "upsilon_bar": upsilon_bar, "e_max": e_max, "tau": tau, "beta": beta,
-            "gamma": gam, "L_mu": L_mu, "lambda_max": loop.lambda_max, "zeta": loop.zeta,
-            "kappa": trk.kappa(loop, L_sigma, beta),
+            "upsilon_bar": cert.upsilon_bar, "e_max": e_max, "tau": cert.tau, "beta": cert.beta,
+            "gamma": cert.gamma, "L_mu": cert.L_mu, "lambda_max": loop.lambda_max, "zeta": loop.zeta,
+            "kappa": cert.kappa,
         })
 
     _write_csv(
@@ -525,8 +521,7 @@ def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
     grid = np.column_stack([m.ravel() for m in mesh])
     pitch = box.edge / (n_axis - 1)
 
-    K = kern.gram(spec, grid) + 1e-10 * np.eye(grid.shape[0])
-    L = scipy.linalg.cholesky(K, lower=True)
+    L = prior_factor(spec, grid)
     L_k = kern.kernel_lipschitz(spec, box)
     L_sigma = kern.stddev_lipschitz(spec, box) if spec.stationary else None
     beta = bnd.beta(tau, delta, box)
@@ -582,8 +577,7 @@ def run_validate_lipschitz(cfg: dict, out_dir: str, workers: int) -> int:
     n = int(round(box.edge / pitch)) + 1
     grid = np.linspace(box.center[0] - box.edge / 2.0, box.center[0] + box.edge / 2.0, n)[:, None]
     pitch = float(grid[1, 0] - grid[0, 0])
-    K = kern.gram(spec, grid) + 1e-10 * np.eye(n)
-    L = scipy.linalg.cholesky(K, lower=True)
+    L = prior_factor(spec, grid)
 
     slopes = np.empty(draws)
     for t in range(draws):
@@ -635,6 +629,9 @@ def run(config: dict, workers: int = 1) -> int:
     except GPCertError as exc:
         print(f"numerical failure in {cfg['experiment']}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # malformed values that validate() does not catch
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from . import bounds as bnd
 from . import kernels as kern
 from . import tracking as trk
 from .density import data_density_batch
-from .errors import ConditionUnreachableError, EpisodeCapExceededError
+from .errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from .gp import GPModel, TrainingSet, downsample, fit
 from .kernels import KernelSpec
 from .simulation import ReferenceSpec, run_closed_loop
@@ -58,8 +58,6 @@ class EpisodeConfig:
     input_gain: Callable | None = None
     seed: int = 0
     max_episodes: int = EPISODE_CAP_DEFAULT
-    sup_safety_factor: float = 1.05
-    gain_margin: float = 1.05
 
     def __post_init__(self):
         if not 0 < self.xi < 1:
@@ -119,15 +117,15 @@ def select_gains(
     plant: LinearPlant,
     L_sigma: float,
     beta: float,
-    zeta_hint: float,
     L_dk: float,
     xi: float,
-    margin: float = 1.05,
+    margin: float = trk.SAFETY_FACTOR,
 ) -> ClosedLoop:
     """Scalarized gains meeting the episodic eigenvalue requirement with margin.
 
     The requirement couples to zeta through the eigenvectors; the fixed point
-    is resolved inside :func:`tracking.solve_scalar_gain`.
+    is resolved inside :func:`tracking.solve_scalar_gain`.  A margin below 1
+    misses the requirement and raises :class:`InfeasibilityError`.
     """
     coeff = (8.0 * math.sqrt(L_dk) + xi * L_sigma) / xi
 
@@ -135,7 +133,8 @@ def select_gains(
         return margin * coeff * zeta * math.sqrt(beta)
 
     loop = trk.solve_scalar_gain(plant, requirement)
-    assert -loop.lambda_max >= coeff * loop.zeta * math.sqrt(beta)
+    if -loop.lambda_max < coeff * loop.zeta * math.sqrt(beta):
+        raise InfeasibilityError(f"gains miss the episodic eigenvalue requirement (margin {margin})")
     return loop
 
 
@@ -220,60 +219,56 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     # minimum only tightens the grid-constant condition, which stays valid
     density_points = ref_points[:: max(1, len(ref_points) // 2048)]
 
-    def certificate(model: GPModel, upsilon_prev: float, rho_measured: float):
-        """(loop, vbar, tau, beta, gamma, L_mu, kappa) for the freshly refit model."""
-        rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
-        tau = trk.tau_for_density(model, rho_eff, box, config.delta, config.L_f, L_k)
-        b = bnd.beta(tau, config.delta, box)
-        loop = select_gains(config.plant, L_sigma, b, 1.0, L_dk, config.xi, config.gain_margin)
-        L_mu = bnd.mean_lipschitz(model, L_k)
-        om = bnd.stddev_modulus(spec, tau, L_k, L_sigma)
-        g = bnd.gamma(tau, L_mu, config.L_f, b, om)
-        eta = math.sqrt(b) * model.predict_stddev(ref_points) + g
-        sup_eta = config.sup_safety_factor * float(np.max(eta))
-        vbar = trk.max_tracking_bound(loop, sup_eta, L_sigma, b)
-        return loop, vbar, tau, b, g, L_mu, trk.kappa(loop, L_sigma, b)
-
-    t0 = time.perf_counter()
+    t_ep = time.perf_counter()
     cumulative = TrainingSet.empty(spec.dim, config.noise_variance)
     model = fit(spec, cumulative)
     # seed level producing gamma <= sqrt(beta) sigma_f, the data-free analogue
     # of the variance condition
     upsilon_prev = math.sqrt(k0) / (4.0 * math.sqrt(L_dk))
-    loop, vbar, tau, b, g, L_mu, kap = certificate(model, upsilon_prev, 0.0)
-    reports = [
-        EpisodeReport(
-            episode=0,
-            sampling_time=None,
-            theta=tuple(loop.theta),
-            lambda_max=loop.lambda_max,
-            data_size=0,
-            certified_bound=vbar,
-            observed_max_error=None,
-            wall_time_s=time.perf_counter() - t0,
-            zeta=loop.zeta,
-            tau=tau,
-            beta=b,
-            gamma=g,
-            L_mu=L_mu,
-            kappa=kap,
-            rho_min=0.0,
-        )
-    ]
-
+    # episode 0 is the data-free initialization: nothing sampled or observed
+    T_s = observed = T_s_lower = max_speed = None
+    rho_measured = 0.0
     ladder_top = config.horizon
+    reports = []
     i = 0
-    while reports[-1].certified_bound > config.target_error:
+    while True:
+        rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
+        cert = trk.certify(model, rho_eff, ref_points,
+                           lambda b: select_gains(config.plant, L_sigma, b, L_dk, config.xi),
+                           box, config.delta, config.L_f, L_k, L_sigma)
+        reports.append(
+            EpisodeReport(
+                episode=i,
+                sampling_time=T_s,
+                theta=tuple(cert.loop.theta),
+                lambda_max=cert.loop.lambda_max,
+                data_size=len(cumulative),
+                certified_bound=cert.upsilon_bar,
+                observed_max_error=observed,
+                wall_time_s=time.perf_counter() - t_ep,
+                zeta=cert.loop.zeta,
+                tau=cert.tau,
+                beta=cert.beta,
+                gamma=cert.gamma,
+                L_mu=cert.L_mu,
+                kappa=cert.kappa,
+                rho_min=rho_measured,
+                min_sampling_time=T_s_lower,
+                max_speed=max_speed,
+            )
+        )
+        if not cert.upsilon_bar > config.target_error:
+            return reports
         i += 1
         if i > config.max_episodes:
             raise EpisodeCapExceededError(
-                f"certified bound {reports[-1].certified_bound:.4g} still above target "
+                f"certified bound {cert.upsilon_bar:.4g} still above target "
                 f"{config.target_error} after {config.max_episodes} episodes"
             )
         t_ep = time.perf_counter()
-        upsilon_prev = reports[-1].certified_bound
+        upsilon_prev = cert.upsilon_bar
         sim = run_closed_loop(
-            loop,
+            cert.loop,
             model,
             config.reference,
             config.horizon,
@@ -295,28 +290,5 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
         ladder_top = T_s  # sampling times never increase across episodes
 
         rho_measured = float(np.min(data_density_batch(model, density_points)))
-        loop, vbar, tau, b, g, L_mu, kap = certificate(model, upsilon_prev, rho_measured)
-        reports.append(
-            EpisodeReport(
-                episode=i,
-                sampling_time=T_s,
-                theta=tuple(loop.theta),
-                lambda_max=loop.lambda_max,
-                data_size=len(cumulative),
-                certified_bound=vbar,
-                observed_max_error=observed,
-                wall_time_s=time.perf_counter() - t_ep,
-                zeta=loop.zeta,
-                tau=tau,
-                beta=b,
-                gamma=g,
-                L_mu=L_mu,
-                kappa=kap,
-                rho_min=rho_measured,
-                min_sampling_time=min_sampling_time(
-                    L_dk, config.target_error, config.noise_variance, sim.max_speed
-                ),
-                max_speed=sim.max_speed,
-            )
-        )
-    return reports
+        max_speed = sim.max_speed
+        T_s_lower = min_sampling_time(L_dk, config.target_error, config.noise_variance, max_speed)

@@ -162,13 +162,17 @@ def run_closed_loop(
     return SimRun(times, states, ref_states, controls, measurements, seed)
 
 
-def sample_prior_function(spec: KernelSpec, grid, seed: int) -> np.ndarray:
-    """One joint Gaussian draw of the prior on a finite grid (1e-10 jitter)."""
+def prior_factor(spec: KernelSpec, grid) -> np.ndarray:
+    """Lower Cholesky factor L of the prior covariance on a grid (1e-10 jitter)."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     K = gram(spec, grid) + 1e-10 * np.eye(grid.shape[0])
     try:
-        L = scipy.linalg.cholesky(K, lower=True)
+        return scipy.linalg.cholesky(K, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedDataError(f"prior covariance factorization failed: {exc}") from None
-    z = np.random.default_rng(seed).standard_normal(grid.shape[0])
-    return L @ z
+
+
+def sample_prior_function(spec: KernelSpec, grid, seed: int) -> np.ndarray:
+    """One joint Gaussian draw of the prior on a finite grid (1e-10 jitter)."""
+    L = prior_factor(spec, grid)
+    return L @ np.random.default_rng(seed).standard_normal(L.shape[0])

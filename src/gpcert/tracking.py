@@ -9,14 +9,16 @@ whose solution dominates ||e(t)|| with the confidence of the underlying
 uniform error bound.  zeta = ||U|| ||U^{-1} b|| comes from the complex
 eigendecomposition of A_theta (matrix norms are spectral norms).  The module
 also provides the stationary maximum bound, the decay ratio kappa, the grid
-constant satisfying the density condition beta >= gamma^2 rho k(0) / 2, and
-the no-compensation baseline gain requirement.
+constant satisfying the density condition beta >= gamma^2 rho k(0) / 2,
+:func:`certify`, which chains them into one stationary certificate, and the
+no-compensation baseline gain requirement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -234,8 +236,9 @@ def tau_for_density(
     """Largest tau with beta_X(tau) >= gamma^2(tau) rho k(0) / 2.
 
     beta grows and gamma shrinks as tau decreases, so the feasible set is an
-    interval (0, tau*]; geometric bisection over [1e-12, r] returns the
-    least-conservative feasible value found.
+    interval (0, tau*]; :func:`bounds.geometric_bisect` over [1e-12, r],
+    which stops once the midpoint no longer lies strictly between the ends,
+    returns the least-conservative feasible value found.
     """
     if rho_lower < 0:
         raise ValueError("rho lower bound must be nonnegative")
@@ -252,19 +255,48 @@ def tau_for_density(
         g = bnd.gamma(tau, L_mu, L_f, b, om)
         return b >= g * g * rho_lower * k0 / 2.0
 
-    hi = box.edge
-    if feasible(hi):
-        return hi
-    lo = 1e-12
-    if not feasible(lo):
+    tau = bnd.geometric_bisect(feasible, 1e-12, box.edge)
+    if tau is None:
         raise InfeasibilityError("no feasible tau in [1e-12, r] for the density condition")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return tau
+
+
+SAFETY_FACTOR = 1.05  # inflates sup eta over sampled points; the episodic gain margin
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Stationary tracking certificate of one model at one density level."""
+
+    tau: float
+    beta: float
+    gamma: float
+    L_mu: float
+    loop: ClosedLoop
+    sup_eta: float
+    upsilon_bar: float
+    kappa: float
+
+
+def certify(model: GPModel, rho: float, points, gains: Callable[[float], ClosedLoop],
+            box: bnd.DomainBox, delta: float, L_f: float, L_k: float, L_sigma: float) -> Certificate:
+    """The chain tau -> beta -> gains -> gamma -> sup eta -> upsilon_bar.
+
+    tau is the density-matched grid constant for density level ``rho``;
+    ``gains`` maps beta to the closed loop; sup eta is taken over the
+    reference states ``points`` and inflated by :data:`SAFETY_FACTOR`.
+    Raises :class:`InfeasibilityError` if the gain condition fails.
+    """
+    tau = tau_for_density(model, rho, box, delta, L_f, L_k)
+    b = bnd.beta(tau, delta, box)
+    loop = gains(b)
+    L_mu = bnd.mean_lipschitz(model, L_k)
+    om = bnd.stddev_modulus(model.kernel, tau, L_k, L_sigma)
+    g = bnd.gamma(tau, L_mu, L_f, b, om)
+    eta = math.sqrt(b) * model.predict_stddev(points) + g
+    sup_eta = SAFETY_FACTOR * float(np.max(eta))
+    vbar = max_tracking_bound(loop, sup_eta, L_sigma, b)
+    return Certificate(tau, b, g, L_mu, loop, sup_eta, vbar, kappa(loop, L_sigma, b))
 
 
 def baseline_gain(zeta: float, f_bar: float, e_bar: float) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpcert.bounds import (
     BoundParams,
@@ -12,6 +13,7 @@ from gpcert.bounds import (
     covering_number_bound,
     expected_sup_bound,
     gamma,
+    geometric_bisect,
     mean_lipschitz,
     noise_norm_bound,
     probabilistic_lipschitz,
@@ -264,6 +266,37 @@ def test_auto_tau_is_boundary():
     assert res.report.gamma <= 0.01 * math.sqrt(res.report.beta) * 1.0
     bigger = bound_constants(model, BoundParams(tau=res.tau * 1.05, delta=0.01, L_f=2.0), BOX2)
     assert bigger.gamma > 0.01 * math.sqrt(bigger.beta) * 1.0
+
+
+def _fixed_step_search(feasible, lo, hi):
+    """Reference: the endpoint checks and fixed 200-step geometric bisection
+    that auto_tau and tau_for_density ran before geometric_bisect."""
+    if feasible(hi):
+        return hi
+    if not feasible(lo):
+        return None
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(2e-12, 1e6), data=st.data())
+def test_geometric_bisect_matches_fixed_step_reference(r, data):
+    threshold = data.draw(st.floats(5e-13, 2.0 * r))
+    probes = []
+
+    def feasible(tau):
+        probes.append(tau)
+        return tau <= threshold
+
+    expected = _fixed_step_search(lambda t: t <= threshold, 1e-12, r)
+    assert geometric_bisect(feasible, 1e-12, r) == expected
+    assert len(probes) < 100
 
 
 def test_bound_report_json_keys():

@@ -1,7 +1,12 @@
 import json
 import math
+from pathlib import Path
+
+import pytest
 
 from gpcert import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_bytes(path):
@@ -55,6 +60,11 @@ def test_validate_accepts_benchmark(tmp_path):
     assert cli.validate(tracking_config(tmp_path)) == []
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_validate_accepts_shipped_configs(path):
+    assert cli.validate(cli.load_config(str(path))) == []
+
+
 def test_validate_rejects_unknown_experiment():
     assert cli.validate({"experiment": "nope"})
 
@@ -62,6 +72,20 @@ def test_validate_rejects_unknown_experiment():
 def test_run_returns_config_error_code(tmp_path):
     rc = cli.run({"experiment": "tracking", "bound": {"delta": 2.0}, "gains": {"theta": [1, 1]}})
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("change", [
+    {"kernel": {"family": "squared_exponential", "signal_variance": 1.0, "lengthscales": [1.0, 1.0, 1.0]}},
+    {"plant": {"A": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 1.0]}},
+    {"horizon": -1},
+    {"gains": {"theta": ["a", "b"]}},
+], ids=["kernel_dimension", "uncontrollable_plant", "negative_horizon", "non_numeric_gains"])
+def test_run_maps_malformed_values_to_config_error(tmp_path, capsys, change):
+    cfg = tracking_config(tmp_path / "t", horizon=0.1)
+    cfg.update(change)
+    assert cli.validate(cfg) == []
+    assert cli.run(cfg) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_main_validate(tmp_path, capsys):

@@ -12,7 +12,7 @@ from gpcert.episodic import (
     select_gains,
     select_sampling_time,
 )
-from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError
+from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from gpcert.gp import TrainingSet, downsample, fit
 from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz
 from gpcert.simulation import ReferenceSpec, benchmark_system
@@ -47,10 +47,16 @@ def small_episode_config(target=0.1, **overrides):
 
 def test_select_gains_margin():
     L_sigma, beta, L_dk, xi = 1.0, 36.0, 1.5, 0.9
-    loop = select_gains(PLANT, L_sigma, beta, 1.0, L_dk, xi, margin=1.05)
+    loop = select_gains(PLANT, L_sigma, beta, L_dk, xi, margin=1.05)
     rhs = (8 * math.sqrt(L_dk) + xi * L_sigma) / xi * loop.zeta * math.sqrt(beta)
     assert -loop.lambda_max >= rhs
     assert -loop.lambda_max == pytest.approx(1.05 * rhs, rel=1e-9)
+
+
+def test_select_gains_margin_below_one_raises():
+    # an explicit check, not an assert, so it also holds under python -O
+    with pytest.raises(InfeasibilityError):
+        select_gains(PLANT, 1.0, 36.0, 1.5, 0.9, margin=0.9)
 
 
 def test_select_gains_xi_limit():
@@ -58,10 +64,10 @@ def test_select_gains_xi_limit():
     L_sigma, beta, L_dk = 1.0, 36.0, 1.5
 
     def lam(xi):
-        return -select_gains(PLANT, L_sigma, beta, 1.0, L_dk, xi, margin=1.0).lambda_max
+        return -select_gains(PLANT, L_sigma, beta, L_dk, xi, margin=1.0).lambda_max
 
     assert lam(0.5) > lam(0.9) > lam(0.999)
-    loop = select_gains(PLANT, L_sigma, beta, 1.0, L_dk, 0.999999, margin=1.0)
+    loop = select_gains(PLANT, L_sigma, beta, L_dk, 0.999999, margin=1.0)
     limit = (8 * math.sqrt(L_dk) + L_sigma) * loop.zeta * math.sqrt(beta)
     assert -loop.lambda_max == pytest.approx(limit, rel=1e-4)
 
