@@ -162,17 +162,20 @@ def bound_constants(
     box: DomainBox,
     L_k: float | None = None,
     use_stationary_modulus: bool = True,
+    L_sigma: float | None = None,
 ) -> BoundReport:
     """Assemble beta, gamma and friends for a model over a box.
 
-    ``L_k`` may be overridden (e.g. with a coarser external estimate); by
-    default it is computed from the kernel.
+    ``L_k`` and ``L_sigma`` may be given (e.g. already computed, or a coarser
+    external estimate); by default they are computed from the kernel.
+    ``L_sigma`` is used only with the stationary modulus.
     """
     spec = model.kernel
     if L_k is None:
         L_k = kernels.kernel_lipschitz(spec, box)
-    L_sigma = None
-    if use_stationary_modulus and spec.stationary:
+    if not (use_stationary_modulus and spec.stationary):
+        L_sigma = None
+    elif L_sigma is None:
         L_sigma = kernels.stddev_lipschitz(spec, box)
     m = covering_number_bound(params.tau, box)
     b = beta(params.tau, params.delta, box)
@@ -367,4 +370,4 @@ def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox) -> TauSea
     if tau is None:
         raise ValueError("no feasible tau in the search range; check L_f and the box")
     params = BoundParams(tau=tau, delta=delta, L_f=L_f)
-    return TauSearchResult(tau=tau, report=bound_constants(model, params, box, L_k=L_k))
+    return TauSearchResult(tau=tau, report=bound_constants(model, params, box, L_k=L_k, L_sigma=L_sigma))

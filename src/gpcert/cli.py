@@ -109,6 +109,23 @@ def validate(config: dict) -> list[str]:
                             "smoothness; Matern 3/2 is not smooth enough")
     elif not (isinstance(lf, (int, float)) and lf >= 0):
         problems.append(f"bound.L_f: must be a nonnegative number or 'probabilistic', got {lf!r}")
+    db = cfg["domain"]
+    if not (isinstance(db.get("dimension"), int) and db["dimension"] > 0):
+        problems.append(f"domain.dimension: must be a positive integer, got {db.get('dimension')!r}")
+    if not (isinstance(db.get("edge"), (int, float)) and db["edge"] > 0):
+        problems.append(f"domain.edge: must be a positive number, got {db.get('edge')!r}")
+    rb = cfg["reference"]
+    if not isinstance(rb.get("amplitude"), (int, float)):
+        problems.append(f"reference.amplitude: must be a number, got {rb.get('amplitude')!r}")
+    if not (isinstance(rb.get("frequency"), (int, float)) and rb["frequency"] > 0):
+        problems.append(f"reference.frequency: must be a positive number, got {rb.get('frequency')!r}")
+    if "data_grid" in cfg:
+        gb = cfg["data_grid"] if isinstance(cfg["data_grid"], dict) else {}
+        for axis in ("x1", "x2"):
+            ax = gb.get(axis)
+            if not (isinstance(ax, list) and len(ax) == 3 and all(isinstance(v, (int, float)) for v in ax)
+                    and isinstance(ax[2], int) and ax[2] > 0):
+                problems.append(f"data_grid.{axis}: must be [lo, hi, count], count a positive integer, got {ax!r}")
     if not (isinstance(cfg["noise_variance"], (int, float)) and cfg["noise_variance"] > 0):
         problems.append("noise_variance: must be a positive number")
     seeds = cfg["seeds"]
@@ -170,11 +187,24 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _cells(values) -> list[str]:
+    """CSV cells of one column; numeric arrays go through tolist() in one call."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return list(map(repr, values.tolist()))  # repr of a Python int is str(int)
+    return [_fmt(v) for v in values]
+
+
+_CSV_CHUNK_ROWS = 256  # bounds the cell strings held at once (and so peak RSS)
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equally long columns as CSV rows: repr of floats, integers as such, None empty."""
+    n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            cells = [_cells(c[lo:lo + _CSV_CHUNK_ROWS]) for c in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -197,18 +227,15 @@ def _eta_half_grid(model, rep, ref: ReferenceSpec, horizon: float, dt: float):
     return t_half, sigma, eta
 
 
-def _lookup(values: np.ndarray, dt: float):
-    def f(t: float) -> float:
-        return float(values[int(round(2.0 * t / dt))])
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # tracking experiment (closed-loop certificate)
 # ---------------------------------------------------------------------------
 
-def _resolve_bound_block(cfg: dict, model, box) -> tuple[bnd.BoundParams, dict]:
+def _resolve_bound_block(cfg: dict, model, box) -> tuple[bnd.BoundReport, dict]:
+    """Bound constants and the resolved bound block (tau and L_f as numbers).
+
+    With ``tau: auto`` the search's L_k and L_sigma are reused, not recomputed.
+    """
     bb = cfg["bound"]
     spec = model.kernel
     if bb["L_f"] == "probabilistic":
@@ -217,16 +244,19 @@ def _resolve_bound_block(cfg: dict, model, box) -> tuple[bnd.BoundParams, dict]:
     else:
         L_f = float(bb["L_f"])
         source = "given"
+    L_k = L_sigma = None
     if bb["tau"] == "auto":
-        tau = bnd.auto_tau(model, bb["delta"], L_f, box).tau
+        search = bnd.auto_tau(model, bb["delta"], L_f, box)
+        tau, L_k, L_sigma = search.tau, search.report.L_k, search.report.L_sigma
     else:
         tau = float(bb["tau"])
     params = bnd.BoundParams(tau=tau, delta=bb["delta"], L_f=L_f, delta_L=bb.get("delta_L"), L_f_source=source)
+    rep = bnd.bound_constants(model, params, box, L_k=L_k, L_sigma=L_sigma)
     resolved = dict(bb)
     resolved["tau"] = tau
     resolved["L_f"] = L_f
     resolved["L_f_source"] = source
-    return params, resolved
+    return rep, resolved
 
 
 def _tracking_grid(cfg: dict) -> np.ndarray:
@@ -253,16 +283,13 @@ def _run_tracking_seed(cfg: dict, seed: int, out_dir: str) -> dict:
     data = TrainingSet(grid, y, noise)
     model = fit(spec, data)
 
-    params, resolved_bound = _resolve_bound_block(cfg, model, box)
-    rep = bnd.bound_constants(model, params, box)
+    rep, resolved_bound = _resolve_bound_block(cfg, model, box)
     loop = closed_loop(plant, _theta_from(cfg))
     L_sigma = rep.L_sigma if rep.L_sigma is not None else 0.0
     stable = trk.gain_condition(loop, L_sigma, rep.beta)
 
     t_half, sigma_half, eta_half = _eta_half_grid(model, rep, ref, horizon, dt)
-    upsilon = trk.tracking_bound_ode(
-        loop, _lookup(eta_half, dt), L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt
-    )
+    upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
     sim = run_closed_loop(loop, model, ref, horizon, dt, seed, f, input_gain=g, noise_variance=noise)
     e = sim.error_norms
     certified = bool(np.all(e <= upsilon + 1e-12))
@@ -279,13 +306,13 @@ def _run_tracking_seed(cfg: dict, seed: int, out_dir: str) -> dict:
     _write_csv(
         os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
         ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
-        zip(sim.times, e, upsilon, eta_grid, sigma_grid),
+        [sim.times, e, upsilon, eta_grid, sigma_grid],
     )
     _write_csv(
         os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
         ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
-        zip(sim.times, sim.states[:, 0], sim.states[:, 1],
-            sim.reference_states[:, 0], sim.reference_states[:, 1], sim.controls, e),
+        [sim.times, sim.states[:, 0], sim.states[:, 1],
+         sim.reference_states[:, 0], sim.reference_states[:, 1], sim.controls, e],
     )
     data.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
     return {
@@ -396,7 +423,7 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
         _write_csv(
             os.path.join(out_dir, f"density_profile_pitch{j}.csv"),
             ["x_1", "x_2", "rho", "sigma_exact", "sigma_bound_prop10"],
-            zip(profile_points[:, 0], profile_points[:, 1], rho, sigma_profile, density_sd_bound),
+            [profile_points[:, 0], profile_points[:, 1], rho, sigma_profile, density_sd_bound],
         )
         rows.append({
             "pitch": pitch, "n_train": len(data), "rho_min": rho_min,
@@ -405,12 +432,8 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
             "kappa": cert.kappa,
         })
 
-    _write_csv(
-        os.path.join(out_dir, "density_sweep.csv"),
-        ["rho_min", "upsilon_bar", "e_max", "pitch", "n_train", "tau", "beta", "lambda_max", "zeta", "kappa"],
-        [(r["rho_min"], r["upsilon_bar"], r["e_max"], r["pitch"], r["n_train"],
-          r["tau"], r["beta"], r["lambda_max"], r["zeta"], r["kappa"]) for r in rows],
-    )
+    header = ["rho_min", "upsilon_bar", "e_max", "pitch", "n_train", "tau", "beta", "lambda_max", "zeta", "kappa"]
+    _write_csv(os.path.join(out_dir, "density_sweep.csv"), header, [[r[k] for r in rows] for k in header])
     logr = np.log([r["rho_min"] for r in rows])
     slope_bound = float(np.polyfit(logr, np.log([r["upsilon_bar"] for r in rows]), 1)[0])
     slope_observed = float(np.polyfit(logr, np.log([r["e_max"] for r in rows]), 1)[0])
@@ -546,7 +569,7 @@ def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
 
     coverage = covered_n / trials
     _write_csv(os.path.join(out_dir, "bound_trials.csv"),
-               ["trial", "L_f", "gamma", "max_error", "min_margin", "covered"], rows)
+               ["trial", "L_f", "gamma", "max_error", "min_margin", "covered"], list(zip(*rows)))
     summary = {
         "experiment": "validate_bounds",
         "resolved_config": _resolved_config(cfg),
@@ -586,8 +609,7 @@ def run_validate_lipschitz(cfg: dict, out_dir: str, workers: int) -> int:
     covered = slopes <= L_hat
     coverage = float(covered.mean())
     _write_csv(os.path.join(out_dir, "lipschitz_trials.csv"),
-               ["trial", "max_slope", "covered"],
-               [(t, slopes[t], int(covered[t])) for t in range(draws)])
+               ["trial", "max_slope", "covered"], [range(draws), slopes, covered.astype(int)])
     summary = {
         "experiment": "validate_lipschitz",
         "resolved_config": _resolved_config(cfg),

@@ -135,22 +135,12 @@ def run_closed_loop(
     control is the applied one.  Measurements y = f(x) + eps are taken at
     every grid point with eps drawn from the seeded generator.
     """
-    A, b = loop.plant.A, loop.plant.b
-    theta = loop.theta
-    predict = model.mean_function()
-
-    def dynamics(t, x):
-        e = x - ref.state(t)
-        u_nom = -float(theta @ e) + float(ref.signal(t)) - predict(x)
-        return A @ x + b * (u_nom + float(nonlinearity(x)))
-
-    x0 = ref.state(0.0)
-    times, states = integrate(dynamics, x0, horizon, fine_dt)
+    times, states = _closed_loop_rk4(loop, model.mean_function(), ref, horizon, fine_dt, nonlinearity)
     ref_states = ref.state(times)
 
     errors = states - ref_states
     mu = model.predict_mean(states) if len(model) else np.zeros(states.shape[0])
-    u_nom = -(errors @ theta) + ref.signal(times) - mu
+    u_nom = -(errors @ loop.theta) + ref.signal(times) - mu
     controls = u_nom / input_gain(states) if input_gain is not None else u_nom
 
     if noise_variance is None:
@@ -160,6 +150,59 @@ def run_closed_loop(
     eps = rng.normal(0.0, math.sqrt(noise_variance), size=f_vals.shape) if noise_variance > 0 else 0.0
     measurements = TrainingSet(states, f_vals + eps, max(noise_variance, 1e-300))
     return SimRun(times, states, ref_states, controls, measurements, seed)
+
+
+def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: float, dt: float, nonlinearity):
+    """:func:`integrate` specialised to x' = A x + b (u_nom + f(x)) on a 2-d plant.
+
+    u_nom = -theta^T (x - x_ref) + r_ref - mu(x).  The result is bit-identical
+    to :func:`integrate` on that field: x_ref and r_ref are sampled once at
+    the stage times times[k], times[k] + 0.5 dt and times[k] + dt of every
+    step, the state is carried as two floats, and every sum keeps the
+    generic loop's operation order.  The products theta^T e and A x stay
+    numpy calls, because BLAS may fuse their multiply-adds.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    A, b, theta = loop.plant.A, loop.plant.b, loop.theta
+    if A.shape != (2, 2):
+        raise ValueError("the closed-loop simulation needs a plant of dimension 2")
+    b0, b1 = b.tolist()
+    e = np.empty(2)  # x - x_ref; read only by theta.dot
+    h, h6 = 0.5 * dt, dt / 6.0
+
+    def field(x0, x1, r0, r1, r_ff):
+        x = np.array([x0, x1])
+        e[0] = x0 - r0
+        e[1] = x1 - r1
+        s = -float(theta.dot(e)) + r_ff - predict(x) + float(nonlinearity(x))
+        ax0, ax1 = (A @ x).tolist()
+        return ax0 + b0 * s, ax1 + b1 * s
+
+    n = int(round(horizon / dt))
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    times = np.arange(n + 1) * dt
+    t = times[:-1, None]
+    stage_times = np.hstack([t, t + h, t + dt])  # (n, 3): the three distinct stage times
+    # per step: x_ref at the three stage times, then r_ref at them (9 columns)
+    table = np.hstack([ref.state(stage_times).reshape(n, 6), ref.signal(stage_times)])
+    states = np.empty((n + 1, 2))
+    states[0] = ref.state(0.0)
+    x0, x1 = states[0].tolist()
+    for k in range(n):
+        ra0, ra1, rb0, rb1, rc0, rc1, sa, sb, sc = table[k].tolist()
+        k10, k11 = field(x0, x1, ra0, ra1, sa)
+        k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
+        k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
+        k40, k41 = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
+        x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
+        x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        if not (math.isfinite(x0) and math.isfinite(x1)):
+            raise DivergenceError(f"state diverged at t = {times[k + 1]:.6g}", time=float(times[k + 1]))
+        states[k + 1, 0] = x0
+        states[k + 1, 1] = x1
+    return times, states
 
 
 def prior_factor(spec: KernelSpec, grid) -> np.ndarray:

@@ -131,31 +131,46 @@ def tracking_bound_ode(
 ) -> np.ndarray:
     """Integrate the comparison ODE with fixed-step RK4 at pitch dt.
 
-    ``eta_ref`` maps time to the error bound along the reference.  Returns
-    v at times 0, dt, ..., matching the simulator's sample grid so the
-    certificate can be compared sample-by-sample.
+    ``eta_ref`` is the error bound along the reference: its values at the
+    half-step times 0, dt/2, ..., n dt (n = horizon / dt; these are all the
+    RK4 stage times), or a function of time, which is sampled there.
+    Returns v at times 0, dt, ..., matching the simulator's sample grid so
+    the certificate can be compared sample-by-sample.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    a = contraction_rate(loop, L_sigma, beta)
-    zeta = loop.zeta
-
-    def rhs(t, v):
-        return a * v + zeta * eta_ref(t)
-
     n = int(round(horizon / dt))
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    if callable(eta_ref):
+        eta_ref = _half_step_samples(eta_ref, n, dt)
+    eta = np.asarray(eta_ref, dtype=float)
+    if eta.shape != (2 * n + 1,):
+        raise ValueError(f"eta_ref needs {2 * n + 1} half-step values, got shape {eta.shape}")
+    a = contraction_rate(loop, L_sigma, beta)
+    forcing = memoryview(loop.zeta * eta)  # zeta eta(t) at every stage time, as floats
+    h, h6 = 0.5 * dt, dt / 6.0
     out = np.empty(n + 1)
     out[0] = v = float(v0)
-    t = 0.0
-    for k in range(n):
-        k1 = rhs(t, v)
-        k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
-        k4 = rhs(t + dt, v + dt * k3)
-        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        out[k + 1] = v
+    for k, (z1, z2, z4) in enumerate(zip(forcing[0:-1:2], forcing[1::2], forcing[2::2]), 1):
+        k1 = a * v + z1
+        k2 = a * (v + h * k1) + z2
+        k3 = a * (v + h * k2) + z2
+        k4 = a * (v + dt * k3) + z4
+        v = v + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k] = v
     return out
+
+
+def _half_step_samples(eta_ref: Callable[[float], float], n: int, dt: float) -> list[float]:
+    """eta_ref at the RK4 stage times t_k, t_k + 0.5 dt, with t_k = t_{k-1} + dt."""
+    values = []
+    t = 0.0
+    for _ in range(n):
+        values += (eta_ref(t), eta_ref(t + 0.5 * dt))
+        t += dt
+    values.append(eta_ref(t))
+    return values
 
 
 def max_tracking_bound(loop: ClosedLoop, sup_eta_ref: float, L_sigma: float, beta: float) -> float:
@@ -232,13 +247,15 @@ def tau_for_density(
     delta: float,
     L_f: float,
     L_k: float,
+    L_sigma: float | None = None,
 ) -> float:
     """Largest tau with beta_X(tau) >= gamma^2(tau) rho k(0) / 2.
 
     beta grows and gamma shrinks as tau decreases, so the feasible set is an
     interval (0, tau*]; :func:`bounds.geometric_bisect` over [1e-12, r],
     which stops once the midpoint no longer lies strictly between the ends,
-    returns the least-conservative feasible value found.
+    returns the least-conservative feasible value found.  ``L_sigma`` is
+    computed from the kernel when not given.
     """
     if rho_lower < 0:
         raise ValueError("rho lower bound must be nonnegative")
@@ -246,7 +263,8 @@ def tau_for_density(
     if not spec.stationary:
         raise UnsupportedOperationError("density-matched tau needs a stationary kernel")
     k0 = spec.signal_variance
-    L_sigma = kernels.stddev_lipschitz(spec, box)
+    if L_sigma is None:
+        L_sigma = kernels.stddev_lipschitz(spec, box)
     L_mu = bnd.mean_lipschitz(model, L_k)
 
     def feasible(tau: float) -> bool:
@@ -287,7 +305,7 @@ def certify(model: GPModel, rho: float, points, gains: Callable[[float], ClosedL
     reference states ``points`` and inflated by :data:`SAFETY_FACTOR`.
     Raises :class:`InfeasibilityError` if the gain condition fails.
     """
-    tau = tau_for_density(model, rho, box, delta, L_f, L_k)
+    tau = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
     b = bnd.beta(tau, delta, box)
     loop = gains(b)
     L_mu = bnd.mean_lipschitz(model, L_k)

@@ -88,6 +88,20 @@ def test_run_maps_malformed_values_to_config_error(tmp_path, capsys, change):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("block, change, field", [
+    ("domain", {"dimension": "2"}, "domain.dimension"),
+    ("domain", {"edge": "10"}, "domain.edge"),
+    ("reference", {"amplitude": "x"}, "reference.amplitude"),
+    ("data_grid", {"x1": [0.0, 3.0], "x2": [-4.0, 4.0, 5]}, "data_grid.x1"),
+], ids=["string_dimension", "string_edge", "string_amplitude", "two_entry_grid_axis"])
+def test_validate_rejects_wrongly_typed_fields(tmp_path, capsys, block, change, field):
+    cfg = tracking_config(tmp_path / "t", horizon=0.1)
+    cfg[block] = change
+    assert any(p.startswith(field + ":") for p in cli.validate(cfg))
+    assert cli.run(cfg) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
 def test_cli_main_validate(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(lipschitz_config(tmp_path / "out")))

@@ -1,0 +1,182 @@
+"""The closed-loop RK4 stepper and the comparison ODE against the generic loops.
+
+``run_closed_loop`` carries the state as two floats with the reference
+sampled once per stage time, and ``tracking_bound_ode`` reads eta from a
+half-step table.  The references below are the generic forms they replace: a
+dynamics closure driven by ``integrate``, and the comparison RK4 with eta
+looked up by time.  Every output must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from gpcert.errors import DivergenceError, UnsupportedOperationError
+from gpcert.gp import TrainingSet, fit
+from gpcert.kernels import KernelSpec
+from gpcert.simulation import ReferenceSpec, SimRun, benchmark_system, integrate, run_closed_loop
+from gpcert.tracking import LinearPlant, closed_loop, contraction_rate, tracking_bound_ode
+
+
+def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, seed, nonlinearity,
+                            input_gain=None, noise_variance=None):
+    A, b = loop.plant.A, loop.plant.b
+    theta = loop.theta
+    predict = model.mean_function()
+
+    def dynamics(t, x):
+        e = x - ref.state(t)
+        u_nom = -float(theta @ e) + float(ref.signal(t)) - predict(x)
+        return A @ x + b * (u_nom + float(nonlinearity(x)))
+
+    times, states = integrate(dynamics, ref.state(0.0), horizon, fine_dt)
+    ref_states = ref.state(times)
+    mu = model.predict_mean(states) if len(model) else np.zeros(states.shape[0])
+    u_nom = -((states - ref_states) @ theta) + ref.signal(times) - mu
+    controls = u_nom / input_gain(states) if input_gain is not None else u_nom
+    if noise_variance is None:
+        noise_variance = model.data.noise_variance
+    rng = np.random.default_rng(seed)
+    f_vals = np.asarray(nonlinearity(states), dtype=float)
+    eps = rng.normal(0.0, math.sqrt(noise_variance), size=f_vals.shape) if noise_variance > 0 else 0.0
+    measurements = TrainingSet(states, f_vals + eps, max(noise_variance, 1e-300))
+    return SimRun(times, states, ref_states, controls, measurements, seed)
+
+
+def generic_tracking_bound_ode(loop, eta_ref, L_sigma, beta, v0, horizon, dt):
+    a = contraction_rate(loop, L_sigma, beta)
+    zeta = loop.zeta
+
+    def rhs(t, v):
+        return a * v + zeta * eta_ref(t)
+
+    n = int(round(horizon / dt))
+    out = np.empty(n + 1)
+    out[0] = v = float(v0)
+    t = 0.0
+    for k in range(n):
+        k1 = rhs(t, v)
+        k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
+        k4 = rhs(t + dt, v + dt * k3)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        out[k + 1] = v
+    return out
+
+
+def half_step_lookup(values, dt):
+    return lambda t: float(values[int(round(2.0 * t / dt))])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+DOUBLE_INTEGRATOR = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
+# a row with two nonzero entries: A x is a sum, so it stays a numpy product
+COMPANION = LinearPlant(np.array([[0.0, 1.0], [-2.0, -0.7]]), np.array([0.0, 1.0]))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
+    plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
+    n_data=st.sampled_from([0, 1, 7, 40]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    with_input_gain=st.booleans(),
+    steps=st.integers(0, 300),
+    dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
+)
+def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, with_input_gain, steps, dt):
+    # at the coarse pitches one stage's h k is not small against x, so a
+    # last-bit change in the field reaches the states
+    try:
+        loop = closed_loop(plant, np.array(theta))
+    except UnsupportedOperationError:
+        assume(False)
+    f, g, _ = benchmark_system()
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (n_data, 2))
+    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
+    ref = ReferenceSpec(2.0, 1.0)
+    gain = g if with_input_gain else None
+    horizon = steps * dt
+
+    args = (loop, model, ref, horizon, dt, seed, f, gain, 0.01)
+    try:
+        new = run_closed_loop(*args)
+    except DivergenceError as exc:  # RK4 is unstable for some fast poles at the coarse pitches
+        with pytest.raises(DivergenceError) as old:
+            generic_run_closed_loop(*args)
+        assert old.value.time == exc.time
+        return
+    old = generic_run_closed_loop(*args)
+    for field in ("times", "states", "reference_states", "controls"):
+        assert same_bits(getattr(new, field), getattr(old, field)), field
+    assert same_bits(new.measurements.inputs, old.measurements.inputs)
+    assert same_bits(new.measurements.targets, old.measurements.targets)
+    assert new.measurements.noise_variance == old.measurements.noise_variance
+
+
+def test_diverging_loop_raises_at_the_same_time():
+    def cubic(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 1] ** 3  # x2' = x2^3 + ... blows up in finite time
+
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([2.0, 1.0]))
+    model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
+    ref = ReferenceSpec(2.0, 1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as new:
+            run_closed_loop(loop, model, ref, 5.0, 1e-3, 0, cubic)
+        with pytest.raises(DivergenceError) as old:
+            generic_run_closed_loop(loop, model, ref, 5.0, 1e-3, 0, cubic)
+    assert 0.0 < new.value.time < 5.0
+    assert new.value.time == old.value.time
+    assert str(new.value) == str(old.value)
+
+
+def test_run_closed_loop_rejects_other_plant_dimensions():
+    plant = LinearPlant(np.diag([1.0, 1.0], 1), np.array([0.0, 0.0, 1.0]))
+    loop = closed_loop(plant, np.array([6.0, 11.0, 6.0]))
+    model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
+    f, _, _ = benchmark_system()
+    with pytest.raises(ValueError):
+        run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, 0, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.floats(0.5, 60.0),
+    L_sigma=st.floats(0.0, 3.0),
+    beta=st.floats(0.1, 50.0),
+    v0=st.floats(0.0, 2.0),
+    horizon=st.sampled_from([0.0, 0.01, 0.7, 3.0]),
+    dt=st.sampled_from([1e-2, 1e-3, 3e-4]),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_tracking_bound_ode_matches_generic_rk4(theta, L_sigma, beta, v0, horizon, dt, seed):
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([theta * theta, theta]))
+    n = int(round(horizon / dt))
+    eta_half = np.random.default_rng(seed).uniform(0.0, 1.0, 2 * n + 1)
+
+    table = tracking_bound_ode(loop, eta_half, L_sigma, beta, v0, horizon, dt)
+    assert same_bits(table, generic_tracking_bound_ode(
+        loop, half_step_lookup(eta_half, dt), L_sigma, beta, v0, horizon, dt))
+
+    def smooth(t):
+        return 0.3 + 0.2 * math.sin(3.0 * t)
+
+    assert same_bits(tracking_bound_ode(loop, smooth, L_sigma, beta, v0, horizon, dt),
+                     generic_tracking_bound_ode(loop, smooth, L_sigma, beta, v0, horizon, dt))
+
+
+def test_tracking_bound_ode_rejects_a_table_of_the_wrong_length():
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([100.0, 10.0]))
+    with pytest.raises(ValueError):
+        tracking_bound_ode(loop, np.zeros(100), 0.0, 1.0, v0=0.0, horizon=0.1, dt=1e-3)
