@@ -24,7 +24,7 @@ supporting constants are all computable from the prior and the data:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,24 +341,19 @@ def geometric_bisect(feasible, lo: float, hi: float) -> float | None:
             hi = mid
 
 
-@dataclass(frozen=True)
-class TauSearchResult:
-    tau: float
-    report: BoundReport = field(repr=False)
-
-
-def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox) -> TauSearchResult:
+def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
+             L_sigma: float | None) -> float:
     """Largest tau for which gamma(tau) <= 0.01 sqrt(beta(tau)) sigma_f.
 
     Implements the default grid-constant rule: make the continuity correction
     negligible relative to the confidence term at prior scale.  The feasible
     set is an interval (0, tau*], searched by :func:`geometric_bisect` over
     [1e-12, r], which stops once the midpoint no longer lies strictly between
-    the ends; L_k, L_sigma and L_mu are computed once, before the search.
+    the ends.  ``L_k`` and ``L_sigma`` are the caller's kernel constants
+    (``L_sigma`` None: the square-root modulus alone); L_mu is computed once,
+    before the search.
     """
     spec = model.kernel
-    L_k = kernels.kernel_lipschitz(spec, box)
-    L_sigma = kernels.stddev_lipschitz(spec, box) if spec.stationary else None
     L_mu = mean_lipschitz(model, L_k)
 
     def feasible(tau: float) -> bool:
@@ -369,5 +364,4 @@ def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox) -> TauSea
     tau = geometric_bisect(feasible, 1e-12, box.edge)
     if tau is None:
         raise ValueError("no feasible tau in the search range; check L_f and the box")
-    params = BoundParams(tau=tau, delta=delta, L_f=L_f)
-    return TauSearchResult(tau=tau, report=bound_constants(model, params, box, L_k=L_k, L_sigma=L_sigma))
+    return tau

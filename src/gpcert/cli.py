@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import functools
 import json
 import math
 import os
@@ -79,6 +80,10 @@ def _merged(config: dict) -> dict:
     return cfg
 
 
+def _positive(v, kind=(int, float)) -> bool:
+    return isinstance(v, kind) and v > 0
+
+
 def validate(config: dict) -> list[str]:
     """Schema and cross-field checks; returns diagnostics (empty = valid)."""
     problems = []
@@ -87,12 +92,15 @@ def validate(config: dict) -> list[str]:
         problems.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
     cfg = _merged(config)
     kb = cfg["kernel"]
-    if kb.get("family") not in (kern.SQUARED_EXPONENTIAL, kern.MATERN32, kern.MATERN52, kern.LINEAR):
+    if kb.get("family") not in kern._FAMILIES:
         problems.append(f"kernel.family: unknown family {kb.get('family')!r}")
-    if not (isinstance(kb.get("signal_variance"), (int, float)) and kb["signal_variance"] > 0):
+    elif exp in ("tracking", "density_sweep", "episodic") and kb["family"] not in kern._STATIONARY:
+        problems.append(f"kernel.family: {exp} needs L_sigma, which the non-stationary "
+                        f"{kb['family']!r} kernel lacks")
+    if not _positive(kb.get("signal_variance")):
         problems.append("kernel.signal_variance: must be a positive number")
     ls = kb.get("lengthscales", [])
-    if not (isinstance(ls, list) and ls and all(isinstance(l, (int, float)) and l > 0 for l in ls)):
+    if not (isinstance(ls, list) and ls and all(_positive(l) for l in ls)):
         problems.append("kernel.lengthscales: must be a nonempty list of positive numbers")
     bb = cfg["bound"]
     for name in ("delta", "delta_L"):
@@ -100,7 +108,7 @@ def validate(config: dict) -> list[str]:
         if v is not None and not (isinstance(v, (int, float)) and 0 < v < 1):
             problems.append(f"bound.{name}: must lie in (0, 1), got {v!r}")
     tau = bb.get("tau")
-    if tau != "auto" and not (isinstance(tau, (int, float)) and tau > 0):
+    if tau != "auto" and not _positive(tau):
         problems.append(f"bound.tau: must be positive or 'auto', got {tau!r}")
     lf = bb.get("L_f")
     if lf == "probabilistic":
@@ -110,23 +118,23 @@ def validate(config: dict) -> list[str]:
     elif not (isinstance(lf, (int, float)) and lf >= 0):
         problems.append(f"bound.L_f: must be a nonnegative number or 'probabilistic', got {lf!r}")
     db = cfg["domain"]
-    if not (isinstance(db.get("dimension"), int) and db["dimension"] > 0):
+    if not _positive(db.get("dimension"), int):
         problems.append(f"domain.dimension: must be a positive integer, got {db.get('dimension')!r}")
-    if not (isinstance(db.get("edge"), (int, float)) and db["edge"] > 0):
+    if not _positive(db.get("edge")):
         problems.append(f"domain.edge: must be a positive number, got {db.get('edge')!r}")
     rb = cfg["reference"]
     if not isinstance(rb.get("amplitude"), (int, float)):
         problems.append(f"reference.amplitude: must be a number, got {rb.get('amplitude')!r}")
-    if not (isinstance(rb.get("frequency"), (int, float)) and rb["frequency"] > 0):
+    if not _positive(rb.get("frequency")):
         problems.append(f"reference.frequency: must be a positive number, got {rb.get('frequency')!r}")
     if "data_grid" in cfg:
         gb = cfg["data_grid"] if isinstance(cfg["data_grid"], dict) else {}
         for axis in ("x1", "x2"):
             ax = gb.get(axis)
             if not (isinstance(ax, list) and len(ax) == 3 and all(isinstance(v, (int, float)) for v in ax)
-                    and isinstance(ax[2], int) and ax[2] > 0):
+                    and _positive(ax[2], int)):
                 problems.append(f"data_grid.{axis}: must be [lo, hi, count], count a positive integer, got {ax!r}")
-    if not (isinstance(cfg["noise_variance"], (int, float)) and cfg["noise_variance"] > 0):
+    if not _positive(cfg["noise_variance"]):
         problems.append("noise_variance: must be a positive number")
     seeds = cfg["seeds"]
     if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds)):
@@ -134,16 +142,30 @@ def validate(config: dict) -> list[str]:
     if exp == "tracking" and "gains" not in config:
         problems.append("tracking: missing 'gains' block (theta or theta1/theta2)")
     if exp == "density_sweep":
-        sw = config.get("sweep", {})
-        if not sw.get("pitches"):
-            problems.append("density_sweep: missing sweep.pitches list")
+        sw = config["sweep"] if isinstance(config.get("sweep"), dict) else {}
+        pitches = sw.get("pitches")
+        if not (isinstance(pitches, list) and pitches and all(_positive(p) for p in pitches)):
+            problems.append(f"sweep.pitches: must be a nonempty list of positive numbers, got {pitches!r}")
+        if not _positive(sw.get("kappa", 10.0)):
+            problems.append(f"sweep.kappa: must be a positive number, got {sw.get('kappa')!r}")
+        ext = sw.get("extent", [-4.0, 4.0])
+        if not (isinstance(ext, list) and len(ext) == 2 and all(isinstance(v, (int, float)) for v in ext)
+                and ext[0] < ext[1]):
+            problems.append(f"sweep.extent: must be [lo, hi] with lo < hi, got {ext!r}")
     if exp == "episodic":
-        ep = config.get("episodic", {})
+        ep = config["episodic"] if isinstance(config.get("episodic"), dict) else {}
         xi = ep.get("xi", 0.95)
         if not (isinstance(xi, (int, float)) and 0 < xi < 1):
             problems.append(f"episodic.xi: must lie in (0, 1), got {xi!r}")
-        if not (isinstance(ep.get("target_error"), (int, float)) and ep.get("target_error", 0) > 0):
+        if not _positive(ep.get("target_error")):
             problems.append("episodic.target_error: must be a positive number")
+    vb = cfg.get("validation", {})
+    if not isinstance(vb, dict):
+        problems.append(f"validation: must be an object, got {vb!r}")
+        vb = {}
+    for name, least in (("trials", 1), ("draws", 1), ("grid_points_per_axis", 2), ("train_points", 1)):
+        if name in vb and not (isinstance(vb[name], int) and vb[name] >= least):
+            problems.append(f"validation.{name}: must be an integer of at least {least}, got {vb[name]!r}")
     return problems
 
 
@@ -219,76 +241,43 @@ def _half_step_times(horizon: float, dt: float) -> np.ndarray:
     return np.arange(2 * n + 1) * (dt / 2.0)
 
 
-def _eta_half_grid(model, rep, ref: ReferenceSpec, horizon: float, dt: float):
-    """sigma and eta along the reference on the half-step grid RK4 needs."""
-    t_half = _half_step_times(horizon, dt)
-    sigma = model.predict_stddev(ref.state(t_half))
-    eta = math.sqrt(rep.beta) * sigma + rep.gamma
-    return t_half, sigma, eta
+def _grid(*axes) -> np.ndarray:
+    """Rows of the tensor grid over the given axes, the first axis slowest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
 
 # ---------------------------------------------------------------------------
 # tracking experiment (closed-loop certificate)
 # ---------------------------------------------------------------------------
 
-def _resolve_bound_block(cfg: dict, model, box) -> tuple[bnd.BoundReport, dict]:
-    """Bound constants and the resolved bound block (tau and L_f as numbers).
-
-    With ``tau: auto`` the search's L_k and L_sigma are reused, not recomputed.
-    """
-    bb = cfg["bound"]
-    spec = model.kernel
-    if bb["L_f"] == "probabilistic":
-        L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"])
-        source = "probabilistic"
-    else:
-        L_f = float(bb["L_f"])
-        source = "given"
-    L_k = L_sigma = None
-    if bb["tau"] == "auto":
-        search = bnd.auto_tau(model, bb["delta"], L_f, box)
-        tau, L_k, L_sigma = search.tau, search.report.L_k, search.report.L_sigma
-    else:
-        tau = float(bb["tau"])
-    params = bnd.BoundParams(tau=tau, delta=bb["delta"], L_f=L_f, delta_L=bb.get("delta_L"), L_f_source=source)
-    rep = bnd.bound_constants(model, params, box, L_k=L_k, L_sigma=L_sigma)
-    resolved = dict(bb)
-    resolved["tau"] = tau
-    resolved["L_f"] = L_f
-    resolved["L_f_source"] = source
-    return rep, resolved
-
-
-def _tracking_grid(cfg: dict) -> np.ndarray:
-    gb = cfg.get("data_grid", {"x1": [0.0, 3.0, 5], "x2": [-4.0, 4.0, 5]})
-    ax1 = np.linspace(gb["x1"][0], gb["x1"][1], int(gb["x1"][2]))
-    ax2 = np.linspace(gb["x2"][0], gb["x2"][1], int(gb["x2"][2]))
-    g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
-    return np.column_stack([g1.ravel(), g2.ravel()])
-
-
-def _run_tracking_seed(cfg: dict, seed: int, out_dir: str) -> dict:
+def _run_tracking_seed(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seed: int) -> dict:
+    """One seed of the tracking experiment; L_f, L_k and L_sigma are the run's."""
     spec = _kernel_from(cfg)
-    plant = _plant_from(cfg)
     box = _box_from(cfg)
     ref = _reference_from(cfg)
     f, g, _ = benchmark_system()
+    bb = cfg["bound"]
     horizon = float(cfg.get("horizon", 30.0))
     dt = float(cfg.get("fine_dt", 3e-4))
     noise = float(cfg["noise_variance"])
 
-    grid = _tracking_grid(cfg)
+    gb = cfg.get("data_grid", {"x1": [0.0, 3.0, 5], "x2": [-4.0, 4.0, 5]})
+    grid = _grid(*(np.linspace(lo, hi, int(n)) for lo, hi, n in (gb["x1"], gb["x2"])))
     rng = np.random.default_rng(seed)
     y = f(grid) + rng.normal(0.0, math.sqrt(noise), size=grid.shape[0])
     data = TrainingSet(grid, y, noise)
     model = fit(spec, data)
 
-    rep, resolved_bound = _resolve_bound_block(cfg, model, box)
-    loop = closed_loop(plant, _theta_from(cfg))
-    L_sigma = rep.L_sigma if rep.L_sigma is not None else 0.0
+    tau = bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma) if bb["tau"] == "auto" else float(bb["tau"])
+    source = "probabilistic" if bb["L_f"] == "probabilistic" else "given"
+    params = bnd.BoundParams(tau=tau, delta=bb["delta"], L_f=L_f, delta_L=bb.get("delta_L"), L_f_source=source)
+    rep = bnd.bound_constants(model, params, box, L_k=L_k, L_sigma=L_sigma)
+    loop = closed_loop(_plant_from(cfg), _theta_from(cfg))
     stable = trk.gain_condition(loop, L_sigma, rep.beta)
 
-    t_half, sigma_half, eta_half = _eta_half_grid(model, rep, ref, horizon, dt)
+    t_half = _half_step_times(horizon, dt)
+    sigma_half = model.predict_stddev(ref.state(t_half))
+    eta_half = math.sqrt(rep.beta) * sigma_half + rep.gamma
     upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
     sim = run_closed_loop(loop, model, ref, horizon, dt, seed, f, input_gain=g, noise_variance=noise)
     e = sim.error_norms
@@ -301,12 +290,10 @@ def _run_tracking_seed(cfg: dict, seed: int, out_dir: str) -> dict:
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
     same_half = (t_e < period / 2.0) == (t_sig < period / 2.0)
 
-    eta_grid = eta_half[::2]
-    sigma_grid = sigma_half[::2]
     _write_csv(
         os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
         ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
-        [sim.times, e, upsilon, eta_grid, sigma_grid],
+        [sim.times, e, upsilon, eta_half[::2], sigma_half[::2]],
     )
     _write_csv(
         os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
@@ -325,52 +312,42 @@ def _run_tracking_seed(cfg: dict, seed: int, out_dir: str) -> dict:
         "argmax_sigma_time": t_sig,
         "error_peak_in_uncertain_half_period": bool(same_half),
         "bound": rep.to_json_dict(),
-        "resolved_bound": resolved_bound,
+        "resolved_bound": {**bb, "tau": tau, "L_f": L_f, "L_f_source": source},
         "zeta": loop.zeta,
         "lambda_max": loop.lambda_max,
         "L_sigma": L_sigma,
-        "L_k": rep.L_k,
+        "L_k": L_k,
     }
 
 
-def _tracking_worker(args):
-    cfg, seed, out_dir = args
-    return _run_tracking_seed(cfg, seed, out_dir)
-
-
-def run_tracking(cfg: dict, out_dir: str, workers: int) -> int:
+def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]:
+    """Every seed, fanned out over ``workers`` processes; the kernel and box
+    constants L_f, L_k and L_sigma are computed once, here."""
+    spec, box, bb = _kernel_from(cfg), _box_from(cfg), cfg["bound"]
+    L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"]) if bb["L_f"] == "probabilistic" else float(bb["L_f"])
+    seed_run = functools.partial(_run_tracking_seed, cfg, out_dir, L_f,
+                                 kern.kernel_lipschitz(spec, box), kern.stddev_lipschitz(spec, box))
     seeds = cfg["seeds"]
-    jobs = [(cfg, s, out_dir) for s in seeds]
     if workers > 1 and len(seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tracking_worker, jobs))
+            results = list(pool.map(seed_run, seeds))
     else:
-        results = [_tracking_worker(j) for j in jobs]
+        results = [seed_run(s) for s in seeds]
     results.sort(key=lambda r: r["seed"])
     ok = all(r["certified"] for r in results)
-    summary = {
-        "experiment": "tracking",
-        "resolved_config": _resolved_config(cfg, results[0]["resolved_bound"]),
+    return {
+        "resolved_config": {**cfg, "bound": results[0]["resolved_bound"]},
         "per_seed": results,
         "all_certified": ok,
         "phase_agreement_fraction": float(np.mean([r["error_peak_in_uncertain_half_period"] for r in results])),
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK if ok else EXIT_CERTIFICATE
-
-
-def _resolved_config(cfg: dict, resolved_bound: dict | None = None) -> dict:
-    out = copy.deepcopy(cfg)
-    if resolved_bound is not None:
-        out["bound"] = resolved_bound
-    return out
+    }, ok
 
 
 # ---------------------------------------------------------------------------
 # density sweep (bound decay against data density, kappa fixed)
 # ---------------------------------------------------------------------------
 
-def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
+def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     plant = _plant_from(cfg)
     box = _box_from(cfg)
@@ -397,10 +374,8 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     rows = []
     violations = 0
     for j, pitch in enumerate(pitches):
-        n_axis = int(round((hi - lo) / pitch)) + 1
-        ax = np.linspace(lo, hi, n_axis)
-        g1, g2 = np.meshgrid(ax, ax, indexing="ij")
-        grid = np.column_stack([g1.ravel(), g2.ravel()])
+        ax = np.linspace(lo, hi, int(round((hi - lo) / pitch)) + 1)
+        grid = _grid(ax, ax)
         rng = np.random.default_rng(seed + j)
         data = TrainingSet(grid, f(grid) + rng.normal(0.0, math.sqrt(noise), grid.shape[0]), noise)
         model = fit(spec, data)
@@ -437,9 +412,7 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     logr = np.log([r["rho_min"] for r in rows])
     slope_bound = float(np.polyfit(logr, np.log([r["upsilon_bar"] for r in rows]), 1)[0])
     slope_observed = float(np.polyfit(logr, np.log([r["e_max"] for r in rows]), 1)[0])
-    summary = {
-        "experiment": "density_sweep",
-        "resolved_config": _resolved_config(cfg),
+    return {
         "kappa_target": kappa_target,
         "L_k": L_k,
         "L_sigma": L_sigma,
@@ -447,16 +420,14 @@ def run_density_sweep(cfg: dict, out_dir: str, workers: int) -> int:
         "slope_log_upsilon_vs_log_rho": slope_bound,
         "slope_log_e_max_vs_log_rho": slope_observed,
         "certificate_violations": violations,
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK if violations == 0 else EXIT_CERTIFICATE
+    }, violations == 0
 
 
 # ---------------------------------------------------------------------------
 # episodic experiment
 # ---------------------------------------------------------------------------
 
-def run_episodic(cfg: dict, out_dir: str, workers: int) -> int:
+def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     plant = _plant_from(cfg)
     box = _box_from(cfg)
@@ -492,9 +463,7 @@ def run_episodic(cfg: dict, out_dir: str, workers: int) -> int:
         for prev, cur in zip(reports, reports[1:])
         if cur.observed_max_error is not None and cur.observed_max_error > prev.certified_bound
     )
-    summary = {
-        "experiment": "episodic",
-        "resolved_config": _resolved_config(cfg),
+    return {
         "episodes_run": len(reports) - 1,
         "N_E": n_e,
         "total_confidence": 1.0 - n_e * config.delta,
@@ -506,9 +475,7 @@ def run_episodic(cfg: dict, out_dir: str, workers: int) -> int:
         "L_k": kern.kernel_lipschitz(spec, box),
         "L_sigma": kern.stddev_lipschitz(spec, box),
         "xi": config.xi,
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK if violations == 0 else EXIT_CERTIFICATE
+    }, violations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +493,7 @@ def _axis_fd_slope(values: np.ndarray, shape: tuple[int, ...], pitch: float) -> 
     return worst
 
 
-def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
+def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
     vb = cfg.get("validation", {})
@@ -538,10 +505,7 @@ def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
     tau = float(cfg["bound"]["tau"])
     seed0 = int(cfg["seeds"][0])
 
-    d = box.dimension
-    axes = [np.linspace(c - box.edge / 2.0, c + box.edge / 2.0, n_axis) for c in box.center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
+    grid = _grid(*(np.linspace(c - box.edge / 2.0, c + box.edge / 2.0, n_axis) for c in box.center))
     pitch = box.edge / (n_axis - 1)
 
     L = prior_factor(spec, grid)
@@ -558,7 +522,7 @@ def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
         idx = rng.choice(grid.shape[0], size=n_train, replace=False)
         y = fvals[idx] + rng.normal(0.0, math.sqrt(noise), n_train)
         model = fit(spec, TrainingSet(grid[idx], y, noise))
-        L_f = _axis_fd_slope(fvals, tuple([n_axis] * d), pitch)
+        L_f = _axis_fd_slope(fvals, (n_axis,) * box.dimension, pitch)
         gam = bnd.gamma(tau, bnd.mean_lipschitz(model, L_k), L_f, beta, om)
         eta = math.sqrt(beta) * model.predict_stddev(grid) + gam
         err = np.abs(fvals - model.predict_mean(grid))
@@ -570,9 +534,7 @@ def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
     coverage = covered_n / trials
     _write_csv(os.path.join(out_dir, "bound_trials.csv"),
                ["trial", "L_f", "gamma", "max_error", "min_margin", "covered"], list(zip(*rows)))
-    summary = {
-        "experiment": "validate_bounds",
-        "resolved_config": _resolved_config(cfg),
+    return {
         "trials": trials,
         "coverage": coverage,
         "required_coverage": 1.0 - delta,
@@ -580,12 +542,10 @@ def run_validate_bounds(cfg: dict, out_dir: str, workers: int) -> int:
         "tau": tau,
         "omega_sigma": om,
         "L_k": L_k,
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK if coverage >= 1.0 - delta else EXIT_CERTIFICATE
+    }, coverage >= 1.0 - delta
 
 
-def run_validate_lipschitz(cfg: dict, out_dir: str, workers: int) -> int:
+def run_validate_lipschitz(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
     vb = cfg.get("validation", {})
@@ -610,25 +570,20 @@ def run_validate_lipschitz(cfg: dict, out_dir: str, workers: int) -> int:
     coverage = float(covered.mean())
     _write_csv(os.path.join(out_dir, "lipschitz_trials.csv"),
                ["trial", "max_slope", "covered"], [range(draws), slopes, covered.astype(int)])
-    summary = {
-        "experiment": "validate_lipschitz",
-        "resolved_config": _resolved_config(cfg),
+    return {
         "draws": draws,
         "coverage": coverage,
         "required_coverage": 1.0 - delta_L,
         "L_f_hat": L_hat,
         "max_observed_slope": float(slopes.max()),
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK if coverage >= 1.0 - delta_L else EXIT_CERTIFICATE
+    }, coverage >= 1.0 - delta_L
 
 
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "tracking": run_tracking,
+_RUNNERS = {  # every experiment but tracking, the one that takes workers
     "density_sweep": run_density_sweep,
     "episodic": run_episodic,
     "validate_bounds": run_validate_bounds,
@@ -637,7 +592,12 @@ _RUNNERS = {
 
 
 def run(config: dict, workers: int = 1) -> int:
-    """Validate, dispatch, and write artifacts; returns the process exit code."""
+    """Validate, dispatch, and write artifacts; returns the process exit code.
+
+    Each runner writes its artifacts and returns ``(summary, ok)``; the summary
+    gains the experiment and the merged config (unless the runner resolves it
+    further) and goes to ``summary.json``.  ``workers`` serves tracking only.
+    """
     problems = validate(config)
     if problems:
         for p in problems:
@@ -646,14 +606,17 @@ def run(config: dict, workers: int = 1) -> int:
     cfg = _merged(config)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
+    exp = cfg["experiment"]
     try:
-        return _RUNNERS[cfg["experiment"]](cfg, out_dir, workers)
+        summary, ok = run_tracking(cfg, out_dir, workers) if exp == "tracking" else _RUNNERS[exp](cfg, out_dir)
     except GPCertError as exc:
-        print(f"numerical failure in {cfg['experiment']}: {exc}", file=sys.stderr)
+        print(f"numerical failure in {exp}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # malformed values that validate() does not catch
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    _write_json(os.path.join(out_dir, "summary.json"), {"experiment": exp, "resolved_config": cfg, **summary})
+    return EXIT_OK if ok else EXIT_CERTIFICATE
 
 
 def main(argv=None) -> int:
@@ -664,7 +627,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the experiment config JSON")
         if name == "run":
             p.add_argument("--seed", type=int, default=None, help="override: run this single seed")
-            p.add_argument("--workers", type=int, default=1, help="seed-level parallelism")
+            p.add_argument("--workers", type=int, default=1, help="processes for the seeds of a tracking run")
             p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 

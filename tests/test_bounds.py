@@ -29,6 +29,8 @@ from gpcert.kernels import (
     KernelSpec,
     derivative_kernel_eval,
     kernel_eval,
+    kernel_lipschitz,
+    stddev_lipschitz,
 )
 
 from conftest import se_unit
@@ -262,9 +264,11 @@ def test_params_validation():
 def test_auto_tau_is_boundary():
     rng = np.random.default_rng(1)
     model = fit(se_unit(2), TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
-    res = auto_tau(model, 0.01, 2.0, BOX2)
-    assert res.report.gamma <= 0.01 * math.sqrt(res.report.beta) * 1.0
-    bigger = bound_constants(model, BoundParams(tau=res.tau * 1.05, delta=0.01, L_f=2.0), BOX2)
+    L_k, L_sigma = kernel_lipschitz(model.kernel, BOX2), stddev_lipschitz(model.kernel, BOX2)
+    tau = auto_tau(model, 0.01, 2.0, BOX2, L_k, L_sigma)
+    rep = bound_constants(model, BoundParams(tau=tau, delta=0.01, L_f=2.0), BOX2, L_k=L_k, L_sigma=L_sigma)
+    assert rep.gamma <= 0.01 * math.sqrt(rep.beta) * 1.0
+    bigger = bound_constants(model, BoundParams(tau=tau * 1.05, delta=0.01, L_f=2.0), BOX2)
     assert bigger.gamma > 0.01 * math.sqrt(bigger.beta) * 1.0
 
 

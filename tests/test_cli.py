@@ -102,6 +102,38 @@ def test_validate_rejects_wrongly_typed_fields(tmp_path, capsys, block, change, 
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
+@pytest.mark.parametrize("name, block, change, field", [
+    ("density_sweep.json", "sweep", {"extent": 5}, "sweep.extent"),
+    ("density_sweep.json", "sweep", {"extent": [4.0, -4.0]}, "sweep.extent"),
+    ("density_sweep.json", "sweep", {"kappa": None}, "sweep.kappa"),
+    ("density_sweep.json", "sweep", {"pitches": [1.0, "x"]}, "sweep.pitches"),
+    ("validate_bounds.json", "validation", {"trials": None}, "validation.trials"),
+    ("validate_bounds.json", "validation", {"grid_points_per_axis": 1}, "validation.grid_points_per_axis"),
+    ("validate_bounds.json", "validation", {"train_points": 2.5}, "validation.train_points"),
+    ("validate_lipschitz.json", "validation", {"draws": 0}, "validation.draws"),
+    # the certificates need L_sigma; a linear-kernel tracking run used to drop
+    # the L_sigma zeta sqrt(beta) drift term and certify unsoundly
+    ("tracking.json", "kernel", {"family": "linear"}, "kernel.family"),
+    ("density_sweep.json", "kernel", {"family": "linear"}, "kernel.family"),
+    ("episodic.json", "kernel", {"family": "linear"}, "kernel.family"),
+], ids=["scalar_extent", "reversed_extent", "null_kappa", "string_pitch", "null_trials",
+        "one_grid_point", "float_train_points", "zero_draws",
+        "linear_tracking", "linear_density_sweep", "linear_episodic"])
+def test_validate_rejects_bad_fields_in_shipped_configs(tmp_path, capsys, name, block, change, field):
+    cfg = cli.load_config(str(CONFIGS / name))
+    cfg[block] = {**cfg[block], **change}
+    cfg["out_dir"] = str(tmp_path / "out")
+    assert any(p.startswith(field + ":") for p in cli.validate(cfg))
+    assert cli.run(cfg) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_validate_accepts_non_stationary_kernel_for_bound_validation():
+    cfg = cli.load_config(str(CONFIGS / "validate_bounds.json"))
+    cfg["kernel"]["family"] = "linear"
+    assert cli.validate(cfg) == []
+
+
 def test_cli_main_validate(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(lipschitz_config(tmp_path / "out")))
@@ -166,8 +198,15 @@ def test_tracking_workers_match_serial(tmp_path):
     cfg2 = tracking_config(out2, seeds=(0, 1), horizon=1.0)
     assert cli.run(cfg1, workers=1) == 0
     assert cli.run(cfg2, workers=2) == 0
-    for name in ("tracking_run_seed0.csv", "tracking_run_seed1.csv"):
-        assert read_bytes(out1 / name) == read_bytes(out2 / name)
+    for seed in (0, 1):
+        for stem in ("tracking_run", "sim_run", "training_data"):
+            name = f"{stem}_seed{seed}.csv"
+            assert read_bytes(out1 / name) == read_bytes(out2 / name), name
+    summaries = [json.loads((out / "summary.json").read_text()) for out in (out1, out2)]
+    for summary in summaries:
+        del summary["resolved_config"]["out_dir"]
+    assert summaries[0]["per_seed"] == summaries[1]["per_seed"]
+    assert summaries[0] == summaries[1]
 
 
 def test_episodic_zero_episode_exit(tmp_path):
