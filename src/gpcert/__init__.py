@@ -1,14 +1,13 @@
 """GP regression with computable uniform error bounds, a kernel data-density
 measure, closed-loop tracking certificates, and episodic data generation."""
 
-from .bounds import BoundParams, DomainBox
+from .bounds import DomainBox
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
 from .simulation import ReferenceSpec
 from .tracking import ClosedLoop, LinearPlant
 
 __all__ = [
-    "BoundParams",
     "ClosedLoop",
     "DomainBox",
     "GPModel",

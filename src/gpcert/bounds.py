@@ -5,8 +5,11 @@ The headline quantity is
     eta(x) = sqrt(beta_X(tau)) * sigma(x) + gamma(tau)
 
 which bounds |f(x) - mu(x)| jointly over a compact box with probability at
-least 1 - delta when the unknown function is a sample of the prior.  The
-supporting constants are all computable from the prior and the data:
+least 1 - delta when the unknown function is a sample of the prior.  This
+module is the only place that assembles it: :func:`bound_constants` turns a
+grid constant tau into a :class:`BoundReport` (beta, L_mu, omega_sigma,
+gamma), and :func:`uniform_error_bound` turns a report and the posterior
+standard deviation at points of its box into eta.  The building blocks:
 
 * ``covering_number_bound`` / ``beta``  -- confidence scaling from a
   hypercube covering of the domain,
@@ -24,7 +27,7 @@ supporting constants are all computable from the prior and the data:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,32 +57,13 @@ class DomainBox:
             raise ValueError("center does not match the box dimension")
         object.__setattr__(self, "center", c)
 
+    def inside(self, x, tol: float = 1e-12) -> np.ndarray:
+        """Row mask of a point (d,) or a batch (m, d): which lie in the box."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.all(np.abs(x - self.center) <= 0.5 * self.edge + tol, axis=1)
+
     def contains(self, x, tol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.abs(x - self.center) <= 0.5 * self.edge + tol))
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the uniform bound: grid constant, confidence, Lipschitz data."""
-
-    tau: float
-    delta: float
-    L_f: float
-    delta_L: float | None = None
-    L_f_source: str = "given"
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.L_f < 0:
-            raise ValueError("L_f must be nonnegative")
-        if self.delta_L is not None and not 0 < self.delta_L < 1:
-            raise ValueError("delta_L must lie in (0, 1)")
-        if self.L_f_source not in ("given", "probabilistic"):
-            raise ValueError("L_f_source must be 'given' or 'probabilistic'")
+        return bool(self.inside(x, tol).all())
 
 
 def covering_number_bound(tau: float, box: DomainBox) -> float:
@@ -129,7 +113,7 @@ def gamma(tau: float, L_mu: float, L_f: float, beta_val: float, omega_sigma: flo
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All constants of one uniform-bound evaluation, for auditability."""
+    """All constants of one uniform-bound evaluation over ``box``, for auditability."""
 
     tau: float
     delta: float
@@ -137,11 +121,11 @@ class BoundReport:
     gamma: float
     L_mu: float
     L_f: float
-    L_f_source: str
     covering_number_bound: float
     L_k: float
     L_sigma: float | None
     omega_sigma: float
+    box: DomainBox = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,73 +135,39 @@ class BoundReport:
             "gamma": self.gamma,
             "L_mu": self.L_mu,
             "L_f": self.L_f,
-            "L_f_source": self.L_f_source,
             "coverage_number_bound": self.covering_number_bound,
         }
 
 
-def bound_constants(
-    model: GPModel,
-    params: BoundParams,
-    box: DomainBox,
-    L_k: float | None = None,
-    use_stationary_modulus: bool = True,
-    L_sigma: float | None = None,
-) -> BoundReport:
-    """Assemble beta, gamma and friends for a model over a box.
+def bound_constants(model: GPModel, tau: float, delta: float, L_f: float, box: DomainBox,
+                    L_k: float, L_sigma: float | None) -> BoundReport:
+    """beta, L_mu, omega_sigma and gamma of a model at grid constant tau over a box.
 
-    ``L_k`` and ``L_sigma`` may be given (e.g. already computed, or a coarser
-    external estimate); by default they are computed from the kernel.
-    ``L_sigma`` is used only with the stationary modulus.
+    ``L_k`` and ``L_sigma`` are the caller's kernel constants; ``L_sigma``
+    None means the square-root modulus alone.
     """
-    spec = model.kernel
-    if L_k is None:
-        L_k = kernels.kernel_lipschitz(spec, box)
-    if not (use_stationary_modulus and spec.stationary):
-        L_sigma = None
-    elif L_sigma is None:
-        L_sigma = kernels.stddev_lipschitz(spec, box)
-    m = covering_number_bound(params.tau, box)
-    b = beta(params.tau, params.delta, box)
-    lmu = mean_lipschitz(model, L_k)
-    om = stddev_modulus(spec, params.tau, L_k, L_sigma)
-    g = gamma(params.tau, lmu, params.L_f, b, om)
-    return BoundReport(
-        tau=params.tau,
-        delta=params.delta,
-        beta=b,
-        gamma=g,
-        L_mu=lmu,
-        L_f=params.L_f,
-        L_f_source=params.L_f_source,
-        covering_number_bound=m,
-        L_k=L_k,
-        L_sigma=L_sigma,
-        omega_sigma=om,
-    )
+    b = beta(tau, delta, box)
+    L_mu = mean_lipschitz(model, L_k)
+    om = stddev_modulus(model.kernel, tau, L_k, L_sigma)
+    g = gamma(tau, L_mu, L_f, b, om)
+    return BoundReport(tau, delta, b, g, L_mu, L_f, covering_number_bound(tau, box), L_k, L_sigma, om, box)
 
 
-def uniform_error_bound(
-    model: GPModel,
-    x,
-    params: BoundParams,
-    box: DomainBox,
-    L_k: float | None = None,
-    use_stationary_modulus: bool = True,
-):
-    """eta(x) = sqrt(beta) sigma(x) + gamma(tau); x must lie inside the box.
+def uniform_error_bound(report: BoundReport, x, sigma):
+    """eta = sqrt(beta) sigma + gamma at x, which must lie inside the report's box.
 
-    Accepts a single point (d,) or a batch (m, d).  The returned value bounds
-    the prediction error jointly over the box with probability at least
-    1 - delta when the unknown function is a prior sample.
+    ``x`` is a point (d,) or a batch (m, d) and ``sigma`` the posterior
+    standard deviation there.  The returned value bounds the prediction error
+    jointly over the box with probability at least 1 - delta when the unknown
+    function is a prior sample.  Raises :class:`DomainError` naming the first
+    point outside the box.
     """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    for row in X:
-        if not box.contains(row):
-            raise DomainError(f"query point {row} outside the certified box")
-    rep = bound_constants(model, params, box, L_k=L_k, use_stationary_modulus=use_stationary_modulus)
-    eta = math.sqrt(rep.beta) * model.predict_stddev(X) + rep.gamma
-    return float(eta[0]) if np.asarray(x).ndim == 1 else eta
+    box = report.box
+    inside = box.inside(x)
+    if not inside.all():
+        bad = np.atleast_2d(np.asarray(x, dtype=float))[int(np.argmin(inside))]
+        raise DomainError(f"point {bad} outside the certified box (edge {box.edge}, center {box.center})")
+    return math.sqrt(report.beta) * sigma + report.gamma
 
 
 def noise_norm_bound(N: int, delta: float, noise_variance: float) -> float:
@@ -343,23 +293,20 @@ def geometric_bisect(feasible, lo: float, hi: float) -> float | None:
 
 def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
              L_sigma: float | None) -> float:
-    """Largest tau for which gamma(tau) <= 0.01 sqrt(beta(tau)) sigma_f.
+    """Largest tau at which gamma <= 0.01 sqrt(beta) sigma_f.
 
     Implements the default grid-constant rule: make the continuity correction
     negligible relative to the confidence term at prior scale.  The feasible
     set is an interval (0, tau*], searched by :func:`geometric_bisect` over
     [1e-12, r], which stops once the midpoint no longer lies strictly between
     the ends.  ``L_k`` and ``L_sigma`` are the caller's kernel constants
-    (``L_sigma`` None: the square-root modulus alone); L_mu is computed once,
-    before the search.
+    (``L_sigma`` None: the square-root modulus alone).
     """
-    spec = model.kernel
-    L_mu = mean_lipschitz(model, L_k)
+    sigma_f = model.kernel.sigma_f
 
     def feasible(tau: float) -> bool:
-        b = beta(tau, delta, box)
-        om = stddev_modulus(spec, tau, L_k, L_sigma)
-        return gamma(tau, L_mu, L_f, b, om) <= 0.01 * math.sqrt(b) * spec.sigma_f
+        rep = bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+        return rep.gamma <= 0.01 * math.sqrt(rep.beta) * sigma_f
 
     tau = geometric_bisect(feasible, 1e-12, box.edge)
     if tau is None:

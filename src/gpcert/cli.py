@@ -139,6 +139,11 @@ def validate(config: dict) -> list[str]:
     seeds = cfg["seeds"]
     if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds)):
         problems.append("seeds: must be a nonempty list of integers")
+    for name in ("fine_dt", "sim_dt"):
+        if name in cfg and not _positive(cfg[name]):
+            problems.append(f"{name}: must be a positive number, got {cfg[name]!r}")
+    if "horizon" in cfg and not isinstance(cfg["horizon"], (int, float)):
+        problems.append(f"horizon: must be a number, got {cfg['horizon']!r}")
     if exp == "tracking" and "gains" not in config:
         problems.append("tracking: missing 'gains' block (theta or theta1/theta2)")
     if exp == "density_sweep":
@@ -159,6 +164,9 @@ def validate(config: dict) -> list[str]:
             problems.append(f"episodic.xi: must lie in (0, 1), got {xi!r}")
         if not _positive(ep.get("target_error")):
             problems.append("episodic.target_error: must be a positive number")
+        for name in ("fine_dt", "horizon"):
+            if name in ep and not _positive(ep[name]):
+                problems.append(f"episodic.{name}: must be a positive number, got {ep[name]!r}")
     vb = cfg.get("validation", {})
     if not isinstance(vb, dict):
         problems.append(f"validation: must be an object, got {vb!r}")
@@ -270,18 +278,19 @@ def _run_tracking_seed(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma:
 
     tau = bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma) if bb["tau"] == "auto" else float(bb["tau"])
     source = "probabilistic" if bb["L_f"] == "probabilistic" else "given"
-    params = bnd.BoundParams(tau=tau, delta=bb["delta"], L_f=L_f, delta_L=bb.get("delta_L"), L_f_source=source)
-    rep = bnd.bound_constants(model, params, box, L_k=L_k, L_sigma=L_sigma)
+    rep = bnd.bound_constants(model, tau, bb["delta"], L_f, box, L_k, L_sigma)
     loop = closed_loop(_plant_from(cfg), _theta_from(cfg))
     stable = trk.gain_condition(loop, L_sigma, rep.beta)
 
     t_half = _half_step_times(horizon, dt)
-    sigma_half = model.predict_stddev(ref.state(t_half))
-    eta_half = math.sqrt(rep.beta) * sigma_half + rep.gamma
+    x_half = ref.state(t_half)
+    sigma_half = model.predict_stddev(x_half)
+    eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
     upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
     sim = run_closed_loop(loop, model, ref, horizon, dt, seed, f, input_gain=g, noise_variance=noise)
     e = sim.error_norms
-    certified = bool(np.all(e <= upsilon + 1e-12))
+    # eta, and so upsilon, holds only inside the box
+    certified = bool(np.all(e <= upsilon + 1e-12)) and box.contains(sim.states)
 
     # phase structure: the worst tracking error should fall in the same
     # half-period of the reference as the worst posterior uncertainty
@@ -311,7 +320,7 @@ def _run_tracking_seed(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma:
         "argmax_error_time": t_e,
         "argmax_sigma_time": t_sig,
         "error_peak_in_uncertain_half_period": bool(same_half),
-        "bound": rep.to_json_dict(),
+        "bound": {**rep.to_json_dict(), "L_f_source": source},
         "resolved_bound": {**bb, "tau": tau, "L_f": L_f, "L_f_source": source},
         "zeta": loop.zeta,
         "lambda_max": loop.lambda_max,
@@ -388,7 +397,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         loop = cert.loop
         sim = run_closed_loop(loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise)
         e_max = float(sim.error_norms.max())
-        if e_max > cert.upsilon_bar:
+        if e_max > cert.upsilon_bar or not box.contains(sim.states):
             violations += 1
 
         sigma_profile = model.predict_stddev(profile_points)
@@ -431,6 +440,8 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     plant = _plant_from(cfg)
     box = _box_from(cfg)
+    L_k = kern.kernel_lipschitz(spec, box)
+    L_sigma = kern.stddev_lipschitz(spec, box)
     ref = _reference_from(cfg)
     f, g, _ = benchmark_system()
     ep = cfg.get("episodic", {})
@@ -451,7 +462,7 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         seed=int(cfg["seeds"][0]),
         max_episodes=int(ep.get("max_episodes", epi.EPISODE_CAP_DEFAULT)),
     )
-    reports = epi.learn_control(config)
+    reports = epi.learn_control(config, L_k, L_sigma)
     with open(os.path.join(out_dir, "episodes.jsonl"), "w") as fh:
         for r in reports:
             fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
@@ -472,8 +483,8 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         "upsilon_bar_0": reports[0].certified_bound,
         "certificate_violations": violations,
         "L_dk": L_dk,
-        "L_k": kern.kernel_lipschitz(spec, box),
-        "L_sigma": kern.stddev_lipschitz(spec, box),
+        "L_k": L_k,
+        "L_sigma": L_sigma,
         "xi": config.xi,
     }, violations == 0
 
@@ -511,8 +522,6 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     L = prior_factor(spec, grid)
     L_k = kern.kernel_lipschitz(spec, box)
     L_sigma = kern.stddev_lipschitz(spec, box) if spec.stationary else None
-    beta = bnd.beta(tau, delta, box)
-    om = bnd.stddev_modulus(spec, tau, L_k, L_sigma)
 
     rows = []
     covered_n = 0
@@ -523,13 +532,13 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         y = fvals[idx] + rng.normal(0.0, math.sqrt(noise), n_train)
         model = fit(spec, TrainingSet(grid[idx], y, noise))
         L_f = _axis_fd_slope(fvals, (n_axis,) * box.dimension, pitch)
-        gam = bnd.gamma(tau, bnd.mean_lipschitz(model, L_k), L_f, beta, om)
-        eta = math.sqrt(beta) * model.predict_stddev(grid) + gam
+        rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+        eta = bnd.uniform_error_bound(rep, grid, model.predict_stddev(grid))
         err = np.abs(fvals - model.predict_mean(grid))
         margin = float(np.min(eta - err))
         covered = margin >= 0.0
         covered_n += covered
-        rows.append((t, L_f, gam, float(err.max()), margin, int(covered)))
+        rows.append((t, L_f, rep.gamma, float(err.max()), margin, int(covered)))
 
     coverage = covered_n / trials
     _write_csv(os.path.join(out_dir, "bound_trials.csv"),
@@ -538,9 +547,9 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         "trials": trials,
         "coverage": coverage,
         "required_coverage": 1.0 - delta,
-        "beta": beta,
+        "beta": rep.beta,  # beta and omega_sigma do not depend on the trial
         "tau": tau,
-        "omega_sigma": om,
+        "omega_sigma": rep.omega_sigma,
         "L_k": L_k,
     }, coverage >= 1.0 - delta
 

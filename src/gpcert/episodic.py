@@ -198,9 +198,10 @@ def _required_density(L_dk: float, k0: float, upsilon: float) -> float:
     return 1.0 / (8.0 * L_dk * k0 * upsilon ** 2)
 
 
-def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
+def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[EpisodeReport]:
     """Run the episodic loop until the certified bound drops below the target.
 
+    ``L_k`` and ``L_sigma`` are the kernel constants over the config's box.
     Returns one report per episode, including the data-free initialization as
     episode 0.  Raises :class:`EpisodeCapExceededError` if the safety cap is
     reached first.
@@ -208,8 +209,6 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     spec = config.kernel
     box = config.domain
     k0 = spec.signal_variance
-    L_k = kern.kernel_lipschitz(spec, box)
-    L_sigma = kern.stddev_lipschitz(spec, box)
     L_dk = kern.gradient_lipschitz(spec)
 
     period = config.reference.period

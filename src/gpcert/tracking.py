@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from . import bounds as bnd
-from . import kernels
 from .errors import InfeasibilityError, UnsupportedOperationError
 from .gp import GPModel
 
@@ -131,9 +130,9 @@ def tracking_bound_ode(
 ) -> np.ndarray:
     """Integrate the comparison ODE with fixed-step RK4 at pitch dt.
 
-    ``eta_ref`` is the error bound along the reference: its values at the
-    half-step times 0, dt/2, ..., n dt (n = horizon / dt; these are all the
-    RK4 stage times), or a function of time, which is sampled there.
+    ``eta_ref`` is the error bound along the reference at the half-step
+    times 0, dt/2, ..., n dt (n = horizon / dt; these are all the RK4 stage
+    times).
     Returns v at times 0, dt, ..., matching the simulator's sample grid so
     the certificate can be compared sample-by-sample.
     """
@@ -142,8 +141,6 @@ def tracking_bound_ode(
     n = int(round(horizon / dt))
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    if callable(eta_ref):
-        eta_ref = _half_step_samples(eta_ref, n, dt)
     eta = np.asarray(eta_ref, dtype=float)
     if eta.shape != (2 * n + 1,):
         raise ValueError(f"eta_ref needs {2 * n + 1} half-step values, got shape {eta.shape}")
@@ -160,17 +157,6 @@ def tracking_bound_ode(
         v = v + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k] = v
     return out
-
-
-def _half_step_samples(eta_ref: Callable[[float], float], n: int, dt: float) -> list[float]:
-    """eta_ref at the RK4 stage times t_k, t_k + 0.5 dt, with t_k = t_{k-1} + dt."""
-    values = []
-    t = 0.0
-    for _ in range(n):
-        values += (eta_ref(t), eta_ref(t + 0.5 * dt))
-        t += dt
-    values.append(eta_ref(t))
-    return values
 
 
 def max_tracking_bound(loop: ClosedLoop, sup_eta_ref: float, L_sigma: float, beta: float) -> float:
@@ -247,15 +233,14 @@ def tau_for_density(
     delta: float,
     L_f: float,
     L_k: float,
-    L_sigma: float | None = None,
+    L_sigma: float,
 ) -> float:
-    """Largest tau with beta_X(tau) >= gamma^2(tau) rho k(0) / 2.
+    """Largest tau at which beta >= gamma^2 rho k(0) / 2 (both at tau).
 
     beta grows and gamma shrinks as tau decreases, so the feasible set is an
     interval (0, tau*]; :func:`bounds.geometric_bisect` over [1e-12, r],
     which stops once the midpoint no longer lies strictly between the ends,
-    returns the least-conservative feasible value found.  ``L_sigma`` is
-    computed from the kernel when not given.
+    returns the least-conservative feasible value found.
     """
     if rho_lower < 0:
         raise ValueError("rho lower bound must be nonnegative")
@@ -263,15 +248,10 @@ def tau_for_density(
     if not spec.stationary:
         raise UnsupportedOperationError("density-matched tau needs a stationary kernel")
     k0 = spec.signal_variance
-    if L_sigma is None:
-        L_sigma = kernels.stddev_lipschitz(spec, box)
-    L_mu = bnd.mean_lipschitz(model, L_k)
 
     def feasible(tau: float) -> bool:
-        b = bnd.beta(tau, delta, box)
-        om = bnd.stddev_modulus(spec, tau, L_k, L_sigma)
-        g = bnd.gamma(tau, L_mu, L_f, b, om)
-        return b >= g * g * rho_lower * k0 / 2.0
+        rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+        return rep.beta >= rep.gamma * rep.gamma * rho_lower * k0 / 2.0
 
     tau = bnd.geometric_bisect(feasible, 1e-12, box.edge)
     if tau is None:
@@ -303,18 +283,16 @@ def certify(model: GPModel, rho: float, points, gains: Callable[[float], ClosedL
     tau is the density-matched grid constant for density level ``rho``;
     ``gains`` maps beta to the closed loop; sup eta is taken over the
     reference states ``points`` and inflated by :data:`SAFETY_FACTOR`.
-    Raises :class:`InfeasibilityError` if the gain condition fails.
+    Raises :class:`InfeasibilityError` if the gain condition fails and
+    :class:`DomainError` if a point lies outside the box.
     """
     tau = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
-    b = bnd.beta(tau, delta, box)
-    loop = gains(b)
-    L_mu = bnd.mean_lipschitz(model, L_k)
-    om = bnd.stddev_modulus(model.kernel, tau, L_k, L_sigma)
-    g = bnd.gamma(tau, L_mu, L_f, b, om)
-    eta = math.sqrt(b) * model.predict_stddev(points) + g
+    rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+    loop = gains(rep.beta)
+    eta = bnd.uniform_error_bound(rep, points, model.predict_stddev(points))
     sup_eta = SAFETY_FACTOR * float(np.max(eta))
-    vbar = max_tracking_bound(loop, sup_eta, L_sigma, b)
-    return Certificate(tau, b, g, L_mu, loop, sup_eta, vbar, kappa(loop, L_sigma, b))
+    vbar = max_tracking_bound(loop, sup_eta, L_sigma, rep.beta)
+    return Certificate(tau, rep.beta, rep.gamma, rep.L_mu, loop, sup_eta, vbar, kappa(loop, L_sigma, rep.beta))
 
 
 def baseline_gain(zeta: float, f_bar: float, e_bar: float) -> float:

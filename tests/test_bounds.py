@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpcert.bounds import (
-    BoundParams,
     DomainBox,
     auto_tau,
     beta,
@@ -82,17 +81,24 @@ def test_gamma_examples():
     assert gamma(0.1, 1.0, 1.0, 4.0, 0.1) == pytest.approx(0.4)
 
 
+def eta_at(model, x, tau=0.01, delta=0.01, L_f=2.0, **constants):
+    """uniform_error_bound at x; the kernel constants default to the kernel's own."""
+    constants.setdefault("L_k", kernel_lipschitz(model.kernel, BOX2))
+    constants.setdefault("L_sigma", stddev_lipschitz(model.kernel, BOX2))
+    rep = bound_constants(model, tau, delta, L_f, BOX2, **constants)
+    return uniform_error_bound(rep, x, model.predict_stddev(x))
+
+
 def test_uniform_bound_composes_beta_and_gamma():
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    params = BoundParams(tau=0.01, delta=0.01, L_f=2.0)
     # spec example forces L_k = 1 and the sqrt(2 L_k tau) modulus
-    eta = uniform_error_bound(model, np.zeros(2), params, BOX2, L_k=1.0, use_stationary_modulus=False)
+    eta = eta_at(model, np.zeros(2), L_k=1.0, L_sigma=None)
     expect = math.sqrt(BETA_ORACLE) * 1.0 + (0.02 + math.sqrt(BETA_ORACLE) * math.sqrt(0.02))
     assert eta == pytest.approx(expect, rel=1e-12)
     assert eta == pytest.approx(6.81673, abs=5e-3)
 
     m25 = fit(se_unit(2), TrainingSet(np.zeros((25, 2)), np.ones(25), 0.01))
-    eta25 = uniform_error_bound(m25, np.zeros(2), params, BOX2, L_k=1.0, use_stationary_modulus=False)
+    eta25 = eta_at(m25, np.zeros(2), L_k=1.0, L_sigma=None)
     sigma25 = math.sqrt(0.01 / 25.01)
     gamma25 = (mean_lipschitz(m25, 1.0) + 2.0) * 0.01 + math.sqrt(BETA_ORACLE) * math.sqrt(0.02)
     assert eta25 == pytest.approx(math.sqrt(BETA_ORACLE) * sigma25 + gamma25, rel=1e-12)
@@ -102,17 +108,24 @@ def test_uniform_bound_zero_sigma_limit():
     # with sigma = 0 the bound reduces to gamma; the empty prior never has
     # sigma = 0, so check via the analytic decomposition instead
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    params = BoundParams(tau=0.01, delta=0.01, L_f=2.0)
-    rep = bound_constants(model, params, BOX2)
-    eta = uniform_error_bound(model, np.zeros(2), params, BOX2)
+    rep = bound_constants(model, 0.01, 0.01, 2.0, BOX2, kernel_lipschitz(model.kernel, BOX2),
+                          stddev_lipschitz(model.kernel, BOX2))
+    eta = eta_at(model, np.zeros(2))
     assert eta - math.sqrt(rep.beta) * 1.0 == pytest.approx(rep.gamma, rel=1e-12)
 
 
 def test_uniform_bound_outside_box():
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    params = BoundParams(tau=0.01, delta=0.01, L_f=2.0)
     with pytest.raises(DomainError):
-        uniform_error_bound(model, np.array([6.0, 0.0]), params, BOX2)
+        eta_at(model, np.array([6.0, 0.0]))
+    # a batch fails on its first row outside the box, which the message names
+    batch = np.array([[0.0, 0.0], [4.0, -5.0], [0.0, 5.5], [6.0, 0.0]])
+    with pytest.raises(DomainError, match=r"\[0\.\s+5\.5\]"):
+        eta_at(model, batch)
+    # points exactly on the box edge are inside
+    edge = np.array([[5.0, 5.0], [-5.0, 0.0], [0.0, -5.0], [-5.0, -5.0]])
+    eta = eta_at(model, edge)
+    assert eta.shape == (4,) and np.all(np.isfinite(eta))
 
 
 def test_eta_monotonicity_sweeps():
@@ -123,23 +136,23 @@ def test_eta_monotonicity_sweeps():
     q = np.array([1.0, 1.0])
 
     def eta(delta=0.01, L_f=2.0):
-        return uniform_error_bound(model, q, BoundParams(tau=0.01, delta=delta, L_f=L_f), BOX2)
+        return eta_at(model, q, delta=delta, L_f=L_f)
 
     assert eta(delta=0.001) > eta(delta=0.01) > eta(delta=0.1)  # nondecreasing as delta drops
     assert eta(L_f=5.0) > eta(L_f=2.0) > eta(L_f=0.0)
     # nondecreasing in sigma: farther queries have larger sigma
-    params = BoundParams(tau=0.01, delta=0.01, L_f=2.0)
-    near = uniform_error_bound(model, X[0], params, BOX2)
+    near = eta_at(model, X[0])
     far_pt = np.array([-4.9, 4.9])
     assert model.predict_stddev(far_pt) > model.predict_stddev(X[0])
-    assert uniform_error_bound(model, far_pt, params, BOX2) > near
+    assert eta_at(model, far_pt) > near
 
 
 def test_gamma_decreases_with_tau():
     model = fit(se_unit(2), TrainingSet(np.zeros((4, 2)), np.ones(4), 0.01))
+    L_k, L_sigma = kernel_lipschitz(model.kernel, BOX2), stddev_lipschitz(model.kernel, BOX2)
     vals = []
     for tau in (1e-2, 1e-4, 1e-6):
-        rep = bound_constants(model, BoundParams(tau=tau, delta=0.01, L_f=2.0), BOX2)
+        rep = bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
         vals.append(rep.gamma)
     assert vals[0] > vals[1] > vals[2]
 
@@ -249,12 +262,13 @@ def test_probabilistic_lipschitz_matern52_runs():
 
 
 def test_params_validation():
+    model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     with pytest.raises(ValueError):
-        BoundParams(tau=0.0, delta=0.01, L_f=1.0)
+        bound_constants(model, 0.0, 0.01, 1.0, BOX2, 1.0, 1.0)
     with pytest.raises(ValueError):
-        BoundParams(tau=0.01, delta=1.5, L_f=1.0)
+        bound_constants(model, 0.01, 1.5, 1.0, BOX2, 1.0, 1.0)
     with pytest.raises(ValueError):
-        BoundParams(tau=0.01, delta=0.01, L_f=-1.0)
+        bound_constants(model, 0.01, 0.01, -1.0, BOX2, 1.0, 1.0)
     with pytest.raises(ValueError):
         DomainBox(0, 1.0)
     with pytest.raises(ValueError):
@@ -266,9 +280,9 @@ def test_auto_tau_is_boundary():
     model = fit(se_unit(2), TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
     L_k, L_sigma = kernel_lipschitz(model.kernel, BOX2), stddev_lipschitz(model.kernel, BOX2)
     tau = auto_tau(model, 0.01, 2.0, BOX2, L_k, L_sigma)
-    rep = bound_constants(model, BoundParams(tau=tau, delta=0.01, L_f=2.0), BOX2, L_k=L_k, L_sigma=L_sigma)
+    rep = bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
     assert rep.gamma <= 0.01 * math.sqrt(rep.beta) * 1.0
-    bigger = bound_constants(model, BoundParams(tau=tau * 1.05, delta=0.01, L_f=2.0), BOX2)
+    bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, BOX2, L_k, L_sigma)
     assert bigger.gamma > 0.01 * math.sqrt(bigger.beta) * 1.0
 
 
@@ -305,9 +319,8 @@ def test_geometric_bisect_matches_fixed_step_reference(r, data):
 
 def test_bound_report_json_keys():
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    rep = bound_constants(model, BoundParams(tau=0.01, delta=0.01, L_f=2.0), BOX2)
+    rep = bound_constants(model, 0.01, 0.01, 2.0, BOX2, 1.0, 1.0)
     d = rep.to_json_dict()
     assert set(d) == {
-        "tau", "delta", "beta", "gamma", "L_mu", "L_f", "L_f_source", "coverage_number_bound",
+        "tau", "delta", "beta", "gamma", "L_mu", "L_f", "coverage_number_bound",
     }
-    assert d["L_f_source"] == "given"

@@ -116,16 +116,52 @@ def test_validate_rejects_wrongly_typed_fields(tmp_path, capsys, block, change, 
     ("tracking.json", "kernel", {"family": "linear"}, "kernel.family"),
     ("density_sweep.json", "kernel", {"family": "linear"}, "kernel.family"),
     ("episodic.json", "kernel", {"family": "linear"}, "kernel.family"),
+    # time fields (block None: top level); a negative horizon reaches the runner
+    ("tracking.json", None, {"fine_dt": 0}, "fine_dt"),
+    ("tracking.json", None, {"horizon": None}, "horizon"),
+    ("density_sweep.json", None, {"sim_dt": 0}, "sim_dt"),
+    ("density_sweep.json", None, {"horizon": "x"}, "horizon"),
+    ("episodic.json", "episodic", {"fine_dt": 0}, "episodic.fine_dt"),
+    ("episodic.json", "episodic", {"horizon": None}, "episodic.horizon"),
 ], ids=["scalar_extent", "reversed_extent", "null_kappa", "string_pitch", "null_trials",
         "one_grid_point", "float_train_points", "zero_draws",
-        "linear_tracking", "linear_density_sweep", "linear_episodic"])
+        "linear_tracking", "linear_density_sweep", "linear_episodic",
+        "zero_fine_dt", "null_horizon", "zero_sim_dt", "string_horizon",
+        "zero_episodic_fine_dt", "null_episodic_horizon"])
 def test_validate_rejects_bad_fields_in_shipped_configs(tmp_path, capsys, name, block, change, field):
     cfg = cli.load_config(str(CONFIGS / name))
-    cfg[block] = {**cfg[block], **change}
+    if block is None:
+        cfg.update(change)
+    else:
+        cfg[block] = {**cfg[block], **change}
     cfg["out_dir"] = str(tmp_path / "out")
     assert any(p.startswith(field + ":") for p in cli.validate(cfg))
     assert cli.run(cfg) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def shipped_tracking_config(out_dir, block, change):
+    """configs/tracking.json cut to seed 0 over 2 s, with one block changed."""
+    cfg = cli.load_config(str(CONFIGS / "tracking.json"))
+    cfg[block] = {**cfg[block], **change}
+    cfg.update(horizon=2.0, seeds=[0], out_dir=str(out_dir))
+    return cfg
+
+
+def test_tracking_states_outside_the_box_are_not_certified(tmp_path):
+    # the reference stays on the edge of a box of half-edge 2; the states leave it
+    out = tmp_path / "t"
+    assert cli.run(shipped_tracking_config(out, "domain", {"edge": 4.0})) == cli.EXIT_CERTIFICATE
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["all_certified"]
+    assert not summary["per_seed"][0]["certified"]
+
+
+def test_tracking_reference_outside_the_box_is_refused(tmp_path, capsys):
+    cfg = shipped_tracking_config(tmp_path / "t", "reference", {"amplitude": 6.0})
+    assert cli.run(cfg) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "outside the certified box" in err
 
 
 def test_validate_accepts_non_stationary_kernel_for_bound_validation():
@@ -180,6 +216,7 @@ def test_tracking_run_round_trip(tmp_path):
         assert read_bytes(out / name) == blob
     summary2 = json.loads((out / "summary.json").read_text())
     assert summary2 == summary
+    assert summary["per_seed"][0]["bound"]["L_f_source"] == "given"
 
 
 def test_tracking_csv_headers(tmp_path):
@@ -276,3 +313,4 @@ def test_auto_tau_and_probabilistic_lf_resolve(tmp_path):
     assert isinstance(resolved["tau"], float) and resolved["tau"] > 0
     assert isinstance(resolved["L_f"], float) and resolved["L_f"] > 0
     assert resolved["L_f_source"] == "probabilistic"
+    assert summary["per_seed"][0]["bound"]["L_f_source"] == "probabilistic"

@@ -169,12 +169,6 @@ def test_tracking_bound_ode_matches_generic_rk4(theta, L_sigma, beta, v0, horizo
     assert same_bits(table, generic_tracking_bound_ode(
         loop, half_step_lookup(eta_half, dt), L_sigma, beta, v0, horizon, dt))
 
-    def smooth(t):
-        return 0.3 + 0.2 * math.sin(3.0 * t)
-
-    assert same_bits(tracking_bound_ode(loop, smooth, L_sigma, beta, v0, horizon, dt),
-                     generic_tracking_bound_ode(loop, smooth, L_sigma, beta, v0, horizon, dt))
-
 
 def test_tracking_bound_ode_rejects_a_table_of_the_wrong_length():
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([100.0, 10.0]))

@@ -14,7 +14,7 @@ from gpcert.episodic import (
 )
 from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from gpcert.gp import TrainingSet, downsample, fit
-from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz
+from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz, kernel_lipschitz, stddev_lipschitz
 from gpcert.simulation import ReferenceSpec, benchmark_system
 from gpcert.tracking import LinearPlant
 
@@ -43,6 +43,10 @@ def small_episode_config(target=0.1, **overrides):
     )
     kwargs.update(overrides)
     return EpisodeConfig(**kwargs)
+
+
+def run_episodes(cfg):
+    return learn_control(cfg, kernel_lipschitz(cfg.kernel, cfg.domain), stddev_lipschitz(cfg.kernel, cfg.domain))
 
 
 def test_select_gains_margin():
@@ -168,7 +172,7 @@ def test_episode_count_bound_examples():
 
 def test_learn_control_zero_episodes():
     cfg = small_episode_config(target=10.0)
-    reports = learn_control(cfg)
+    reports = run_episodes(cfg)
     assert len(reports) == 1
     assert reports[0].episode == 0
     assert reports[0].certified_bound <= 10.0
@@ -176,7 +180,7 @@ def test_learn_control_zero_episodes():
 
 def test_learn_control_short_run_invariants():
     cfg = small_episode_config(target=0.1)
-    reports = learn_control(cfg)
+    reports = run_episodes(cfg)
     assert reports[-1].certified_bound <= 0.1
     assert len(reports) >= 2
     sizes = [r.data_size for r in reports[1:]]
@@ -196,7 +200,7 @@ def test_learn_control_short_run_invariants():
 def test_learn_control_cap():
     cfg = small_episode_config(target=1e-4, max_episodes=2)
     with pytest.raises(EpisodeCapExceededError):
-        learn_control(cfg)
+        run_episodes(cfg)
 
 
 def test_config_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpcert.bounds import DomainBox
+from gpcert.bounds import DomainBox, bound_constants
 from gpcert.errors import InfeasibilityError, UnsupportedOperationError
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import kernel_lipschitz, stddev_lipschitz
@@ -95,9 +95,9 @@ def test_gain_condition_examples():
 def test_ode_matches_closed_form():
     # a = lambda_max + L_sigma zeta sqrt(beta) = -1 with L_sigma = 0
     loop = synthetic_loop(-1.0, 1.0)
-    v = tracking_bound_ode(loop, lambda t: 0.0, 0.0, 1.0, v0=1.0, horizon=1.0, dt=1e-3)
+    v = tracking_bound_ode(loop, np.full(2001, 0.0), 0.0, 1.0, v0=1.0, horizon=1.0, dt=1e-3)
     assert v[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
-    v2 = tracking_bound_ode(loop, lambda t: 1.0, 0.0, 1.0, v0=0.0, horizon=1.0, dt=1e-3)
+    v2 = tracking_bound_ode(loop, np.full(2001, 1.0), 0.0, 1.0, v0=0.0, horizon=1.0, dt=1e-3)
     assert v2[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
     # full-trajectory agreement with the analytic solution
     ts = np.arange(0, 1.0 + 1e-12, 1e-3)
@@ -107,7 +107,7 @@ def test_ode_matches_closed_form():
 
 def test_ode_steady_state_equals_max_bound():
     loop = synthetic_loop(-2.5, 1.7)
-    v = tracking_bound_ode(loop, lambda t: 0.8, 0.3, 4.0, v0=0.0, horizon=40.0, dt=1e-3)
+    v = tracking_bound_ode(loop, np.full(80001, 0.8), 0.3, 4.0, v0=0.0, horizon=40.0, dt=1e-3)
     assert v[-1] == pytest.approx(max_tracking_bound(loop, 0.8, 0.3, 4.0), rel=1e-9)
 
 
@@ -168,14 +168,13 @@ def test_tau_for_density():
     spec = se_unit(2)
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet.empty(2, 0.01))
-    L_k = kernel_lipschitz(spec, box)
-    assert tau_for_density(model, 0.0, box, 0.01, 2.0, L_k) == box.edge
-    taus = [tau_for_density(model, r, box, 0.01, 2.0, L_k) for r in (1.0, 10.0, 100.0)]
+    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    assert tau_for_density(model, 0.0, box, 0.01, 2.0, L_k, L_sigma) == box.edge
+    taus = [tau_for_density(model, r, box, 0.01, 2.0, L_k, L_sigma) for r in (1.0, 10.0, 100.0)]
     assert taus[0] >= taus[1] >= taus[2]
     # feasibility certificate: the returned tau satisfies the inequality
     from gpcert import bounds as bnd
 
-    L_sigma = stddev_lipschitz(spec, box)
     for rho, tau in zip((1.0, 10.0, 100.0), taus):
         b = bnd.beta(tau, 0.01, box)
         om = bnd.stddev_modulus(spec, tau, L_k, L_sigma)
@@ -188,7 +187,22 @@ def test_tau_for_density_infeasible_raises():
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet.empty(2, 0.01))
     with pytest.raises(InfeasibilityError):
-        tau_for_density(model, 1e30, box, 0.01, 2.0, kernel_lipschitz(spec, box))
+        tau_for_density(model, 1e30, box, 0.01, 2.0, kernel_lipschitz(spec, box), stddev_lipschitz(spec, box))
+
+
+def test_tau_for_density_is_boundary():
+    rng = np.random.default_rng(1)
+    spec = se_unit(2)
+    box = DomainBox(2, 10.0)
+    model = fit(spec, TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
+    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    rho = 50.0
+    tau = tau_for_density(model, rho, box, 0.01, 2.0, L_k, L_sigma)
+    assert tau < box.edge
+    rep = bound_constants(model, tau, 0.01, 2.0, box, L_k, L_sigma)
+    assert rep.beta >= rep.gamma * rep.gamma * rho * spec.signal_variance / 2.0
+    bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, box, L_k, L_sigma)
+    assert bigger.beta < bigger.gamma * bigger.gamma * rho * spec.signal_variance / 2.0
 
 
 def test_baseline_gain_examples():
