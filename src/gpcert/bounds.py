@@ -227,23 +227,31 @@ def _derivative_kernel_constants(spec: KernelSpec, i: int, dim: int) -> tuple[fl
         raise UnsupportedOperationError("Matern 3/2 lacks the smoothness for derivative kernels")
 
     n = 1601
-    a = np.linspace(0.0, 12.0, n)[:, None]
+    a_all = np.linspace(0.0, 12.0, n)[:, None]
     s = np.linspace(0.0, 12.0, n)[None, :] if dim > 1 else np.zeros((1, 1))
     if spec.family == kernels.SQUARED_EXPONENTIAL:
-        E = np.exp(-0.5 * (a * a + s * s))
-        dFa = -(sf2 / li ** 3) * a * (3.0 - a * a) * E
-        dFs = -(sf2 / li ** 2) * s * (1.0 - a * a) * E
-        grad2 = dFa ** 2 + ((dFs / lm) ** 2 if dim > 1 else 0.0)
-        return math.sqrt(sf2) / li, float(np.sqrt(grad2.max()))
-    # matern52
-    r = np.sqrt(a * a + s * s)
-    rsafe = np.maximum(r, 1e-300)
-    E = np.exp(-_SQRT5 * r)
-    c = (5.0 / 3.0) * sf2 / li ** 2
-    dGa = 5.0 * a * E * (_SQRT5 * a * a / rsafe - 3.0)
-    dGs = _SQRT5 * (s / rsafe) * E * (5.0 * a * a - _SQRT5 * r)
-    grad2 = (c * dGa / li) ** 2 + ((c * dGs / lm) ** 2 if dim > 1 else 0.0)
-    return math.sqrt(5.0 / 3.0) * math.sqrt(sf2) / li, float(np.sqrt(np.max(grad2)))
+        max_sq = math.sqrt(sf2) / li
+
+        def block_max(a):
+            E = np.exp(-0.5 * (a * a + s * s))
+            dFa = -(sf2 / li ** 3) * a * (3.0 - a * a) * E
+            dFs = -(sf2 / li ** 2) * s * (1.0 - a * a) * E
+            return float((dFa ** 2 + ((dFs / lm) ** 2 if dim > 1 else 0.0)).max())
+    else:  # matern52
+        max_sq = math.sqrt(5.0 / 3.0) * math.sqrt(sf2) / li
+        c = (5.0 / 3.0) * sf2 / li ** 2
+
+        def block_max(a):
+            r = np.sqrt(a * a + s * s)
+            rsafe = np.maximum(r, 1e-300)
+            E = np.exp(-_SQRT5 * r)
+            dGa = 5.0 * a * E * (_SQRT5 * a * a / rsafe - 3.0)
+            dGs = _SQRT5 * (s / rsafe) * E * (5.0 * a * a - _SQRT5 * r)
+            return float(((c * dGa / li) ** 2 + ((c * dGs / lm) ** 2 if dim > 1 else 0.0)).max())
+
+    # the grid is evaluated in row blocks of a; its maximum is exact either way
+    grad2_max = max(block_max(a_all[rows]) for rows in kernels._row_blocks(n, s.shape[1]))
+    return max_sq, math.sqrt(grad2_max)
 
 
 def probabilistic_lipschitz(spec: KernelSpec, box: DomainBox, delta_L: float) -> float:

@@ -344,10 +344,16 @@ def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]
         results = [seed_run(s) for s in seeds]
     results.sort(key=lambda r: r["seed"])
     ok = all(r["certified"] for r in results)
+    gains_ok = all(r["gain_condition"] for r in results)
+    if not gains_ok:
+        # the bound still holds, but without contraction it can grow without limit
+        print("note: the gain condition fails for some seed; its tracking bound may be vacuous",
+              file=sys.stderr)
     return {
         "resolved_config": {**cfg, "bound": results[0]["resolved_bound"]},
         "per_seed": results,
         "all_certified": ok,
+        "all_gain_conditions": gains_ok,
         "phase_agreement_fraction": float(np.mean([r["error_peak_in_uncertain_half_period"] for r in results])),
     }, ok
 
@@ -469,10 +475,13 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
     L_dk = kern.gradient_lipschitz(spec)
     n_e = epi.episode_count_bound(config.target_error, L_dk, spec.signal_variance, config.xi)
+    # a rollout breaks its episode's certificate if its error exceeds the
+    # bound or its states leave the box the bound holds in
     violations = sum(
         1
         for prev, cur in zip(reports, reports[1:])
-        if cur.observed_max_error is not None and cur.observed_max_error > prev.certified_bound
+        if cur.states_left_box
+        or (cur.observed_max_error is not None and cur.observed_max_error > prev.certified_bound)
     )
     return {
         "episodes_run": len(reports) - 1,

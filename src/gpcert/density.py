@@ -98,7 +98,8 @@ def data_density_batch(model: GPModel, X) -> np.ndarray:
     """Vectorized rho(x) over a batch of query points (values only).
 
     Same breakpoint optimization as :func:`data_density`, with thresholds of
-    excluded points set to -inf so they neither count nor win.
+    excluded points set to -inf so they neither count nor win.  Runs over the
+    queries in the row blocks of :func:`kernels._row_blocks`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     kxx = kernel_diag(model.kernel, X)
@@ -107,16 +108,19 @@ def data_density_batch(model: GPModel, X) -> np.ndarray:
     if len(model) == 0:
         return np.zeros(X.shape[0])
     diag = kernel_diag(model.kernel, model.data.inputs)
-    kxp = gram(model.kernel, X, model.data.inputs)
-    denom = diag[None, :] ** 2 - kxp ** 2
-    thr = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
-    thr = np.where(kxx[:, None] ** 2 <= diag[None, :] ** 2, thr, -np.inf)
-    thr.sort(axis=1)
-    thr = thr[:, ::-1]
     counts = np.arange(1, len(model) + 1)[None, :]
     c = model.data.noise_variance * kxx
-    values = np.minimum(thr, counts / c[:, None])
-    return np.maximum(values.max(axis=1), 0.0)
+    rho = np.empty(X.shape[0])
+    for rows in kernels._row_blocks(X.shape[0], len(model) * model.kernel.dim):
+        kxp = gram(model.kernel, X[rows], model.data.inputs)
+        denom = diag[None, :] ** 2 - kxp ** 2
+        thr = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
+        thr = np.where(kxx[rows, None] ** 2 <= diag[None, :] ** 2, thr, -np.inf)
+        thr.sort(axis=1)
+        thr = thr[:, ::-1]
+        values = np.minimum(thr, counts / c[rows, None])
+        rho[rows] = values.max(axis=1)
+    return np.maximum(rho, 0.0)
 
 
 def _subset_arrays(model: GPModel, x, subset) -> tuple[np.ndarray, np.ndarray, float]:

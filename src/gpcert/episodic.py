@@ -89,10 +89,12 @@ class EpisodeReport:
     rho_min: float = 0.0
     min_sampling_time: float | None = None
     max_speed: float | None = None
+    states_left_box: bool = False
 
     def to_json_dict(self) -> dict:
         # wall time is intentionally omitted: artifacts must be byte-identical
-        # across reruns of the same seed
+        # across reruns of the same seed; states_left_box reaches the summary
+        # as a certificate violation instead
         return {
             "episode": self.episode,
             "T_s": self.sampling_time,
@@ -226,6 +228,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
     upsilon_prev = math.sqrt(k0) / (4.0 * math.sqrt(L_dk))
     # episode 0 is the data-free initialization: nothing sampled or observed
     T_s = observed = T_s_lower = max_speed = None
+    left_box = False
     rho_measured = 0.0
     ladder_top = config.horizon
     reports = []
@@ -254,6 +257,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
                 rho_min=rho_measured,
                 min_sampling_time=T_s_lower,
                 max_speed=max_speed,
+                states_left_box=left_box,
             )
         )
         if not cert.upsilon_bar > config.target_error:
@@ -278,6 +282,8 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
             noise_variance=config.noise_variance,
         )
         observed = float(sim.error_norms.max())
+        # the certificate bounds the error only while the states stay in the box
+        left_box = not box.contains(sim.states)
 
         def builder(ds: TrainingSet) -> GPModel:
             return fit(spec, cumulative.concat(ds))

@@ -6,11 +6,13 @@ Predictions follow the standard closed forms
     sigma^2(x) = k(x,x) - k(x)^T (K + s_on^2 I)^{-1} k(x)
 
 backed by a cached lower-triangular Cholesky factor.  Models are immutable;
-``add_samples`` returns a new model refit from scratch (episodic appends are
-batched once per episode, so the cubic refit cost is acceptable).  There is
-no automatic jitter beyond the noise variance: a failed factorization
-surfaces as :class:`IllConditionedDataError` so experiments stay faithful to
-the exact equations.
+the episodic loop refits with :func:`fit` on the concatenated data once per
+ladder rung (the cubic refit cost is acceptable at its data sizes).  Batch
+predictions run over the queries in the row blocks of
+:func:`kernels._row_blocks`, so their memory stays bounded as the query set
+grows.  There is no automatic jitter beyond the noise variance: a failed
+factorization surfaces as :class:`IllConditionedDataError` so experiments
+stay faithful to the exact equations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedDataError
-from .kernels import KernelSpec, gram, kernel_diag
+from .kernels import KernelSpec, _row_blocks, gram, kernel_diag
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,10 @@ class GPModel:
     def predict_mean(self, x):
         """Posterior mean at x; accepts a point (d,) or a batch (m, d)."""
         X, single = self._query(x)
-        if len(self) == 0:
-            mu = np.zeros(X.shape[0])
-        else:
-            mu = gram(self.kernel, X, self.data.inputs) @ self.alpha
+        mu = np.zeros(X.shape[0])
+        if len(self) > 0:
+            for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
+                mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
         return float(mu[0]) if single else mu
 
     def predict_var(self, x):
@@ -128,9 +130,11 @@ class GPModel:
         if len(self) == 0:
             var = prior
         else:
-            kx = gram(self.kernel, self.data.inputs, X)
-            v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
-            var = prior - np.einsum("ij,ij->j", v, v)
+            var = np.empty(X.shape[0])
+            for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
+                kx = gram(self.kernel, self.data.inputs, X[rows])
+                v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
+                var[rows] = prior[rows] - np.einsum("ij,ij->j", v, v)
             var = np.clip(var, 0.0, prior)
         return float(var[0]) if single else var
 

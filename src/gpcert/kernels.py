@@ -35,6 +35,14 @@ _METRIC_TOL = 1e-12
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
+# Dense kernel evaluations run in row blocks of about this many elements, so
+# memory stays bounded as data and query sets grow.  Block row counts are
+# multiples of _BLOCK_ROWS: BLAS kernels treat leftover rows in a different
+# summation order, and aligned cuts keep every result bit-identical to the
+# unblocked evaluation.
+_BLOCK_ELEMENTS = 1 << 17
+_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -89,17 +97,49 @@ def _check_point(spec: KernelSpec, x) -> np.ndarray:
     return x
 
 
+def _row_blocks(n: int, width: int):
+    """Row slices covering range(n), each about _BLOCK_ELEMENTS / width rows.
+
+    Every slice but the last has the same multiple of _BLOCK_ROWS rows (at
+    least one multiple, however wide the rows).  A tail shorter than
+    _BLOCK_ROWS joins the last slice: BLAS treats a short matrix (a product
+    with one row, a solve with one right-hand side, a thin gemm) by other
+    routines that sum in another order.
+    """
+    rows = max(_BLOCK_ELEMENTS // max(width, 1) // _BLOCK_ROWS, 1) * _BLOCK_ROWS
+    start = 0
+    while n - start >= rows + _BLOCK_ROWS:
+        yield slice(start, start + rows)
+        start += rows
+    if start < n:
+        yield slice(start, n)
+
+
 def _scaled_sqdist(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     d = (X[:, None, :] - Y[None, :, :]) / spec.ell
     return np.einsum("ijk,ijk->ij", d, d)
 
 
 def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
-    """Kernel matrix k(X, Y), shape (n, m).  Y=None means Y=X."""
+    """Kernel matrix k(X, Y), shape (n, m).  Y=None means Y=X.
+
+    Filled in row blocks of X (see :func:`_row_blocks`), so the (rows, m, d)
+    distance tensor never exceeds one block.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != spec.dim or Y.shape[1] != spec.dim:
         raise ValueError("input dimension does not match kernel dimension")
+    n, m = X.shape[0], Y.shape[0]
+    if n * m * spec.dim <= _BLOCK_ELEMENTS:
+        return _gram_block(spec, X, Y)
+    K = np.empty((n, m))
+    for rows in _row_blocks(n, m * spec.dim):
+        K[rows] = _gram_block(spec, X[rows], Y)
+    return K
+
+
+def _gram_block(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     sf2 = spec.signal_variance
     if spec.family == SQUARED_EXPONENTIAL:
         return sf2 * np.exp(-0.5 * _scaled_sqdist(spec, X, Y))

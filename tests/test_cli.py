@@ -314,3 +314,41 @@ def test_auto_tau_and_probabilistic_lf_resolve(tmp_path):
     assert isinstance(resolved["L_f"], float) and resolved["L_f"] > 0
     assert resolved["L_f_source"] == "probabilistic"
     assert summary["per_seed"][0]["bound"]["L_f_source"] == "probabilistic"
+
+
+def test_episodic_states_outside_the_box_are_violations(tmp_path):
+    # every rollout tracks a reference on the edge of a box of half-edge 2,
+    # so its states leave the box and no episode's certificate covers them
+    out = tmp_path / "e"
+    cfg = {
+        "experiment": "episodic",
+        "kernel": {"family": "squared_exponential", "signal_variance": 1.0, "lengthscales": [0.8, 1.5]},
+        "bound": {"delta": 0.01, "L_f": 2.0},
+        "domain": {"dimension": 2, "edge": 4.0, "center": [0.0, 0.0]},
+        "episodic": {"target_error": 0.1, "xi": 0.95, "horizon": 2 * math.pi, "fine_dt": 3e-3},
+        "seeds": [0],
+        "out_dir": str(out),
+    }
+    assert cli.run(cfg) == cli.EXIT_CERTIFICATE
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["episodes_run"] > 0
+    assert summary["certificate_violations"] == summary["episodes_run"]
+    # the flag stays out of the per-episode artifact
+    assert "states_left_box" not in (out / "episodes.jsonl").read_text()
+
+
+def test_tracking_reports_failed_gain_condition(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert cli.run(shipped_tracking_config(out, "gains", {"theta1": 1.0, "theta2": 1.0})) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["all_certified"] and not summary["all_gain_conditions"]
+    assert not summary["per_seed"][0]["gain_condition"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "gain condition" in err
+
+
+def test_tracking_reports_gain_conditions_that_hold(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert cli.run(tracking_config(out, horizon=1.0)) == cli.EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["all_gain_conditions"]
+    assert capsys.readouterr().err == ""

@@ -1,9 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
+from gpcert import kernels
+from gpcert.bounds import DomainBox, probabilistic_lipschitz
+from gpcert.density import data_density_batch
 from gpcert.errors import IllConditionedDataError
 from gpcert.gp import TrainingSet, add_samples, downsample, fit
-from gpcert.kernels import gram
+from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram, kernel_diag
 
 from conftest import random_kernel, random_model, se_unit
 
@@ -160,3 +168,114 @@ def test_training_set_validation():
         TrainingSet(np.zeros((2, 1)), np.zeros(3), 0.01)
     with pytest.raises(ValueError):
         TrainingSet(np.zeros((2, 1)), np.zeros(2), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# blocked kernel evaluation: the unblocked formulas, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+def _gram_unblocked(spec, X, Y):
+    sf2 = spec.signal_variance
+    if spec.family == LINEAR:
+        return sf2 * ((X / spec.ell) @ (Y / spec.ell).T)
+    d = (X[:, None, :] - Y[None, :, :]) / spec.ell
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    if spec.family == SQUARED_EXPONENTIAL:
+        return sf2 * np.exp(-0.5 * r2)
+    r = np.sqrt(r2)
+    if spec.family == MATERN32:
+        return sf2 * (1.0 + math.sqrt(3.0) * r) * np.exp(-math.sqrt(3.0) * r)
+    return sf2 * (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r * r) * np.exp(-math.sqrt(5.0) * r)
+
+
+def _mean_unblocked(model, X):
+    return _gram_unblocked(model.kernel, X, model.data.inputs) @ model.alpha
+
+
+def _var_unblocked(model, X):
+    prior = kernel_diag(model.kernel, X)
+    v = scipy.linalg.solve_triangular(model.chol, _gram_unblocked(model.kernel, model.data.inputs, X), lower=True)
+    return np.clip(prior - np.einsum("ij,ij->j", v, v), 0.0, prior)
+
+
+def _density_unblocked(model, X):
+    kxx = kernel_diag(model.kernel, X)
+    diag = kernel_diag(model.kernel, model.data.inputs)
+    kxp = _gram_unblocked(model.kernel, X, model.data.inputs)
+    denom = diag[None, :] ** 2 - kxp ** 2
+    thr = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
+    thr = np.where(kxx[:, None] ** 2 <= diag[None, :] ** 2, thr, -np.inf)
+    thr.sort(axis=1)
+    thr = thr[:, ::-1]
+    counts = np.arange(1, len(model) + 1)[None, :]
+    values = np.minimum(thr, counts / (model.data.noise_variance * kxx)[:, None])
+    return np.maximum(values.max(axis=1), 0.0)
+
+
+# 1 and 2 rows, and k * 256 + r rows around the block boundaries
+_BLOCKED_ROWS = st.one_of(
+    st.sampled_from([1, 2]),
+    st.builds(lambda k, r: max(k * kernels._BLOCK_ROWS + r, 1), st.integers(0, 4), st.integers(-3, 40)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(family=SQUARED_EXPONENTIAL, dim=1, n=2, m=257, seed=0)  # one row past a boundary
+@example(family=SQUARED_EXPONENTIAL, dim=2, n=30, m=2 * 256 + 1, seed=1)
+@example(family=LINEAR, dim=2, n=5, m=3 * 256 + 2, seed=2)
+@given(
+    family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52, LINEAR]),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 30),
+    m=_BLOCKED_ROWS,
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_blocked_evaluations_are_bytewise_unblocked(family, dim, n, m, seed):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(family, float(rng.uniform(0.5, 2.0)), tuple(rng.uniform(0.5, 2.0, dim)))
+    model = random_model(rng, spec, n)
+    X = rng.uniform(-4.0, 4.0, (m, dim))
+    with pytest.MonkeyPatch.context() as mp:
+        # a tiny budget: every block but the last has 256 rows, however narrow
+        mp.setattr(kernels, "_BLOCK_ELEMENTS", 1)
+        assert gram(spec, X, model.data.inputs).tobytes() == _gram_unblocked(spec, X, model.data.inputs).tobytes()
+        assert model.predict_mean(X).tobytes() == _mean_unblocked(model, X).tobytes()
+        assert model.predict_var(X).tobytes() == _var_unblocked(model, X).tobytes()
+        assert data_density_batch(model, X).tobytes() == _density_unblocked(model, X).tobytes()
+
+
+def test_row_blocks_are_aligned_and_cover():
+    for n, width in [(1, 1), (255, 10), (513, 512), (4097, 1), (3000, 2000), (70000, 3)]:
+        blocks = list(kernels._row_blocks(n, width))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(s % kernels._BLOCK_ROWS == 0 for s in sizes[:-1])
+        assert max(sizes) < max(kernels._BLOCK_ELEMENTS // width, kernels._BLOCK_ROWS) + kernels._BLOCK_ROWS
+        assert len(blocks) == 1 or sizes[-1] >= kernels._BLOCK_ROWS
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        out = f()
+        return tracemalloc.get_traced_memory()[1] - np.asarray(out).nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_evaluations_stay_within_a_few_blocks():
+    # unblocked, these queries cost about 150 MB: a (20000, 200, 2) tensor
+    rng = np.random.default_rng(9)
+    model = random_model(rng, KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5)), 200)
+    X = rng.uniform(-3.0, 3.0, (20_000, 2))
+    block_bytes = 8 * kernels._BLOCK_ELEMENTS
+    for evaluate in (lambda: model.predict_mean(X), lambda: model.predict_var(X),
+                     lambda: data_density_batch(model, X)):
+        assert _traced_peak(evaluate) < 6 * block_bytes
+
+
+def test_probabilistic_lipschitz_grid_is_blocked():
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
+    peak = _traced_peak(lambda: probabilistic_lipschitz(spec, DomainBox(2, 10.0), 0.01))
+    assert peak < 24 * 2 ** 20
