@@ -57,7 +57,11 @@ def benchmark_system():
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
+        if x.ndim == 1:  # one point, as the RK4 stages ask: float scalars skip 0-d arrays
+            x1, x2 = x.tolist()
+        else:
+            x1, x2 = x[..., 0], x[..., 1]
+        # np.exp, not math.exp: the two differ in the last bit on some inputs
         return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
 
     def g(x):
@@ -134,6 +138,10 @@ def run_closed_loop(
     the nominal one divided by g(x) (exact knowledge of g); the recorded
     control is the applied one.  Measurements y = f(x) + eps are taken at
     every grid point with eps drawn from the seeded generator.
+
+    At every RK4 stage ``nonlinearity`` is called on one point of shape (2,).
+    That array is a scratch buffer the stepper overwrites at the next stage:
+    the callee must read it and must not keep it, or a view of it.
     """
     times, states = _closed_loop_rk4(loop, model.mean_function(), ref, horizon, fine_dt, nonlinearity)
     ref_states = ref.state(times)
@@ -160,7 +168,8 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
     the stage times times[k], times[k] + 0.5 dt and times[k] + dt of every
     step, the state is carried as two floats, and every sum keeps the
     generic loop's operation order.  The products theta^T e and A x stay
-    numpy calls, because BLAS may fuse their multiply-adds.
+    numpy calls, because BLAS may fuse their multiply-adds.  The stage point,
+    x - x_ref and A x live in three 2-buffers reused by every stage.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -168,15 +177,19 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
     if A.shape != (2, 2):
         raise ValueError("the closed-loop simulation needs a plant of dimension 2")
     b0, b1 = b.tolist()
+    x = np.empty(2)  # the stage point, handed to predict and nonlinearity
     e = np.empty(2)  # x - x_ref; read only by theta.dot
+    ax = np.empty(2)  # A x
     h, h6 = 0.5 * dt, dt / 6.0
 
     def field(x0, x1, r0, r1, r_ff):
-        x = np.array([x0, x1])
+        x[0] = x0
+        x[1] = x1
         e[0] = x0 - r0
         e[1] = x1 - r1
         s = -float(theta.dot(e)) + r_ff - predict(x) + float(nonlinearity(x))
-        ax0, ax1 = (A @ x).tolist()
+        np.matmul(A, x, out=ax)
+        ax0, ax1 = ax.tolist()
         return ax0 + b0 * s, ax1 + b1 * s
 
     n = int(round(horizon / dt))

@@ -174,3 +174,76 @@ def test_tracking_bound_ode_rejects_a_table_of_the_wrong_length():
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([100.0, 10.0]))
     with pytest.raises(ValueError):
         tracking_bound_ode(loop, np.zeros(100), 0.0, 1.0, v0=0.0, horizon=0.1, dt=1e-3)
+
+
+def batch_benchmark_f(x):
+    # benchmark_system's f before it gained a one-point branch, kept verbatim
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
+
+
+def independent_states(loop, model, ref, horizon, dt):
+    # mu through the batch predict_mean and f through the batch formula: a
+    # change to mean_function or to f's one-point branch shows up here
+    A, b, theta = loop.plant.A, loop.plant.b, loop.theta
+
+    def dynamics(t, x):
+        e = x - ref.state(t)
+        u_nom = -float(theta @ e) + float(ref.signal(t)) - model.predict_mean(x)
+        return A @ x + b * (u_nom + float(batch_benchmark_f(x)))
+
+    return integrate(dynamics, ref.state(0.0), horizon, dt)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
+    plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
+    n_data=st.sampled_from([0, 1, 2, 25, 179]),
+    ell=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+    seed=st.integers(0, 2 ** 31 - 1),
+    steps=st.integers(0, 200),
+    dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
+)
+def test_run_closed_loop_matches_an_independent_batch_reference(theta, plant, n_data, ell, seed, steps, dt):
+    try:
+        loop = closed_loop(plant, np.array(theta))
+    except UnsupportedOperationError:
+        assume(False)
+    f, _, _ = benchmark_system()
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (n_data, 2))
+    model = fit(KernelSpec("squared_exponential", 1.0, ell),
+                TrainingSet(X, batch_benchmark_f(X) + 0.1 * rng.normal(size=n_data), 0.01))
+    ref = ReferenceSpec(2.0, 1.0)
+    horizon = steps * dt
+    try:
+        with np.errstate(over="ignore"):
+            new = run_closed_loop(loop, model, ref, horizon, dt, seed, f, noise_variance=0.0)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as old, np.errstate(over="ignore"):
+            independent_states(loop, model, ref, horizon, dt)
+        assert old.value.time == exc.time
+        return
+    times, states = independent_states(loop, model, ref, horizon, dt)
+    assert same_bits(new.times, times)
+    assert same_bits(new.states, states)
+    assert same_bits(new.measurements.targets, batch_benchmark_f(states) + 0.0)
+
+
+# finite inputs: a NaN result may carry another sign bit in a vector lane
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x1=_FINITE, x2=st.one_of(_FINITE, st.floats(709.0, 1e4), st.floats(-1e4, -709.0)))
+def test_nonlinearity_one_point_branch_is_the_batch_formula(x1, x2):
+    # beyond |x2| = 709.78 np.exp(-x2) overflows to inf or underflows to 0
+    f, _, _ = benchmark_system()
+    point = np.array([x1, x2])
+    batch = np.array([[0.5, -1.0], [x1, x2], [2.0, 3.0]])
+    with np.errstate(all="ignore"):
+        one = f(point)
+        assert same_bits(one, batch_benchmark_f(point))
+        assert same_bits(one, batch_benchmark_f(batch)[1])

@@ -10,7 +10,7 @@ from gpcert import kernels
 from gpcert.bounds import DomainBox, probabilistic_lipschitz
 from gpcert.density import data_density_batch
 from gpcert.errors import IllConditionedDataError
-from gpcert.gp import TrainingSet, add_samples, downsample, fit
+from gpcert.gp import GPModel, TrainingSet, add_samples, downsample, fit
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram, kernel_diag
 
 from conftest import random_kernel, random_model, se_unit
@@ -279,3 +279,44 @@ def test_probabilistic_lipschitz_grid_is_blocked():
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
     peak = _traced_peak(lambda: probabilistic_lipschitz(spec, DomainBox(2, 10.0), 0.01))
     assert peak < 24 * 2 ** 20
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1009, ell=(1e-2, 1e2), sf2=1.0, scale=1e3, seed=0)  # exp underflows to 0 on one axis
+@example(n=257, ell=(1e2, 1e-2), sf2=2.5, scale=0.0, seed=1)  # the query sits on a data point
+@example(n=1, ell=(1.0, 1.0), sf2=1.0, scale=40.0, seed=1)  # k = [0] against a negative alpha: mu = +0.0
+@given(
+    n=st.sampled_from([1, 2, 25, 179, 257, 1009]),
+    ell=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+    sf2=st.floats(0.1, 10.0),
+    scale=st.sampled_from([0.0, 1e-3, 0.3, 3.0, 40.0, 1e3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_buffered_mean_closure_is_bitwise_predict_mean(n, ell, sf2, scale, seed):
+    # scale is the query's offset from a data point in lengthscales: at 40
+    # and beyond every kernel value underflows to 0
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(SQUARED_EXPONENTIAL, sf2, ell)
+    X = rng.uniform(-5.0, 5.0, (n, 2))
+    model = GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
+    mean = model.mean_function()
+    for _ in range(5):
+        x = X[rng.integers(n)] + scale * np.asarray(ell) * rng.normal(size=2)
+        assert _bits(mean(x)) == _bits(model.predict_mean(x))
+
+
+def test_mean_closure_outside_the_buffered_case():
+    rng = np.random.default_rng(10)
+    empty = fit(se_unit(2), TrainingSet.empty(2, 0.01))
+    assert empty.mean_function()(np.ones(2)) == 0.0 == empty.predict_mean(np.ones(2))
+    for d in (1, 3):
+        model = random_model(rng, KernelSpec(SQUARED_EXPONENTIAL, 1.3, tuple(rng.uniform(0.5, 2.0, d))), 30)
+        mean = model.mean_function()
+        assert mean == model.predict_mean  # the batch path itself, no buffered closure
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0, d)
+            assert _bits(mean(x)) == _bits(model.predict_mean(x))

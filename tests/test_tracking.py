@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from gpcert.bounds import DomainBox, bound_constants
+from gpcert.bounds import DomainBox, bound_constants, stddev_modulus
 from gpcert.errors import InfeasibilityError, UnsupportedOperationError
 from gpcert.gp import TrainingSet, fit
-from gpcert.kernels import kernel_lipschitz, stddev_lipschitz
+from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_lipschitz, stddev_lipschitz
+from gpcert.simulation import ReferenceSpec
 from gpcert.tracking import (
+    SAFETY_FACTOR,
     ClosedLoop,
     LinearPlant,
     baseline_gain,
+    certify,
     closed_loop,
     contraction_rate,
     gain_condition,
@@ -209,3 +212,27 @@ def test_baseline_gain_examples():
     assert baseline_gain(1.0, 3.0, 0.1) == pytest.approx(30.0)
     assert baseline_gain(1.0, 3.0, 1e9) == pytest.approx(0.0, abs=1e-8)
     assert baseline_gain(2.0, 3.0, 0.05) == pytest.approx(2 * baseline_gain(2.0, 3.0, 0.1))
+
+
+def test_certify_rejects_points_too_coarse_for_the_safety_factor():
+    # a grid of data around the reference circle of radius 2
+    g = np.linspace(-3.0, 3.0, 13)
+    X = np.array([[a, b] for a in g for b in g])
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
+    box = DomainBox(2, 10.0)
+    model = fit(spec, TrainingSet(X, np.sin(X[:, 0]), 0.01))
+    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    ref = ReferenceSpec(2.0, 1.0)
+
+    def certify_on(n_points):
+        points = ref.state(np.linspace(0.0, ref.period, n_points))
+        return certify(model, 1.0, points, lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b),
+                       box, 0.01, 2.0, L_k, L_sigma)
+
+    fine = certify_on(4001)
+    h = 2.0 * 2.0 * math.sin(math.pi / 4000)  # the chord of 4000 equal arcs
+    expect = math.sqrt(fine.beta) * stddev_modulus(spec, h / 2.0, L_k, L_sigma)
+    assert fine.sampling_term == pytest.approx(expect, rel=1e-9)
+    assert fine.sup_eta >= fine.sup_eta / SAFETY_FACTOR + fine.sampling_term
+    with pytest.raises(InfeasibilityError, match="too coarse"):
+        certify_on(5)  # chords of 2.8: sqrt(beta) omega_sigma is far above 5 % of max eta
