@@ -397,7 +397,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
         rho = dens.data_density_batch(model, profile_points)
         rho_min = float(rho.min())
-        cert = trk.certify(model, rho_min, half_step_points,
+        cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f, L_k, L_sigma)
         loop = cert.loop

@@ -235,7 +235,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
     i = 0
     while True:
         rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
-        cert = trk.certify(model, rho_eff, ref_points,
+        cert = trk.certify(model, rho_eff, ref_points, config.reference.max_speed * config.fine_dt,
                            lambda b: select_gains(config.plant, L_sigma, b, L_dk, config.xi),
                            box, config.delta, config.L_f, L_k, L_sigma)
         reports.append(

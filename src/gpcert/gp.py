@@ -168,9 +168,6 @@ class GPModel:
         D0, D1 = D
         q = np.empty(XT.shape[1])
         xc = np.empty((2, 1))
-        # ndarray.dot takes a length-1 vector for a scalar and keeps the sign
-        # of a zero product, where @ (and predict_mean) add it to +0.0
-        dot = q.dot if len(q) > 1 else q.__matmul__
 
         def mean(x):
             xc[:, 0] = x
@@ -181,7 +178,7 @@ class GPModel:
             np.multiply(q, -0.5, out=q)
             np.exp(q, out=q)
             np.multiply(q, sf2, out=q)
-            return float(dot(alpha))
+            return float(q @ alpha)
 
         return mean
 

@@ -87,6 +87,11 @@ class ReferenceSpec:
     def period(self) -> float:
         return 2.0 * math.pi / self.frequency
 
+    @property
+    def max_speed(self) -> float:
+        """max_t |x_ref'(t)| = a w max(1, w)."""
+        return self.amplitude * self.frequency * max(1.0, self.frequency)
+
     def state(self, t):
         t = np.asarray(t, dtype=float)
         a, w = self.amplitude, self.frequency

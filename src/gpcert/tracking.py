@@ -274,33 +274,31 @@ class Certificate:
     sup_eta: float
     upsilon_bar: float
     kappa: float
-    sampling_term: float  # sqrt(beta) omega_sigma(h / 2): eta's proven rise between samples
+    sampling_term: float  # sqrt(beta) omega_sigma(max_arc / 2): eta's proven rise between samples
 
 
-def certify(model: GPModel, rho: float, points, gains: Callable[[float], ClosedLoop],
+def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[[float], ClosedLoop],
             box: bnd.DomainBox, delta: float, L_f: float, L_k: float, L_sigma: float) -> Certificate:
     """The chain tau -> beta -> gains -> gamma -> sup eta -> upsilon_bar.
 
     tau is the density-matched grid constant for density level ``rho``;
     ``gains`` maps beta to the closed loop; sup eta is taken over the
     reference states ``points``, consecutive samples of one curve, and
-    inflated by :data:`SAFETY_FACTOR`.  With h the largest chord between
-    consecutive samples, eta = sqrt(beta) sigma + gamma between two samples
-    exceeds the larger of them by at most sqrt(beta) omega_sigma(h / 2)
-    (every point of a chord lies within h / 2 of an end; a smooth curve
-    sampled this finely strays from its chords by a second-order amount), so
-    the certificate stands only while the inflation covers that term.
-    Raises :class:`InfeasibilityError` if it does not or if the gain
-    condition fails, and :class:`DomainError` if a point lies outside the
-    box.
+    inflated by :data:`SAFETY_FACTOR`.  ``max_arc`` bounds the arc length of
+    the curve between consecutive samples, so every point of the curve lies
+    within arc length, and hence distance, max_arc / 2 of a sample, and eta
+    = sqrt(beta) sigma + gamma there exceeds the larger of the two sampled
+    values by at most sqrt(beta) omega_sigma(max_arc / 2).  The certificate
+    stands only while the inflation covers that term.  Raises
+    :class:`InfeasibilityError` if it does not or if the gain condition
+    fails, and :class:`DomainError` if a point lies outside the box.
     """
     tau = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
     rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
     loop = gains(rep.beta)
     eta = bnd.uniform_error_bound(rep, points, model.predict_stddev(points))
     max_eta = float(np.max(eta))
-    chord = float(np.max(np.linalg.norm(np.diff(points, axis=0), axis=1), initial=0.0))
-    term = math.sqrt(rep.beta) * bnd.stddev_modulus(model.kernel, chord / 2.0, L_k, L_sigma)
+    term = math.sqrt(rep.beta) * bnd.stddev_modulus(model.kernel, max_arc / 2.0, L_k, L_sigma)
     sup_eta = SAFETY_FACTOR * max_eta
     if sup_eta < max_eta + term:
         raise InfeasibilityError(

@@ -100,6 +100,15 @@ def test_reference_consistency_residual():
     assert np.abs(xdot - rhs).max() <= 1e-8
 
 
+@pytest.mark.parametrize("a, w", [(2.0, 1.0), (1.5, 0.4), (0.5, 3.0)])
+def test_reference_max_speed_is_the_sup_of_the_speed(a, w):
+    ref = ReferenceSpec(a, w)
+    ts = np.linspace(0.0, ref.period, 20001)
+    speed = np.linalg.norm(np.stack([a * w * np.cos(w * ts), -a * w * w * np.sin(w * ts)], axis=-1), axis=1)
+    assert speed.max() <= ref.max_speed * (1 + 1e-12)
+    assert speed.max() == pytest.approx(ref.max_speed, rel=1e-6)
+
+
 def test_perfect_model_tracks_exactly():
     _, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))

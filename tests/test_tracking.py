@@ -226,13 +226,14 @@ def test_certify_rejects_points_too_coarse_for_the_safety_factor():
 
     def certify_on(n_points):
         points = ref.state(np.linspace(0.0, ref.period, n_points))
-        return certify(model, 1.0, points, lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b),
+        max_arc = ref.max_speed * ref.period / (n_points - 1)
+        return certify(model, 1.0, points, max_arc, lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b),
                        box, 0.01, 2.0, L_k, L_sigma)
 
     fine = certify_on(4001)
-    h = 2.0 * 2.0 * math.sin(math.pi / 4000)  # the chord of 4000 equal arcs
-    expect = math.sqrt(fine.beta) * stddev_modulus(spec, h / 2.0, L_k, L_sigma)
+    arc = 2.0 * 2.0 * math.pi / 4000  # one 4000th of the circle of radius 2
+    expect = math.sqrt(fine.beta) * stddev_modulus(spec, arc / 2.0, L_k, L_sigma)
     assert fine.sampling_term == pytest.approx(expect, rel=1e-9)
     assert fine.sup_eta >= fine.sup_eta / SAFETY_FACTOR + fine.sampling_term
     with pytest.raises(InfeasibilityError, match="too coarse"):
-        certify_on(5)  # chords of 2.8: sqrt(beta) omega_sigma is far above 5 % of max eta
+        certify_on(5)  # arcs of pi: sqrt(beta) omega_sigma is far above 5 % of max eta
