@@ -12,9 +12,9 @@ Experiments: ``tracking`` (closed-loop certificate on the benchmark),
 ``validate_lipschitz`` (coverage of the prior Lipschitz constant).
 
 Exit codes: 0 success, 2 config error, 3 certificate violation, 4 numerical
-failure.  Trajectories go to CSV, scalars to JSON; identical configs and
-seeds reproduce artifacts byte for byte, and every summary embeds the fully
-resolved config so a run can be reproduced from its own output.
+failure.  Trajectories go to CSV, scalars to JSON, byte for byte the same for
+the same config and seeds.  Every summary embeds the config with every default
+of its experiment filled in from one table, ``_SCHEMA``, to be rerun from.
 """
 
 from __future__ import annotations
@@ -50,131 +50,132 @@ EXIT_NUMERICAL = 4
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config schema
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "kernel": {"family": kern.SQUARED_EXPONENTIAL, "signal_variance": 1.0, "lengthscales": [1.0, 1.0]},
-    "plant": {"A": [[0.0, 1.0], [0.0, 0.0]], "b": [0.0, 1.0]},
-    "domain": {"dimension": 2, "edge": 10.0, "center": [0.0, 0.0]},
-    "bound": {"tau": 0.01, "delta": 0.01, "L_f": 2.0, "delta_L": 0.01},
-    "reference": {"amplitude": 2.0, "frequency": 1.0},
-    "noise_variance": 0.01,
-    "seeds": [0],
-    "out_dir": "runs",
-}
+def _number(v, kind=(int, float)) -> bool:
+    """A finite number of ``kind``; never a bool, though JSON true is a Python int."""
+    return isinstance(v, kind) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _positive(v) -> bool:
+    return _number(v) and v > 0
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
+
+
+def _count(least: int):
+    return (lambda v: _number(v, int) and v >= least), f"an integer of at least {least}"
+
+
+_REQUIRED = object()  # the default of a field that has none; its absence is a problem
+
+_POSITIVE = _positive, "a positive number"
+_FRACTION = (lambda v: _number(v) and 0 < v < 1), "a number in (0, 1)"
+_AXIS = (lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1])
+         and _number(v[2], int) and v[2] > 0), "[lo, hi, count] with count a positive integer"
+
+# (dotted path, (predicate, what the field "must be"), default or _REQUIRED,
+# experiments).  A row checks and fills its field only for its experiments;
+# a field that no row names passes through unchecked.
+_SCHEMA = (
+    ("kernel.family", (lambda v: v in kern._FAMILIES, f"one of {', '.join(kern._FAMILIES)}"),
+     kern.SQUARED_EXPONENTIAL, EXPERIMENTS),
+    ("kernel.signal_variance", _POSITIVE, 1.0, EXPERIMENTS),
+    ("kernel.lengthscales", (_list_of(_positive), "a nonempty list of positive numbers"), [1.0, 1.0], EXPERIMENTS),
+    ("plant.A", (_list_of(_list_of(_number)), "a list of rows of numbers"), [[0.0, 1.0], [0.0, 0.0]], EXPERIMENTS),
+    ("plant.b", (_list_of(_number), "a nonempty list of numbers"), [0.0, 1.0], EXPERIMENTS),
+    ("domain.dimension", _count(1), 2, EXPERIMENTS),
+    ("domain.edge", _POSITIVE, 10.0, EXPERIMENTS),
+    ("domain.center", (_list_of(_number), "a nonempty list of numbers"), [0.0, 0.0], EXPERIMENTS),
+    ("bound.tau", (lambda v: v == "auto" or _positive(v), "a positive number or 'auto'"), 0.01, EXPERIMENTS),
+    ("bound.delta", _FRACTION, 0.01, EXPERIMENTS),
+    ("bound.L_f", (lambda v: v == "probabilistic" or (_number(v) and v >= 0),
+                   "a nonnegative number or 'probabilistic'"), 2.0, EXPERIMENTS),
+    ("bound.delta_L", _FRACTION, 0.01, EXPERIMENTS),
+    ("reference.amplitude", (_number, "a finite number"), 2.0, EXPERIMENTS),
+    ("reference.frequency", _POSITIVE, 1.0, EXPERIMENTS),
+    ("noise_variance", _POSITIVE, 0.01, EXPERIMENTS),
+    ("seeds", (_list_of(lambda s: _number(s, int)), "a nonempty list of integers"), [0], EXPERIMENTS),
+    ("out_dir", (lambda v: isinstance(v, str) and v != "", "a nonempty path"), "runs", EXPERIMENTS),
+    ("gains", (lambda v: isinstance(v, dict), "an object"), _REQUIRED, ("tracking",)),
+    # any finite horizon reaches the runner, which rejects a negative one
+    ("horizon", (_number, "a finite number"), 30.0, ("tracking",)),
+    ("horizon", (_number, "a finite number"), 2.0 * math.pi, ("density_sweep",)),
+    ("fine_dt", _POSITIVE, 3e-4, ("tracking",)),
+    ("data_grid.x1", _AXIS, [0.0, 3.0, 5], ("tracking",)),
+    ("data_grid.x2", _AXIS, [-4.0, 4.0, 5], ("tracking",)),
+    ("sim_dt", _POSITIVE, 1e-3, ("density_sweep",)),
+    ("sweep.pitches", (_list_of(_positive), "a nonempty list of positive numbers"), _REQUIRED, ("density_sweep",)),
+    ("sweep.kappa", _POSITIVE, 10.0, ("density_sweep",)),
+    ("sweep.extent", (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)) and v[0] < v[1],
+                      "[lo, hi] with lo < hi"), [-4.0, 4.0], ("density_sweep",)),
+    ("episodic.target_error", _POSITIVE, _REQUIRED, ("episodic",)),
+    ("episodic.xi", _FRACTION, 0.95, ("episodic",)),
+    ("episodic.horizon", _POSITIVE, 2.0 * math.pi, ("episodic",)),
+    ("episodic.fine_dt", _POSITIVE, 3e-4, ("episodic",)),
+    ("episodic.max_episodes", _count(0), epi.EPISODE_CAP_DEFAULT, ("episodic",)),
+    ("validation.trials", _count(1), 200, ("validate_bounds",)),
+    ("validation.grid_points_per_axis", _count(2), 41, ("validate_bounds",)),
+    ("validation.train_points", _count(1), 25, ("validate_bounds",)),
+    ("validation.draws", _count(1), 500, ("validate_lipschitz",)),
+)
 
 
 def load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("the top level is not an object")
+    return config
 
 
-def _merged(config: dict) -> dict:
-    cfg = copy.deepcopy(_DEFAULTS)
-    for key, value in config.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = copy.deepcopy(value)
-    return cfg
+def resolve(config: dict) -> tuple[dict, list[str]]:
+    """The config with its experiment's defaults filled in, and its problems.
 
+    Walks ``_SCHEMA``: every block its rows name must be an object, a field
+    present must meet its row's predicate, and a missing one takes the row's
+    default (or reads as None, when required).  The cross-field rules run once
+    every field is well-formed.
+    """
+    exp = config.get("experiment")
+    if exp not in EXPERIMENTS:
+        return config, [f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {exp!r}"]
+    cfg = copy.deepcopy(config)
+    rows = [row for row in _SCHEMA if exp in row[3]]
+    problems = []
+    for block in dict.fromkeys(path.rpartition(".")[0] for path, *_ in rows):
+        if block and not isinstance(cfg.setdefault(block, {}), dict):
+            problems.append(f"{block}: must be an object, got {cfg[block]!r}")
+    for path, (ok, must), default, _ in rows:
+        block, _, name = path.rpartition(".")
+        node = cfg[block] if block else cfg
+        if not isinstance(node, dict):
+            continue
+        if name not in node and default is not _REQUIRED:
+            node[name] = copy.deepcopy(default)
+        elif not ok(node.get(name)):
+            problems.append(f"{path}: must be {must}, got {node.get(name)!r}")
+    if problems:
+        return cfg, problems
 
-def _positive(v, kind=(int, float)) -> bool:
-    return isinstance(v, kind) and v > 0
+    family = cfg["kernel"]["family"]
+    if exp in ("tracking", "density_sweep", "episodic") and family not in kern._STATIONARY:
+        problems.append(f"kernel.family: {exp} needs L_sigma, which the non-stationary {family!r} kernel lacks")
+    if cfg["bound"]["L_f"] == "probabilistic" and family == kern.MATERN32:
+        problems.append("bound.L_f: probabilistic Lipschitz constants need fourth-order "
+                        "smoothness; Matern 3/2 is not smooth enough")
+    gains = cfg.get("gains")
+    if exp == "tracking" and "theta" not in gains and not all(_number(gains.get(k)) for k in ("theta1", "theta2")):
+        problems.append(f"gains: must hold theta, or numbers theta1 and theta2, got {gains!r}")
+    return cfg, problems
 
 
 def validate(config: dict) -> list[str]:
     """Schema and cross-field checks; returns diagnostics (empty = valid)."""
-    problems = []
-    exp = config.get("experiment")
-    if exp not in EXPERIMENTS:
-        problems.append(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    cfg = _merged(config)
-    kb = cfg["kernel"]
-    if kb.get("family") not in kern._FAMILIES:
-        problems.append(f"kernel.family: unknown family {kb.get('family')!r}")
-    elif exp in ("tracking", "density_sweep", "episodic") and kb["family"] not in kern._STATIONARY:
-        problems.append(f"kernel.family: {exp} needs L_sigma, which the non-stationary "
-                        f"{kb['family']!r} kernel lacks")
-    if not _positive(kb.get("signal_variance")):
-        problems.append("kernel.signal_variance: must be a positive number")
-    ls = kb.get("lengthscales", [])
-    if not (isinstance(ls, list) and ls and all(_positive(l) for l in ls)):
-        problems.append("kernel.lengthscales: must be a nonempty list of positive numbers")
-    bb = cfg["bound"]
-    for name in ("delta", "delta_L"):
-        v = bb.get(name)
-        if v is not None and not (isinstance(v, (int, float)) and 0 < v < 1):
-            problems.append(f"bound.{name}: must lie in (0, 1), got {v!r}")
-    tau = bb.get("tau")
-    if tau != "auto" and not _positive(tau):
-        problems.append(f"bound.tau: must be positive or 'auto', got {tau!r}")
-    lf = bb.get("L_f")
-    if lf == "probabilistic":
-        if kb.get("family") == kern.MATERN32:
-            problems.append("bound.L_f: probabilistic Lipschitz constants need fourth-order "
-                            "smoothness; Matern 3/2 is not smooth enough")
-    elif not (isinstance(lf, (int, float)) and lf >= 0):
-        problems.append(f"bound.L_f: must be a nonnegative number or 'probabilistic', got {lf!r}")
-    db = cfg["domain"]
-    if not _positive(db.get("dimension"), int):
-        problems.append(f"domain.dimension: must be a positive integer, got {db.get('dimension')!r}")
-    if not _positive(db.get("edge")):
-        problems.append(f"domain.edge: must be a positive number, got {db.get('edge')!r}")
-    rb = cfg["reference"]
-    if not isinstance(rb.get("amplitude"), (int, float)):
-        problems.append(f"reference.amplitude: must be a number, got {rb.get('amplitude')!r}")
-    if not _positive(rb.get("frequency")):
-        problems.append(f"reference.frequency: must be a positive number, got {rb.get('frequency')!r}")
-    if "data_grid" in cfg:
-        gb = cfg["data_grid"] if isinstance(cfg["data_grid"], dict) else {}
-        for axis in ("x1", "x2"):
-            ax = gb.get(axis)
-            if not (isinstance(ax, list) and len(ax) == 3 and all(isinstance(v, (int, float)) for v in ax)
-                    and _positive(ax[2], int)):
-                problems.append(f"data_grid.{axis}: must be [lo, hi, count], count a positive integer, got {ax!r}")
-    if not _positive(cfg["noise_variance"]):
-        problems.append("noise_variance: must be a positive number")
-    seeds = cfg["seeds"]
-    if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds)):
-        problems.append("seeds: must be a nonempty list of integers")
-    for name in ("fine_dt", "sim_dt"):
-        if name in cfg and not _positive(cfg[name]):
-            problems.append(f"{name}: must be a positive number, got {cfg[name]!r}")
-    if "horizon" in cfg and not isinstance(cfg["horizon"], (int, float)):
-        problems.append(f"horizon: must be a number, got {cfg['horizon']!r}")
-    if exp == "tracking" and "gains" not in config:
-        problems.append("tracking: missing 'gains' block (theta or theta1/theta2)")
-    if exp == "density_sweep":
-        sw = config["sweep"] if isinstance(config.get("sweep"), dict) else {}
-        pitches = sw.get("pitches")
-        if not (isinstance(pitches, list) and pitches and all(_positive(p) for p in pitches)):
-            problems.append(f"sweep.pitches: must be a nonempty list of positive numbers, got {pitches!r}")
-        if not _positive(sw.get("kappa", 10.0)):
-            problems.append(f"sweep.kappa: must be a positive number, got {sw.get('kappa')!r}")
-        ext = sw.get("extent", [-4.0, 4.0])
-        if not (isinstance(ext, list) and len(ext) == 2 and all(isinstance(v, (int, float)) for v in ext)
-                and ext[0] < ext[1]):
-            problems.append(f"sweep.extent: must be [lo, hi] with lo < hi, got {ext!r}")
-    if exp == "episodic":
-        ep = config["episodic"] if isinstance(config.get("episodic"), dict) else {}
-        xi = ep.get("xi", 0.95)
-        if not (isinstance(xi, (int, float)) and 0 < xi < 1):
-            problems.append(f"episodic.xi: must lie in (0, 1), got {xi!r}")
-        if not _positive(ep.get("target_error")):
-            problems.append("episodic.target_error: must be a positive number")
-        for name in ("fine_dt", "horizon"):
-            if name in ep and not _positive(ep[name]):
-                problems.append(f"episodic.{name}: must be a positive number, got {ep[name]!r}")
-    vb = cfg.get("validation", {})
-    if not isinstance(vb, dict):
-        problems.append(f"validation: must be an object, got {vb!r}")
-        vb = {}
-    for name, least in (("trials", 1), ("draws", 1), ("grid_points_per_axis", 2), ("train_points", 1)):
-        if name in vb and not (isinstance(vb[name], int) and vb[name] >= least):
-            problems.append(f"validation.{name}: must be an integer of at least {least}, got {vb[name]!r}")
-    return problems
+    return resolve(config)[1]
 
 
 def _kernel_from(cfg: dict) -> KernelSpec:
@@ -265,12 +266,11 @@ def _run_tracking_seed(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma:
     ref = _reference_from(cfg)
     f, g, _ = benchmark_system()
     bb = cfg["bound"]
-    horizon = float(cfg.get("horizon", 30.0))
-    dt = float(cfg.get("fine_dt", 3e-4))
+    horizon = float(cfg["horizon"])
+    dt = float(cfg["fine_dt"])
     noise = float(cfg["noise_variance"])
 
-    gb = cfg.get("data_grid", {"x1": [0.0, 3.0, 5], "x2": [-4.0, 4.0, 5]})
-    grid = _grid(*(np.linspace(lo, hi, int(n)) for lo, hi, n in (gb["x1"], gb["x2"])))
+    grid = _grid(*(np.linspace(*cfg["data_grid"][axis]) for axis in ("x1", "x2")))
     rng = np.random.default_rng(seed)
     y = f(grid) + rng.normal(0.0, math.sqrt(noise), size=grid.shape[0])
     data = TrainingSet(grid, y, noise)
@@ -370,10 +370,10 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     f, g, _ = benchmark_system()
     sw = cfg["sweep"]
     pitches = [float(p) for p in sw["pitches"]]
-    kappa_target = float(sw.get("kappa", 10.0))
-    lo, hi = sw.get("extent", [-4.0, 4.0])
-    horizon = float(cfg.get("horizon", 2.0 * math.pi))
-    dt = float(cfg.get("sim_dt", 1e-3))
+    kappa_target = float(sw["kappa"])
+    lo, hi = sw["extent"]
+    horizon = float(cfg["horizon"])
+    dt = float(cfg["sim_dt"])
     noise = float(cfg["noise_variance"])
     delta = float(cfg["bound"]["delta"])
     L_f = float(cfg["bound"]["L_f"])
@@ -425,15 +425,16 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     header = ["rho_min", "upsilon_bar", "e_max", "pitch", "n_train", "tau", "beta", "lambda_max", "zeta", "kappa"]
     _write_csv(os.path.join(out_dir, "density_sweep.csv"), header, [[r[k] for r in rows] for k in header])
     logr = np.log([r["rho_min"] for r in rows])
-    slope_bound = float(np.polyfit(logr, np.log([r["upsilon_bar"] for r in rows]), 1)[0])
-    slope_observed = float(np.polyfit(logr, np.log([r["e_max"] for r in rows]), 1)[0])
+    # a log-log slope needs two distinct densities, which one pitch lacks
+    slope = {key: float(np.polyfit(logr, np.log([r[key] for r in rows]), 1)[0]) if np.ptp(logr) > 0 else None
+             for key in ("upsilon_bar", "e_max")}
     return {
         "kappa_target": kappa_target,
         "L_k": L_k,
         "L_sigma": L_sigma,
         "rows": rows,
-        "slope_log_upsilon_vs_log_rho": slope_bound,
-        "slope_log_e_max_vs_log_rho": slope_observed,
+        "slope_log_upsilon_vs_log_rho": slope["upsilon_bar"],
+        "slope_log_e_max_vs_log_rho": slope["e_max"],
         "certificate_violations": violations,
     }, violations == 0
 
@@ -450,12 +451,12 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     L_sigma = kern.stddev_lipschitz(spec, box)
     ref = _reference_from(cfg)
     f, g, _ = benchmark_system()
-    ep = cfg.get("episodic", {})
+    ep = cfg["episodic"]
     config = epi.EpisodeConfig(
         target_error=float(ep["target_error"]),
-        xi=float(ep.get("xi", 0.95)),
-        horizon=float(ep.get("horizon", 2.0 * math.pi)),
-        fine_dt=float(ep.get("fine_dt", 3e-4)),
+        xi=float(ep["xi"]),
+        horizon=float(ep["horizon"]),
+        fine_dt=float(ep["fine_dt"]),
         delta=float(cfg["bound"]["delta"]),
         kernel=spec,
         plant=plant,
@@ -465,8 +466,8 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         L_f=float(cfg["bound"]["L_f"]),
         nonlinearity=f,
         input_gain=g,
-        seed=int(cfg["seeds"][0]),
-        max_episodes=int(ep.get("max_episodes", epi.EPISODE_CAP_DEFAULT)),
+        seed=cfg["seeds"][0],
+        max_episodes=ep["max_episodes"],
     )
     reports = epi.learn_control(config, L_k, L_sigma)
     with open(os.path.join(out_dir, "episodes.jsonl"), "w") as fh:
@@ -516,14 +517,14 @@ def _axis_fd_slope(values: np.ndarray, shape: tuple[int, ...], pitch: float) -> 
 def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
-    vb = cfg.get("validation", {})
-    trials = int(vb.get("trials", 200))
-    n_axis = int(vb.get("grid_points_per_axis", 41))
-    n_train = int(vb.get("train_points", 25))
+    vb = cfg["validation"]
+    trials = vb["trials"]
+    n_axis = vb["grid_points_per_axis"]
+    n_train = vb["train_points"]
     noise = float(cfg["noise_variance"])
     delta = float(cfg["bound"]["delta"])
     tau = float(cfg["bound"]["tau"])
-    seed0 = int(cfg["seeds"][0])
+    seed0 = cfg["seeds"][0]
 
     grid = _grid(*(np.linspace(c - box.edge / 2.0, c + box.edge / 2.0, n_axis) for c in box.center))
     pitch = box.edge / (n_axis - 1)
@@ -566,10 +567,9 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 def run_validate_lipschitz(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
-    vb = cfg.get("validation", {})
-    draws = int(vb.get("draws", 500))
+    draws = cfg["validation"]["draws"]
     delta_L = float(cfg["bound"]["delta_L"])
-    seed0 = int(cfg["seeds"][0])
+    seed0 = cfg["seeds"][0]
     if box.dimension != 1 or spec.dim != 1:
         raise ValueError("validate_lipschitz runs on a one-dimensional domain")
 
@@ -613,15 +613,14 @@ def run(config: dict, workers: int = 1) -> int:
     """Validate, dispatch, and write artifacts; returns the process exit code.
 
     Each runner writes its artifacts and returns ``(summary, ok)``; the summary
-    gains the experiment and the merged config (unless the runner resolves it
+    gains the experiment and the resolved config (unless the runner resolves it
     further) and goes to ``summary.json``.  ``workers`` serves tracking only.
     """
-    problems = validate(config)
+    cfg, problems = resolve(config)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = _merged(config)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     exp = cfg["experiment"]
@@ -651,7 +650,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: also a JSON syntax error
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

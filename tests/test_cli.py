@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpcert import cli
 
@@ -352,3 +357,133 @@ def test_tracking_reports_gain_conditions_that_hold(tmp_path, capsys):
     assert cli.run(tracking_config(out, horizon=1.0)) == cli.EXIT_OK
     assert json.loads((out / "summary.json").read_text())["all_gain_conditions"]
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# the config schema: every malformed field ends in exit code 2 and its path
+# ---------------------------------------------------------------------------
+
+SMALL = {  # block (None: top level) -> fields that cut a shipped config to a fraction of a second
+    "tracking": {None: {"horizon": 0.1, "seeds": [0]}},
+    "density_sweep": {None: {"horizon": 0.1}, "sweep": {"pitches": [2.0]}},
+    "episodic": {"episodic": {"target_error": 10.0, "horizon": 0.1, "fine_dt": 0.01}},  # stops at episode 0
+    "validate_bounds": {"validation": {"trials": 1, "grid_points_per_axis": 5, "train_points": 5}},
+    "validate_lipschitz": {"validation": {"draws": 2}},
+}
+
+
+def small_config(experiment, out_dir):
+    """configs/<experiment>.json, cut by SMALL, writing to out_dir."""
+    cfg = cli.load_config(str(CONFIGS / f"{experiment}.json"))
+    for block, fields in SMALL[experiment].items():
+        (cfg if block is None else cfg[block]).update(fields)
+    cfg["out_dir"] = str(out_dir)
+    return cfg
+
+
+def set_field(cfg, path, value):
+    block, _, name = path.rpartition(".")
+    (cfg.setdefault(block, {}) if block else cfg)[name] = value
+
+
+@pytest.mark.parametrize("experiment, path, value, field", [
+    # each of these used to end in a traceback
+    ("episodic", "episodic.max_episodes", None, "episodic.max_episodes"),
+    ("tracking", "gains", {}, "gains"),
+    ("tracking", "gains", 5, "gains"),
+    ("tracking", "gains.theta1", None, "gains"),
+    ("tracking", "bound.delta", None, "bound.delta"),
+    ("density_sweep", "bound.delta", None, "bound.delta"),
+    ("episodic", "bound.delta", None, "bound.delta"),
+    ("validate_lipschitz", "bound.delta_L", None, "bound.delta_L"),
+    ("tracking", "plant", 5, "plant"),
+    ("tracking", "kernel", 5, "kernel"),
+    ("tracking", "out_dir", 5, "out_dir"),
+    ("tracking", "horizon", math.inf, "horizon"),
+    ("density_sweep", "horizon", math.inf, "horizon"),
+    # each of these used to be accepted: true is not a number or a count
+    ("tracking", "bound.tau", True, "bound.tau"),
+    ("tracking", "noise_variance", True, "noise_variance"),
+    ("tracking", "seeds", [True], "seeds"),
+    ("validate_bounds", "validation.trials", True, "validation.trials"),
+    ("tracking", "data_grid.x1", [0.0, 3.0, True], "data_grid.x1"),
+    # and these used to reach the runner: no infinity or NaN in a variance, time or amplitude
+    ("tracking", "noise_variance", math.inf, "noise_variance"),
+    ("tracking", "horizon", math.nan, "horizon"),
+    ("episodic", "reference.amplitude", math.nan, "reference.amplitude"),
+], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
+        "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_plant", "scalar_kernel",
+        "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
+        "true_noise_variance", "true_seed", "true_trials", "true_grid_count", "infinite_noise_variance",
+        "nan_horizon", "nan_amplitude"])
+def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
+    cfg = small_config(experiment, tmp_path / "out")
+    set_field(cfg, path, value)
+    assert cli.run(cfg) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+FUZZ_POOL = [None, True, "x", [], {}, 5, -1, 0, 2, math.nan, math.inf, [1.0, "x"]]
+FUZZ_OUTCOMES = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CERTIFICATE, cli.EXIT_NUMERICAL)
+
+
+@settings(deadline=None, max_examples=300)
+@given(experiment=st.sampled_from(sorted(SMALL)),
+       path=st.sampled_from(sorted({path for path, *_ in cli._SCHEMA})),
+       value=st.sampled_from(FUZZ_POOL))
+def test_any_schema_field_set_to_any_pool_value_ends_in_an_exit_code(tmp_path_factory, experiment, path, value):
+    # the pool holds no large count and no tiny time step, so no draw can allocate a huge grid
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = small_config(experiment, work / "out")
+    set_field(cfg, path, value)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # a relative out_dir such as "x" lands here
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.run(cfg)  # a traceback fails the test
+    finally:
+        os.chdir(cwd)
+    assert code in FUZZ_OUTCOMES
+    assert [str(w.message) for w in caught] == []  # the CLI would print each to stderr
+    for line in err.getvalue().splitlines():
+        assert line.startswith(("config error: ", "numerical failure in ", "note: ")), line
+
+
+def test_resolved_config_holds_the_defaults_of_its_experiment_only():
+    cfg, problems = cli.resolve({"experiment": "tracking", "gains": {"theta": [200.0, 20.0]}})
+    assert problems == []
+    assert cfg["horizon"] == 30.0 and cfg["fine_dt"] == 3e-4
+    assert cfg["data_grid"] == {"x1": [0.0, 3.0, 5], "x2": [-4.0, 4.0, 5]}
+    assert cfg["bound"] == {"tau": 0.01, "delta": 0.01, "L_f": 2.0, "delta_L": 0.01}
+    assert not {"sim_dt", "sweep", "episodic", "validation"} & set(cfg)
+    cfg, problems = cli.resolve({"experiment": "validate_lipschitz", "unknown": {"kept": 1}})
+    assert problems == []
+    assert cfg["validation"] == {"draws": 500} and cfg["unknown"] == {"kept": 1}
+    assert "horizon" not in cfg and "gains" not in cfg
+
+
+def test_resolve_leaves_its_argument_alone():
+    config = {"experiment": "density_sweep", "sweep": {"pitches": [1.0]}}
+    cfg, problems = cli.resolve(config)
+    assert problems == [] and cfg["sweep"]["kappa"] == 10.0 and cfg["sweep"]["extent"] == [-4.0, 4.0]
+    assert config == {"experiment": "density_sweep", "sweep": {"pitches": [1.0]}}
+
+
+def test_cli_main_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert cli.main(["run", "--config", str(path), "--seed", "1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: cannot read ") for line in err)
+
+
+def test_one_pitch_density_sweep_has_no_slope(tmp_path):
+    out = tmp_path / "ds"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a line through one point used to raise a RankWarning
+        assert cli.run(small_config("density_sweep", out)) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["slope_log_upsilon_vs_log_rho"] is None and summary["slope_log_e_max_vs_log_rho"] is None
