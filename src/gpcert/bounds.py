@@ -88,7 +88,7 @@ def mean_lipschitz(model: GPModel, L_k: float) -> float:
     return L_k * math.sqrt(n) * float(np.linalg.norm(model.alpha))
 
 
-def stddev_modulus(spec: KernelSpec, tau: float, L_k: float, stationary_L_sigma: float | None = None) -> float:
+def stddev_modulus(tau: float, L_k: float, stationary_L_sigma: float | None = None) -> float:
     """Modulus of continuity of sigma at lag tau.
 
     Returns min(sqrt(2 L_k tau), L_sigma tau) when the stationary constant is
@@ -148,7 +148,7 @@ def bound_constants(model: GPModel, tau: float, delta: float, L_f: float, box: D
     """
     b = beta(tau, delta, box)
     L_mu = mean_lipschitz(model, L_k)
-    om = stddev_modulus(model.kernel, tau, L_k, L_sigma)
+    om = stddev_modulus(tau, L_k, L_sigma)
     g = gamma(tau, L_mu, L_f, b, om)
     return BoundReport(tau, delta, b, g, L_mu, L_f, covering_number_bound(tau, box), L_k, L_sigma, om, box)
 

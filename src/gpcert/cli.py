@@ -62,6 +62,10 @@ def _positive(v) -> bool:
     return _number(v) and v > 0
 
 
+def _nonnegative(v) -> bool:
+    return _number(v) and v >= 0
+
+
 def _list_of(ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
 
@@ -74,6 +78,7 @@ _REQUIRED = object()  # the default of a field that has none; its absence is a p
 
 _POSITIVE = _positive, "a positive number"
 _FRACTION = (lambda v: _number(v) and 0 < v < 1), "a number in (0, 1)"
+_NOT_TRACKING = tuple(e for e in EXPERIMENTS if e != "tracking")
 _AXIS = (lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1])
          and _number(v[2], int) and v[2] > 0), "[lo, hi, count] with count a positive integer"
 
@@ -90,10 +95,14 @@ _SCHEMA = (
     ("domain.dimension", _count(1), 2, EXPERIMENTS),
     ("domain.edge", _POSITIVE, 10.0, EXPERIMENTS),
     ("domain.center", (_list_of(_number), "a nonempty list of numbers"), [0.0, 0.0], EXPERIMENTS),
-    ("bound.tau", (lambda v: v == "auto" or _positive(v), "a positive number or 'auto'"), 0.01, EXPERIMENTS),
+    # only tracking resolves tau "auto" and L_f "probabilistic"; the other
+    # experiments take the fields as numbers
+    ("bound.tau", (lambda v: v == "auto" or _positive(v), "a positive number or 'auto'"), 0.01, ("tracking",)),
+    ("bound.tau", _POSITIVE, 0.01, _NOT_TRACKING),
     ("bound.delta", _FRACTION, 0.01, EXPERIMENTS),
-    ("bound.L_f", (lambda v: v == "probabilistic" or (_number(v) and v >= 0),
-                   "a nonnegative number or 'probabilistic'"), 2.0, EXPERIMENTS),
+    ("bound.L_f", (lambda v: v == "probabilistic" or _nonnegative(v),
+                   "a nonnegative number or 'probabilistic'"), 2.0, ("tracking",)),
+    ("bound.L_f", (_nonnegative, "a nonnegative number"), 2.0, _NOT_TRACKING),
     ("bound.delta_L", _FRACTION, 0.01, EXPERIMENTS),
     ("reference.amplitude", (_number, "a finite number"), 2.0, EXPERIMENTS),
     ("reference.frequency", _POSITIVE, 1.0, EXPERIMENTS),
@@ -400,8 +409,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f, L_k, L_sigma)
-        loop = cert.loop
-        sim = run_closed_loop(loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise)
+        sim = run_closed_loop(cert.loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise)
         e_max = float(sim.error_norms.max())
         if e_max > cert.upsilon_bar or not box.contains(sim.states):
             violations += 1
@@ -415,12 +423,8 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
             ["x_1", "x_2", "rho", "sigma_exact", "sigma_bound_prop10"],
             [profile_points[:, 0], profile_points[:, 1], rho, sigma_profile, density_sd_bound],
         )
-        rows.append({
-            "pitch": pitch, "n_train": len(data), "rho_min": rho_min,
-            "upsilon_bar": cert.upsilon_bar, "e_max": e_max, "tau": cert.tau, "beta": cert.beta,
-            "gamma": cert.gamma, "L_mu": cert.L_mu, "lambda_max": loop.lambda_max, "zeta": loop.zeta,
-            "kappa": cert.kappa,
-        })
+        rows.append({"pitch": pitch, "n_train": len(data), "rho_min": rho_min, "e_max": e_max,
+                     **cert.to_json_dict()})
 
     header = ["rho_min", "upsilon_bar", "e_max", "pitch", "n_train", "tau", "beta", "lambda_max", "zeta", "kappa"]
     _write_csv(os.path.join(out_dir, "density_sweep.csv"), header, [[r[k] for r in rows] for k in header])
@@ -482,15 +486,15 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         1
         for prev, cur in zip(reports, reports[1:])
         if cur.states_left_box
-        or (cur.observed_max_error is not None and cur.observed_max_error > prev.certified_bound)
+        or (cur.observed_max_error is not None and cur.observed_max_error > prev.certificate.upsilon_bar)
     )
     return {
         "episodes_run": len(reports) - 1,
         "N_E": n_e,
         "total_confidence": 1.0 - n_e * config.delta,
-        "terminated": reports[-1].certified_bound <= config.target_error,
-        "final_upsilon_bar": reports[-1].certified_bound,
-        "upsilon_bar_0": reports[0].certified_bound,
+        "terminated": reports[-1].certificate.upsilon_bar <= config.target_error,
+        "final_upsilon_bar": reports[-1].certificate.upsilon_bar,
+        "upsilon_bar_0": reports[0].certificate.upsilon_bar,
         "certificate_violations": violations,
         "L_dk": L_dk,
         "L_k": L_k,
@@ -622,7 +626,11 @@ def run(config: dict, workers: int = 1) -> int:
             print(f"config error: {p}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. a path naming an existing file
+        print(f"config error: out_dir: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     exp = cfg["experiment"]
     try:
         summary, ok = run_tracking(cfg, out_dir, workers) if exp == "tracking" else _RUNNERS[exp](cfg, out_dir)

@@ -18,9 +18,8 @@ loop terminates within the episode-count bound.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,7 @@ from . import kernels as kern
 from . import tracking as trk
 from .density import data_density_batch
 from .errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
-from .gp import GPModel, TrainingSet, downsample, fit
+from .gp import GPModel, TrainingSet, add_samples, downsample, fit
 from .kernels import KernelSpec
 from .simulation import ReferenceSpec, run_closed_loop
 from .tracking import ClosedLoop, LinearPlant
@@ -74,41 +73,23 @@ class EpisodeReport:
 
     episode: int
     sampling_time: float | None
-    theta: tuple[float, ...]
-    lambda_max: float
     data_size: int
-    certified_bound: float
+    certificate: trk.Certificate
     observed_max_error: float | None
-    wall_time_s: float = field(compare=False)
-    zeta: float = 0.0
-    tau: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    L_mu: float = 0.0
-    kappa: float = 0.0
     rho_min: float = 0.0
     min_sampling_time: float | None = None
     max_speed: float | None = None
     states_left_box: bool = False
 
     def to_json_dict(self) -> dict:
-        # wall time is intentionally omitted: artifacts must be byte-identical
-        # across reruns of the same seed; states_left_box reaches the summary
-        # as a certificate violation instead
+        # states_left_box reaches the summary as a certificate violation instead
         return {
+            **self.certificate.to_json_dict(),
             "episode": self.episode,
             "T_s": self.sampling_time,
-            "theta": list(self.theta),
-            "lambda_max": self.lambda_max,
+            "theta": self.certificate.loop.theta.tolist(),
             "N": self.data_size,
-            "upsilon_bar": self.certified_bound,
             "observed_max_error": self.observed_max_error,
-            "zeta": self.zeta,
-            "tau": self.tau,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "L_mu": self.L_mu,
-            "kappa": self.kappa,
             "rho_min": self.rho_min,
             "T_s_lower_bound": self.min_sampling_time,
             "max_speed": self.max_speed,
@@ -142,7 +123,7 @@ def select_gains(
 
 def select_sampling_time(
     raw: TrainingSet,
-    model_builder: Callable[[TrainingSet], GPModel],
+    model: GPModel,
     ref_points: np.ndarray,
     upsilon_prev: float,
     L_dk: float,
@@ -151,6 +132,7 @@ def select_sampling_time(
 ) -> tuple[float, GPModel]:
     """Largest T_s on the ladder {fine_dt 2^j} meeting the variance condition.
 
+    Each rung refits ``model`` with the raw recording downsampled to it.
     Rungs are evaluated coarsest-first; the variance condition is monotone
     along the ladder (coarser data can only increase the posterior variance),
     so the first success is the answer.  Failure at the finest rung means the
@@ -163,9 +145,9 @@ def select_sampling_time(
         rungs.append(ts)
         ts *= 2.0
     for candidate in reversed(rungs):
-        model = model_builder(downsample(raw, fine_dt, candidate))
-        if float(np.max(model.predict_var(ref_points))) <= threshold:
-            return candidate, model
+        refit = add_samples(model, downsample(raw, fine_dt, candidate))
+        if float(np.max(refit.predict_var(ref_points))) <= threshold:
+            return candidate, refit
     raise ConditionUnreachableError(
         f"variance condition sigma^2 <= {threshold:.3g} unreachable even at T_s = {fine_dt}"
     )
@@ -220,9 +202,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
     # minimum only tightens the grid-constant condition, which stays valid
     density_points = ref_points[:: max(1, len(ref_points) // 2048)]
 
-    t_ep = time.perf_counter()
-    cumulative = TrainingSet.empty(spec.dim, config.noise_variance)
-    model = fit(spec, cumulative)
+    model = fit(spec, TrainingSet.empty(spec.dim, config.noise_variance))
     # seed level producing gamma <= sqrt(beta) sigma_f, the data-free analogue
     # of the variance condition
     upsilon_prev = math.sqrt(k0) / (4.0 * math.sqrt(L_dk))
@@ -242,18 +222,9 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
             EpisodeReport(
                 episode=i,
                 sampling_time=T_s,
-                theta=tuple(cert.loop.theta),
-                lambda_max=cert.loop.lambda_max,
-                data_size=len(cumulative),
-                certified_bound=cert.upsilon_bar,
+                data_size=len(model),
+                certificate=cert,
                 observed_max_error=observed,
-                wall_time_s=time.perf_counter() - t_ep,
-                zeta=cert.loop.zeta,
-                tau=cert.tau,
-                beta=cert.beta,
-                gamma=cert.gamma,
-                L_mu=cert.L_mu,
-                kappa=cert.kappa,
                 rho_min=rho_measured,
                 min_sampling_time=T_s_lower,
                 max_speed=max_speed,
@@ -268,7 +239,6 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
                 f"certified bound {cert.upsilon_bar:.4g} still above target "
                 f"{config.target_error} after {config.max_episodes} episodes"
             )
-        t_ep = time.perf_counter()
         upsilon_prev = cert.upsilon_bar
         sim = run_closed_loop(
             cert.loop,
@@ -284,14 +254,10 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
         observed = float(sim.error_norms.max())
         # the certificate bounds the error only while the states stay in the box
         left_box = not box.contains(sim.states)
-
-        def builder(ds: TrainingSet) -> GPModel:
-            return fit(spec, cumulative.concat(ds))
-
+        # the chosen refit's data is the cumulative downsampled data
         T_s, model = select_sampling_time(
-            sim.measurements, builder, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
+            sim.measurements, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
         )
-        cumulative = cumulative.concat(downsample(sim.measurements, config.fine_dt, T_s))
         ladder_top = T_s  # sampling times never increase across episodes
 
         rho_measured = float(np.min(data_density_batch(model, density_points)))

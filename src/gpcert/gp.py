@@ -6,8 +6,9 @@ Predictions follow the standard closed forms
     sigma^2(x) = k(x,x) - k(x)^T (K + s_on^2 I)^{-1} k(x)
 
 backed by a cached lower-triangular Cholesky factor.  Models are immutable;
-the episodic loop refits with :func:`fit` on the concatenated data once per
-ladder rung (the cubic refit cost is acceptable at its data sizes).  Batch
+the episodic loop refits with :func:`add_samples`, a full :func:`fit` on the
+concatenated data, once per ladder rung (the cubic refit cost is acceptable
+at its data sizes).  Batch
 predictions run over the queries in the row blocks of
 :func:`kernels._row_blocks`, so their memory stays bounded as the query set
 grows.  There is no automatic jitter beyond the noise variance: a failed

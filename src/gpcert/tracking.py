@@ -276,6 +276,18 @@ class Certificate:
     kappa: float
     sampling_term: float  # sqrt(beta) omega_sigma(max_arc / 2): eta's proven rise between samples
 
+    def to_json_dict(self) -> dict:
+        return {
+            "upsilon_bar": self.upsilon_bar,
+            "tau": self.tau,
+            "beta": self.beta,
+            "gamma": self.gamma,
+            "L_mu": self.L_mu,
+            "kappa": self.kappa,
+            "lambda_max": self.loop.lambda_max,
+            "zeta": self.loop.zeta,
+        }
+
 
 def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[[float], ClosedLoop],
             box: bnd.DomainBox, delta: float, L_f: float, L_k: float, L_sigma: float) -> Certificate:
@@ -298,7 +310,7 @@ def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[
     loop = gains(rep.beta)
     eta = bnd.uniform_error_bound(rep, points, model.predict_stddev(points))
     max_eta = float(np.max(eta))
-    term = math.sqrt(rep.beta) * bnd.stddev_modulus(model.kernel, max_arc / 2.0, L_k, L_sigma)
+    term = math.sqrt(rep.beta) * bnd.stddev_modulus(max_arc / 2.0, L_k, L_sigma)
     sup_eta = SAFETY_FACTOR * max_eta
     if sup_eta < max_eta + term:
         raise InfeasibilityError(

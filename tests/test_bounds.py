@@ -68,9 +68,9 @@ def test_mean_lipschitz_examples():
 
 
 def test_stddev_modulus_examples():
-    assert stddev_modulus(se_unit(), 0.01, 1.0) == pytest.approx(math.sqrt(0.02))
-    assert stddev_modulus(se_unit(), 0.01, 1.0, 1.0) == pytest.approx(0.01)
-    assert stddev_modulus(se_unit(), 0.0, 1.0, 1.0) == 0.0
+    assert stddev_modulus(0.01, 1.0) == pytest.approx(math.sqrt(0.02))
+    assert stddev_modulus(0.01, 1.0, 1.0) == pytest.approx(0.01)
+    assert stddev_modulus(0.0, 1.0, 1.0) == 0.0
 
 
 def test_gamma_examples():

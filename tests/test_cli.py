@@ -411,11 +411,16 @@ def set_field(cfg, path, value):
     ("tracking", "noise_variance", math.inf, "noise_variance"),
     ("tracking", "horizon", math.nan, "horizon"),
     ("episodic", "reference.amplitude", math.nan, "reference.amplitude"),
+    # only tracking resolves these strings; the others used to fail on float() with no path
+    ("density_sweep", "bound.L_f", "probabilistic", "bound.L_f"),
+    ("episodic", "bound.L_f", "probabilistic", "bound.L_f"),
+    ("validate_bounds", "bound.tau", "auto", "bound.tau"),
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
         "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_plant", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
         "true_noise_variance", "true_seed", "true_trials", "true_grid_count", "infinite_noise_variance",
-        "nan_horizon", "nan_amplitude"])
+        "nan_horizon", "nan_amplitude", "probabilistic_L_f_density_sweep", "probabilistic_L_f_episodic",
+        "auto_tau_validate_bounds"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)
@@ -487,3 +492,25 @@ def test_one_pitch_density_sweep_has_no_slope(tmp_path):
         assert cli.run(small_config("density_sweep", out)) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["slope_log_upsilon_vs_log_rho"] is None and summary["slope_log_e_max_vs_log_rho"] is None
+
+
+def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "file"
+    path.write_text("")
+    assert cli.run(small_config("validate_lipschitz", path)) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: out_dir: ")
+
+
+CERTIFICATE_KEYS = {"upsilon_bar", "tau", "beta", "gamma", "L_mu", "kappa", "lambda_max", "zeta"}
+
+
+def test_episode_and_density_sweep_rows_hold_exactly_their_keys(tmp_path):
+    ep, ds = tmp_path / "ep", tmp_path / "ds"
+    assert cli.run(small_config("episodic", ep)) == cli.EXIT_OK
+    assert cli.run(small_config("density_sweep", ds)) == cli.EXIT_OK
+    episodes = [json.loads(line) for line in (ep / "episodes.jsonl").read_text().splitlines()]
+    assert episodes and all(set(row) == CERTIFICATE_KEYS | {
+        "episode", "T_s", "theta", "N", "observed_max_error", "rho_min", "T_s_lower_bound", "max_speed",
+    } for row in episodes)
+    rows = json.loads((ds / "summary.json").read_text())["rows"]
+    assert rows and all(set(row) == CERTIFICATE_KEYS | {"pitch", "n_train", "rho_min", "e_max"} for row in rows)

@@ -97,11 +97,11 @@ def test_select_sampling_time_matches_exhaustive():
     raw = line_data(4096, 1e-3)
     ref_points = np.linspace(0.0, 4.0, 41)[:, None]
     L_dk = gradient_lipschitz(spec)
-    builder = lambda ds: fit(spec, ds)
+    empty = fit(spec, TrainingSet.empty(1, 0.01))
 
     # oracle: evaluate every rung independently
     def rung_ok(ts, threshold):
-        m = builder(downsample(raw, 1e-3, ts))
+        m = fit(spec, downsample(raw, 1e-3, ts))
         return float(np.max(m.predict_var(ref_points))) <= threshold
 
     for upsilon_prev in (0.03, 0.05, 0.08, 0.3):
@@ -109,11 +109,11 @@ def test_select_sampling_time_matches_exhaustive():
         rungs = [1e-3 * 2 ** j for j in range(13) if 1e-3 * 2 ** j <= 4.0]
         satisfying = [r for r in rungs if rung_ok(r, threshold)]
         if satisfying:
-            ts, _ = select_sampling_time(raw, builder, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
+            ts, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
             assert ts == pytest.approx(max(satisfying))
         else:
             with pytest.raises(ConditionUnreachableError):
-                select_sampling_time(raw, builder, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
+                select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
 
 
 def test_select_sampling_time_crossing_between_rungs():
@@ -122,13 +122,13 @@ def test_select_sampling_time_crossing_between_rungs():
     raw = line_data(4096, 1e-3)
     ref_points = np.linspace(0.0, 4.0, 41)[:, None]
     L_dk = gradient_lipschitz(spec)
-    builder = lambda ds: fit(spec, ds)
+    empty = fit(spec, TrainingSet.empty(1, 0.01))
     rungs = [1e-3 * 2 ** j for j in range(12)]
-    variances = [float(np.max(builder(downsample(raw, 1e-3, r)).predict_var(ref_points))) for r in rungs]
+    variances = [float(np.max(fit(spec, downsample(raw, 1e-3, r)).predict_var(ref_points))) for r in rungs]
     # pick a threshold strictly between the rung-4 and rung-5 variances
     threshold = 0.5 * (variances[4] + variances[5])
     upsilon_prev = math.sqrt(threshold / (16.0 * L_dk))
-    ts, model = select_sampling_time(raw, builder, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
+    ts, model = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
     assert ts == pytest.approx(rungs[4])
     assert float(np.max(model.predict_var(ref_points))) <= threshold
 
@@ -138,10 +138,10 @@ def test_select_sampling_time_monotone_in_target():
     raw = line_data(2048, 1e-3)
     ref_points = np.linspace(0.0, 2.0, 21)[:, None]
     L_dk = gradient_lipschitz(spec)
-    builder = lambda ds: fit(spec, ds)
+    empty = fit(spec, TrainingSet.empty(1, 0.01))
     prev = None
     for upsilon_prev in (0.4, 0.2, 0.1, 0.05):
-        ts, _ = select_sampling_time(raw, builder, ref_points, upsilon_prev, L_dk, 1e-3, 2.0)
+        ts, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 2.0)
         if prev is not None:
             assert ts <= prev
         prev = ts
@@ -151,7 +151,7 @@ def test_select_sampling_time_slack_condition_returns_top():
     spec = se_unit()
     raw = line_data(1024, 1e-3)
     ref_points = np.linspace(0.0, 1.0, 11)[:, None]
-    ts, _ = select_sampling_time(raw, lambda ds: fit(spec, ds), ref_points, 1e6,
+    ts, _ = select_sampling_time(raw, fit(spec, TrainingSet.empty(1, 0.01)), ref_points, 1e6,
                                  gradient_lipschitz(spec), 1e-3, 1.0)
     assert ts == pytest.approx(1e-3 * 2 ** 9)  # largest power-of-two rung <= 1.0
 
@@ -175,13 +175,13 @@ def test_learn_control_zero_episodes():
     reports = run_episodes(cfg)
     assert len(reports) == 1
     assert reports[0].episode == 0
-    assert reports[0].certified_bound <= 10.0
+    assert reports[0].certificate.upsilon_bar <= 10.0
 
 
 def test_learn_control_short_run_invariants():
     cfg = small_episode_config(target=0.1)
     reports = run_episodes(cfg)
-    assert reports[-1].certified_bound <= 0.1
+    assert reports[-1].certificate.upsilon_bar <= 0.1
     assert len(reports) >= 2
     sizes = [r.data_size for r in reports[1:]]
     assert all(b > a for a, b in zip(sizes, sizes[1:])) or len(sizes) == 1
@@ -189,10 +189,10 @@ def test_learn_control_short_run_invariants():
     assert all(b <= a for a, b in zip(ts, ts[1:]))
     # soundness: each episode ran under the previous certificate
     for prev, cur in zip(reports, reports[1:]):
-        assert cur.observed_max_error <= prev.certified_bound
+        assert cur.observed_max_error <= prev.certificate.upsilon_bar
     # certified contraction never exceeds xi
     for prev, cur in zip(reports, reports[1:]):
-        assert cur.certified_bound <= cfg.xi * prev.certified_bound + 1e-12
+        assert cur.certificate.upsilon_bar <= cfg.xi * prev.certificate.upsilon_bar + 1e-12
     # (the min_sampling_time <= T_s comparison lives in the acceptance suite:
     # the cubic lower bound is meaningful only at benchmark-scale targets)
 

@@ -180,7 +180,7 @@ def test_tau_for_density():
 
     for rho, tau in zip((1.0, 10.0, 100.0), taus):
         b = bnd.beta(tau, 0.01, box)
-        om = bnd.stddev_modulus(spec, tau, L_k, L_sigma)
+        om = bnd.stddev_modulus(tau, L_k, L_sigma)
         g = bnd.gamma(tau, 0.0, 2.0, b, om)
         assert b >= g * g * rho * spec.signal_variance / 2.0
 
@@ -232,7 +232,7 @@ def test_certify_rejects_points_too_coarse_for_the_safety_factor():
 
     fine = certify_on(4001)
     arc = 2.0 * 2.0 * math.pi / 4000  # one 4000th of the circle of radius 2
-    expect = math.sqrt(fine.beta) * stddev_modulus(spec, arc / 2.0, L_k, L_sigma)
+    expect = math.sqrt(fine.beta) * stddev_modulus(arc / 2.0, L_k, L_sigma)
     assert fine.sampling_term == pytest.approx(expect, rel=1e-9)
     assert fine.sup_eta >= fine.sup_eta / SAFETY_FACTOR + fine.sampling_term
     with pytest.raises(InfeasibilityError, match="too coarse"):
