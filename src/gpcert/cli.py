@@ -268,89 +268,114 @@ def _grid(*axes) -> np.ndarray:
 # tracking experiment (closed-loop certificate)
 # ---------------------------------------------------------------------------
 
-def _run_tracking_seed(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seed: int) -> dict:
-    """One seed of the tracking experiment; L_f, L_k and L_sigma are the run's."""
+def _tracking_prelude(cfg: dict, L_f: float, L_k: float, L_sigma: float, seed: int):
+    """Training data, fitted model, tau and bound constants of one seed; no trajectory-length array."""
     spec = _kernel_from(cfg)
+    box = _box_from(cfg)
+    f, _, _ = benchmark_system()
+    bb = cfg["bound"]
+    noise = float(cfg["noise_variance"])
+    grid = _grid(*(np.linspace(*cfg["data_grid"][axis]) for axis in ("x1", "x2")))
+    rng = np.random.default_rng(seed)
+    y = f(grid) + rng.normal(0.0, math.sqrt(noise), size=grid.shape[0])
+    data = TrainingSet(grid, y, noise)
+    model = fit(spec, data)
+    tau = bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma) if bb["tau"] == "auto" else float(bb["tau"])
+    return data, model, tau, bnd.bound_constants(model, tau, bb["delta"], L_f, box, L_k, L_sigma)
+
+
+def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seeds) -> list[dict]:
+    """Seeds of the tracking experiment, rolled out together; L_f, L_k and L_sigma are the run's.
+
+    A per-seed prelude fits each model, one :func:`run_closed_loop` steps
+    every seed, and a per-seed writer forms eta and upsilon and writes the
+    seed's CSVs.  The seeds share inputs, kernel, noise, gains and reference,
+    so their posterior stddev along the reference is one array, computed once.
+    """
     box = _box_from(cfg)
     ref = _reference_from(cfg)
     f, g, _ = benchmark_system()
     bb = cfg["bound"]
     horizon = float(cfg["horizon"])
     dt = float(cfg["fine_dt"])
-    noise = float(cfg["noise_variance"])
-
-    grid = _grid(*(np.linspace(*cfg["data_grid"][axis]) for axis in ("x1", "x2")))
-    rng = np.random.default_rng(seed)
-    y = f(grid) + rng.normal(0.0, math.sqrt(noise), size=grid.shape[0])
-    data = TrainingSet(grid, y, noise)
-    model = fit(spec, data)
-
-    tau = bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma) if bb["tau"] == "auto" else float(bb["tau"])
     source = "probabilistic" if bb["L_f"] == "probabilistic" else "given"
-    rep = bnd.bound_constants(model, tau, bb["delta"], L_f, box, L_k, L_sigma)
     loop = closed_loop(_plant_from(cfg), _theta_from(cfg))
-    stable = trk.gain_condition(loop, L_sigma, rep.beta)
 
+    data, models, taus, reps = zip(*(_tracking_prelude(cfg, L_f, L_k, L_sigma, seed) for seed in seeds))
     t_half = _half_step_times(horizon, dt)
     x_half = ref.state(t_half)
-    sigma_half = model.predict_stddev(x_half)
-    eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
-    upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
-    sim = run_closed_loop(loop, model, ref, horizon, dt, seed, f, input_gain=g, noise_variance=noise)
-    e = sim.error_norms
-    # eta, and so upsilon, holds only inside the box
-    certified = bool(np.all(e <= upsilon + 1e-12)) and box.contains(sim.states)
-
-    # phase structure: the worst tracking error should fall in the same
-    # half-period of the reference as the worst posterior uncertainty
+    sigma_half = models[0].predict_stddev(x_half)
+    sims = run_closed_loop(loop, models, ref, horizon, dt, seeds, f,
+                           input_gain=g, noise_variance=float(cfg["noise_variance"]))
+    # the phase of the worst posterior uncertainty, over the first two periods
     period = ref.period
-    t_e = float(sim.times[int(np.argmax(e))]) % period
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
-    same_half = (t_e < period / 2.0) == (t_sig < period / 2.0)
 
-    _write_csv(
-        os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
-        ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
-        [sim.times, e, upsilon, eta_half[::2], sigma_half[::2]],
-    )
-    _write_csv(
-        os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
-        ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
-        [sim.times, sim.states[:, 0], sim.states[:, 1],
-         sim.reference_states[:, 0], sim.reference_states[:, 1], sim.controls, e],
-    )
-    data.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
-    return {
-        "seed": seed,
-        "certified": certified,
-        "gain_condition": stable,
-        "max_error": float(e.max()),
-        "max_upsilon": float(upsilon.max()),
-        "argmax_error_time": t_e,
-        "argmax_sigma_time": t_sig,
-        "error_peak_in_uncertain_half_period": bool(same_half),
-        "bound": {**rep.to_json_dict(), "L_f_source": source},
-        "resolved_bound": {**bb, "tau": tau, "L_f": L_f, "L_f_source": source},
-        "zeta": loop.zeta,
-        "lambda_max": loop.lambda_max,
-        "L_sigma": L_sigma,
-        "L_k": L_k,
-    }
+    results = []
+    for seed, training, tau, rep, sim in zip(seeds, data, taus, reps, sims):
+        eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
+        upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
+        e = sim.error_norms
+        # eta, and so upsilon, holds only inside the box
+        certified = bool(np.all(e <= upsilon + 1e-12)) and box.contains(sim.states)
+        # phase structure: the worst tracking error should fall in the same
+        # half-period of the reference as the worst posterior uncertainty
+        t_e = float(sim.times[int(np.argmax(e))]) % period
+        same_half = (t_e < period / 2.0) == (t_sig < period / 2.0)
+
+        _write_csv(
+            os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
+            ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
+            [sim.times, e, upsilon, eta_half[::2], sigma_half[::2]],
+        )
+        _write_csv(
+            os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
+            ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
+            [sim.times, sim.states[:, 0], sim.states[:, 1],
+             sim.reference_states[:, 0], sim.reference_states[:, 1], sim.controls, e],
+        )
+        training.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
+        results.append({
+            "seed": seed,
+            "certified": certified,
+            "gain_condition": trk.gain_condition(loop, L_sigma, rep.beta),
+            "max_error": float(e.max()),
+            "max_upsilon": float(upsilon.max()),
+            "argmax_error_time": t_e,
+            "argmax_sigma_time": t_sig,
+            "error_peak_in_uncertain_half_period": bool(same_half),
+            "bound": {**rep.to_json_dict(), "L_f_source": source},
+            "resolved_bound": {**bb, "tau": tau, "L_f": L_f, "L_f_source": source},
+            "zeta": loop.zeta,
+            "lambda_max": loop.lambda_max,
+            "L_sigma": L_sigma,
+            "L_k": L_k,
+        })
+    return results
+
+
+_MAX_BATCH = 16  # seeds per rollout: past it the stepper gains little and its states keep growing
 
 
 def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]:
-    """Every seed, fanned out over ``workers`` processes; the kernel and box
-    constants L_f, L_k and L_sigma are computed once, here."""
+    """Every seed, in contiguous batches spread over ``workers`` processes; the
+    kernel and box constants L_f, L_k and L_sigma are computed once, here.
+
+    There is one batch per worker, or more when a batch would exceed
+    ``_MAX_BATCH`` seeds.  A seed's artifacts do not depend on its batch.
+    """
     spec, box, bb = _kernel_from(cfg), _box_from(cfg), cfg["bound"]
     L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"]) if bb["L_f"] == "probabilistic" else float(bb["L_f"])
-    seed_run = functools.partial(_run_tracking_seed, cfg, out_dir, L_f,
-                                 kern.kernel_lipschitz(spec, box), kern.stddev_lipschitz(spec, box))
+    batch_run = functools.partial(_run_tracking_batch, cfg, out_dir, L_f,
+                                  kern.kernel_lipschitz(spec, box), kern.stddev_lipschitz(spec, box))
     seeds = cfg["seeds"]
-    if workers > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(seed_run, seeds))
+    count = max(min(workers, len(seeds)), -(-len(seeds) // _MAX_BATCH))
+    batches = [seeds[len(seeds) * i // count: len(seeds) * (i + 1) // count] for i in range(count)]
+    if workers > 1 and count > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+            results = [r for batch in pool.map(batch_run, batches) for r in batch]
     else:
-        results = [seed_run(s) for s in seeds]
+        results = [r for batch in batches for r in batch_run(batch)]
     results.sort(key=lambda r: r["seed"])
     ok = all(r["certified"] for r in results)
     gains_ok = all(r["gain_condition"] for r in results)
@@ -409,7 +434,8 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f, L_k, L_sigma)
-        sim = run_closed_loop(cert.loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise)
+        sim = run_closed_loop(cert.loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise,
+                              controls=False)
         e_max = float(sim.error_norms.max())
         if e_max > cert.upsilon_bar or not box.contains(sim.states):
             violations += 1

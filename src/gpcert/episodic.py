@@ -129,14 +129,16 @@ def select_sampling_time(
     L_dk: float,
     fine_dt: float,
     ladder_top: float,
-) -> tuple[float, GPModel]:
+    return_variance: bool = False,
+):
     """Largest T_s on the ladder {fine_dt 2^j} meeting the variance condition.
 
     Each rung refits ``model`` with the raw recording downsampled to it.
     Rungs are evaluated coarsest-first; the variance condition is monotone
     along the ladder (coarser data can only increase the posterior variance),
     so the first success is the answer.  Failure at the finest rung means the
-    recording itself is too sparse or noisy.
+    recording itself is too sparse or noisy.  Returns (T_s, refit), and with
+    ``return_variance`` also the refit's variance at ``ref_points``.
     """
     threshold = 16.0 * L_dk * upsilon_prev ** 2
     rungs = []
@@ -146,8 +148,9 @@ def select_sampling_time(
         ts *= 2.0
     for candidate in reversed(rungs):
         refit = add_samples(model, downsample(raw, fine_dt, candidate))
-        if float(np.max(refit.predict_var(ref_points))) <= threshold:
-            return candidate, refit
+        var = refit.predict_var(ref_points)
+        if float(np.max(var)) <= threshold:
+            return (candidate, refit, var) if return_variance else (candidate, refit)
     raise ConditionUnreachableError(
         f"variance condition sigma^2 <= {threshold:.3g} unreachable even at T_s = {fine_dt}"
     )
@@ -207,7 +210,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
     # of the variance condition
     upsilon_prev = math.sqrt(k0) / (4.0 * math.sqrt(L_dk))
     # episode 0 is the data-free initialization: nothing sampled or observed
-    T_s = observed = T_s_lower = max_speed = None
+    T_s = observed = T_s_lower = max_speed = variance = None
     left_box = False
     rho_measured = 0.0
     ladder_top = config.horizon
@@ -217,7 +220,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
         rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
         cert = trk.certify(model, rho_eff, ref_points, config.reference.max_speed * config.fine_dt,
                            lambda b: select_gains(config.plant, L_sigma, b, L_dk, config.xi),
-                           box, config.delta, config.L_f, L_k, L_sigma)
+                           box, config.delta, config.L_f, L_k, L_sigma, variance)
         reports.append(
             EpisodeReport(
                 episode=i,
@@ -246,17 +249,20 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
             config.reference,
             config.horizon,
             config.fine_dt,
-            seed=config.seed + 1000003 * i,
+            seeds=config.seed + 1000003 * i,
             nonlinearity=config.nonlinearity,
             input_gain=config.input_gain,
             noise_variance=config.noise_variance,
+            controls=False,
         )
         observed = float(sim.error_norms.max())
         # the certificate bounds the error only while the states stay in the box
         left_box = not box.contains(sim.states)
-        # the chosen refit's data is the cumulative downsampled data
-        T_s, model = select_sampling_time(
-            sim.measurements, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
+        # the chosen refit's data is the cumulative downsampled data, and its
+        # variance along the reference serves the next certificate
+        T_s, model, variance = select_sampling_time(
+            sim.measurements, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top,
+            return_variance=True,
         )
         ladder_top = T_s  # sampling times never increase across episodes
 

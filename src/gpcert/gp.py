@@ -184,6 +184,58 @@ class GPModel:
         return mean
 
 
+def stacked_mean_function(models):
+    """Callable filling mu_s(x_s) for S models at S points, for the batched RK4 stages.
+
+    The callable takes the points as a (2, S, 1) array, coordinate first (a
+    transposed view of an (S, 2, 1) stack will do), and an (S, 1, 1) array
+    ``out`` that receives the S means.  Entry s is bit-identical to
+    ``models[s].mean_function()`` at x_s.  When every model has the same
+    squared-exponential kernel of dimension 2 and the same inputs, so that
+    they differ only in alpha, one set of ufunc calls serves all S points:
+    the steps of :meth:`GPModel.mean_function` on a (2, S, N) buffer whose
+    two coordinates are contiguous (S, N) blocks, then the stacked product
+    (S, 1, N) @ (S, N, 1), which makes the same dot product per model.
+    Otherwise each model's own closure runs in turn.  The buffers make the
+    callable non-reentrant.
+    """
+    from .kernels import SQUARED_EXPONENTIAL  # local: avoid cycle at import time
+
+    first = models[0]
+    if not (len(first) > 0 and first.kernel.family == SQUARED_EXPONENTIAL and first.kernel.dim == 2
+            and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
+                    for m in models)):
+        means = [m.mean_function() for m in models]
+
+        def each(points, out):
+            for s, mean in enumerate(means):
+                out[s] = mean(points[:, s, 0])
+
+        return each
+    shape = (2, len(models), len(first))
+    # data and lengthscales at full size: ufuncs on equal shapes skip the broadcast set-up
+    XT = np.ascontiguousarray(np.broadcast_to(first.data.inputs.T[:, None, :], shape))
+    ell = np.ascontiguousarray(np.broadcast_to(first.kernel.ell[:, None, None], shape))
+    sf2 = first.kernel.signal_variance
+    alpha = np.stack([m.alpha for m in models])[:, :, None]  # (S, N, 1)
+    D = np.empty(shape)
+    D0, D1 = D
+    q = np.empty(shape[1:])
+    q_rows = q[:, None, :]
+
+    def mean(points, out):
+        np.subtract(XT, points, out=D)
+        np.divide(D, ell, out=D)
+        np.multiply(D, D, out=D)
+        np.add(D0, D1, out=q)
+        np.multiply(q, -0.5, out=q)
+        np.exp(q, out=q)
+        np.multiply(q, sf2, out=q)
+        np.matmul(q_rows, alpha, out=out)
+
+    return mean
+
+
 def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:
     """Factorize K + s_on^2 I and cache the weight vector alpha."""
     if data.dimension != kernel.dim and len(data) > 0:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedDataError
-from .gp import GPModel, TrainingSet
+from .gp import GPModel, TrainingSet, stacked_mean_function
 from .kernels import KernelSpec, gram
 from .tracking import ClosedLoop, LinearPlant
 
@@ -110,7 +110,7 @@ class SimRun:
     times: np.ndarray
     states: np.ndarray
     reference_states: np.ndarray
-    controls: np.ndarray
+    controls: np.ndarray | None
     measurements: TrainingSet
     seed: int
 
@@ -127,42 +127,81 @@ class SimRun:
 
 def run_closed_loop(
     loop: ClosedLoop,
-    model: GPModel,
+    models,
     ref: ReferenceSpec,
     horizon: float,
     fine_dt: float,
-    seed: int,
+    seeds,
     nonlinearity,
     input_gain=None,
     noise_variance: float | None = None,
-) -> SimRun:
+    controls: bool = True,
+):
     """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the true plant.
 
     The sign convention matches the error dynamics e' = (A - b theta^T) e +
     b (f - mu).  When ``input_gain`` is given the physically applied input is
     the nominal one divided by g(x) (exact knowledge of g); the recorded
-    control is the applied one.  Measurements y = f(x) + eps are taken at
-    every grid point with eps drawn from the seeded generator.
+    control is the applied one, or None with ``controls=False``, which skips
+    the batch mean it needs.  Measurements y = f(x) + eps are taken at every
+    grid point with eps drawn from the seeded generator.
+
+    One model and one seed give one :class:`SimRun`.  Sequences of S models
+    and S seeds give a list of S runs, stepped together in one RK4 loop when
+    S > 1 (:func:`_closed_loop_rk4_batch`); every run is bit-identical to the
+    run of its model and seed alone.  The models of a batch share the
+    closed loop, and should share inputs, kernel and noise, so that only
+    alpha differs (else the GP mean falls back to one call per model).
 
     At every RK4 stage ``nonlinearity`` is called on one point of shape (2,).
     That array is a scratch buffer the stepper overwrites at the next stage:
     the callee must read it and must not keep it, or a view of it.
     """
-    times, states = _closed_loop_rk4(loop, model.mean_function(), ref, horizon, fine_dt, nonlinearity)
+    single = isinstance(models, GPModel)
+    if single:
+        models, seeds = [models], [seeds]
+    if len(models) != len(seeds):
+        raise ValueError(f"{len(models)} models vs {len(seeds)} seeds")
+    if len(models) == 1:
+        times, states = _closed_loop_rk4(loop, models[0].mean_function(), ref, horizon, fine_dt, nonlinearity)
+        per_model = [states]
+    else:
+        times, per_model = _closed_loop_rk4_batch(loop, models, ref, horizon, fine_dt, nonlinearity)
     ref_states = ref.state(times)
+    runs = []
+    for model, seed, states in zip(models, seeds, per_model):
+        u = None
+        if controls:
+            mu = model.predict_mean(states) if len(model) else np.zeros(states.shape[0])
+            u = -((states - ref_states) @ loop.theta) + ref.signal(times) - mu
+            if input_gain is not None:
+                u = u / input_gain(states)
+        noise = model.data.noise_variance if noise_variance is None else noise_variance
+        rng = np.random.default_rng(seed)
+        f_vals = np.asarray(nonlinearity(states), dtype=float)
+        eps = rng.normal(0.0, math.sqrt(noise), size=f_vals.shape) if noise > 0 else 0.0
+        measurements = TrainingSet(states, f_vals + eps, max(noise, 1e-300))
+        runs.append(SimRun(times, states, ref_states, u, measurements, seed))
+    return runs[0] if single else runs
 
-    errors = states - ref_states
-    mu = model.predict_mean(states) if len(model) else np.zeros(states.shape[0])
-    u_nom = -(errors @ loop.theta) + ref.signal(times) - mu
-    controls = u_nom / input_gain(states) if input_gain is not None else u_nom
 
-    if noise_variance is None:
-        noise_variance = model.data.noise_variance
-    rng = np.random.default_rng(seed)
-    f_vals = np.asarray(nonlinearity(states), dtype=float)
-    eps = rng.normal(0.0, math.sqrt(noise_variance), size=f_vals.shape) if noise_variance > 0 else 0.0
-    measurements = TrainingSet(states, f_vals + eps, max(noise_variance, 1e-300))
-    return SimRun(times, states, ref_states, controls, measurements, seed)
+def _stage_table(loop: ClosedLoop, ref: ReferenceSpec, horizon: float, dt: float):
+    """Sample times and, per step, x_ref at the three stage times then r_ref at them."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if loop.plant.A.shape != (2, 2):
+        raise ValueError("the closed-loop simulation needs a plant of dimension 2")
+    n = int(round(horizon / dt))
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    times = np.arange(n + 1) * dt
+    t = times[:-1, None]
+    stage_times = np.hstack([t, t + 0.5 * dt, t + dt])  # (n, 3): the three distinct stage times
+    return times, np.hstack([ref.state(stage_times).reshape(n, 6), ref.signal(stage_times)])
+
+
+def _diverged(times, k: int) -> DivergenceError:
+    return DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
 
 
 def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: float, dt: float, nonlinearity):
@@ -176,11 +215,8 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
     numpy calls, because BLAS may fuse their multiply-adds.  The stage point,
     x - x_ref and A x live in three 2-buffers reused by every stage.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    times, table = _stage_table(loop, ref, horizon, dt)
     A, b, theta = loop.plant.A, loop.plant.b, loop.theta
-    if A.shape != (2, 2):
-        raise ValueError("the closed-loop simulation needs a plant of dimension 2")
     b0, b1 = b.tolist()
     x = np.empty(2)  # the stage point, handed to predict and nonlinearity
     e = np.empty(2)  # x - x_ref; read only by theta.dot
@@ -197,19 +233,11 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
         ax0, ax1 = ax.tolist()
         return ax0 + b0 * s, ax1 + b1 * s
 
-    n = int(round(horizon / dt))
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
-    times = np.arange(n + 1) * dt
-    t = times[:-1, None]
-    stage_times = np.hstack([t, t + h, t + dt])  # (n, 3): the three distinct stage times
-    # per step: x_ref at the three stage times, then r_ref at them (9 columns)
-    table = np.hstack([ref.state(stage_times).reshape(n, 6), ref.signal(stage_times)])
-    states = np.empty((n + 1, 2))
+    states = np.empty((len(times), 2))
     states[0] = ref.state(0.0)
     x0, x1 = states[0].tolist()
-    for k in range(n):
-        ra0, ra1, rb0, rb1, rc0, rc1, sa, sb, sc = table[k].tolist()
+    for k, row in enumerate(table, 1):
+        ra0, ra1, rb0, rb1, rc0, rc1, sa, sb, sc = row.tolist()
         k10, k11 = field(x0, x1, ra0, ra1, sa)
         k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
         k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
@@ -217,10 +245,69 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
         x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
         x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
         if not (math.isfinite(x0) and math.isfinite(x1)):
-            raise DivergenceError(f"state diverged at t = {times[k + 1]:.6g}", time=float(times[k + 1]))
-        states[k + 1, 0] = x0
-        states[k + 1, 1] = x1
+            raise _diverged(times, k)
+        states[k, 0] = x0
+        states[k, 1] = x1
     return times, states
+
+
+def _closed_loop_rk4_batch(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float, dt: float,
+                           nonlinearity):
+    """:func:`_closed_loop_rk4` for S models at once; returns times and S state arrays.
+
+    Every state is bit-identical to the single-model stepper's.  The S states
+    are carried as one list of 2S floats, and each stage makes one set of
+    numpy calls for all S points: the stacked products theta^T e as
+    (1, 2) @ (S, 2, 1) and A x as (2, 2) @ (S, 2, 1), which make the same
+    BLAS dot and gemv per model as the single-model products, and the GP
+    mean of :func:`gp.stacked_mean_function`.  The three land in one buffer
+    that a single ``tolist`` reads.  The nonlinearity still runs per model,
+    on one point.  The scalar sums stay Python floats in the single-model
+    operation order.  The first non-finite state raises at its step, as it
+    would alone.  With S = 1 this is slower than :func:`_closed_loop_rk4`,
+    so it serves S > 1 only.
+    """
+    times, table = _stage_table(loop, ref, horizon, dt)
+    A, theta = loop.plant.A, loop.theta[None, :]
+    b0, b1 = loop.plant.b.tolist()
+    S = len(models)
+    mean = stacked_mean_function(models)
+    pe = np.empty((2, S, 2, 1))  # the S stage points, then the S values of x - x_ref
+    pe_flat = pe.reshape(4 * S)
+    p, e = pe
+    p_t = p.transpose(1, 0, 2)  # the points coordinate first, as the mean takes them
+    point = list(p.reshape(S, 2))  # seed s's (2,) point, handed to nonlinearity
+    out = np.empty(4 * S)  # theta^T e for each seed, then A x, then mu
+    te, ax, mu = out[:S].reshape(S, 1, 1), out[S:3 * S].reshape(S, 2, 1), out[3 * S:].reshape(S, 1, 1)
+    h, h6 = 0.5 * dt, dt / 6.0
+
+    def field(x, r0, r1, r_ff):
+        pe_flat[:] = x + [xi - ri for xi, ri in zip(x, (r0, r1) * S)]
+        np.matmul(theta, e, out=te)
+        np.matmul(A, p, out=ax)
+        mean(p_t, mu)
+        v = out.tolist()
+        k = []
+        for s in range(S):
+            u = -v[s] + r_ff - v[3 * S + s] + float(nonlinearity(point[s]))
+            k += (v[S + 2 * s] + b0 * u, v[S + 2 * s + 1] + b1 * u)
+        return k
+
+    states = np.empty((len(times), 2 * S))  # seed s in columns 2s and 2s + 1
+    states[0] = np.tile(ref.state(0.0), S)
+    x = states[0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below, as in the scalar loop
+        for k, row in enumerate(table, 1):
+            ra0, ra1, rb0, rb1, rc0, rc1, sa, sb, sc = row.tolist()
+            k1 = field(x, ra0, ra1, sa)
+            k2 = field([xi + h * ki for xi, ki in zip(x, k1)], rb0, rb1, sb)
+            k3 = field([xi + h * ki for xi, ki in zip(x, k2)], rb0, rb1, sb)
+            k4 = field([xi + dt * ki for xi, ki in zip(x, k3)], rc0, rc1, sc)
+            x = [xi + h6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
+                raise _diverged(times, k)
+            states[k] = x
+    return times, [states[:, 2 * s:2 * s + 2] for s in range(S)]
 
 
 def prior_factor(spec: KernelSpec, grid) -> np.ndarray:

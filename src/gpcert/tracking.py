@@ -290,7 +290,8 @@ class Certificate:
 
 
 def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[[float], ClosedLoop],
-            box: bnd.DomainBox, delta: float, L_f: float, L_k: float, L_sigma: float) -> Certificate:
+            box: bnd.DomainBox, delta: float, L_f: float, L_k: float, L_sigma: float,
+            variance=None) -> Certificate:
     """The chain tau -> beta -> gains -> gamma -> sup eta -> upsilon_bar.
 
     tau is the density-matched grid constant for density level ``rho``;
@@ -304,11 +305,14 @@ def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[
     stands only while the inflation covers that term.  Raises
     :class:`InfeasibilityError` if it does not or if the gain condition
     fails, and :class:`DomainError` if a point lies outside the box.
+    ``variance``, when given, is ``model.predict_var(points)``, which a
+    caller that has just computed it passes in place of a second evaluation.
     """
     tau = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
     rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
     loop = gains(rep.beta)
-    eta = bnd.uniform_error_bound(rep, points, model.predict_stddev(points))
+    sigma = model.predict_stddev(points) if variance is None else np.sqrt(variance)
+    eta = bnd.uniform_error_bound(rep, points, sigma)
     max_eta = float(np.max(eta))
     term = math.sqrt(rep.beta) * bnd.stddev_modulus(max_arc / 2.0, L_k, L_sigma)
     sup_eta = SAFETY_FACTOR * max_eta

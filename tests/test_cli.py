@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpcert import cli
+from gpcert import cli, gp
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -514,3 +515,63 @@ def test_episode_and_density_sweep_rows_hold_exactly_their_keys(tmp_path):
     } for row in episodes)
     rows = json.loads((ds / "summary.json").read_text())["rows"]
     assert rows and all(set(row) == CERTIFICATE_KEYS | {"pitch", "n_train", "rho_min", "e_max"} for row in rows)
+
+
+def tracking_outputs(out, seeds):
+    files = {f"{stem}_seed{seed}.csv": read_bytes(out / f"{stem}_seed{seed}.csv")
+             for seed in seeds for stem in ("tracking_run", "sim_run", "training_data")}
+    summary = json.loads((out / "summary.json").read_text())
+    return files, {r["seed"]: r for r in summary["per_seed"]}, summary
+
+
+def test_a_seeds_artifacts_do_not_depend_on_its_batch(tmp_path):
+    # seed 3 stepped alone takes the one-seed stepper, inside seeds 0-9 the batched one
+    assert cli.run(tracking_config(tmp_path / "alone", seeds=(3,), horizon=0.5)) == 0
+    assert cli.run(tracking_config(tmp_path / "batch", seeds=range(10), horizon=0.5)) == 0
+    alone, alone_rows, _ = tracking_outputs(tmp_path / "alone", (3,))
+    batch, batch_rows, _ = tracking_outputs(tmp_path / "batch", range(10))
+    for name, body in alone.items():
+        assert batch[name] == body, name
+    assert batch_rows[3] == alone_rows[3]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_uneven_worker_batches_match_serial(tmp_path, workers):
+    seeds = range(5)
+    assert cli.run(tracking_config(tmp_path / "serial", seeds=seeds, horizon=0.5)) == 0
+    assert cli.run(tracking_config(tmp_path / "fanned", seeds=seeds, horizon=0.5), workers=workers) == 0
+    serial_files, _, serial = tracking_outputs(tmp_path / "serial", seeds)
+    fanned_files, _, fanned = tracking_outputs(tmp_path / "fanned", seeds)
+    assert fanned_files == serial_files
+    for summary in (serial, fanned):
+        del summary["resolved_config"]["out_dir"]
+    assert fanned == serial
+
+
+def test_batches_split_at_their_size_cap_match_one_batch(tmp_path, monkeypatch):
+    seeds = range(5)
+    assert cli.run(tracking_config(tmp_path / "one", seeds=seeds, horizon=0.5)) == 0
+    monkeypatch.setattr(cli, "_MAX_BATCH", 2)  # batches of one, two and two seeds
+    assert cli.run(tracking_config(tmp_path / "capped", seeds=seeds, horizon=0.5)) == 0
+    one_files, one_rows, _ = tracking_outputs(tmp_path / "one", seeds)
+    capped_files, capped_rows, _ = tracking_outputs(tmp_path / "capped", seeds)
+    assert capped_files == one_files
+    assert capped_rows == one_rows
+
+
+def test_a_diverging_seed_in_a_batch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    fits = []
+
+    def fit_with_overflowing_weights_for_the_second_seed(spec, data):
+        # the prelude fits the seeds of a batch in order
+        model = gp.fit(spec, data)
+        fits.append(model)
+        return dataclasses.replace(model, alpha=model.alpha * 1e308) if len(fits) == 2 else model
+
+    monkeypatch.setattr(cli, "fit", fit_with_overflowing_weights_for_the_second_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself, in the bound constants
+        rc = cli.run(tracking_config(tmp_path / "t", seeds=(0, 1, 2), horizon=0.5))
+    assert rc == cli.EXIT_NUMERICAL
+    assert len(fits) == 3
+    assert capsys.readouterr().err.startswith("numerical failure in tracking: state diverged at t = ")

@@ -7,6 +7,7 @@ dynamics closure driven by ``integrate``, and the comparison RK4 with eta
 looked up by time.  Every output must agree bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -247,3 +248,116 @@ def test_nonlinearity_one_point_branch_is_the_batch_formula(x1, x2):
         one = f(point)
         assert same_bits(one, batch_benchmark_f(point))
         assert same_bits(one, batch_benchmark_f(batch)[1])
+
+
+def same_run(a, b):
+    return (all(same_bits(getattr(a, name), getattr(b, name))
+                for name in ("times", "states", "reference_states", "controls"))
+            and same_bits(a.measurements.inputs, b.measurements.inputs)
+            and same_bits(a.measurements.targets, b.measurements.targets)
+            and a.seed == b.seed)
+
+
+def models_on_one_grid(rng, n_data, count, ell=(0.8, 1.5)):
+    # the models of a tracking batch: shared inputs, kernel and noise; only the targets differ
+    f, _, _ = benchmark_system()
+    X = rng.uniform(-3.0, 3.0, (n_data, 2))
+    spec = KernelSpec("squared_exponential", 1.0, ell)
+    return [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
+    plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
+    n_data=st.sampled_from([1, 7, 40]),
+    count=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    with_input_gain=st.booleans(),
+    steps=st.integers(0, 200),
+    dt=st.sampled_from([0.02, 0.05]),
+)
+def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, seed, with_input_gain, steps, dt):
+    # at the coarse pitches a last-bit change in any stage reaches the states
+    try:
+        loop = closed_loop(plant, np.array(theta))
+    except UnsupportedOperationError:
+        assume(False)
+    f, g, _ = benchmark_system()
+    models = models_on_one_grid(np.random.default_rng(seed), n_data, count)
+    seeds = [seed + s for s in range(count)]
+    args = (ReferenceSpec(2.0, 1.0), steps * dt, dt)
+    gain = g if with_input_gain else None
+    alone, first_divergence = [], None
+    with np.errstate(all="ignore"):
+        for model, s in zip(models, seeds):
+            try:
+                alone.append(run_closed_loop(loop, model, *args, s, f, gain, 0.01))
+            except DivergenceError as exc:
+                first_divergence = min(exc.time, first_divergence or math.inf)
+        if first_divergence is not None:
+            with pytest.raises(DivergenceError) as batch:
+                run_closed_loop(loop, models, *args, seeds, f, gain, 0.01)
+            assert batch.value.time == first_divergence
+            return
+        runs = run_closed_loop(loop, models, *args, seeds, f, gain, 0.01)
+    assert len(runs) == count
+    for run, one in zip(runs, alone):
+        assert same_run(run, one)
+
+
+def test_batched_rollout_with_models_that_do_not_share_a_grid():
+    # the GP mean falls back to each model's own closure, one call per model
+    f, g, _ = benchmark_system()
+    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
+    rng = np.random.default_rng(3)
+    models = [models_on_one_grid(rng, 25, 1)[0], models_on_one_grid(rng, 7, 1, ell=(1.0, 1.0))[0],
+              fit(KernelSpec("matern52", 1.0, (1.0, 1.5)), TrainingSet(rng.uniform(-3, 3, (9, 2)), rng.normal(size=9), 0.01)),
+              fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))]
+    ref = ReferenceSpec(2.0, 1.0)
+    runs = run_closed_loop(loop, models, ref, 0.3, 1e-3, [0, 1, 2, 3], f, g, 0.01)
+    for model, s, run in zip(models, range(4), runs):
+        assert same_run(run, run_closed_loop(loop, model, ref, 0.3, 1e-3, s, f, g, 0.01))
+
+
+def far_cubic(x):
+    # zero near the reference, x2^3 beyond |x2| = 6, where it blows up in finite time
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x[..., 1]) > 6.0, x[..., 1] ** 3, 0.0)
+
+
+def test_a_diverging_seed_stops_its_batch_at_its_own_time():
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
+    models = models_on_one_grid(np.random.default_rng(0), 25, 3)
+    # a mean 1000 times too large throws the second seed out to where far_cubic diverges
+    models[1] = dataclasses.replace(models[1], alpha=models[1].alpha * 1e3)
+    ref = ReferenceSpec(2.0, 1.0)
+    with np.errstate(all="ignore"):
+        for s in (0, 2):
+            run_closed_loop(loop, models[s], ref, 3.0, 1e-3, s, far_cubic)
+        with pytest.raises(DivergenceError) as alone:
+            run_closed_loop(loop, models[1], ref, 3.0, 1e-3, 1, far_cubic)
+        with pytest.raises(DivergenceError) as batch:
+            run_closed_loop(loop, models, ref, 3.0, 1e-3, [0, 1, 2], far_cubic)
+    assert 0.5 < batch.value.time < 3.0
+    assert batch.value.time == alone.value.time
+    assert str(batch.value) == str(alone.value)
+
+
+def test_skipped_controls_leave_the_rest_of_the_run_unchanged():
+    f, g, _ = benchmark_system()
+    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
+    model = models_on_one_grid(np.random.default_rng(1), 25, 1)[0]
+    ref = ReferenceSpec(2.0, 1.0)
+    full = run_closed_loop(loop, model, ref, 0.5, 1e-3, 4, f, g, 0.01)
+    lean = run_closed_loop(loop, model, ref, 0.5, 1e-3, 4, f, g, 0.01, controls=False)
+    assert lean.controls is None
+    assert same_run(dataclasses.replace(lean, controls=full.controls), full)
+
+
+def test_batched_rollout_needs_a_seed_per_model():
+    f, _, _ = benchmark_system()
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
+    models = models_on_one_grid(np.random.default_rng(2), 7, 2)
+    with pytest.raises(ValueError):
+        run_closed_loop(loop, models, ReferenceSpec(2.0, 1.0), 0.1, 1e-3, [0], f)

@@ -16,7 +16,7 @@ from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError, In
 from gpcert.gp import TrainingSet, downsample, fit
 from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz, kernel_lipschitz, stddev_lipschitz
 from gpcert.simulation import ReferenceSpec, benchmark_system
-from gpcert.tracking import LinearPlant
+from gpcert.tracking import LinearPlant, certify
 
 from conftest import se_unit
 
@@ -208,3 +208,30 @@ def test_config_validation():
         small_episode_config(xi=1.0)
     with pytest.raises(ValueError):
         small_episode_config(target=-1.0)
+
+
+def test_ladder_variance_serves_the_next_certificate():
+    # learn_control hands the accepted refit's variance to certify in place of a second predict_var
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
+    box = DomainBox(2, 10.0)
+    L_k, L_sigma, L_dk = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box), gradient_lipschitz(spec)
+    f, _, _ = benchmark_system()
+    ref = ReferenceSpec(2.0, 1.0)
+    ref_points = ref.state(np.arange(0.0, ref.period, 0.01))
+    states = ref.state(np.arange(0.0, ref.period, 1e-3))
+    raw = TrainingSet(states, f(states), 0.01)
+    empty = fit(spec, TrainingSet.empty(2, 0.01))
+    ts, refit, variance = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0,
+                                               return_variance=True)
+    plain_ts, plain_refit = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0)
+    assert plain_ts == ts and plain_refit.alpha.tobytes() == refit.alpha.tobytes()
+    assert variance.tobytes() == refit.predict_var(ref_points).tobytes()
+
+    def cert(**kwargs):
+        return certify(refit, 1.0, ref_points, ref.max_speed * 0.01,
+                       lambda b: select_gains(PLANT, L_sigma, b, L_dk, 0.95), box, 0.01, 2.0, L_k, L_sigma,
+                       **kwargs)
+
+    passed, recomputed = cert(variance=variance), cert()
+    assert passed.to_json_dict() == recomputed.to_json_dict()
+    assert (passed.sup_eta, passed.sampling_term) == (recomputed.sup_eta, recomputed.sampling_term)

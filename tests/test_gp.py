@@ -10,7 +10,7 @@ from gpcert import kernels
 from gpcert.bounds import DomainBox, probabilistic_lipschitz
 from gpcert.density import data_density_batch
 from gpcert.errors import IllConditionedDataError
-from gpcert.gp import GPModel, TrainingSet, add_samples, downsample, fit
+from gpcert.gp import GPModel, TrainingSet, add_samples, downsample, fit, stacked_mean_function
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram, kernel_diag
 
 from conftest import random_kernel, random_model, se_unit
@@ -320,3 +320,44 @@ def test_mean_closure_outside_the_buffered_case():
         for _ in range(20):
             x = rng.uniform(-4.0, 4.0, d)
             assert _bits(mean(x)) == _bits(model.predict_mean(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 7, 25, 300]),
+    count=st.integers(1, 5),
+    ell=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+    sf2=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_stacked_mean_closure_is_each_models_own_closure(n, count, ell, sf2, seed):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(SQUARED_EXPONENTIAL, sf2, ell)
+    X = rng.uniform(-5.0, 5.0, (n, 2))
+    models = [GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
+              for _ in range(count)]
+    stacked = stacked_mean_function(models)
+    singles = [m.mean_function() for m in models]
+    mu = np.empty((count, 1, 1))
+    for _ in range(3):
+        P = X[rng.integers(n, size=count)] + np.asarray(ell) * rng.normal(size=(count, 2))
+        stacked(P.T[:, :, None], mu)
+        for s in range(count):
+            assert _bits(mu[s, 0, 0]) == _bits(singles[s](P[s]))
+
+
+def test_stacked_mean_closure_falls_back_per_model():
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-4.0, 4.0, (20, 2))
+    se = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
+    models = [
+        fit(se, TrainingSet(X, rng.normal(size=20), 0.01)),
+        fit(se, TrainingSet(X[:12], rng.normal(size=12), 0.01)),  # other inputs
+        fit(KernelSpec(MATERN52, 1.0, (1.0, 1.5)), TrainingSet(X, rng.normal(size=20), 0.01)),
+        fit(se, TrainingSet.empty(2, 0.01)),
+    ]
+    P = rng.uniform(-4.0, 4.0, (4, 2))
+    mu = np.empty((4, 1, 1))
+    stacked_mean_function(models)(P.T[:, :, None], mu)
+    for s, model in enumerate(models):
+        assert _bits(mu[s, 0, 0]) == _bits(model.predict_mean(P[s]))
