@@ -354,25 +354,22 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     return results
 
 
-_MAX_BATCH = 16  # seeds per rollout: past it the stepper gains little and its states keep growing
-
-
 def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]:
-    """Every seed, in contiguous batches spread over ``workers`` processes; the
-    kernel and box constants L_f, L_k and L_sigma are computed once, here.
+    """Every seed, in one contiguous batch per worker process; the kernel and
+    box constants L_f, L_k and L_sigma are computed once, here.
 
-    There is one batch per worker, or more when a batch would exceed
-    ``_MAX_BATCH`` seeds.  A seed's artifacts do not depend on its batch.
+    A seed's artifacts do not depend on its batch.  A seed that diverges
+    stops its whole batch before the batch writes any artifact.
     """
     spec, box, bb = _kernel_from(cfg), _box_from(cfg), cfg["bound"]
     L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"]) if bb["L_f"] == "probabilistic" else float(bb["L_f"])
     batch_run = functools.partial(_run_tracking_batch, cfg, out_dir, L_f,
                                   kern.kernel_lipschitz(spec, box), kern.stddev_lipschitz(spec, box))
     seeds = cfg["seeds"]
-    count = max(min(workers, len(seeds)), -(-len(seeds) // _MAX_BATCH))
+    count = max(1, min(workers, len(seeds)))  # workers < 1 runs serially, as one batch
     batches = [seeds[len(seeds) * i // count: len(seeds) * (i + 1) // count] for i in range(count)]
-    if workers > 1 and count > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+    if count > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=count) as pool:
             results = [r for batch in pool.map(batch_run, batches) for r in batch]
     else:
         results = [r for batch in batches for r in batch_run(batch)]

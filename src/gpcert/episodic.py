@@ -129,7 +129,6 @@ def select_sampling_time(
     L_dk: float,
     fine_dt: float,
     ladder_top: float,
-    return_variance: bool = False,
 ):
     """Largest T_s on the ladder {fine_dt 2^j} meeting the variance condition.
 
@@ -137,8 +136,8 @@ def select_sampling_time(
     Rungs are evaluated coarsest-first; the variance condition is monotone
     along the ladder (coarser data can only increase the posterior variance),
     so the first success is the answer.  Failure at the finest rung means the
-    recording itself is too sparse or noisy.  Returns (T_s, refit), and with
-    ``return_variance`` also the refit's variance at ``ref_points``.
+    recording itself is too sparse or noisy.  Returns (T_s, refit, variance),
+    the variance being the refit's at ``ref_points``.
     """
     threshold = 16.0 * L_dk * upsilon_prev ** 2
     rungs = []
@@ -150,7 +149,7 @@ def select_sampling_time(
         refit = add_samples(model, downsample(raw, fine_dt, candidate))
         var = refit.predict_var(ref_points)
         if float(np.max(var)) <= threshold:
-            return (candidate, refit, var) if return_variance else (candidate, refit)
+            return candidate, refit, var
     raise ConditionUnreachableError(
         f"variance condition sigma^2 <= {threshold:.3g} unreachable even at T_s = {fine_dt}"
     )
@@ -261,8 +260,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
         T_s, model, variance = select_sampling_time(
-            sim.measurements, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top,
-            return_variance=True,
+            sim.measurements, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
         )
         ladder_top = T_s  # sampling times never increase across episodes
 

@@ -190,14 +190,14 @@ def stacked_mean_function(models):
     The callable takes the points as a (2, S, 1) array, coordinate first (a
     transposed view of an (S, 2, 1) stack will do), and an (S, 1, 1) array
     ``out`` that receives the S means.  Entry s is bit-identical to
-    ``models[s].mean_function()`` at x_s.  When every model has the same
-    squared-exponential kernel of dimension 2 and the same inputs, so that
-    they differ only in alpha, one set of ufunc calls serves all S points:
-    the steps of :meth:`GPModel.mean_function` on a (2, S, N) buffer whose
-    two coordinates are contiguous (S, N) blocks, then the stacked product
-    (S, 1, N) @ (S, N, 1), which makes the same dot product per model.
-    Otherwise each model's own closure runs in turn.  The buffers make the
-    callable non-reentrant.
+    ``models[s].mean_function()`` at x_s.  Every model must have the same
+    squared-exponential kernel of dimension 2 and the same nonempty inputs,
+    so that they differ only in alpha; otherwise the result is None.  One
+    set of ufunc calls serves all S points: the steps of
+    :meth:`GPModel.mean_function` on a (2, S, N) buffer whose two
+    coordinates are contiguous (S, N) blocks, then the stacked product
+    (S, 1, N) @ (S, N, 1), which makes the same dot product per model.  The
+    buffers make the callable non-reentrant.
     """
     from .kernels import SQUARED_EXPONENTIAL  # local: avoid cycle at import time
 
@@ -205,13 +205,7 @@ def stacked_mean_function(models):
     if not (len(first) > 0 and first.kernel.family == SQUARED_EXPONENTIAL and first.kernel.dim == 2
             and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
                     for m in models)):
-        means = [m.mean_function() for m in models]
-
-        def each(points, out):
-            for s, mean in enumerate(means):
-                out[s] = mean(points[:, s, 0])
-
-        return each
+        return None
     shape = (2, len(models), len(first))
     # data and lengthscales at full size: ufuncs on equal shapes skip the broadcast set-up
     XT = np.ascontiguousarray(np.broadcast_to(first.data.inputs.T[:, None, :], shape))

@@ -147,11 +147,13 @@ def run_closed_loop(
     grid point with eps drawn from the seeded generator.
 
     One model and one seed give one :class:`SimRun`.  Sequences of S models
-    and S seeds give a list of S runs, stepped together in one RK4 loop when
-    S > 1 (:func:`_closed_loop_rk4_batch`); every run is bit-identical to the
-    run of its model and seed alone.  The models of a batch share the
-    closed loop, and should share inputs, kernel and noise, so that only
-    alpha differs (else the GP mean falls back to one call per model).
+    and S seeds give a list of S runs; every run is bit-identical to the run
+    of its model and seed alone.  When S > 1 and the models share a
+    squared-exponential kernel of dimension 2 and their inputs, so that only
+    alpha differs (:func:`gp.stacked_mean_function`), the S seeds are stepped
+    together in one RK4 loop (:func:`_closed_loop_rk4_batch`), and a seed
+    that diverges raises at the earliest divergence time of the batch.
+    Otherwise each seed is stepped alone, in order.
 
     At every RK4 stage ``nonlinearity`` is called on one point of shape (2,).
     That array is a scratch buffer the stepper overwrites at the next stage:
@@ -162,11 +164,13 @@ def run_closed_loop(
         models, seeds = [models], [seeds]
     if len(models) != len(seeds):
         raise ValueError(f"{len(models)} models vs {len(seeds)} seeds")
-    if len(models) == 1:
-        times, states = _closed_loop_rk4(loop, models[0].mean_function(), ref, horizon, fine_dt, nonlinearity)
-        per_model = [states]
+    stacked = stacked_mean_function(models) if len(models) > 1 else None
+    if stacked is None:
+        stepped = [_closed_loop_rk4(loop, m.mean_function(), ref, horizon, fine_dt, nonlinearity) for m in models]
+        times, per_model = stepped[0][0], [states for _, states in stepped]
     else:
-        times, per_model = _closed_loop_rk4_batch(loop, models, ref, horizon, fine_dt, nonlinearity)
+        times, per_model = _closed_loop_rk4_batch(loop, stacked, len(models), ref, horizon, fine_dt,
+                                                  nonlinearity)
     ref_states = ref.state(times)
     runs = []
     for model, seed, states in zip(models, seeds, per_model):
@@ -251,16 +255,18 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
     return times, states
 
 
-def _closed_loop_rk4_batch(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float, dt: float,
+def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, ref: ReferenceSpec, horizon: float, dt: float,
                            nonlinearity):
     """:func:`_closed_loop_rk4` for S models at once; returns times and S state arrays.
+
+    ``mean`` is the models' :func:`gp.stacked_mean_function`.
 
     Every state is bit-identical to the single-model stepper's.  The S states
     are carried as one list of 2S floats, and each stage makes one set of
     numpy calls for all S points: the stacked products theta^T e as
     (1, 2) @ (S, 2, 1) and A x as (2, 2) @ (S, 2, 1), which make the same
     BLAS dot and gemv per model as the single-model products, and the GP
-    mean of :func:`gp.stacked_mean_function`.  The three land in one buffer
+    mean.  The three land in one buffer
     that a single ``tolist`` reads.  The nonlinearity still runs per model,
     on one point.  The scalar sums stay Python floats in the single-model
     operation order.  The first non-finite state raises at its step, as it
@@ -270,8 +276,6 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, models, ref: ReferenceSpec, horizon
     times, table = _stage_table(loop, ref, horizon, dt)
     A, theta = loop.plant.A, loop.theta[None, :]
     b0, b1 = loop.plant.b.tolist()
-    S = len(models)
-    mean = stacked_mean_function(models)
     pe = np.empty((2, S, 2, 1))  # the S stage points, then the S values of x - x_ref
     pe_flat = pe.reshape(4 * S)
     p, e = pe

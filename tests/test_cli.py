@@ -548,17 +548,6 @@ def test_uneven_worker_batches_match_serial(tmp_path, workers):
     assert fanned == serial
 
 
-def test_batches_split_at_their_size_cap_match_one_batch(tmp_path, monkeypatch):
-    seeds = range(5)
-    assert cli.run(tracking_config(tmp_path / "one", seeds=seeds, horizon=0.5)) == 0
-    monkeypatch.setattr(cli, "_MAX_BATCH", 2)  # batches of one, two and two seeds
-    assert cli.run(tracking_config(tmp_path / "capped", seeds=seeds, horizon=0.5)) == 0
-    one_files, one_rows, _ = tracking_outputs(tmp_path / "one", seeds)
-    capped_files, capped_rows, _ = tracking_outputs(tmp_path / "capped", seeds)
-    assert capped_files == one_files
-    assert capped_rows == one_rows
-
-
 def test_a_diverging_seed_in_a_batch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     fits = []
 

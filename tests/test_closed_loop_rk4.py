@@ -307,7 +307,7 @@ def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, se
 
 
 def test_batched_rollout_with_models_that_do_not_share_a_grid():
-    # the GP mean falls back to each model's own closure, one call per model
+    # no stacked mean serves these models, so each seed is stepped alone
     f, g, _ = benchmark_system()
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
     rng = np.random.default_rng(3)

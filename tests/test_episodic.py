@@ -109,7 +109,7 @@ def test_select_sampling_time_matches_exhaustive():
         rungs = [1e-3 * 2 ** j for j in range(13) if 1e-3 * 2 ** j <= 4.0]
         satisfying = [r for r in rungs if rung_ok(r, threshold)]
         if satisfying:
-            ts, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
+            ts, _, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
             assert ts == pytest.approx(max(satisfying))
         else:
             with pytest.raises(ConditionUnreachableError):
@@ -128,7 +128,7 @@ def test_select_sampling_time_crossing_between_rungs():
     # pick a threshold strictly between the rung-4 and rung-5 variances
     threshold = 0.5 * (variances[4] + variances[5])
     upsilon_prev = math.sqrt(threshold / (16.0 * L_dk))
-    ts, model = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
+    ts, model, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 4.0)
     assert ts == pytest.approx(rungs[4])
     assert float(np.max(model.predict_var(ref_points))) <= threshold
 
@@ -141,7 +141,7 @@ def test_select_sampling_time_monotone_in_target():
     empty = fit(spec, TrainingSet.empty(1, 0.01))
     prev = None
     for upsilon_prev in (0.4, 0.2, 0.1, 0.05):
-        ts, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 2.0)
+        ts, _, _ = select_sampling_time(raw, empty, ref_points, upsilon_prev, L_dk, 1e-3, 2.0)
         if prev is not None:
             assert ts <= prev
         prev = ts
@@ -151,7 +151,7 @@ def test_select_sampling_time_slack_condition_returns_top():
     spec = se_unit()
     raw = line_data(1024, 1e-3)
     ref_points = np.linspace(0.0, 1.0, 11)[:, None]
-    ts, _ = select_sampling_time(raw, fit(spec, TrainingSet.empty(1, 0.01)), ref_points, 1e6,
+    ts, _, _ = select_sampling_time(raw, fit(spec, TrainingSet.empty(1, 0.01)), ref_points, 1e6,
                                  gradient_lipschitz(spec), 1e-3, 1.0)
     assert ts == pytest.approx(1e-3 * 2 ** 9)  # largest power-of-two rung <= 1.0
 
@@ -221,10 +221,7 @@ def test_ladder_variance_serves_the_next_certificate():
     states = ref.state(np.arange(0.0, ref.period, 1e-3))
     raw = TrainingSet(states, f(states), 0.01)
     empty = fit(spec, TrainingSet.empty(2, 0.01))
-    ts, refit, variance = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0,
-                                               return_variance=True)
-    plain_ts, plain_refit = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0)
-    assert plain_ts == ts and plain_refit.alpha.tobytes() == refit.alpha.tobytes()
+    _, refit, variance = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0)
     assert variance.tobytes() == refit.predict_var(ref_points).tobytes()
 
     def cert(**kwargs):

@@ -346,18 +346,17 @@ def test_stacked_mean_closure_is_each_models_own_closure(n, count, ell, sf2, see
             assert _bits(mu[s, 0, 0]) == _bits(singles[s](P[s]))
 
 
-def test_stacked_mean_closure_falls_back_per_model():
+def test_stacked_mean_closure_needs_one_se_kernel_and_shared_inputs():
     rng = np.random.default_rng(11)
     X = rng.uniform(-4.0, 4.0, (20, 2))
     se = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
-    models = [
-        fit(se, TrainingSet(X, rng.normal(size=20), 0.01)),
+    model = fit(se, TrainingSet(X, rng.normal(size=20), 0.01))
+    assert stacked_mean_function([model, fit(se, TrainingSet(X, rng.normal(size=20), 0.01))]) is not None
+    for other in (
         fit(se, TrainingSet(X[:12], rng.normal(size=12), 0.01)),  # other inputs
+        fit(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.0)), TrainingSet(X, rng.normal(size=20), 0.01)),
         fit(KernelSpec(MATERN52, 1.0, (1.0, 1.5)), TrainingSet(X, rng.normal(size=20), 0.01)),
         fit(se, TrainingSet.empty(2, 0.01)),
-    ]
-    P = rng.uniform(-4.0, 4.0, (4, 2))
-    mu = np.empty((4, 1, 1))
-    stacked_mean_function(models)(P.T[:, :, None], mu)
-    for s, model in enumerate(models):
-        assert _bits(mu[s, 0, 0]) == _bits(model.predict_mean(P[s]))
+    ):
+        assert stacked_mean_function([model, other]) is None
+        assert stacked_mean_function([other, model]) is None
