@@ -137,7 +137,9 @@ def select_sampling_time(
     along the ladder (coarser data can only increase the posterior variance),
     so the first success is the answer.  Failure at the finest rung means the
     recording itself is too sparse or noisy.  Returns (T_s, refit, variance),
-    the variance being the refit's at ``ref_points``.
+    the variance being the refit's at ``ref_points``.  A rung is rejected at
+    the first row block of the variance whose maximum breaks the condition,
+    so only an accepted rung evaluates it at every point.
     """
     threshold = 16.0 * L_dk * upsilon_prev ** 2
     rungs = []
@@ -147,8 +149,12 @@ def select_sampling_time(
         ts *= 2.0
     for candidate in reversed(rungs):
         refit = add_samples(model, downsample(raw, fine_dt, candidate))
-        var = refit.predict_var(ref_points)
-        if float(np.max(var)) <= threshold:
+        var = np.empty(len(ref_points))
+        for rows, block in refit.var_blocks(ref_points):
+            if not float(np.max(block)) <= threshold:  # a NaN rejects, as it did in the full maximum
+                break
+            var[rows] = block
+        else:
             return candidate, refit, var
     raise ConditionUnreachableError(
         f"variance condition sigma^2 <= {threshold:.3g} unreachable even at T_s = {fine_dt}"

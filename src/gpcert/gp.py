@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedDataError
-from .kernels import KernelSpec, _row_blocks, gram, kernel_diag
+from .kernels import SQUARED_EXPONENTIAL, KernelSpec, _row_blocks, gram, kernel_diag
 
 
 @dataclass(frozen=True)
@@ -127,61 +127,117 @@ class GPModel:
     def predict_var(self, x):
         """Posterior variance at x, clamped into [0, k(x,x)]."""
         X, single = self._query(x)
+        var = np.empty(X.shape[0])
+        for rows, block in self.var_blocks(X):
+            var[rows] = block
+        return float(var[0]) if single else var
+
+    def var_blocks(self, X: np.ndarray):
+        """Yield (rows, variance) over the row blocks of the (m, d) queries X.
+
+        The blocks are :func:`kernels._row_blocks` slices, each clamped into
+        [0, k(x,x)], so together they are :meth:`predict_var` bit for bit; a
+        caller that needs only part of the variance can stop early.
+        """
         prior = kernel_diag(self.kernel, X)
         if len(self) == 0:
-            var = prior
-        else:
-            var = np.empty(X.shape[0])
-            for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
-                kx = gram(self.kernel, self.data.inputs, X[rows])
-                v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
-                var[rows] = prior[rows] - np.einsum("ij,ij->j", v, v)
-            var = np.clip(var, 0.0, prior)
-        return float(var[0]) if single else var
+            yield slice(0, X.shape[0]), prior
+            return
+        for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
+            kx = gram(self.kernel, self.data.inputs, X[rows])
+            v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
+            yield rows, np.clip(prior[rows] - np.einsum("ij,ij->j", v, v), 0.0, prior[rows])
 
     def predict_stddev(self, x):
         return np.sqrt(self.predict_var(x))
 
     def mean_function(self):
-        """Callable x -> mu(x) on one point of shape (d,), for the RK4 stage loop.
+        """Callable x -> mu(x) on one point of shape (d,).
 
         Bit-identical to :meth:`predict_mean` on that point.  For the
-        squared-exponential kernel of dimension 2 the closure keeps the data
-        transposed as a contiguous (2, N) array and evaluates into buffers
-        allocated once, calling the ufuncs with ``out=`` in the batch path's
-        operation order: (X - x) / ell, squared, row 0 plus row 1 (which
-        matches the batch ``einsum`` bit for bit only for d <= 2), times
-        -0.5, exp, times sf2, then the product with alpha.  The buffers make
-        the closure non-reentrant.  Other families and dimensions get
-        :meth:`predict_mean` itself, and an empty model the prior mean 0.
+        squared-exponential kernel of dimension 2 the closure copies x into a
+        2-buffer and evaluates :meth:`mean_at` of it.  Other families and
+        dimensions get :meth:`predict_mean` itself, and an empty model the
+        prior mean 0.
         """
-        from .kernels import SQUARED_EXPONENTIAL  # local: avoid cycle at import time
-
         if len(self) == 0:
             return lambda x: 0.0
-        if self.kernel.family != SQUARED_EXPONENTIAL or self.kernel.dim != 2:
+        if not _buffered(self.kernel):
             return self.predict_mean
-        XT = np.ascontiguousarray(self.data.inputs.T)
-        ell = self.kernel.ell[:, None]
-        sf2 = self.kernel.signal_variance
-        alpha = self.alpha
-        D = np.empty_like(XT)
-        D0, D1 = D
-        q = np.empty(XT.shape[1])
-        xc = np.empty((2, 1))
+        xc = np.empty(2)
+        mean = self.mean_at(xc)
 
-        def mean(x):
-            xc[:, 0] = x
-            np.subtract(XT, xc, out=D)
-            np.divide(D, ell, out=D)
-            np.multiply(D, D, out=D)
-            np.add(D0, D1, out=q)
-            np.multiply(q, -0.5, out=q)
-            np.exp(q, out=q)
-            np.multiply(q, sf2, out=q)
-            return float(q @ alpha)
+        def mean_of(x):
+            xc[:] = x
+            return mean()
+
+        return mean_of
+
+    def mean_at(self, point: np.ndarray):
+        """Callable () -> mu(point) for a (d,) buffer that the caller overwrites between calls.
+
+        Bit-identical to :meth:`predict_mean` on the buffer's current value.
+        For the squared-exponential kernel of dimension 2 it evaluates the
+        buffered kernel row of :func:`_se_rows` at a (2, 1) view of the
+        buffer and returns ``0.0 + q.dot(alpha)``, the same dot product as
+        ``predict_mean``'s.  Other families and dimensions call
+        :meth:`predict_mean` on the buffer, and an empty model returns 0.
+        The buffers make the callable non-reentrant.
+        """
+        if len(self) == 0:
+            return lambda: 0.0
+        if not _buffered(self.kernel):
+            return lambda: self.predict_mean(point)
+        rows, q = _se_rows(self.kernel, self.data.inputs, ())
+        p, alpha = point[:, None], self.alpha
+
+        def mean():
+            rows(p)
+            # ndarray.dot takes a (1,) array for a scalar and returns q0 alpha0, -0.0 included;
+            # 0.0 + is the accumulator numpy's dot starts from at every other N, and matmul's
+            return 0.0 + float(q.dot(alpha))
 
         return mean
+
+
+def _buffered(kernel: KernelSpec) -> bool:
+    return kernel.family == SQUARED_EXPONENTIAL and kernel.dim == 2
+
+
+def _se_rows(kernel: KernelSpec, inputs: np.ndarray, stack: tuple):
+    """Buffered squared-exponential rows k(p, X) of dimension 2, for the RK4 stages.
+
+    Returns ``(rows, q)``: ``rows(p)`` writes k(p, X) into the (*stack, N)
+    buffer q for points p of shape (2, *stack, 1), coordinate first.  The
+    data and lengthscales are held at the full (2, *stack, N) size, so the
+    ufuncs, called with positional ``out``, skip the broadcast set-up.  The
+    operation order is :func:`kernels.gram`'s: (X - p) / ell, squared, row 0
+    plus row 1 (its per-coordinate sum at d = 2), times -0.5, exp, times
+    sf2; the last multiply is dropped when sf2 is 1.0, since x 1.0 is the
+    identity on every double.
+    """
+    n = inputs.shape[0]
+    shape = (2, *stack, n)
+    lead = (2,) + (1,) * len(stack)
+    XT = np.ascontiguousarray(np.broadcast_to(inputs.T.reshape(*lead, n), shape))
+    ell = np.ascontiguousarray(np.broadcast_to(kernel.ell.reshape(*lead, 1), shape))
+    sf2 = kernel.signal_variance
+    scaled = sf2 != 1.0
+    D = np.empty(shape)
+    D0, D1 = D
+    q = np.empty(shape[1:])
+
+    def rows(p):
+        np.subtract(XT, p, D)
+        np.divide(D, ell, D)
+        np.multiply(D, D, D)
+        np.add(D0, D1, q)
+        np.multiply(q, -0.5, q)
+        np.exp(q, q)
+        if scaled:
+            np.multiply(q, sf2, q)
+
+    return rows, q
 
 
 def stacked_mean_function(models):
@@ -193,38 +249,22 @@ def stacked_mean_function(models):
     ``models[s].mean_function()`` at x_s.  Every model must have the same
     squared-exponential kernel of dimension 2 and the same nonempty inputs,
     so that they differ only in alpha; otherwise the result is None.  One
-    set of ufunc calls serves all S points: the steps of
-    :meth:`GPModel.mean_function` on a (2, S, N) buffer whose two
-    coordinates are contiguous (S, N) blocks, then the stacked product
-    (S, 1, N) @ (S, N, 1), which makes the same dot product per model.  The
-    buffers make the callable non-reentrant.
+    set of ufunc calls serves all S points: the rows of :func:`_se_rows` on
+    a (2, S, N) buffer, then the stacked product (S, 1, N) @ (S, N, 1),
+    which makes the same dot product per model.  The buffers make the
+    callable non-reentrant.
     """
-    from .kernels import SQUARED_EXPONENTIAL  # local: avoid cycle at import time
-
     first = models[0]
-    if not (len(first) > 0 and first.kernel.family == SQUARED_EXPONENTIAL and first.kernel.dim == 2
+    if not (len(first) > 0 and _buffered(first.kernel)
             and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
                     for m in models)):
         return None
-    shape = (2, len(models), len(first))
-    # data and lengthscales at full size: ufuncs on equal shapes skip the broadcast set-up
-    XT = np.ascontiguousarray(np.broadcast_to(first.data.inputs.T[:, None, :], shape))
-    ell = np.ascontiguousarray(np.broadcast_to(first.kernel.ell[:, None, None], shape))
-    sf2 = first.kernel.signal_variance
+    rows, q = _se_rows(first.kernel, first.data.inputs, (len(models),))
     alpha = np.stack([m.alpha for m in models])[:, :, None]  # (S, N, 1)
-    D = np.empty(shape)
-    D0, D1 = D
-    q = np.empty(shape[1:])
     q_rows = q[:, None, :]
 
     def mean(points, out):
-        np.subtract(XT, points, out=D)
-        np.divide(D, ell, out=D)
-        np.multiply(D, D, out=D)
-        np.add(D0, D1, out=q)
-        np.multiply(q, -0.5, out=q)
-        np.exp(q, out=q)
-        np.multiply(q, sf2, out=q)
+        rows(points)
         np.matmul(q_rows, alpha, out=out)
 
     return mean

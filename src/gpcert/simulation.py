@@ -166,7 +166,7 @@ def run_closed_loop(
         raise ValueError(f"{len(models)} models vs {len(seeds)} seeds")
     stacked = stacked_mean_function(models) if len(models) > 1 else None
     if stacked is None:
-        stepped = [_closed_loop_rk4(loop, m.mean_function(), ref, horizon, fine_dt, nonlinearity) for m in models]
+        stepped = [_closed_loop_rk4(loop, m, ref, horizon, fine_dt, nonlinearity) for m in models]
         times, per_model = stepped[0][0], [states for _, states in stepped]
     else:
         times, per_model = _closed_loop_rk4_batch(loop, stacked, len(models), ref, horizon, fine_dt,
@@ -208,7 +208,8 @@ def _diverged(times, k: int) -> DivergenceError:
     return DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
 
 
-def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: float, dt: float, nonlinearity):
+def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizon: float, dt: float,
+                     nonlinearity):
     """:func:`integrate` specialised to x' = A x + b (u_nom + f(x)) on a 2-d plant.
 
     u_nom = -theta^T (x - x_ref) + r_ref - mu(x).  The result is bit-identical
@@ -216,15 +217,17 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
     the stage times times[k], times[k] + 0.5 dt and times[k] + dt of every
     step, the state is carried as two floats, and every sum keeps the
     generic loop's operation order.  The products theta^T e and A x stay
-    numpy calls, because BLAS may fuse their multiply-adds.  The stage point,
-    x - x_ref and A x live in three 2-buffers reused by every stage.
+    separate numpy calls, because BLAS fuses their multiply-adds.  The stage
+    point, x - x_ref and A x live in three 2-buffers reused by every stage,
+    and mu reads the stage point in place (:meth:`GPModel.mean_at`).
     """
     times, table = _stage_table(loop, ref, horizon, dt)
     A, b, theta = loop.plant.A, loop.plant.b, loop.theta
     b0, b1 = b.tolist()
-    x = np.empty(2)  # the stage point, handed to predict and nonlinearity
+    x = np.empty(2)  # the stage point, handed to mu and nonlinearity
     e = np.empty(2)  # x - x_ref; read only by theta.dot
     ax = np.empty(2)  # A x
+    predict = model.mean_at(x)
     h, h6 = 0.5 * dt, dt / 6.0
 
     def field(x0, x1, r0, r1, r_ff):
@@ -232,8 +235,8 @@ def _closed_loop_rk4(loop: ClosedLoop, predict, ref: ReferenceSpec, horizon: flo
         x[1] = x1
         e[0] = x0 - r0
         e[1] = x1 - r1
-        s = -float(theta.dot(e)) + r_ff - predict(x) + float(nonlinearity(x))
-        np.matmul(A, x, out=ax)
+        s = -float(theta.dot(e)) + r_ff - predict() + float(nonlinearity(x))
+        np.matmul(A, x, ax)
         ax0, ax1 = ax.tolist()
         return ax0 + b0 * s, ax1 + b1 * s
 

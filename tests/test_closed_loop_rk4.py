@@ -361,3 +361,43 @@ def test_batched_rollout_needs_a_seed_per_model():
     models = models_on_one_grid(np.random.default_rng(2), 7, 2)
     with pytest.raises(ValueError):
         run_closed_loop(loop, models, ReferenceSpec(2.0, 1.0), 0.1, 1e-3, [0], f)
+
+
+@pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
+@pytest.mark.parametrize("sf2", [1.0, 0.7, 2.5])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
+    n_data=st.sampled_from([1, 7, 40]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    steps=st.integers(1, 200),
+    dt=st.sampled_from([0.02, 0.05]),
+)
+def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2, plant, theta, n_data, seed,
+                                                                           steps, dt):
+    # sf2 = 1.0 drops the closure's final multiply; the companion row makes A x a sum that one
+    # fused gemm would round differently
+    try:
+        loop = closed_loop(plant, np.array(theta))
+    except UnsupportedOperationError:
+        assume(False)
+    f, g, _ = benchmark_system()
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (n_data, 2))
+    model = fit(KernelSpec("squared_exponential", sf2, (0.8, 1.5)),
+                TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
+    ref = ReferenceSpec(2.0, 1.0)
+    args = (loop, model, ref, steps * dt, dt, seed, f, g, 0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            new = run_closed_loop(*args)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as old:
+                generic_run_closed_loop(*args)
+            assert old.value.time == exc.time
+            return
+        old = generic_run_closed_loop(*args)
+        times, states = independent_states(loop, model, ref, steps * dt, dt)
+    assert same_run(new, old)
+    assert same_bits(new.times, times)
+    assert same_bits(new.states, states)

@@ -13,7 +13,7 @@ from gpcert.episodic import (
     select_sampling_time,
 )
 from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
-from gpcert.gp import TrainingSet, downsample, fit
+from gpcert.gp import TrainingSet, add_samples, downsample, fit
 from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz, kernel_lipschitz, stddev_lipschitz
 from gpcert.simulation import ReferenceSpec, benchmark_system
 from gpcert.tracking import LinearPlant, certify
@@ -232,3 +232,44 @@ def test_ladder_variance_serves_the_next_certificate():
     passed, recomputed = cert(variance=variance), cert()
     assert passed.to_json_dict() == recomputed.to_json_dict()
     assert (passed.sup_eta, passed.sampling_term) == (recomputed.sup_eta, recomputed.sampling_term)
+
+
+def full_ladder(raw, model, ref_points, upsilon_prev, L_dk, fine_dt, ladder_top):
+    # every rung's variance evaluated at every point; returns the answer and the rungs rejected
+    threshold = 16.0 * L_dk * upsilon_prev ** 2
+    rungs = [fine_dt * 2.0 ** j for j in range(64) if fine_dt * 2.0 ** j <= ladder_top * (1.0 + 1e-9)]
+    for rejected, candidate in enumerate(reversed(rungs)):
+        refit = add_samples(model, downsample(raw, fine_dt, candidate))
+        var = refit.predict_var(ref_points)
+        if float(np.max(var)) <= threshold:
+            return (candidate, refit, var), rejected
+    return None, len(rungs)
+
+
+def test_ladder_stopping_at_a_violating_block_matches_full_evaluation():
+    # 3142 reference points: the variance runs in several row blocks at every rung
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
+    L_dk = gradient_lipschitz(spec)
+    f, _, _ = benchmark_system()
+    ref = ReferenceSpec(2.0, 1.0)
+    ref_points = ref.state(np.arange(0.0, ref.period, 0.002))
+    states = ref.state(np.arange(0.0, ref.period, 0.01)) * 0.97
+    raw = TrainingSet(states, f(states) + 0.1 * np.random.default_rng(0).normal(size=len(states)), 0.01)
+    prior = fit(spec, TrainingSet.empty(2, 0.01))
+    base = add_samples(prior, downsample(raw, 0.01, 0.64))
+    rejections = 0
+    for model in (prior, base):
+        for upsilon_prev in (0.3, 0.05, 0.02, 0.01, 0.004):
+            args = (raw, model, ref_points, upsilon_prev, L_dk, 0.01, 1.0)
+            expected, rejected = full_ladder(*args)
+            if expected is None:
+                with pytest.raises(ConditionUnreachableError):
+                    select_sampling_time(*args)
+                continue
+            rejections += rejected
+            ts, refit, var = select_sampling_time(*args)
+            assert ts == expected[0]
+            assert refit.data.inputs.tobytes() == expected[1].data.inputs.tobytes()
+            assert refit.alpha.tobytes() == expected[1].alpha.tobytes()
+            assert var.tobytes() == expected[2].tobytes()
+    assert rejections > 0

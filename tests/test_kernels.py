@@ -12,6 +12,7 @@ from gpcert.kernels import (
     MATERN52,
     SQUARED_EXPONENTIAL,
     KernelSpec,
+    _scaled_sqdist,
     derivative_kernel_eval,
     gradient_lipschitz,
     gram,
@@ -242,3 +243,27 @@ def test_metric_below_linear_rate_stationary(case):
     box = DomainBox(spec.dim, 12.0)
     L_sigma = stddev_lipschitz(spec, box)
     assert kernel_metric(spec, x, y) <= L_sigma * np.linalg.norm(x - y) + 1e-9
+
+
+def einsum_sqdist(spec, X, Y):
+    # the (rows, m, d) tensor and einsum that _scaled_sqdist's per-coordinate sums replace
+    d = (X[:, None, :] - Y[None, :, :]) / spec.ell
+    return np.einsum("ijk,ijk->ij", d, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ell=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=7),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_per_coordinate_sqdist_is_bytewise_the_einsum(ell, n, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, tuple(ell))
+    X = scale * rng.uniform(-5.0, 5.0, (n, len(ell)))
+    Y = rng.uniform(-5.0, 5.0, (m, len(ell)))
+    got = _scaled_sqdist(spec, X, Y)
+    assert got.shape == (n, m)
+    assert got.tobytes() == einsum_sqdist(spec, X, Y).tobytes()
