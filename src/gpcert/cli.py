@@ -305,17 +305,19 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     t_half = _half_step_times(horizon, dt)
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
-    sims = run_closed_loop(loop, models, ref, horizon, dt, seeds, f,
-                           input_gain=g, noise_variance=float(cfg["noise_variance"]))
+    sims = run_closed_loop(loop, models, ref, horizon, dt, f)
     # the phase of the worst posterior uncertainty, over the first two periods
     period = ref.period
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
     results = []
-    for seed, training, tau, rep, sim in zip(seeds, data, taus, reps, sims):
+    for seed, training, model, tau, rep, sim in zip(seeds, data, models, taus, reps, sims):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
         e = sim.error_norms
+        # the applied input: the nominal one divided by g, which the plant knows exactly
+        u = (-((sim.states - sim.reference_states) @ loop.theta) + ref.signal(sim.times)
+             - model.predict_mean(sim.states)) / g(sim.states)
         # eta, and so upsilon, holds only inside the box
         certified = bool(np.all(e <= upsilon + 1e-12)) and box.contains(sim.states)
         # phase structure: the worst tracking error should fall in the same
@@ -332,7 +334,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
             os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
             ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
             [sim.times, sim.states[:, 0], sim.states[:, 1],
-             sim.reference_states[:, 0], sim.reference_states[:, 1], sim.controls, e],
+             sim.reference_states[:, 0], sim.reference_states[:, 1], u, e],
         )
         training.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
         results.append({
@@ -398,7 +400,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     plant = _plant_from(cfg)
     box = _box_from(cfg)
     ref = _reference_from(cfg)
-    f, g, _ = benchmark_system()
+    f, _, _ = benchmark_system()
     sw = cfg["sweep"]
     pitches = [float(p) for p in sw["pitches"]]
     kappa_target = float(sw["kappa"])
@@ -431,8 +433,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f, L_k, L_sigma)
-        sim = run_closed_loop(cert.loop, model, ref, horizon, dt, seed + j, f, input_gain=g, noise_variance=noise,
-                              controls=False)
+        sim = run_closed_loop(cert.loop, model, ref, horizon, dt, f)
         e_max = float(sim.error_norms.max())
         if e_max > cert.upsilon_bar or not box.contains(sim.states):
             violations += 1
@@ -477,7 +478,7 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     L_k = kern.kernel_lipschitz(spec, box)
     L_sigma = kern.stddev_lipschitz(spec, box)
     ref = _reference_from(cfg)
-    f, g, _ = benchmark_system()
+    f, _, _ = benchmark_system()
     ep = cfg["episodic"]
     config = epi.EpisodeConfig(
         target_error=float(ep["target_error"]),
@@ -492,7 +493,6 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         noise_variance=float(cfg["noise_variance"]),
         L_f=float(cfg["bound"]["L_f"]),
         nonlinearity=f,
-        input_gain=g,
         seed=cfg["seeds"][0],
         max_episodes=ep["max_episodes"],
     )

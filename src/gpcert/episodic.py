@@ -31,7 +31,7 @@ from .density import data_density_batch
 from .errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from .gp import GPModel, TrainingSet, add_samples, downsample, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, run_closed_loop
+from .simulation import ReferenceSpec, measure, run_closed_loop
 from .tracking import ClosedLoop, LinearPlant
 
 EPISODE_CAP_DEFAULT = 200
@@ -54,7 +54,6 @@ class EpisodeConfig:
     noise_variance: float
     L_f: float
     nonlinearity: Callable
-    input_gain: Callable | None = None
     seed: int = 0
     max_episodes: int = EPISODE_CAP_DEFAULT
 
@@ -248,25 +247,16 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
                 f"{config.target_error} after {config.max_episodes} episodes"
             )
         upsilon_prev = cert.upsilon_bar
-        sim = run_closed_loop(
-            cert.loop,
-            model,
-            config.reference,
-            config.horizon,
-            config.fine_dt,
-            seeds=config.seed + 1000003 * i,
-            nonlinearity=config.nonlinearity,
-            input_gain=config.input_gain,
-            noise_variance=config.noise_variance,
-            controls=False,
-        )
+        sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt,
+                              config.nonlinearity)
         observed = float(sim.error_norms.max())
         # the certificate bounds the error only while the states stay in the box
         left_box = not box.contains(sim.states)
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
+        raw = measure(sim.states, config.nonlinearity, config.noise_variance, config.seed + 1000003 * i)
         T_s, model, variance = select_sampling_time(
-            sim.measurements, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
+            raw, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
         )
         ladder_top = T_s  # sampling times never increase across episodes
 

@@ -246,19 +246,26 @@ def stacked_mean_function(models):
     The callable takes the points as a (2, S, 1) array, coordinate first (a
     transposed view of an (S, 2, 1) stack will do), and an (S, 1, 1) array
     ``out`` that receives the S means.  Entry s is bit-identical to
-    ``models[s].mean_function()`` at x_s.  Every model must have the same
-    squared-exponential kernel of dimension 2 and the same nonempty inputs,
-    so that they differ only in alpha; otherwise the result is None.  One
-    set of ufunc calls serves all S points: the rows of :func:`_se_rows` on
-    a (2, S, N) buffer, then the stacked product (S, 1, N) @ (S, N, 1),
-    which makes the same dot product per model.  The buffers make the
+    ``models[s].mean_function()`` at x_s, and so to :meth:`GPModel.predict_mean`.
+    When every model has the same squared-exponential kernel of dimension 2
+    and the same nonempty inputs, so that they differ only in alpha, one set
+    of ufunc calls serves all S points: the rows of :func:`_se_rows` on a
+    (2, S, N) buffer, then the stacked product (S, 1, N) @ (S, N, 1), which
+    makes the same dot product per model.  Otherwise each model's own
+    :meth:`GPModel.mean_function` runs on its point.  The buffers make the
     callable non-reentrant.
     """
     first = models[0]
     if not (len(first) > 0 and _buffered(first.kernel)
             and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
                     for m in models)):
-        return None
+        singles = [m.mean_function() for m in models]
+
+        def each(points, out):
+            for s, mean_of in enumerate(singles):
+                out[s] = mean_of(points[:, s, 0])
+
+        return each
     rows, q = _se_rows(first.kernel, first.data.inputs, (len(models),))
     alpha = np.stack([m.alpha for m in models])[:, :, None]  # (S, N, 1)
     q_rows = q[:, None, :]

@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from gpcert import cli, gp
+from gpcert.kernels import KernelSpec
+from gpcert.simulation import ReferenceSpec, benchmark_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -232,6 +236,26 @@ def test_tracking_csv_headers(tmp_path):
     assert read_bytes(out / "tracking_run_seed0.csv").splitlines()[0] == b"t,e_norm,upsilon,eta_ref,sigma_ref"
     assert read_bytes(out / "sim_run_seed0.csv").splitlines()[0] == b"t,x_1,x_2,xref_1,xref_2,u,e_norm"
     assert read_bytes(out / "training_data_seed0.csv").splitlines()[0] == b"x_1,x_2,y"
+
+
+def test_tracking_csv_records_the_applied_input(tmp_path):
+    # u = (-theta^T (x - x_ref) + r_ref - mu(x)) / g(x), with the model refit from the seed's
+    # training data and every term evaluated one point at a time
+    out = tmp_path / "t"
+    assert cli.run(tracking_config(out, horizon=0.5)) == 0
+    resolved = json.loads((out / "summary.json").read_text())["resolved_config"]
+    ref = ReferenceSpec(resolved["reference"]["amplitude"], resolved["reference"]["frequency"])
+    model = gp.fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.5)),
+                   gp.TrainingSet.from_csv(out / "training_data_seed0.csv", resolved["noise_variance"]))
+    _, g, _ = benchmark_system()
+    theta = np.array([200.0, 20.0])  # [theta1 * theta2, theta2] of the config's gains
+    rows = np.loadtxt(out / "sim_run_seed0.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 501
+    for t, x1, x2, r1, r2, u, _ in rows[::25]:
+        x = np.array([x1, x2])
+        assert [r1, r2] == pytest.approx(ref.state(t).tolist(), rel=1e-12, abs=1e-12)
+        nominal = -float(theta @ (x - [r1, r2])) + float(ref.signal(t)) - model.predict_mean(x)
+        assert u == pytest.approx(nominal / float(g(x)), rel=1e-12, abs=1e-12)
 
 
 def test_tracking_workers_match_serial(tmp_path):

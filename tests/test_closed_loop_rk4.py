@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from gpcert.errors import DivergenceError, UnsupportedOperationError
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import KernelSpec
-from gpcert.simulation import ReferenceSpec, SimRun, benchmark_system, integrate, run_closed_loop
+from gpcert.simulation import ReferenceSpec, SimRun, benchmark_system, integrate, measure, run_closed_loop
 from gpcert.tracking import LinearPlant, closed_loop, contraction_rate, tracking_bound_ode
 
 
-def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, seed, nonlinearity,
-                            input_gain=None, noise_variance=None):
+def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, nonlinearity):
     A, b = loop.plant.A, loop.plant.b
     theta = loop.theta
     predict = model.mean_function()
@@ -34,17 +33,7 @@ def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, seed, nonlineari
         return A @ x + b * (u_nom + float(nonlinearity(x)))
 
     times, states = integrate(dynamics, ref.state(0.0), horizon, fine_dt)
-    ref_states = ref.state(times)
-    mu = model.predict_mean(states) if len(model) else np.zeros(states.shape[0])
-    u_nom = -((states - ref_states) @ theta) + ref.signal(times) - mu
-    controls = u_nom / input_gain(states) if input_gain is not None else u_nom
-    if noise_variance is None:
-        noise_variance = model.data.noise_variance
-    rng = np.random.default_rng(seed)
-    f_vals = np.asarray(nonlinearity(states), dtype=float)
-    eps = rng.normal(0.0, math.sqrt(noise_variance), size=f_vals.shape) if noise_variance > 0 else 0.0
-    measurements = TrainingSet(states, f_vals + eps, max(noise_variance, 1e-300))
-    return SimRun(times, states, ref_states, controls, measurements, seed)
+    return SimRun(times, states, ref.state(times))
 
 
 def generic_tracking_bound_ode(loop, eta_ref, L_sigma, beta, v0, horizon, dt):
@@ -89,26 +78,24 @@ COMPANION = LinearPlant(np.array([[0.0, 1.0], [-2.0, -0.7]]), np.array([0.0, 1.0
     plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
     n_data=st.sampled_from([0, 1, 7, 40]),
     seed=st.integers(0, 2 ** 31 - 1),
-    with_input_gain=st.booleans(),
     steps=st.integers(0, 300),
     dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
 )
-def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, with_input_gain, steps, dt):
+def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, steps, dt):
     # at the coarse pitches one stage's h k is not small against x, so a
     # last-bit change in the field reaches the states
     try:
         loop = closed_loop(plant, np.array(theta))
     except UnsupportedOperationError:
         assume(False)
-    f, g, _ = benchmark_system()
+    f, _, _ = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
     model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
     ref = ReferenceSpec(2.0, 1.0)
-    gain = g if with_input_gain else None
     horizon = steps * dt
 
-    args = (loop, model, ref, horizon, dt, seed, f, gain, 0.01)
+    args = (loop, model, ref, horizon, dt, f)
     try:
         new = run_closed_loop(*args)
     except DivergenceError as exc:  # RK4 is unstable for some fast poles at the coarse pitches
@@ -117,11 +104,8 @@ def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, w
         assert old.value.time == exc.time
         return
     old = generic_run_closed_loop(*args)
-    for field in ("times", "states", "reference_states", "controls"):
+    for field in ("times", "states", "reference_states"):
         assert same_bits(getattr(new, field), getattr(old, field)), field
-    assert same_bits(new.measurements.inputs, old.measurements.inputs)
-    assert same_bits(new.measurements.targets, old.measurements.targets)
-    assert new.measurements.noise_variance == old.measurements.noise_variance
 
 
 def test_diverging_loop_raises_at_the_same_time():
@@ -134,9 +118,9 @@ def test_diverging_loop_raises_at_the_same_time():
     ref = ReferenceSpec(2.0, 1.0)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as new:
-            run_closed_loop(loop, model, ref, 5.0, 1e-3, 0, cubic)
+            run_closed_loop(loop, model, ref, 5.0, 1e-3, cubic)
         with pytest.raises(DivergenceError) as old:
-            generic_run_closed_loop(loop, model, ref, 5.0, 1e-3, 0, cubic)
+            generic_run_closed_loop(loop, model, ref, 5.0, 1e-3, cubic)
     assert 0.0 < new.value.time < 5.0
     assert new.value.time == old.value.time
     assert str(new.value) == str(old.value)
@@ -148,7 +132,7 @@ def test_run_closed_loop_rejects_other_plant_dimensions():
     model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
     f, _, _ = benchmark_system()
     with pytest.raises(ValueError):
-        run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, 0, f)
+        run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,7 +205,7 @@ def test_run_closed_loop_matches_an_independent_batch_reference(theta, plant, n_
     horizon = steps * dt
     try:
         with np.errstate(over="ignore"):
-            new = run_closed_loop(loop, model, ref, horizon, dt, seed, f, noise_variance=0.0)
+            new = run_closed_loop(loop, model, ref, horizon, dt, f)
     except DivergenceError as exc:
         with pytest.raises(DivergenceError) as old, np.errstate(over="ignore"):
             independent_states(loop, model, ref, horizon, dt)
@@ -230,7 +214,8 @@ def test_run_closed_loop_matches_an_independent_batch_reference(theta, plant, n_
     times, states = independent_states(loop, model, ref, horizon, dt)
     assert same_bits(new.times, times)
     assert same_bits(new.states, states)
-    assert same_bits(new.measurements.targets, batch_benchmark_f(states) + 0.0)
+    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(0.01), len(states))
+    assert same_bits(measure(new.states, f, 0.01, seed).targets, batch_benchmark_f(states) + noise)
 
 
 # finite inputs: a NaN result may carry another sign bit in a vector lane
@@ -251,11 +236,7 @@ def test_nonlinearity_one_point_branch_is_the_batch_formula(x1, x2):
 
 
 def same_run(a, b):
-    return (all(same_bits(getattr(a, name), getattr(b, name))
-                for name in ("times", "states", "reference_states", "controls"))
-            and same_bits(a.measurements.inputs, b.measurements.inputs)
-            and same_bits(a.measurements.targets, b.measurements.targets)
-            and a.seed == b.seed)
+    return all(same_bits(getattr(a, name), getattr(b, name)) for name in ("times", "states", "reference_states"))
 
 
 def models_on_one_grid(rng, n_data, count, ell=(0.8, 1.5)):
@@ -273,51 +254,48 @@ def models_on_one_grid(rng, n_data, count, ell=(0.8, 1.5)):
     n_data=st.sampled_from([1, 7, 40]),
     count=st.sampled_from([2, 3]),
     seed=st.integers(0, 2 ** 31 - 1),
-    with_input_gain=st.booleans(),
     steps=st.integers(0, 200),
     dt=st.sampled_from([0.02, 0.05]),
 )
-def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, seed, with_input_gain, steps, dt):
+def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, seed, steps, dt):
     # at the coarse pitches a last-bit change in any stage reaches the states
     try:
         loop = closed_loop(plant, np.array(theta))
     except UnsupportedOperationError:
         assume(False)
-    f, g, _ = benchmark_system()
+    f, _, _ = benchmark_system()
     models = models_on_one_grid(np.random.default_rng(seed), n_data, count)
-    seeds = [seed + s for s in range(count)]
     args = (ReferenceSpec(2.0, 1.0), steps * dt, dt)
-    gain = g if with_input_gain else None
     alone, first_divergence = [], None
     with np.errstate(all="ignore"):
-        for model, s in zip(models, seeds):
+        for model in models:
             try:
-                alone.append(run_closed_loop(loop, model, *args, s, f, gain, 0.01))
+                alone.append(run_closed_loop(loop, model, *args, f))
             except DivergenceError as exc:
                 first_divergence = min(exc.time, first_divergence or math.inf)
         if first_divergence is not None:
             with pytest.raises(DivergenceError) as batch:
-                run_closed_loop(loop, models, *args, seeds, f, gain, 0.01)
+                run_closed_loop(loop, models, *args, f)
             assert batch.value.time == first_divergence
             return
-        runs = run_closed_loop(loop, models, *args, seeds, f, gain, 0.01)
+        runs = run_closed_loop(loop, models, *args, f)
     assert len(runs) == count
     for run, one in zip(runs, alone):
         assert same_run(run, one)
 
 
 def test_batched_rollout_with_models_that_do_not_share_a_grid():
-    # no stacked mean serves these models, so each seed is stepped alone
-    f, g, _ = benchmark_system()
+    # no stacked squared-exponential mean serves these models, so each model's own mean runs on its point
+    f, _, _ = benchmark_system()
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
     rng = np.random.default_rng(3)
     models = [models_on_one_grid(rng, 25, 1)[0], models_on_one_grid(rng, 7, 1, ell=(1.0, 1.0))[0],
               fit(KernelSpec("matern52", 1.0, (1.0, 1.5)), TrainingSet(rng.uniform(-3, 3, (9, 2)), rng.normal(size=9), 0.01)),
               fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))]
     ref = ReferenceSpec(2.0, 1.0)
-    runs = run_closed_loop(loop, models, ref, 0.3, 1e-3, [0, 1, 2, 3], f, g, 0.01)
-    for model, s, run in zip(models, range(4), runs):
-        assert same_run(run, run_closed_loop(loop, model, ref, 0.3, 1e-3, s, f, g, 0.01))
+    runs = run_closed_loop(loop, models, ref, 0.3, 1e-3, f)
+    for model, run in zip(models, runs):
+        assert same_run(run, run_closed_loop(loop, model, ref, 0.3, 1e-3, f))
 
 
 def far_cubic(x):
@@ -334,33 +312,57 @@ def test_a_diverging_seed_stops_its_batch_at_its_own_time():
     ref = ReferenceSpec(2.0, 1.0)
     with np.errstate(all="ignore"):
         for s in (0, 2):
-            run_closed_loop(loop, models[s], ref, 3.0, 1e-3, s, far_cubic)
+            run_closed_loop(loop, models[s], ref, 3.0, 1e-3, far_cubic)
         with pytest.raises(DivergenceError) as alone:
-            run_closed_loop(loop, models[1], ref, 3.0, 1e-3, 1, far_cubic)
+            run_closed_loop(loop, models[1], ref, 3.0, 1e-3, far_cubic)
         with pytest.raises(DivergenceError) as batch:
-            run_closed_loop(loop, models, ref, 3.0, 1e-3, [0, 1, 2], far_cubic)
+            run_closed_loop(loop, models, ref, 3.0, 1e-3, far_cubic)
     assert 0.5 < batch.value.time < 3.0
     assert batch.value.time == alone.value.time
     assert str(batch.value) == str(alone.value)
 
 
-def test_skipped_controls_leave_the_rest_of_the_run_unchanged():
-    f, g, _ = benchmark_system()
-    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
-    model = models_on_one_grid(np.random.default_rng(1), 25, 1)[0]
-    ref = ReferenceSpec(2.0, 1.0)
-    full = run_closed_loop(loop, model, ref, 0.5, 1e-3, 4, f, g, 0.01)
-    lean = run_closed_loop(loop, model, ref, 0.5, 1e-3, 4, f, g, 0.01, controls=False)
-    assert lean.controls is None
-    assert same_run(dataclasses.replace(lean, controls=full.controls), full)
-
-
-def test_batched_rollout_needs_a_seed_per_model():
-    f, _, _ = benchmark_system()
+def test_diverging_matern_seeds_stop_their_batch_at_the_earliest_time():
+    # Matern models have no stacked mean: the batch runs each model's own mean on its point,
+    # and stops at the earliest divergence time of any seed, not at the first seed's
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
-    models = models_on_one_grid(np.random.default_rng(2), 7, 2)
-    with pytest.raises(ValueError):
-        run_closed_loop(loop, models, ReferenceSpec(2.0, 1.0), 0.1, 1e-3, [0], f)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-3.0, 3.0, (25, 2))
+    f, _, _ = benchmark_system()
+    spec = KernelSpec("matern52", 1.0, (0.8, 1.5))
+    models = [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(3)]
+    # means 1500 and 3000 times too large throw seeds 0 and 2 out to where far_cubic diverges
+    models[0] = dataclasses.replace(models[0], alpha=models[0].alpha * 1.5e3)
+    models[2] = dataclasses.replace(models[2], alpha=models[2].alpha * 3e3)
+    ref = ReferenceSpec(2.0, 1.0)
+    alone = []
+    with np.errstate(all="ignore"):
+        run_closed_loop(loop, models[1], ref, 3.0, 1e-3, far_cubic)
+        for s in (0, 2):
+            with pytest.raises(DivergenceError) as exc:
+                run_closed_loop(loop, models[s], ref, 3.0, 1e-3, far_cubic)
+            alone.append(exc.value)
+        with pytest.raises(DivergenceError) as batch:
+            run_closed_loop(loop, models, ref, 3.0, 1e-3, far_cubic)
+    assert alone[1].time < alone[0].time
+    assert batch.value.time == alone[1].time
+    assert str(batch.value) == str(alone[1])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_rollout_calls_the_nonlinearity_on_one_point_at_a_time(count):
+    f, _, _ = benchmark_system()
+    ndims = set()
+
+    def one_point_f(x):
+        ndims.add(np.ndim(x))
+        assert np.ndim(x) == 1
+        return f(x)
+
+    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
+    models = models_on_one_grid(np.random.default_rng(4), 7, count)
+    run_closed_loop(loop, models[0] if count == 1 else models, ReferenceSpec(2.0, 1.0), 0.05, 1e-3, one_point_f)
+    assert ndims == {1}
 
 
 @pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
@@ -381,13 +383,13 @@ def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2,
         loop = closed_loop(plant, np.array(theta))
     except UnsupportedOperationError:
         assume(False)
-    f, g, _ = benchmark_system()
+    f, _, _ = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
     model = fit(KernelSpec("squared_exponential", sf2, (0.8, 1.5)),
                 TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
     ref = ReferenceSpec(2.0, 1.0)
-    args = (loop, model, ref, steps * dt, dt, seed, f, g, 0.01)
+    args = (loop, model, ref, steps * dt, dt, f)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             new = run_closed_loop(*args)

@@ -24,7 +24,7 @@ PLANT = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
 
 
 def small_episode_config(target=0.1, **overrides):
-    f, g, _ = benchmark_system()
+    f, _, _ = benchmark_system()
     kwargs = dict(
         target_error=target,
         xi=0.95,
@@ -38,7 +38,6 @@ def small_episode_config(target=0.1, **overrides):
         noise_variance=0.01,
         L_f=2.0,
         nonlinearity=f,
-        input_gain=g,
         seed=0,
     )
     kwargs.update(overrides)

@@ -351,12 +351,22 @@ def test_stacked_mean_closure_needs_one_se_kernel_and_shared_inputs():
     X = rng.uniform(-4.0, 4.0, (20, 2))
     se = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
     model = fit(se, TrainingSet(X, rng.normal(size=20), 0.01))
-    assert stacked_mean_function([model, fit(se, TrainingSet(X, rng.normal(size=20), 0.01))]) is not None
+    mu = np.empty((2, 1, 1))
+
+    def assert_each_predict_mean(models):
+        stacked = stacked_mean_function(models)
+        for _ in range(3):
+            P = rng.uniform(-4.0, 4.0, (2, 2))
+            stacked(P.T[:, :, None], mu)
+            for s, m in enumerate(models):
+                assert _bits(mu[s, 0, 0]) == _bits(m.predict_mean(P[s]))
+
+    assert_each_predict_mean([model, fit(se, TrainingSet(X, rng.normal(size=20), 0.01))])
     for other in (
         fit(se, TrainingSet(X[:12], rng.normal(size=12), 0.01)),  # other inputs
         fit(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.0)), TrainingSet(X, rng.normal(size=20), 0.01)),
         fit(KernelSpec(MATERN52, 1.0, (1.0, 1.5)), TrainingSet(X, rng.normal(size=20), 0.01)),
         fit(se, TrainingSet.empty(2, 0.01)),
     ):
-        assert stacked_mean_function([model, other]) is None
-        assert stacked_mean_function([other, model]) is None
+        assert_each_predict_mean([model, other])
+        assert_each_predict_mean([other, model])

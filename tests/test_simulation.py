@@ -9,6 +9,7 @@ from gpcert.simulation import (
     ReferenceSpec,
     benchmark_system,
     integrate,
+    measure,
     run_closed_loop,
     sample_prior_function,
 )
@@ -114,47 +115,52 @@ def test_perfect_model_tracks_exactly():
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     zero_f = lambda x: np.zeros(np.asarray(x).shape[:-1])
-    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 5.0, 1e-3, 0, zero_f)
+    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 5.0, 1e-3, zero_f)
     assert sim.error_norms.max() <= 1e-6
 
 
-def test_noise_free_measurements_reproduce_f():
-    f, g, plant = benchmark_system()
+def test_measurements_are_f_plus_seeded_noise():
+    f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, 0, f, g, noise_variance=0.0)
-    np.testing.assert_allclose(sim.measurements.targets, f(sim.states), atol=1e-14)
+    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, f)
+    n, s2 = len(sim.states), 0.01
+    raw = measure(sim.states, f, s2, 3)
+    expected = f(sim.states) + np.random.default_rng(3).normal(0.0, math.sqrt(s2), n)
+    assert raw.targets.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(raw.inputs, sim.states)
+    assert raw.noise_variance == s2
 
 
 def test_measurement_count_and_grid():
-    f, g, plant = benchmark_system()
+    f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     T, dt = 3.0, 1e-3
-    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), T, dt, 1, f, g, noise_variance=0.01)
-    assert len(sim.measurements) == int(math.floor(1 + T / dt + 1e-9))
+    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), T, dt, f)
+    assert len(measure(sim.states, f, 0.01, 1)) == int(math.floor(1 + T / dt + 1e-9))
     steps = np.diff(sim.times)
     assert steps.max() - steps.min() <= 1e-12
 
 
 def test_measurement_noise_variance():
-    f, g, plant = benchmark_system()
+    f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 2.0, 1e-3, 7, f, g, noise_variance=0.01)
-    resid = sim.measurements.targets - f(sim.states)
+    sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 2.0, 1e-3, f)
+    resid = measure(sim.states, f, 0.01, 7).targets - f(sim.states)
     assert len(resid) >= 1000
     assert resid.var() == pytest.approx(0.01, rel=0.10)
 
 
 def test_run_determinism():
-    f, g, plant = benchmark_system()
+    f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    a = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, 42, f, g, noise_variance=0.01)
-    b = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, 42, f, g, noise_variance=0.01)
+    a = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, f)
+    b = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, f)
     np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.measurements.targets, b.measurements.targets)
+    np.testing.assert_array_equal(measure(a.states, f, 0.01, 42).targets, measure(b.states, f, 0.01, 42).targets)
 
 
 def test_prior_sampling_statistics():
