@@ -223,23 +223,21 @@ def _derivative_kernel_constants(spec: KernelSpec, i: int, dim: int) -> tuple[fl
         # constant derivative kernel: the derivative process is a single
         # Gaussian slope, so its Lipschitz constant is zero
         return math.sqrt(sf2) / li, 0.0
-    if spec.family == kernels.MATERN32:
-        raise UnsupportedOperationError("Matern 3/2 lacks the smoothness for derivative kernels")
+    # k^di(x, x) = c sigma_f^2 / l_i^2, with c the family's zero-lag curvature
+    curvature = kernels._CURVATURE[spec.family]
+    max_sq = math.sqrt(curvature) * math.sqrt(sf2) / li
 
     n = 1601
     a_all = np.linspace(0.0, 12.0, n)[:, None]
     s = np.linspace(0.0, 12.0, n)[None, :] if dim > 1 else np.zeros((1, 1))
     if spec.family == kernels.SQUARED_EXPONENTIAL:
-        max_sq = math.sqrt(sf2) / li
-
         def block_max(a):
             E = np.exp(-0.5 * (a * a + s * s))
             dFa = -(sf2 / li ** 3) * a * (3.0 - a * a) * E
             dFs = -(sf2 / li ** 2) * s * (1.0 - a * a) * E
             return float((dFa ** 2 + ((dFs / lm) ** 2 if dim > 1 else 0.0)).max())
-    else:  # matern52
-        max_sq = math.sqrt(5.0 / 3.0) * math.sqrt(sf2) / li
-        c = (5.0 / 3.0) * sf2 / li ** 2
+    else:  # matern52; its one caller rejects Matern 3/2
+        c = curvature * sf2 / li ** 2
 
         def block_max(a):
             r = np.sqrt(a * a + s * s)

@@ -107,7 +107,10 @@ _SCHEMA = (
     ("reference.amplitude", (_number, "a finite number"), 2.0, EXPERIMENTS),
     ("reference.frequency", _POSITIVE, 1.0, EXPERIMENTS),
     ("noise_variance", _POSITIVE, 0.01, EXPERIMENTS),
-    ("seeds", (_list_of(lambda s: _number(s, int)), "a nonempty list of integers"), [0], EXPERIMENTS),
+    ("seeds", (_list_of(lambda s: _number(s, int)), "a nonempty list of integers"), [0], ("tracking",)),
+    # the other experiments run one seed; a second one would be dropped unread
+    ("seeds", (lambda v: isinstance(v, list) and len(v) == 1 and _number(v[0], int),
+               "a list of exactly one integer"), [0], _NOT_TRACKING),
     ("out_dir", (lambda v: isinstance(v, str) and v != "", "a nonempty path"), "runs", EXPERIMENTS),
     ("gains", (lambda v: isinstance(v, dict), "an object"), _REQUIRED, ("tracking",)),
     # any finite horizon reaches the runner, which rejects a negative one

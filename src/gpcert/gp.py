@@ -151,28 +151,6 @@ class GPModel:
     def predict_stddev(self, x):
         return np.sqrt(self.predict_var(x))
 
-    def mean_function(self):
-        """Callable x -> mu(x) on one point of shape (d,).
-
-        Bit-identical to :meth:`predict_mean` on that point.  For the
-        squared-exponential kernel of dimension 2 the closure copies x into a
-        2-buffer and evaluates :meth:`mean_at` of it.  Other families and
-        dimensions get :meth:`predict_mean` itself, and an empty model the
-        prior mean 0.
-        """
-        if len(self) == 0:
-            return lambda x: 0.0
-        if not _buffered(self.kernel):
-            return self.predict_mean
-        xc = np.empty(2)
-        mean = self.mean_at(xc)
-
-        def mean_of(x):
-            xc[:] = x
-            return mean()
-
-        return mean_of
-
     def mean_at(self, point: np.ndarray):
         """Callable () -> mu(point) for a (d,) buffer that the caller overwrites between calls.
 
@@ -246,24 +224,22 @@ def stacked_mean_function(models):
     The callable takes the points as a (2, S, 1) array, coordinate first (a
     transposed view of an (S, 2, 1) stack will do), and an (S, 1, 1) array
     ``out`` that receives the S means.  Entry s is bit-identical to
-    ``models[s].mean_function()`` at x_s, and so to :meth:`GPModel.predict_mean`.
-    When every model has the same squared-exponential kernel of dimension 2
-    and the same nonempty inputs, so that they differ only in alpha, one set
-    of ufunc calls serves all S points: the rows of :func:`_se_rows` on a
-    (2, S, N) buffer, then the stacked product (S, 1, N) @ (S, N, 1), which
-    makes the same dot product per model.  Otherwise each model's own
-    :meth:`GPModel.mean_function` runs on its point.  The buffers make the
+    :meth:`GPModel.predict_mean` of ``models[s]`` at x_s.  When every model
+    has the same squared-exponential kernel of dimension 2 and the same
+    nonempty inputs, so that they differ only in alpha, one set of ufunc
+    calls serves all S points: the rows of :func:`_se_rows` on a (2, S, N)
+    buffer, then the stacked product (S, 1, N) @ (S, N, 1), which makes the
+    same dot product per model.  Otherwise each model's
+    :meth:`GPModel.predict_mean` runs on its point.  The buffers make the
     callable non-reentrant.
     """
     first = models[0]
     if not (len(first) > 0 and _buffered(first.kernel)
             and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
                     for m in models)):
-        singles = [m.mean_function() for m in models]
-
         def each(points, out):
-            for s, mean_of in enumerate(singles):
-                out[s] = mean_of(points[:, s, 0])
+            for s, model in enumerate(models):
+                out[s] = model.predict_mean(points[:, s, 0])
 
         return each
     rows, q = _se_rows(first.kernel, first.data.inputs, (len(models),))

@@ -10,6 +10,11 @@ the standard-deviation Lipschitz constant L_sigma, the mixed partial
 derivative kernels, and the Lipschitz constant of the kernel derivative
 L_dk.  Continuity constants for anisotropic lengthscales use the minimum
 lengthscale, which is conservative and valid.
+
+Every constant is a closed form.  L_sigma, L_dk and the derivative-kernel
+variance of :mod:`bounds` read one table, ``_CURVATURE``: the zero-lag
+curvature c = -k''(0) l^2 / sigma_f^2 of each stationary family along one
+axis, 1 for SE, 3 for Matern 3/2 and 5/3 for Matern 5/2.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ LINEAR = "linear"
 
 _STATIONARY = (SQUARED_EXPONENTIAL, MATERN32, MATERN52)
 _FAMILIES = _STATIONARY + (LINEAR,)
+
+# zero-lag curvature c = -k''(0) l^2 / sigma_f^2: k = sigma_f^2 (1 - c r^2 / 2 + o(r^2)) in the scaled lag r
+_CURVATURE = {SQUARED_EXPONENTIAL: 1.0, MATERN32: 3.0, MATERN52: 5.0 / 3.0}
 
 # radicand clamp for the kernel metric: [-1e-12, 0] is round-off, below is a bug
 _METRIC_TOL = 1e-12
@@ -222,50 +230,30 @@ def _box_corner_norm(box, weights: np.ndarray) -> float:
     return float(np.linalg.norm(weights * extreme))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Golden-section maximization of a unimodal-ish scalar function.
-
-    Used only for kernel-shape maxima which are smooth with a single interior
-    peak; a coarse pre-scan guards against picking the wrong basin.
-    """
-    grid = np.linspace(lo, hi, 512)
-    vals = np.array([f(g) for g in grid])
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    for _ in range(iters):
-        if f(c) > f(d):
-            b = d
-        else:
-            a = c
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        if b - a < 1e-14 * max(1.0, abs(b)):
-            break
-    m = 0.5 * (a + b)
-    return max(f(m), vals[i])
-
-
 def kernel_lipschitz(spec: KernelSpec, box) -> float:
     """Upper bound L_k on the supremum of ||grad k|| over the domain.
 
     Stationary families use the global maximum over lags (a valid upper
-    bound for any domain); the linear kernel maximizes ||x'|| over the box.
+    bound for any domain).  Along the minimum-lengthscale axis, at scaled lag
+    v, ||grad k|| = (sigma_f^2 / l_min) h(v), and any other direction of lag
+    gives at most that; L_k is (sigma_f^2 / l_min) max_v h(v):
+
+    * SE: h = v e^{-v^2/2}, largest at v = 1;
+    * Matern 3/2: h = 3 v e^{-sqrt3 v}, largest at v = 1/sqrt3;
+    * Matern 5/2: h = (5/3) v (1 + sqrt5 v) e^{-sqrt5 v}, whose derivative
+      (5/3) (1 + sqrt5 v - 5 v^2) e^{-sqrt5 v} vanishes at v = (5 + sqrt5) / 10.
+
+    The linear kernel maximizes ||x'|| over the box.
     """
     sf2 = spec.signal_variance
     lm = spec.ell_min
     if spec.family == SQUARED_EXPONENTIAL:
-        # max of v * exp(-v^2/2) is e^{-1/2} at v = 1
         return sf2 * math.exp(-0.5) / lm
     if spec.family == MATERN32:
-        # max of 3 v exp(-sqrt(3) v) at v = 1/sqrt(3)
         return _SQRT3 * sf2 * math.exp(-1.0) / lm
     if spec.family == MATERN52:
-        g = _golden_max(lambda v: (5.0 / 3.0) * v * (1.0 + _SQRT5 * v) * math.exp(-_SQRT5 * v), 0.0, 10.0)
-        return sf2 * g / lm
+        v = (5.0 + _SQRT5) / 10.0
+        return sf2 * ((5.0 / 3.0) * v * (1.0 + _SQRT5 * v) * math.exp(-_SQRT5 * v)) / lm
     return sf2 * _box_corner_norm(box, 1.0 / spec.ell ** 2)
 
 
@@ -296,56 +284,41 @@ def derivative_kernel_eval(spec: KernelSpec, i: int, x, y) -> float:
 
 
 def stddev_lipschitz(spec: KernelSpec, box) -> float:
-    """Lipschitz constant L_sigma of the posterior standard deviation.
+    """Lipschitz constant L_sigma = sqrt(c) sigma_f / l_min of the posterior standard deviation.
 
-    For stationary kernels this is the supremum over lags in the domain of
-    ||grad k|| / sqrt(2 k(0) - 2 k(lag)).  The supremum equals the zero-lag
-    limit sqrt(-k''(0)) for the supported families; a numeric maximization
-    over the worst-axis lag is taken as well and the larger value returned.
+    For stationary kernels L_sigma is the supremum over lags of
+    ||grad k|| / d_k, and c is the family's zero-lag curvature
+    (``_CURVATURE``).  The ratio is largest along the minimum-lengthscale
+    axis and tends to sqrt(c) sigma_f / l from below as the lag shrinks: for
+    SE, with w = r^2 / 2 at scaled lag r,
+
+        (||grad k|| / d_k)^2 = (sigma_f^2 / l^2) w e^{-w} / (e^w - 1) <= sigma_f^2 / l^2,
+
+    since w e^{-w} <= w <= e^w - 1.  With a = sqrt3 r and a = sqrt5 r the
+    Matern 3/2 and 5/2 ratios stay below their limits by a^2 e^{-a} <=
+    2 (e^a - 1 - a) and a^2 (1 + a)^2 e^{-a} <= 6 (e^a - 1 - a - a^2/3).  The
+    bound holds over every domain, so ``box`` is not read.
     """
     if not spec.stationary:
         raise UnsupportedOperationError(
             "L_sigma needs a stationary kernel; use the sqrt(2 L_k tau) modulus instead"
         )
-    sf = spec.sigma_f
-    lm = spec.ell_min
-    if spec.family == SQUARED_EXPONENTIAL:
-        limit = sf / lm
-    elif spec.family == MATERN32:
-        limit = _SQRT3 * sf / lm
-    else:
-        limit = math.sqrt(5.0 / 3.0) * sf / lm
-    # lag along the minimum-lengthscale axis maximizes the ratio
-    e = np.zeros(spec.dim)
-    e[int(np.argmin(spec.ell))] = 1.0
-    zero = np.zeros(spec.dim)
-    diam = box.edge * math.sqrt(box.dimension)
-
-    def ratio(u):
-        if u <= 0.0:
-            return 0.0
-        den = kernel_metric(spec, zero, u * e)
-        if den == 0.0:
-            return 0.0
-        return float(np.linalg.norm(kernel_gradient(spec, zero, u * e))) / den
-
-    # the analytic limit covers lags below ~1e-3 ell, where the metric loses
-    # precision to cancellation
-    return max(limit, _golden_max(ratio, 1e-3 * lm, max(diam, 1e-2 * lm)))
+    return math.sqrt(_CURVATURE[spec.family]) * spec.sigma_f / spec.ell_min
 
 
 def gradient_lipschitz(spec: KernelSpec) -> float:
-    """Lipschitz constant L_dk of the kernel derivative (max |k''| over lags).
+    """Lipschitz constant L_dk = c sigma_f^2 / l_min^2 of the kernel derivative.
+
+    L_dk is max |k''| over lags, and c the family's zero-lag curvature
+    (``_CURVATURE``).  |k''| is largest at lag 0, where it is c sigma_f^2 / l^2:
+    along one axis, at scaled lag v, k'' is -(sigma_f^2 / l^2) times
+    (1 - v^2) e^{-v^2/2} for SE, 3 (1 - sqrt3 v) e^{-sqrt3 v} for Matern 3/2
+    and (5/3) (1 + sqrt5 v - 5 v^2) e^{-sqrt5 v} for Matern 5/2, each at most
+    c in absolute value.
 
     Not defined for the linear kernel, whose density subsets are handled
     geometrically instead.
     """
-    sf2 = spec.signal_variance
-    lm2 = spec.ell_min ** 2
-    if spec.family == SQUARED_EXPONENTIAL:
-        return sf2 / lm2
-    if spec.family == MATERN32:
-        return 3.0 * sf2 / lm2
-    if spec.family == MATERN52:
-        return (5.0 / 3.0) * sf2 / lm2
-    raise UnsupportedOperationError("gradient Lipschitz constant undefined for the linear kernel")
+    if not spec.stationary:
+        raise UnsupportedOperationError("gradient Lipschitz constant undefined for the linear kernel")
+    return _CURVATURE[spec.family] * spec.signal_variance / spec.ell_min ** 2

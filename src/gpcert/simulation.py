@@ -302,8 +302,3 @@ def prior_factor(spec: KernelSpec, grid) -> np.ndarray:
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedDataError(f"prior covariance factorization failed: {exc}") from None
 
-
-def sample_prior_function(spec: KernelSpec, grid, seed: int) -> np.ndarray:
-    """One joint Gaussian draw of the prior on a finite grid (1e-10 jitter)."""
-    L = prior_factor(spec, grid)
-    return L @ np.random.default_rng(seed).standard_normal(L.shape[0])

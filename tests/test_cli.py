@@ -453,6 +453,21 @@ def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
+@pytest.mark.parametrize("experiment", ["density_sweep", "episodic", "validate_bounds", "validate_lipschitz"])
+def test_one_seed_experiments_reject_a_second_seed(tmp_path, capsys, experiment):
+    # these runners read one seed; a second one used to be dropped without a word
+    cfg = small_config(experiment, tmp_path / "out")
+    cfg["seeds"] = [0, 1]
+    assert cli.run(cfg) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: seeds: must be a list of exactly one integer")
+    assert not (tmp_path / "out").exists()
+    # --seed N replaces the list with one seed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--seed", "1"]) != cli.EXIT_CONFIG
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["resolved_config"]["seeds"] == [1]
+
+
 FUZZ_POOL = [None, True, "x", [], {}, 5, -1, 0, 2, math.nan, math.inf, [1.0, "x"]]
 FUZZ_OUTCOMES = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CERTIFICATE, cli.EXIT_NUMERICAL)
 

@@ -25,7 +25,12 @@ from gpcert.tracking import LinearPlant, closed_loop, contraction_rate, tracking
 def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, nonlinearity):
     A, b = loop.plant.A, loop.plant.b
     theta = loop.theta
-    predict = model.mean_function()
+    xc = np.empty(2)
+    mean = model.mean_at(xc)
+
+    def predict(x):
+        xc[:] = x
+        return mean()
 
     def dynamics(t, x):
         e = x - ref.state(t)
@@ -170,7 +175,7 @@ def batch_benchmark_f(x):
 
 def independent_states(loop, model, ref, horizon, dt):
     # mu through the batch predict_mean and f through the batch formula: a
-    # change to mean_function or to f's one-point branch shows up here
+    # change to mean_at or to f's one-point branch shows up here
     A, b, theta = loop.plant.A, loop.plant.b, loop.theta
 
     def dynamics(t, x):

@@ -126,12 +126,12 @@ def test_refit_matches_cached_factorization():
 def test_mean_function_matches_predict_mean_exactly():
     rng = np.random.default_rng(8)
     m = random_model(rng, se_unit(2), n=14)
-    f = m.mean_function()
+    f = buffered_mean(m)
     for _ in range(50):
         x = rng.uniform(-4, 4, 2)
         assert f(x) == m.predict_mean(x)  # identical operation order, no tolerance
     empty = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    assert empty.mean_function()(np.zeros(2)) == 0.0
+    assert buffered_mean(empty)(np.zeros(2)) == 0.0
 
 
 def test_ill_conditioned_duplicates_raise():
@@ -285,6 +285,18 @@ def _bits(v):
     return np.float64(v).tobytes()
 
 
+def buffered_mean(model, d=2):
+    # x -> mu(x) through mean_at bound to a d-buffer, the way the one-seed stepper reads it
+    xc = np.empty(d)
+    mean = model.mean_at(xc)
+
+    def mean_of(x):
+        xc[:] = x
+        return mean()
+
+    return mean_of
+
+
 @settings(max_examples=60, deadline=None)
 @example(n=1009, ell=(1e-2, 1e2), sf2=1.0, scale=1e3, seed=0)  # exp underflows to 0 on one axis
 @example(n=257, ell=(1e2, 1e-2), sf2=2.5, scale=0.0, seed=1)  # the query sits on a data point
@@ -303,7 +315,7 @@ def test_buffered_mean_closure_is_bitwise_predict_mean(n, ell, sf2, scale, seed)
     spec = KernelSpec(SQUARED_EXPONENTIAL, sf2, ell)
     X = rng.uniform(-5.0, 5.0, (n, 2))
     model = GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
-    mean = model.mean_function()
+    mean = buffered_mean(model)
     for _ in range(5):
         x = X[rng.integers(n)] + scale * np.asarray(ell) * rng.normal(size=2)
         assert _bits(mean(x)) == _bits(model.predict_mean(x))
@@ -312,11 +324,10 @@ def test_buffered_mean_closure_is_bitwise_predict_mean(n, ell, sf2, scale, seed)
 def test_mean_closure_outside_the_buffered_case():
     rng = np.random.default_rng(10)
     empty = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    assert empty.mean_function()(np.ones(2)) == 0.0 == empty.predict_mean(np.ones(2))
+    assert buffered_mean(empty)(np.ones(2)) == 0.0 == empty.predict_mean(np.ones(2))
     for d in (1, 3):
         model = random_model(rng, KernelSpec(SQUARED_EXPONENTIAL, 1.3, tuple(rng.uniform(0.5, 2.0, d))), 30)
-        mean = model.mean_function()
-        assert mean == model.predict_mean  # the batch path itself, no buffered closure
+        mean = buffered_mean(model, d)
         for _ in range(20):
             x = rng.uniform(-4.0, 4.0, d)
             assert _bits(mean(x)) == _bits(model.predict_mean(x))
@@ -337,7 +348,7 @@ def test_stacked_mean_closure_is_each_models_own_closure(n, count, ell, sf2, see
     models = [GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
               for _ in range(count)]
     stacked = stacked_mean_function(models)
-    singles = [m.mean_function() for m in models]
+    singles = [buffered_mean(m) for m in models]
     mu = np.empty((count, 1, 1))
     for _ in range(3):
         P = X[rng.integers(n, size=count)] + np.asarray(ell) * rng.normal(size=(count, 2))

@@ -245,6 +245,39 @@ def test_metric_below_linear_rate_stationary(case):
     assert kernel_metric(spec, x, y) <= L_sigma * np.linalg.norm(x - y) + 1e-9
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52]),
+    log_sf2=st.floats(-3.0, 3.0),
+    log_ell=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+def test_closed_form_constants_dominate_scans_along_the_shortest_axis(family, log_sf2, log_ell):
+    # oracle: kernel_gradient and kernel_metric at lags u along the minimum-lengthscale axis
+    spec = KernelSpec(family, math.exp(log_sf2), tuple(math.exp(v) for v in log_ell))
+    lm = spec.ell_min
+    axis = np.zeros(2)
+    axis[int(np.argmin(spec.ell))] = 1.0
+    zero = np.zeros(2)
+
+    def grads(lags):
+        return np.array([kernel_gradient(spec, u * axis, zero) for u in lags])
+
+    lags = lm * np.linspace(1e-3, 10.0, 2000)
+    g = grads(lags)
+    ratios = np.linalg.norm(g, axis=1) / np.array([kernel_metric(spec, u * axis, zero) for u in lags])
+    assert ratios.max() <= stddev_lipschitz(spec, BOX1)
+    # each finite-difference slope of k' is the mean of k'' over its step
+    slopes = np.abs(np.diff(g @ axis)) / np.diff(lags)
+    assert slopes.max() <= gradient_lipschitz(spec)
+    if family == MATERN52:
+        # the finer scan's nearest point lies 6.8e-6 from the peak v* = (5 + sqrt5) / 10 in scaled
+        # lag, where ||grad k|| is 6e-11 below its maximum: far above rounding, far below 1e-9
+        norms = np.linalg.norm(np.vstack([g, grads(lm * np.linspace(0.7, 0.75, 2001))]), axis=1)
+        L_k = kernel_lipschitz(spec, BOX1)
+        assert norms.max() <= L_k
+        assert norms.max() >= L_k * (1 - 1e-9)
+
+
 def einsum_sqdist(spec, X, Y):
     # the (rows, m, d) tensor and einsum that _scaled_sqdist's per-coordinate sums replace
     d = (X[:, None, :] - Y[None, :, :]) / spec.ell

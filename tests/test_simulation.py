@@ -10,8 +10,8 @@ from gpcert.simulation import (
     benchmark_system,
     integrate,
     measure,
+    prior_factor,
     run_closed_loop,
-    sample_prior_function,
 )
 from gpcert.tracking import closed_loop
 
@@ -166,10 +166,13 @@ def test_run_determinism():
 def test_prior_sampling_statistics():
     spec = se_unit()
     grid = np.array([[0.0]])
-    draws = np.array([sample_prior_function(spec, grid, s)[0] for s in range(10000)])
+    # one factor, one draw per seed, as the CLI runners draw
+    L = prior_factor(spec, grid)
+    draws = np.array([(L @ np.random.default_rng(s).standard_normal(1))[0] for s in range(10000)])
     assert draws.var() == pytest.approx(1.0, rel=0.05)
     assert abs(draws.mean()) <= 3.0 / math.sqrt(10000)
     two = np.array([[0.0], [10.0]])
-    pairs = np.array([sample_prior_function(spec, two, s) for s in range(10000)])
+    L = prior_factor(spec, two)
+    pairs = np.array([L @ np.random.default_rng(s).standard_normal(2) for s in range(10000)])
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(corr) <= 0.05
