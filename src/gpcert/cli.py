@@ -36,7 +36,7 @@ from . import episodic as epi
 from . import kernels as kern
 from . import tracking as trk
 from .errors import GPCertError
-from .gp import TrainingSet, fit
+from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
 from .simulation import ReferenceSpec, benchmark_system, prior_factor, run_closed_loop
 from .tracking import LinearPlant, closed_loop
@@ -271,29 +271,38 @@ def _grid(*axes) -> np.ndarray:
 # tracking experiment (closed-loop certificate)
 # ---------------------------------------------------------------------------
 
-def _tracking_prelude(cfg: dict, L_f: float, L_k: float, L_sigma: float, seed: int):
-    """Training data, fitted model, tau and bound constants of one seed; no trajectory-length array."""
-    spec = _kernel_from(cfg)
-    box = _box_from(cfg)
+def _tracking_models(cfg: dict, seeds) -> list[GPModel]:
+    """One fitted model per seed, on noisy samples of the benchmark f at the data grid.
+
+    The seeds share the grid and the noise, so one factorization serves them
+    all and each further seed solves for its own alpha only.
+    """
     f, _, _ = benchmark_system()
-    bb = cfg["bound"]
     noise = float(cfg["noise_variance"])
     grid = _grid(*(np.linspace(*cfg["data_grid"][axis]) for axis in ("x1", "x2")))
-    rng = np.random.default_rng(seed)
-    y = f(grid) + rng.normal(0.0, math.sqrt(noise), size=grid.shape[0])
-    data = TrainingSet(grid, y, noise)
-    model = fit(spec, data)
+    clean = f(grid)
+    targets = [clean + np.random.default_rng(seed).normal(0.0, math.sqrt(noise), size=grid.shape[0])
+               for seed in seeds]
+    first = fit(_kernel_from(cfg), TrainingSet(grid, targets[0], noise))
+    return [first] + [first.with_targets(y) for y in targets[1:]]
+
+
+def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: float):
+    """tau and the bound constants of one seed's model."""
+    box = _box_from(cfg)
+    bb = cfg["bound"]
     tau = bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma) if bb["tau"] == "auto" else float(bb["tau"])
-    return data, model, tau, bnd.bound_constants(model, tau, bb["delta"], L_f, box, L_k, L_sigma)
+    return tau, bnd.bound_constants(model, tau, bb["delta"], L_f, box, L_k, L_sigma)
 
 
 def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seeds) -> list[dict]:
     """Seeds of the tracking experiment, rolled out together; L_f, L_k and L_sigma are the run's.
 
-    A per-seed prelude fits each model, one :func:`run_closed_loop` steps
-    every seed, and a per-seed writer forms eta and upsilon and writes the
-    seed's CSVs.  The seeds share inputs, kernel, noise, gains and reference,
-    so their posterior stddev along the reference is one array, computed once.
+    One factorization serves every seed's model (:func:`_tracking_models`),
+    one :func:`run_closed_loop` steps every seed, and a per-seed writer forms
+    eta and upsilon and writes the seed's CSVs.  The seeds share inputs,
+    kernel, noise, gains and reference, so their posterior stddev along the
+    reference is one array, computed once.
     """
     box = _box_from(cfg)
     ref = _reference_from(cfg)
@@ -304,7 +313,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     source = "probabilistic" if bb["L_f"] == "probabilistic" else "given"
     loop = closed_loop(_plant_from(cfg), _theta_from(cfg))
 
-    data, models, taus, reps = zip(*(_tracking_prelude(cfg, L_f, L_k, L_sigma, seed) for seed in seeds))
+    models = _tracking_models(cfg, seeds)
+    taus, reps = zip(*(_tracking_bound(cfg, model, L_f, L_k, L_sigma) for model in models))
     t_half = _half_step_times(horizon, dt)
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
@@ -314,7 +324,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
     results = []
-    for seed, training, model, tau, rep, sim in zip(seeds, data, models, taus, reps, sims):
+    for seed, model, tau, rep, sim in zip(seeds, models, taus, reps, sims):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
         e = sim.error_norms
@@ -339,7 +349,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
             [sim.times, sim.states[:, 0], sim.states[:, 1],
              sim.reference_states[:, 0], sim.reference_states[:, 1], u, e],
         )
-        training.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
+        model.data.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
         results.append({
             "seed": seed,
             "certified": certified,

@@ -14,11 +14,19 @@ predictions run over the queries in the row blocks of
 grows.  There is no automatic jitter beyond the noise variance: a failed
 factorization surfaces as :class:`IllConditionedDataError` so experiments
 stay faithful to the exact equations.
+
+Every BLAS call on a factor of fewer than ``_SERIAL_BELOW`` rows runs on one
+OpenBLAS thread (:func:`_blas_threads`).  At those sizes threads cost CPU
+and save no wall time, and from about 128 rows a threaded Cholesky changes
+its last bits with the thread count, so artifacts would depend on the host.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +34,68 @@ import scipy.linalg
 
 from .errors import IllConditionedDataError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, _row_blocks, gram, kernel_diag
+
+# factors of fewer rows run their BLAS calls on one thread; larger ladder solves gain from threads
+_SERIAL_BELOW = 512
+
+# (getter, setter) of the thread count, by the name each OpenBLAS build exports
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS library loaded in the process.
+
+    numpy and scipy each bundle their own OpenBLAS, found through
+    ``/proc/self/maps``.  Empty where there is no ``/proc`` or no OpenBLAS
+    (MKL, Accelerate).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the body on one BLAS thread when the factor has fewer than ``_SERIAL_BELOW`` rows.
+
+    Every OpenBLAS pool of :func:`_blas_pools` is pinned to one thread and
+    gets its previous count back on exit, on errors too.  From
+    ``_SERIAL_BELOW`` rows, or with no pool found, the body runs as it is.
+    The counts belong to the process, so threads of one process that fit
+    or predict at the same time can leave each other's counts pinned.
+    """
+    pools = _blas_pools() if n < _SERIAL_BELOW else ()
+    previous = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, previous):
+            put(count)
 
 
 @dataclass(frozen=True)
@@ -120,8 +190,11 @@ class GPModel:
         X, single = self._query(x)
         mu = np.zeros(X.shape[0])
         if len(self) > 0:
-            for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
-                mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
+            # OpenBLAS threads no one-row product at these sizes, and the RK4 stages
+            # of a model without a buffered mean call this once per point
+            with _blas_threads(len(self)) if X.shape[0] > 1 else contextlib.nullcontext():
+                for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
+                    mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
         return float(mu[0]) if single else mu
 
     def predict_var(self, x):
@@ -145,8 +218,18 @@ class GPModel:
             return
         for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
             kx = gram(self.kernel, self.data.inputs, X[rows])
-            v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
+            with _blas_threads(len(self)):
+                v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
             yield rows, np.clip(prior[rows] - np.einsum("ij,ij->j", v, v), 0.0, prior[rows])
+
+    def with_targets(self, targets) -> "GPModel":
+        """The posterior on the same nonempty inputs and noise for other targets.
+
+        Reuses the cached factor, so only alpha is solved for; the result is
+        :func:`fit` on the new data bit for bit.
+        """
+        data = TrainingSet(self.data.inputs, targets, self.data.noise_variance)
+        return GPModel(self.kernel, data, self.chol, _weights(self.chol, data.targets))
 
     def predict_stddev(self, x):
         return np.sqrt(self.predict_var(x))
@@ -261,16 +344,22 @@ def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:
     if n == 0:
         return GPModel(kernel, data, None, np.zeros(0))
     K = gram(kernel, data.inputs) + data.noise_variance * np.eye(n)
-    try:
-        L = scipy.linalg.cholesky(K, lower=True)
-    except scipy.linalg.LinAlgError:
-        pivot = float(np.linalg.eigvalsh(K)[0])
-        raise IllConditionedDataError(
-            f"Gram matrix plus noise is not positive definite (smallest pivot {pivot:.3e})",
-            smallest_pivot=pivot,
-        ) from None
-    alpha = scipy.linalg.cho_solve((L, True), data.targets)
-    return GPModel(kernel, data, L, alpha)
+    with _blas_threads(n):
+        try:
+            L = scipy.linalg.cholesky(K, lower=True)
+        except scipy.linalg.LinAlgError:
+            pivot = float(np.linalg.eigvalsh(K)[0])
+            raise IllConditionedDataError(
+                f"Gram matrix plus noise is not positive definite (smallest pivot {pivot:.3e})",
+                smallest_pivot=pivot,
+            ) from None
+    return GPModel(kernel, data, L, _weights(L, data.targets))
+
+
+def _weights(chol: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """alpha = (K + s_on^2 I)^{-1} y from the lower Cholesky factor of K + s_on^2 I."""
+    with _blas_threads(chol.shape[0]):
+        return scipy.linalg.cho_solve((chol, True), targets)
 
 
 def add_samples(model: GPModel, new: TrainingSet) -> GPModel:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedDataError
-from .gp import GPModel, TrainingSet, stacked_mean_function
+from .gp import GPModel, TrainingSet, _blas_threads, stacked_mean_function
 from .kernels import KernelSpec, gram
 from .tracking import ClosedLoop, LinearPlant
 
@@ -298,7 +298,8 @@ def prior_factor(spec: KernelSpec, grid) -> np.ndarray:
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     K = gram(spec, grid) + 1e-10 * np.eye(grid.shape[0])
     try:
-        return scipy.linalg.cholesky(K, lower=True)
+        with _blas_threads(grid.shape[0]):
+            return scipy.linalg.cholesky(K, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedDataError(f"prior covariance factorization failed: {exc}") from None
 

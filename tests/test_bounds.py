@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpcert.bounds import (
     DomainBox,
+    _derivative_kernel_constants,
     auto_tau,
     beta,
     bound_constants,
@@ -25,6 +26,7 @@ from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import (
     MATERN32,
     MATERN52,
+    SQUARED_EXPONENTIAL,
     KernelSpec,
     derivative_kernel_eval,
     kernel_eval,
@@ -259,6 +261,42 @@ def test_probabilistic_lipschitz_rejects_matern32():
 def test_probabilistic_lipschitz_matern52_runs():
     v = probabilistic_lipschitz(KernelSpec(MATERN52, 1.0, (1.0,)), DomainBox(1, 10.0), 0.01)
     assert v > 0
+
+
+def _full_grid_derivative_lipschitz(spec, i, dim):
+    """Lipschitz constant of k^di as the maximum over the whole 1601^2 grid of [0, 12]^2, in 100-row strips."""
+    sf2, li, lm = spec.signal_variance, spec.lengthscales[i], spec.ell_min
+    axis = np.linspace(0.0, 12.0, 1601)
+    s = axis[None, :] if dim > 1 else np.zeros((1, 1))
+    best = 0.0
+    for start in range(0, axis.size, 100):
+        a = axis[start:start + 100, None]
+        if spec.family == SQUARED_EXPONENTIAL:
+            E = np.exp(-0.5 * (a * a + s * s))
+            dFa = -(sf2 / li ** 3) * a * (3.0 - a * a) * E
+            dFs = -(sf2 / li ** 2) * s * (1.0 - a * a) * E
+            g2 = dFa ** 2 + ((dFs / lm) ** 2 if dim > 1 else 0.0)
+        else:
+            c = (5.0 / 3.0) * sf2 / li ** 2
+            r = np.sqrt(a * a + s * s)
+            rsafe = np.maximum(r, 1e-300)
+            E = np.exp(-math.sqrt(5.0) * r)
+            dGa = 5.0 * a * E * (math.sqrt(5.0) * a * a / rsafe - 3.0)
+            dGs = math.sqrt(5.0) * (s / rsafe) * E * (5.0 * a * a - math.sqrt(5.0) * r)
+            g2 = (c * dGa / li) ** 2 + ((c * dGs / lm) ** 2 if dim > 1 else 0.0)
+        best = max(best, float(g2.max()))
+    return math.sqrt(best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN52]), log_sf2=st.floats(-3.0, 3.0),
+       log_ells=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3), data=st.data())
+def test_derivative_kernel_window_matches_full_grid(family, log_sf2, log_ells, data):
+    # the [0, 6]^2 window holds the maximum of the [0, 12]^2 grid, bit for bit
+    dim = len(log_ells)
+    spec = KernelSpec(family, math.exp(log_sf2), tuple(math.exp(v) for v in log_ells))
+    i = data.draw(st.integers(0, dim - 1))
+    assert _derivative_kernel_constants(spec, i, dim)[1] == _full_grid_derivative_lipschitz(spec, i, dim)
 
 
 def test_params_validation():

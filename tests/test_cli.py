@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import numpy as np
+import scipy.linalg
 
 from gpcert import cli, gp
 from gpcert.kernels import KernelSpec
@@ -589,17 +590,57 @@ def test_uneven_worker_batches_match_serial(tmp_path, workers):
 
 def test_a_diverging_seed_in_a_batch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     fits = []
+    tracking_models = cli._tracking_models
 
-    def fit_with_overflowing_weights_for_the_second_seed(spec, data):
-        # the prelude fits the seeds of a batch in order
-        model = gp.fit(spec, data)
-        fits.append(model)
-        return dataclasses.replace(model, alpha=model.alpha * 1e308) if len(fits) == 2 else model
+    def models_with_overflowing_weights_for_the_second_seed(cfg, seeds):
+        # one model per seed of the batch, in order
+        models = tracking_models(cfg, seeds)
+        fits.extend(models)
+        return [dataclasses.replace(m, alpha=m.alpha * 1e308) if k == 1 else m for k, m in enumerate(models)]
 
-    monkeypatch.setattr(cli, "fit", fit_with_overflowing_weights_for_the_second_seed)
+    monkeypatch.setattr(cli, "_tracking_models", models_with_overflowing_weights_for_the_second_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself, in the bound constants
         rc = cli.run(tracking_config(tmp_path / "t", seeds=(0, 1, 2), horizon=0.5))
     assert rc == cli.EXIT_NUMERICAL
     assert len(fits) == 3
     assert capsys.readouterr().err.startswith("numerical failure in tracking: state diverged at t = ")
+
+
+def test_tracking_factors_once_per_batch(tmp_path, monkeypatch):
+    factors = []
+    cholesky = scipy.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        factors.append(args[0].shape)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+    assert cli.run(tracking_config(tmp_path / "t", seeds=(0, 1, 2), horizon=0.2)) == 0
+    assert factors == [(25, 25)]
+    rows = [json.loads((tmp_path / "t" / "summary.json").read_text())["per_seed"][k]["max_error"] for k in range(3)]
+    assert len(set(rows)) == 3  # each seed keeps its own data
+
+
+def test_shipped_lipschitz_constants_bound_the_benchmark_gradient():
+    # grad f = (-2 cos 2 x1, s(x2) (1 - s(x2))) with s the logistic function, largest at x1 = k pi / 2, x2 = 0
+    analytic = math.sqrt(2.0 ** 2 + 0.25 ** 2)
+    f, _, _ = benchmark_system()
+    given = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = cli.load_config(str(path))
+        L_f = cfg.get("bound", {}).get("L_f")
+        if isinstance(L_f, (int, float)):
+            given[path.name] = (L_f, cfg["domain"])
+    assert set(given) == {"density_sweep.json", "episodic.json", "tracking.json"}
+    for name, (L_f, domain) in given.items():
+        half = domain["edge"] / 2.0
+        axes = [np.linspace(c - half, c + half, 1001) for c in domain["center"]]
+        g1, g2 = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([g1.ravel(), g2.ravel()])
+        h = 1e-6
+        d1 = (f(pts + [h, 0.0]) - f(pts - [h, 0.0])) / (2.0 * h)
+        d2 = (f(pts + [0.0, h]) - f(pts - [0.0, h])) / (2.0 * h)
+        grid_max = float(np.sqrt(d1 * d1 + d2 * d2).max())
+        assert 2.0 < grid_max <= analytic + 1e-8, name  # the old L_f = 2.0 was below it
+        assert L_f >= analytic and L_f >= grid_max, name

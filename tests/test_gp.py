@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from gpcert import kernels
+from gpcert import gp, kernels
 from gpcert.bounds import DomainBox, probabilistic_lipschitz
 from gpcert.density import data_density_batch
 from gpcert.errors import IllConditionedDataError
@@ -381,3 +381,110 @@ def test_stacked_mean_closure_needs_one_se_kernel_and_shared_inputs():
     ):
         assert_each_predict_mean([model, other])
         assert_each_predict_mean([other, model])
+
+
+def test_with_targets_is_fit_on_the_new_targets():
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-4.0, 4.0, (30, 2))
+    spec = KernelSpec(MATERN52, 1.3, (0.8, 1.5))
+    y = rng.normal(size=30)
+    refit = fit(spec, TrainingSet(X, y, 0.02))
+    reused = fit(spec, TrainingSet(X, rng.normal(size=30), 0.02)).with_targets(y)
+    assert reused.alpha.tobytes() == refit.alpha.tobytes()
+    assert reused.chol.tobytes() == refit.chol.tobytes()
+    np.testing.assert_array_equal(reused.data.targets, y)
+
+
+# the thread rule of gp._blas_threads: one OpenBLAS thread below gp._SERIAL_BELOW rows
+
+def _pool_counts():
+    return [get() for get, _ in gp._blas_pools()]
+
+
+def _set_pools(count):
+    for _, put in gp._blas_pools():
+        put(count)
+
+
+@pytest.fixture
+def caller_threads():
+    """The process's real pool counts, restored after the test."""
+    before = _pool_counts()
+    yield before
+    for (_, put), count in zip(gp._blas_pools(), before):
+        put(count)
+
+
+def _fake_pools(monkeypatch, count):
+    """One stand-in pool at ``count`` threads; returns the log of its set calls and its state."""
+    state, log = {"count": count}, []
+
+    def put(c):
+        log.append(c)
+        state["count"] = c
+
+    monkeypatch.setattr(gp, "_blas_pools", lambda: ((lambda: state["count"], put),))
+    return log, state
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_small_factor_results_do_not_depend_on_blas_threads(n, caller_threads):
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-4.0, 4.0, (n, 2))
+    y = rng.normal(size=n)
+    Q = rng.uniform(-4.0, 4.0, (700, 2))
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
+    results = []
+    for count in (1, 2):
+        _set_pools(count)
+        m = fit(spec, TrainingSet(X, y, 0.01))
+        results.append([a.tobytes() for a in (m.chol, m.alpha, m.predict_mean(Q), m.predict_var(Q))])
+    assert results[0] == results[1]
+
+
+def test_blas_threads_pins_small_factors_and_restores_the_callers_count(caller_threads):
+    if not gp._blas_pools():
+        pytest.skip("no OpenBLAS in this process")
+    _set_pools(2)
+    before = _pool_counts()
+    with gp._blas_threads(gp._SERIAL_BELOW - 1):
+        assert _pool_counts() == [1] * len(before)
+    assert _pool_counts() == before
+    fit(se_unit(), TrainingSet(np.linspace(0.0, 5.0, 50)[:, None], np.zeros(50), 0.01))
+    assert _pool_counts() == before
+    with pytest.raises(IllConditionedDataError):
+        fit(se_unit(), TrainingSet(np.zeros((2, 1)), np.ones(2), 1e-30))
+    assert _pool_counts() == before
+
+
+def test_blas_threads_restores_the_count_after_an_error(monkeypatch):
+    log, state = _fake_pools(monkeypatch, 3)
+    with pytest.raises(IllConditionedDataError):
+        fit(se_unit(), TrainingSet(np.zeros((2, 1)), np.ones(2), 1e-30))
+    assert log[0] == 1 and state["count"] == 3
+
+
+def test_blas_threads_leaves_large_factors_alone(monkeypatch):
+    log, state = _fake_pools(monkeypatch, 3)
+    X = np.random.default_rng(0).uniform(-4.0, 4.0, (gp._SERIAL_BELOW, 2))
+    m = fit(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5)), TrainingSet(X, np.zeros(len(X)), 0.01))
+    m.predict_mean(X[:300])
+    m.predict_var(X[:300])
+    assert log == [] and state["count"] == 3
+    small = fit(se_unit(), TrainingSet(np.linspace(0.0, 5.0, 50)[:, None], np.zeros(50), 0.01))
+    log.clear()
+    small.predict_var(np.zeros((10, 1)))
+    assert log == [1, 3]
+
+
+def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(gp, "open", no_proc, raising=False)
+    assert gp._blas_pools.__wrapped__() == ()
+    monkeypatch.setattr(gp, "_blas_pools", lambda: ())
+    with gp._blas_threads(1):
+        pass
+    m = fit(se_unit(), TrainingSet(np.array([[0.0]]), np.array([1.0]), 0.01))
+    assert m.predict_mean(np.array([0.0])) == pytest.approx(1.0 / 1.01)
