@@ -57,13 +57,13 @@ class DomainBox:
             raise ValueError("center does not match the box dimension")
         object.__setattr__(self, "center", c)
 
-    def inside(self, x, tol: float = 1e-12) -> np.ndarray:
-        """Row mask of a point (d,) or a batch (m, d): which lie in the box."""
+    def inside(self, x) -> np.ndarray:
+        """Row mask of a point (d,) or a batch (m, d): which lie in the box, up to 1e-12."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.all(np.abs(x - self.center) <= 0.5 * self.edge + tol, axis=1)
+        return np.all(np.abs(x - self.center) <= 0.5 * self.edge + 1e-12, axis=1)
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return bool(self.inside(x, tol).all())
+    def contains(self, x) -> bool:
+        return bool(self.inside(x).all())
 
 
 def covering_number_bound(tau: float, box: DomainBox) -> float:

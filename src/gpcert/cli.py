@@ -38,7 +38,7 @@ from . import tracking as trk
 from .errors import GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, benchmark_system, prior_factor, run_closed_loop
+from .simulation import ReferenceSpec, benchmark_system, measure, prior_factor, run_closed_loop
 from .tracking import LinearPlant, closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
@@ -223,8 +223,6 @@ def _theta_from(cfg: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
@@ -241,7 +239,7 @@ _CSV_CHUNK_ROWS = 256  # bounds the cell strings held at once (and so peak RSS)
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write equally long columns as CSV rows: repr of floats, integers as such, None empty."""
+    """Write equally long columns as CSV rows: repr of floats, integers as such."""
     n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -254,12 +252,6 @@ def _write_json(path: str, obj: dict) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _half_step_times(horizon: float, dt: float) -> np.ndarray:
-    """Times 0, dt/2, ..., n dt (n = horizon / dt): every RK4 stage time."""
-    n = int(round(horizon / dt))
-    return np.arange(2 * n + 1) * (dt / 2.0)
 
 
 def _grid(*axes) -> np.ndarray:
@@ -278,13 +270,10 @@ def _tracking_models(cfg: dict, seeds) -> list[GPModel]:
     all and each further seed solves for its own alpha only.
     """
     f, _, _ = benchmark_system()
-    noise = float(cfg["noise_variance"])
     grid = _grid(*(np.linspace(*cfg["data_grid"][axis]) for axis in ("x1", "x2")))
-    clean = f(grid)
-    targets = [clean + np.random.default_rng(seed).normal(0.0, math.sqrt(noise), size=grid.shape[0])
-               for seed in seeds]
-    first = fit(_kernel_from(cfg), TrainingSet(grid, targets[0], noise))
-    return [first] + [first.with_targets(y) for y in targets[1:]]
+    data = [measure(grid, f, float(cfg["noise_variance"]), seed) for seed in seeds]
+    first = fit(_kernel_from(cfg), data[0])
+    return [first] + [first.with_targets(d.targets) for d in data[1:]]
 
 
 def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: float):
@@ -315,7 +304,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
 
     models = _tracking_models(cfg, seeds)
     taus, reps = zip(*(_tracking_bound(cfg, model, L_f, L_k, L_sigma) for model in models))
-    t_half = _half_step_times(horizon, dt)
+    t_half = trk.half_step_times(horizon, dt)
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
     sims = run_closed_loop(loop, models, ref, horizon, dt, f)
@@ -396,7 +385,6 @@ def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]
         print("note: the gain condition fails for some seed; its tracking bound may be vacuous",
               file=sys.stderr)
     return {
-        "resolved_config": {**cfg, "bound": results[0]["resolved_bound"]},
         "per_seed": results,
         "all_certified": ok,
         "all_gain_conditions": gains_ok,
@@ -430,15 +418,14 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     n_profile = 128
     t_profile = np.arange(n_profile) * (ref.period / n_profile)
     profile_points = ref.state(t_profile)
-    half_step_points = ref.state(_half_step_times(horizon, dt))
+    half_step_points = ref.state(trk.half_step_times(horizon, dt))
 
     rows = []
     violations = 0
     for j, pitch in enumerate(pitches):
         ax = np.linspace(lo, hi, int(round((hi - lo) / pitch)) + 1)
         grid = _grid(ax, ax)
-        rng = np.random.default_rng(seed + j)
-        data = TrainingSet(grid, f(grid) + rng.normal(0.0, math.sqrt(noise), grid.shape[0]), noise)
+        data = measure(grid, f, noise, seed + j)
         model = fit(spec, data)
 
         rho = dens.data_density_batch(model, profile_points)
@@ -452,13 +439,11 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
             violations += 1
 
         sigma_profile = model.predict_stddev(profile_points)
-        density_sd_bound = np.where(
-            rho > 0, np.sqrt(2.0 / (np.maximum(rho, 1e-300) * spec.signal_variance)), np.inf
-        )
         _write_csv(
             os.path.join(out_dir, f"density_profile_pitch{j}.csv"),
             ["x_1", "x_2", "rho", "sigma_exact", "sigma_bound_prop10"],
-            [profile_points[:, 0], profile_points[:, 1], rho, sigma_profile, density_sd_bound],
+            [profile_points[:, 0], profile_points[:, 1], rho, sigma_profile,
+             dens.stddev_bound(rho, spec.signal_variance)],
         )
         rows.append({"pitch": pitch, "n_train": len(data), "rho_min": rho_min, "e_max": e_max,
                      **cert.to_json_dict()})
@@ -516,14 +501,7 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
     L_dk = kern.gradient_lipschitz(spec)
     n_e = epi.episode_count_bound(config.target_error, L_dk, spec.signal_variance, config.xi)
-    # a rollout breaks its episode's certificate if its error exceeds the
-    # bound or its states leave the box the bound holds in
-    violations = sum(
-        1
-        for prev, cur in zip(reports, reports[1:])
-        if cur.states_left_box
-        or (cur.observed_max_error is not None and cur.observed_max_error > prev.certificate.upsilon_bar)
-    )
+    violations = sum(r.violated for r in reports)
     return {
         "episodes_run": len(reports) - 1,
         "N_E": n_e,
@@ -653,8 +631,8 @@ def run(config: dict, workers: int = 1) -> int:
     """Validate, dispatch, and write artifacts; returns the process exit code.
 
     Each runner writes its artifacts and returns ``(summary, ok)``; the summary
-    gains the experiment and the resolved config (unless the runner resolves it
-    further) and goes to ``summary.json``.  ``workers`` serves tracking only.
+    gains the experiment and the resolved config and goes to ``summary.json``.
+    ``workers`` serves tracking only.
     """
     cfg, problems = resolve(config)
     if problems:

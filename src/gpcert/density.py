@@ -42,32 +42,27 @@ class DensityResult:
     binding_constraint: BindingConstraint
 
 
-def _membership_quantities(model: GPModel, x) -> tuple[np.ndarray, np.ndarray, float]:
-    """(first-inequality mask, exit thresholds, k(x,x)) for every data point.
+def _exit_thresholds(model: GPModel, X: np.ndarray, kxx: np.ndarray) -> np.ndarray:
+    """Exit threshold of every data point (columns) for each query of X (rows).
 
-    The exit threshold of a point is the rho' above which its second
-    inequality fails: 1 / (k^2(x',x') - k^2(x',x)), infinite when the
-    difference is nonpositive.
+    ``kxx`` is k(x,x) for the queries.  The exit threshold of a point is the
+    rho' above which its second inequality fails: 1 / (k^2(x',x') -
+    k^2(x',x)), infinite when the difference is nonpositive.  A point that
+    fails the first inequality is in no neighborhood of x and gets -inf.
     """
-    x = np.asarray(x, dtype=float)
-    kxx = float(kernel_diag(model.kernel, x[None, :])[0])
-    if len(model) == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0), kxx
     diag = kernel_diag(model.kernel, model.data.inputs)
-    kxp = gram(model.kernel, model.data.inputs, x[None, :])[:, 0]
-    passes_first = kxx ** 2 <= diag ** 2
-    denom = diag ** 2 - kxp ** 2
+    denom = diag ** 2 - gram(model.kernel, X, model.data.inputs) ** 2
     thresholds = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
-    return passes_first, thresholds, kxx
+    return np.where(kxx[:, None] ** 2 <= diag ** 2, thresholds, -np.inf)
 
 
 def kernel_subset(model: GPModel, x, rho_prime: float) -> list[int]:
     """Indices of training points inside K_rho'(x)."""
     if not rho_prime > 0:
         raise ValueError("rho' must be positive")
-    passes_first, thresholds, _ = _membership_quantities(model, x)
-    member = passes_first & (thresholds >= rho_prime)
-    return [int(i) for i in np.nonzero(member)[0]]
+    X = np.asarray(x, dtype=float)[None, :]
+    thresholds = _exit_thresholds(model, X, kernel_diag(model.kernel, X))[0]
+    return [int(i) for i in np.nonzero(thresholds >= rho_prime)[0]]
 
 
 def data_density(model: GPModel, x) -> DensityResult:
@@ -78,11 +73,13 @@ def data_density(model: GPModel, x) -> DensityResult:
     c = s_on^2 k(x,x); conversely each such value is feasible.  The optimum
     is therefore max_q min(T_q, q / c), computed in O(N log N).
     """
-    passes_first, thresholds, kxx = _membership_quantities(model, x)
-    if kxx <= 0.0:
+    X = np.asarray(x, dtype=float)[None, :]
+    kxx = kernel_diag(model.kernel, X)
+    if kxx[0] <= 0.0:
         raise DegenerateInputError("data density undefined where k(x,x) = 0")
-    c = model.data.noise_variance * kxx
-    cand = np.sort(thresholds[passes_first])[::-1]
+    thresholds = _exit_thresholds(model, X, kxx)[0]
+    c = model.data.noise_variance * kxx[0]
+    cand = np.sort(thresholds[thresholds > -np.inf])[::-1]
     if cand.size == 0:
         return DensityResult(0.0, (), BindingConstraint.CARDINALITY)
     counts = np.arange(1, cand.size + 1)
@@ -90,15 +87,14 @@ def data_density(model: GPModel, x) -> DensityResult:
     q = int(np.argmax(values))
     rho = float(values[q])
     binding = BindingConstraint.THRESHOLD if cand[q] <= counts[q] / c else BindingConstraint.CARDINALITY
-    member = passes_first & (thresholds >= rho)
-    return DensityResult(rho, tuple(int(i) for i in np.nonzero(member)[0]), binding)
+    return DensityResult(rho, tuple(int(i) for i in np.nonzero(thresholds >= rho)[0]), binding)
 
 
 def data_density_batch(model: GPModel, X) -> np.ndarray:
     """Vectorized rho(x) over a batch of query points (values only).
 
-    Same breakpoint optimization as :func:`data_density`, with thresholds of
-    excluded points set to -inf so they neither count nor win.  Runs over the
+    Same breakpoint optimization as :func:`data_density`; the -inf
+    thresholds of excluded points neither count nor win.  Runs over the
     queries in the row blocks of :func:`kernels._row_blocks`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -107,15 +103,11 @@ def data_density_batch(model: GPModel, X) -> np.ndarray:
         raise DegenerateInputError("data density undefined where k(x,x) = 0")
     if len(model) == 0:
         return np.zeros(X.shape[0])
-    diag = kernel_diag(model.kernel, model.data.inputs)
     counts = np.arange(1, len(model) + 1)[None, :]
     c = model.data.noise_variance * kxx
     rho = np.empty(X.shape[0])
     for rows in kernels._row_blocks(X.shape[0], len(model) * model.kernel.dim):
-        kxp = gram(model.kernel, X[rows], model.data.inputs)
-        denom = diag[None, :] ** 2 - kxp ** 2
-        thr = np.where(denom > 0, 1.0 / np.where(denom > 0, denom, 1.0), np.inf)
-        thr = np.where(kxx[rows, None] ** 2 <= diag[None, :] ** 2, thr, -np.inf)
+        thr = _exit_thresholds(model, X[rows], kxx[rows])
         thr.sort(axis=1)
         thr = thr[:, ::-1]
         values = np.minimum(thr, counts / c[rows, None])
@@ -162,6 +154,12 @@ def variance_bound_stationary(model: GPModel, x) -> float:
     return k0 - float((kxp ** 2).min()) / (k0 + model.data.noise_variance / n)
 
 
+def stddev_bound(rho, kxx):
+    """The density bound sqrt(2 / (rho k(x,x))) on sigma(x), elementwise; +inf where rho = 0."""
+    rho = np.asarray(rho, dtype=float)
+    return np.where(rho > 0, np.sqrt(2.0 / (np.where(rho > 0, rho, 1.0) * kxx)), np.inf)
+
+
 def density_variance_bound(model: GPModel, x) -> float:
     """Density bound sigma(x) <= sqrt(2 / (rho(x) k(x,x))); +inf when rho = 0.
 
@@ -172,10 +170,7 @@ def density_variance_bound(model: GPModel, x) -> float:
     kxx = float(kernel_diag(model.kernel, x[None, :])[0])
     if kxx <= 0.0:
         raise DegenerateInputError("density variance bound undefined where k(x,x) = 0")
-    rho = data_density(model, x).rho
-    if rho == 0.0:
-        return math.inf
-    bound = math.sqrt(2.0 / (rho * kxx))
+    bound = float(stddev_bound(data_density(model, x).rho, kxx))
     sd = float(model.predict_stddev(x))
     if sd > bound + 1e-9:
         raise AssertionError(

@@ -78,10 +78,10 @@ class EpisodeReport:
     rho_min: float = 0.0
     min_sampling_time: float | None = None
     max_speed: float | None = None
-    states_left_box: bool = False
+    violated: bool = False  # the rollout broke the previous episode's certificate
 
     def to_json_dict(self) -> dict:
-        # states_left_box reaches the summary as a certificate violation instead
+        # violated reaches the summary as a count of certificate violations instead
         return {
             **self.certificate.to_json_dict(),
             "episode": self.episode,
@@ -215,7 +215,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
     upsilon_prev = math.sqrt(k0) / (4.0 * math.sqrt(L_dk))
     # episode 0 is the data-free initialization: nothing sampled or observed
     T_s = observed = T_s_lower = max_speed = variance = None
-    left_box = False
+    violated = False
     rho_measured = 0.0
     ladder_top = config.horizon
     reports = []
@@ -235,7 +235,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
                 rho_min=rho_measured,
                 min_sampling_time=T_s_lower,
                 max_speed=max_speed,
-                states_left_box=left_box,
+                violated=violated,
             )
         )
         if not cert.upsilon_bar > config.target_error:
@@ -250,8 +250,9 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
         sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt,
                               config.nonlinearity)
         observed = float(sim.error_norms.max())
-        # the certificate bounds the error only while the states stay in the box
-        left_box = not box.contains(sim.states)
+        # the rollout breaks the certificate if its error exceeds the bound or
+        # its states leave the box the bound holds in
+        violated = observed > upsilon_prev or not box.contains(sim.states)
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
         raw = measure(sim.states, config.nonlinearity, config.noise_variance, config.seed + 1000003 * i)

@@ -366,11 +366,7 @@ def add_samples(model: GPModel, new: TrainingSet) -> GPModel:
     """Model equivalent to fitting on the concatenated data (full refit)."""
     if len(new) == 0:
         return model
-    if len(model.data) == 0:
-        combined = new
-    else:
-        combined = model.data.concat(new)
-    return fit(model.kernel, combined)
+    return fit(model.kernel, model.data.concat(new))
 
 
 def downsample(raw: TrainingSet, fine_dt: float, target_Ts: float) -> TrainingSet:

@@ -8,10 +8,11 @@ admit a scalar comparison system
 whose solution dominates ||e(t)|| with the confidence of the underlying
 uniform error bound.  zeta = ||U|| ||U^{-1} b|| comes from the complex
 eigendecomposition of A_theta (matrix norms are spectral norms).  The module
-also provides the stationary maximum bound, the decay ratio kappa, the grid
-constant satisfying the density condition beta >= gamma^2 rho k(0) / 2,
-:func:`certify`, which chains them into one stationary certificate, and the
-no-compensation baseline gain requirement.
+also provides the fixed-step grid of every RK4 loop (:func:`step_count`,
+:func:`half_step_times`), the stationary maximum bound, the decay ratio
+kappa, the grid constant satisfying the density condition
+beta >= gamma^2 rho k(0) / 2, :func:`certify`, which chains them into one
+stationary certificate, and the no-compensation baseline gain requirement.
 """
 
 from __future__ import annotations
@@ -119,6 +120,21 @@ def initial_bound(loop: ClosedLoop, e0) -> float:
     return float(np.linalg.norm(loop.U, 2) * np.linalg.norm(np.linalg.inv(loop.U) @ e0.astype(complex)))
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """Number n = horizon / dt of fixed steps at pitch dt (dt > 0, n >= 0)."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n = int(round(horizon / dt))
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    return n
+
+
+def half_step_times(horizon: float, dt: float) -> np.ndarray:
+    """Times 0, dt/2, ..., n dt (n = :func:`step_count`): every RK4 stage time."""
+    return np.arange(2 * step_count(horizon, dt) + 1) * (dt / 2.0)
+
+
 def tracking_bound_ode(
     loop: ClosedLoop,
     eta_ref,
@@ -130,17 +146,12 @@ def tracking_bound_ode(
 ) -> np.ndarray:
     """Integrate the comparison ODE with fixed-step RK4 at pitch dt.
 
-    ``eta_ref`` is the error bound along the reference at the half-step
-    times 0, dt/2, ..., n dt (n = horizon / dt; these are all the RK4 stage
-    times).
+    ``eta_ref`` is the error bound along the reference at the
+    :func:`half_step_times`, which are all the RK4 stage times.
     Returns v at times 0, dt, ..., matching the simulator's sample grid so
     the certificate can be compared sample-by-sample.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    n = int(round(horizon / dt))
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
+    n = step_count(horizon, dt)
     eta = np.asarray(eta_ref, dtype=float)
     if eta.shape != (2 * n + 1,):
         raise ValueError(f"eta_ref needs {2 * n + 1} half-step values, got shape {eta.shape}")

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from gpcert import cli, gp
 from gpcert.kernels import KernelSpec
-from gpcert.simulation import ReferenceSpec, benchmark_system
+from gpcert.simulation import ReferenceSpec, benchmark_system, measure
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -340,11 +340,42 @@ def test_auto_tau_and_probabilistic_lf_resolve(tmp_path):
     cfg["bound"]["L_f"] = "probabilistic"
     assert cli.run(cfg) == 0
     summary = json.loads((out / "summary.json").read_text())
-    resolved = summary["resolved_config"]["bound"]
+    resolved = summary["per_seed"][0]["resolved_bound"]
     assert isinstance(resolved["tau"], float) and resolved["tau"] > 0
     assert isinstance(resolved["L_f"], float) and resolved["L_f"] > 0
     assert resolved["L_f_source"] == "probabilistic"
     assert summary["per_seed"][0]["bound"]["L_f_source"] == "probabilistic"
+    # the summary keeps the config's own rules, which a rerun resolves again per seed
+    assert summary["resolved_config"]["bound"]["tau"] == "auto"
+    assert summary["resolved_config"]["bound"]["L_f"] == "probabilistic"
+
+
+def test_an_auto_tau_summary_reruns_every_seed(tmp_path):
+    # each seed's model resolves its own tau, so the summary must not pin seed 0's
+    out = tmp_path / "t"
+    cfg = tracking_config(out, seeds=(0, 1), horizon=0.5)
+    cfg["bound"]["tau"] = "auto"
+    assert cli.run(cfg) == 0
+    names = [f"{stem}_seed{seed}.csv" for seed in (0, 1) for stem in ("tracking_run", "sim_run", "training_data")]
+    first = {name: read_bytes(out / name) for name in names}
+    summary = json.loads((out / "summary.json").read_text())
+    taus = [r["resolved_bound"]["tau"] for r in summary["per_seed"]]
+    assert taus[0] != taus[1]
+    assert cli.run(summary["resolved_config"]) == 0
+    for name, blob in first.items():
+        assert read_bytes(out / name) == blob, name
+    assert json.loads((out / "summary.json").read_text()) == summary
+
+
+def test_training_data_holds_the_measurements_of_its_seed(tmp_path):
+    out = tmp_path / "t"
+    assert cli.run(tracking_config(out, seeds=(0, 3), horizon=0.1)) == 0
+    f, _, _ = benchmark_system()
+    # the default data grid, x1 slowest
+    grid = np.array([[x1, x2] for x1 in np.linspace(0.0, 3.0, 5) for x2 in np.linspace(-4.0, 4.0, 5)])
+    for seed in (0, 3):
+        measure(grid, f, 0.01, seed).to_csv(tmp_path / "expected.csv")
+        assert read_bytes(out / f"training_data_seed{seed}.csv") == read_bytes(tmp_path / "expected.csv")
 
 
 def test_episodic_states_outside_the_box_are_violations(tmp_path):
@@ -365,7 +396,7 @@ def test_episodic_states_outside_the_box_are_violations(tmp_path):
     assert summary["episodes_run"] > 0
     assert summary["certificate_violations"] == summary["episodes_run"]
     # the flag stays out of the per-episode artifact
-    assert "states_left_box" not in (out / "episodes.jsonl").read_text()
+    assert "violated" not in (out / "episodes.jsonl").read_text()
 
 
 def test_tracking_reports_failed_gain_condition(tmp_path, capsys):

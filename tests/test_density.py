@@ -157,6 +157,17 @@ def test_density_batch_matches_scalar():
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN32, MATERN52])
+def test_density_batch_equals_scalar_bit_for_bit(family):
+    # both read one exit-threshold table; the queries include data points, whose own
+    # threshold is infinite
+    rng = np.random.default_rng(4)
+    m = random_model(rng, KernelSpec(family, 1.7, (0.8, 1.5)), n=40)
+    X = np.vstack([rng.uniform(-3, 3, (60, 2)), m.data.inputs[:5]])
+    singles = np.array([data_density(m, x).rho for x in X])
+    assert data_density_batch(m, X).tobytes() == singles.tobytes()
+
+
 def test_variance_bound_examples():
     one_at = fit(se_unit(), TrainingSet(np.array([[0.0]]), np.array([1.0]), 0.01))
     x = np.array([0.0])

@@ -7,7 +7,7 @@ from gpcert.bounds import DomainBox, bound_constants, stddev_modulus
 from gpcert.errors import InfeasibilityError, UnsupportedOperationError
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, kernel_lipschitz, stddev_lipschitz
-from gpcert.simulation import ReferenceSpec
+from gpcert.simulation import ReferenceSpec, integrate
 from gpcert.tracking import (
     SAFETY_FACTOR,
     ClosedLoop,
@@ -18,6 +18,7 @@ from gpcert.tracking import (
     contraction_rate,
     gain_condition,
     gains_for_kappa,
+    half_step_times,
     initial_bound,
     kappa,
     lambda_for_kappa,
@@ -106,6 +107,24 @@ def test_ode_matches_closed_form():
     ts = np.arange(0, 1.0 + 1e-12, 1e-3)
     exact = 1.0 - np.exp(-ts)
     np.testing.assert_allclose(v2, exact, atol=1e-6)
+
+
+@pytest.mark.parametrize("horizon, dt, message", [
+    (1.0, 0.0, "dt must be positive"),
+    (1.0, -1e-3, "dt must be positive"),
+    (1.0, math.nan, "dt must be positive"),
+    (-1.0, 1e-3, "horizon must be nonnegative"),
+])
+def test_the_step_grid_rejects_a_bad_pitch_or_horizon(horizon, dt, message):
+    loop = synthetic_loop(-1.0, 1.0)
+    calls = (
+        lambda: integrate(lambda t, x: -x, np.array([1.0]), horizon, dt),
+        lambda: tracking_bound_ode(loop, np.zeros(3), 0.0, 1.0, v0=0.0, horizon=horizon, dt=dt),
+        lambda: half_step_times(horizon, dt),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_ode_steady_state_equals_max_bound():
