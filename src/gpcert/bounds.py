@@ -18,7 +18,6 @@ standard deviation at points of its box into eta.  The building blocks:
 * ``stddev_modulus``                    -- modulus of continuity of sigma,
   the pointwise minimum of the sqrt(2 L_k tau) rate and the stationary
   linear rate L_sigma * tau (both are valid moduli),
-* ``noise_norm_bound``                  -- chi-squared bound on ||eps||^2,
 * ``expected_sup_bound`` / ``sample_sup_bound`` / ``probabilistic_lipschitz``
   -- high-probability Lipschitz constants derived from the prior via the
   expected-supremum (metric entropy) and Borell-TIS routes.
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, UnsupportedOperationError
+from .errors import DomainError, InfeasibilityError, UnsupportedOperationError
 from .gp import GPModel
 from .kernels import KernelSpec
 
@@ -170,16 +169,6 @@ def uniform_error_bound(report: BoundReport, x, sigma):
     return math.sqrt(report.beta) * sigma + report.gamma
 
 
-def noise_norm_bound(N: int, delta: float, noise_variance: float) -> float:
-    """High-probability bound on ||eps||^2 for N i.i.d. Gaussian noise terms."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    t = math.log(2.0 / delta)
-    return (2.0 * math.sqrt(N * t) + 2.0 * t + N) * noise_variance
-
-
 def _max_sqrt_k(spec: KernelSpec, box: DomainBox) -> float:
     if spec.stationary:
         return spec.sigma_f
@@ -307,24 +296,39 @@ def geometric_bisect(feasible, lo: float, hi: float) -> float | None:
             hi = mid
 
 
-def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
-             L_sigma: float | None) -> float:
-    """Largest tau at which gamma <= 0.01 sqrt(beta) sigma_f.
+def _tau_search(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
+                L_sigma: float | None, condition) -> BoundReport:
+    """Report at the largest tau whose report meets ``condition``.
 
-    Implements the default grid-constant rule: make the continuity correction
-    negligible relative to the confidence term at prior scale.  The feasible
-    set is an interval (0, tau*], searched by :func:`geometric_bisect` over
-    [1e-12, r], which stops once the midpoint no longer lies strictly between
-    the ends.  ``L_k`` and ``L_sigma`` are the caller's kernel constants
-    (``L_sigma`` None: the square-root modulus alone).
+    The feasible set must be an interval (0, tau*].  :func:`geometric_bisect`
+    searches [1e-12, r]; its answer is the last probe it accepted, whose
+    report is returned as built.  Raises :class:`InfeasibilityError` when
+    even 1e-12 fails.
     """
-    sigma_f = model.kernel.sigma_f
+    accepted = None
 
     def feasible(tau: float) -> bool:
+        nonlocal accepted
         rep = bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
-        return rep.gamma <= 0.01 * math.sqrt(rep.beta) * sigma_f
+        if condition(rep):
+            accepted = rep
+            return True
+        return False
 
-    tau = geometric_bisect(feasible, 1e-12, box.edge)
-    if tau is None:
-        raise ValueError("no feasible tau in the search range; check L_f and the box")
-    return tau
+    if geometric_bisect(feasible, 1e-12, box.edge) is None:
+        raise InfeasibilityError("no feasible tau in [1e-12, r]; check L_f and the box")
+    return accepted
+
+
+def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
+             L_sigma: float | None) -> BoundReport:
+    """Report at the largest tau with gamma <= 0.01 sqrt(beta) sigma_f.
+
+    Implements the default grid-constant rule: make the continuity correction
+    negligible relative to the confidence term at prior scale.  ``L_k`` and
+    ``L_sigma`` are the caller's kernel constants (``L_sigma`` None: the
+    square-root modulus alone).
+    """
+    sigma_f = model.kernel.sigma_f
+    return _tau_search(model, delta, L_f, box, L_k, L_sigma,
+                       lambda rep: rep.gamma <= 0.01 * math.sqrt(rep.beta) * sigma_f)

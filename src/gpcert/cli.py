@@ -276,12 +276,13 @@ def _tracking_models(cfg: dict, seeds) -> list[GPModel]:
     return [first] + [first.with_targets(d.targets) for d in data[1:]]
 
 
-def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: float):
-    """tau and the bound constants of one seed's model."""
+def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: float) -> bnd.BoundReport:
+    """The bound constants of one seed's model, at the config's tau or the one auto_tau finds."""
     box = _box_from(cfg)
     bb = cfg["bound"]
-    tau = bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma) if bb["tau"] == "auto" else float(bb["tau"])
-    return tau, bnd.bound_constants(model, tau, bb["delta"], L_f, box, L_k, L_sigma)
+    if bb["tau"] == "auto":
+        return bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma)
+    return bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box, L_k, L_sigma)
 
 
 def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seeds) -> list[dict]:
@@ -303,7 +304,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     loop = closed_loop(_plant_from(cfg), _theta_from(cfg))
 
     models = _tracking_models(cfg, seeds)
-    taus, reps = zip(*(_tracking_bound(cfg, model, L_f, L_k, L_sigma) for model in models))
+    reps = [_tracking_bound(cfg, model, L_f, L_k, L_sigma) for model in models]
     t_half = trk.half_step_times(horizon, dt)
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
@@ -313,15 +314,13 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
     results = []
-    for seed, model, tau, rep, sim in zip(seeds, models, taus, reps, sims):
+    for seed, model, rep, sim in zip(seeds, models, reps, sims):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
         e = sim.error_norms
         # the applied input: the nominal one divided by g, which the plant knows exactly
         u = (-((sim.states - sim.reference_states) @ loop.theta) + ref.signal(sim.times)
              - model.predict_mean(sim.states)) / g(sim.states)
-        # eta, and so upsilon, holds only inside the box
-        certified = bool(np.all(e <= upsilon + 1e-12)) and box.contains(sim.states)
         # phase structure: the worst tracking error should fall in the same
         # half-period of the reference as the worst posterior uncertainty
         t_e = float(sim.times[int(np.argmax(e))]) % period
@@ -338,10 +337,14 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
             [sim.times, sim.states[:, 0], sim.states[:, 1],
              sim.reference_states[:, 0], sim.reference_states[:, 1], u, e],
         )
-        model.data.to_csv(os.path.join(out_dir, f"training_data_seed{seed}.csv"))
+        _write_csv(
+            os.path.join(out_dir, f"training_data_seed{seed}.csv"),
+            [f"x_{i + 1}" for i in range(model.data.dimension)] + ["y"],
+            [*model.data.inputs.T, model.data.targets],
+        )
         results.append({
             "seed": seed,
-            "certified": certified,
+            "certified": trk.certificate_holds(e, upsilon, sim.states, box),
             "gain_condition": trk.gain_condition(loop, L_sigma, rep.beta),
             "max_error": float(e.max()),
             "max_upsilon": float(upsilon.max()),
@@ -349,7 +352,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
             "argmax_sigma_time": t_sig,
             "error_peak_in_uncertain_half_period": bool(same_half),
             "bound": {**rep.to_json_dict(), "L_f_source": source},
-            "resolved_bound": {**bb, "tau": tau, "L_f": L_f, "L_f_source": source},
+            "resolved_bound": {**bb, "tau": rep.tau, "L_f": L_f, "L_f_source": source},
             "zeta": loop.zeta,
             "lambda_max": loop.lambda_max,
             "L_sigma": L_sigma,
@@ -435,8 +438,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
                            box, delta, L_f, L_k, L_sigma)
         sim = run_closed_loop(cert.loop, model, ref, horizon, dt, f)
         e_max = float(sim.error_norms.max())
-        if e_max > cert.upsilon_bar or not box.contains(sim.states):
-            violations += 1
+        violations += not trk.certificate_holds(sim.error_norms, cert.upsilon_bar, sim.states, box)
 
         sigma_profile = model.predict_stddev(profile_points)
         _write_csv(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,16 +29,10 @@ from .gp import GPModel
 from .kernels import KernelSpec, gram, kernel_diag
 
 
-class BindingConstraint(str, Enum):
-    CARDINALITY = "cardinality"
-    THRESHOLD = "threshold"
-
-
 @dataclass(frozen=True)
 class DensityResult:
     rho: float
     subset_indices: tuple[int, ...]
-    binding_constraint: BindingConstraint
 
 
 def _exit_thresholds(model: GPModel, X: np.ndarray, kxx: np.ndarray) -> np.ndarray:
@@ -66,36 +59,21 @@ def kernel_subset(model: GPModel, x, rho_prime: float) -> list[int]:
 
 
 def data_density(model: GPModel, x) -> DensityResult:
-    """Maximal rho' whose neighborhood still holds rho' s_on^2 k(x,x) points.
+    """rho(x) from :func:`data_density_batch` and its neighborhood K_rho(x)."""
+    x = np.asarray(x, dtype=float)
+    rho = float(data_density_batch(model, x[None, :])[0])
+    return DensityResult(rho, tuple(kernel_subset(model, x, rho)) if rho > 0 else ())
+
+
+def data_density_batch(model: GPModel, X) -> np.ndarray:
+    """Maximal rho' whose neighborhood still holds rho' s_on^2 k(x,x) points, per row of X.
 
     With thresholds sorted descending (T_1 >= T_2 >= ...), any feasible rho'
     satisfies rho' <= min(T_q, q / c) for q = |K_rho'(x)| and
     c = s_on^2 k(x,x); conversely each such value is feasible.  The optimum
-    is therefore max_q min(T_q, q / c), computed in O(N log N).
-    """
-    X = np.asarray(x, dtype=float)[None, :]
-    kxx = kernel_diag(model.kernel, X)
-    if kxx[0] <= 0.0:
-        raise DegenerateInputError("data density undefined where k(x,x) = 0")
-    thresholds = _exit_thresholds(model, X, kxx)[0]
-    c = model.data.noise_variance * kxx[0]
-    cand = np.sort(thresholds[thresholds > -np.inf])[::-1]
-    if cand.size == 0:
-        return DensityResult(0.0, (), BindingConstraint.CARDINALITY)
-    counts = np.arange(1, cand.size + 1)
-    values = np.minimum(cand, counts / c)
-    q = int(np.argmax(values))
-    rho = float(values[q])
-    binding = BindingConstraint.THRESHOLD if cand[q] <= counts[q] / c else BindingConstraint.CARDINALITY
-    return DensityResult(rho, tuple(int(i) for i in np.nonzero(thresholds >= rho)[0]), binding)
-
-
-def data_density_batch(model: GPModel, X) -> np.ndarray:
-    """Vectorized rho(x) over a batch of query points (values only).
-
-    Same breakpoint optimization as :func:`data_density`; the -inf
-    thresholds of excluded points neither count nor win.  Runs over the
-    queries in the row blocks of :func:`kernels._row_blocks`.
+    is therefore max_q min(T_q, q / c), computed in O(N log N) per query;
+    the -inf thresholds of excluded points neither count nor win.  Runs over
+    the queries in the row blocks of :func:`kernels._row_blocks`.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     kxx = kernel_diag(model.kernel, X)

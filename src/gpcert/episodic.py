@@ -250,9 +250,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
         sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt,
                               config.nonlinearity)
         observed = float(sim.error_norms.max())
-        # the rollout breaks the certificate if its error exceeds the bound or
-        # its states leave the box the bound holds in
-        violated = observed > upsilon_prev or not box.contains(sim.states)
+        violated = not trk.certificate_holds(sim.error_norms, upsilon_prev, sim.states, box)
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
         raw = measure(sim.states, config.nonlinearity, config.noise_variance, config.seed + 1000003 * i)

@@ -24,7 +24,6 @@ its last bits with the thread count, so artifacts would depend on the host.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 from dataclasses import dataclass, field
@@ -140,27 +139,6 @@ class TrainingSet:
             np.concatenate([self.targets, other.targets]),
             self.noise_variance,
         )
-
-    def to_csv(self, path) -> None:
-        """CSV with header x_1..x_d, y."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x_{i + 1}" for i in range(self.dimension)] + ["y"])
-            for x, y in zip(self.inputs, self.targets):
-                w.writerow([repr(float(v)) for v in x] + [repr(float(y))])
-
-    @staticmethod
-    def from_csv(path, noise_variance: float) -> "TrainingSet":
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if not header or header[-1] != "y":
-                raise ValueError("training-set CSV must have header x_1..x_d, y")
-            rows = [[float(v) for v in row] for row in r if row]
-        if not rows:
-            return TrainingSet.empty(len(header) - 1, noise_variance)
-        arr = np.asarray(rows)
-        return TrainingSet(arr[:, :-1], arr[:, -1], noise_variance)
 
 
 @dataclass(frozen=True)

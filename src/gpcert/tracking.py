@@ -12,7 +12,8 @@ also provides the fixed-step grid of every RK4 loop (:func:`step_count`,
 :func:`half_step_times`), the stationary maximum bound, the decay ratio
 kappa, the grid constant satisfying the density condition
 beta >= gamma^2 rho k(0) / 2, :func:`certify`, which chains them into one
-stationary certificate, and the no-compensation baseline gain requirement.
+stationary certificate, and :func:`certificate_holds`, the verdict on a
+rollout against a certified bound.
 """
 
 from __future__ import annotations
@@ -112,12 +113,6 @@ def contraction_rate(loop: ClosedLoop, L_sigma: float, beta: float) -> float:
 def gain_condition(loop: ClosedLoop, L_sigma: float, beta: float) -> bool:
     """True iff the comparison dynamics are contracting (strict inequality)."""
     return contraction_rate(loop, L_sigma, beta) < 0.0
-
-
-def initial_bound(loop: ClosedLoop, e0) -> float:
-    """Comparison initial condition ||U|| ||U^{-1} e(0)||."""
-    e0 = np.asarray(e0, dtype=float)
-    return float(np.linalg.norm(loop.U, 2) * np.linalg.norm(np.linalg.inv(loop.U) @ e0.astype(complex)))
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -245,13 +240,11 @@ def tau_for_density(
     L_f: float,
     L_k: float,
     L_sigma: float,
-) -> float:
-    """Largest tau at which beta >= gamma^2 rho k(0) / 2 (both at tau).
+) -> bnd.BoundReport:
+    """Report at the largest tau with beta >= gamma^2 rho k(0) / 2 (both at tau).
 
     beta grows and gamma shrinks as tau decreases, so the feasible set is an
-    interval (0, tau*]; :func:`bounds.geometric_bisect` over [1e-12, r],
-    which stops once the midpoint no longer lies strictly between the ends,
-    returns the least-conservative feasible value found.
+    interval (0, tau*], searched as for :func:`bounds.auto_tau`.
     """
     if rho_lower < 0:
         raise ValueError("rho lower bound must be nonnegative")
@@ -259,15 +252,8 @@ def tau_for_density(
     if not spec.stationary:
         raise UnsupportedOperationError("density-matched tau needs a stationary kernel")
     k0 = spec.signal_variance
-
-    def feasible(tau: float) -> bool:
-        rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
-        return rep.beta >= rep.gamma * rep.gamma * rho_lower * k0 / 2.0
-
-    tau = bnd.geometric_bisect(feasible, 1e-12, box.edge)
-    if tau is None:
-        raise InfeasibilityError("no feasible tau in [1e-12, r] for the density condition")
-    return tau
+    return bnd._tau_search(model, delta, L_f, box, L_k, L_sigma,
+                           lambda rep: rep.beta >= rep.gamma * rep.gamma * rho_lower * k0 / 2.0)
 
 
 SAFETY_FACTOR = 1.05  # inflates sup eta over sampled points; the episodic gain margin
@@ -319,8 +305,7 @@ def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[
     ``variance``, when given, is ``model.predict_var(points)``, which a
     caller that has just computed it passes in place of a second evaluation.
     """
-    tau = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
-    rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+    rep = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
     loop = gains(rep.beta)
     sigma = model.predict_stddev(points) if variance is None else np.sqrt(variance)
     eta = bnd.uniform_error_bound(rep, points, sigma)
@@ -333,12 +318,13 @@ def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[
             f"{max_eta:.4g}: the reference points are too coarse"
         )
     vbar = max_tracking_bound(loop, sup_eta, L_sigma, rep.beta)
-    return Certificate(tau, rep.beta, rep.gamma, rep.L_mu, loop, sup_eta, vbar,
+    return Certificate(rep.tau, rep.beta, rep.gamma, rep.L_mu, loop, sup_eta, vbar,
                        kappa(loop, L_sigma, rep.beta), term)
 
 
-def baseline_gain(zeta: float, f_bar: float, e_bar: float) -> float:
-    """Required -lambda_max = zeta f_bar / e_bar without model compensation."""
-    if not e_bar > 0:
-        raise ValueError("target error must be positive")
-    return zeta * f_bar / e_bar
+def certificate_holds(errors, bound, states, box: bnd.DomainBox) -> bool:
+    """The verdict on one rollout: every error norm is at most its bound and
+    every state lies in the box that the bound holds in.  ``bound`` is a
+    scalar or one value per error; no slack is allowed.
+    """
+    return bool(np.all(errors <= bound)) and box.contains(states)

@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+from gpcert import bounds
 from gpcert.bounds import DomainBox
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec
@@ -31,3 +34,24 @@ def box1():
 @pytest.fixture
 def box2():
     return DomainBox(2, 10.0)
+
+
+@pytest.fixture
+def tau_probes(monkeypatch):
+    """Records every tau that geometric_bisect probes and every report bound_constants builds.
+
+    ``real_constants`` is the unrecorded bound_constants, for fresh reports.
+    """
+    record = types.SimpleNamespace(probes=[], reports=[], real_constants=bounds.bound_constants)
+    real_bisect = bounds.geometric_bisect
+
+    def bisect(feasible, lo, hi):
+        return real_bisect(lambda tau: record.probes.append(tau) or feasible(tau), lo, hi)
+
+    def constants(*args):
+        record.reports.append(record.real_constants(*args))
+        return record.reports[-1]
+
+    monkeypatch.setattr(bounds, "geometric_bisect", bisect)
+    monkeypatch.setattr(bounds, "bound_constants", constants)
+    return record

@@ -15,7 +15,6 @@ from gpcert.bounds import (
     gamma,
     geometric_bisect,
     mean_lipschitz,
-    noise_norm_bound,
     probabilistic_lipschitz,
     sample_sup_bound,
     stddev_modulus,
@@ -157,13 +156,6 @@ def test_gamma_decreases_with_tau():
         rep = bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
         vals.append(rep.gamma)
     assert vals[0] > vals[1] > vals[2]
-
-
-def test_noise_norm_examples():
-    assert noise_norm_bound(4, 2.0 / math.e, 1.0) == pytest.approx(10.0)
-    assert noise_norm_bound(1, 2.0 / math.e, 0.01) == pytest.approx(0.05)
-    for n in (1, 7, 100):
-        assert noise_norm_bound(n, 0.5, 0.3) >= n * 0.3
 
 
 def test_expected_sup_examples():
@@ -317,8 +309,9 @@ def test_auto_tau_is_boundary():
     rng = np.random.default_rng(1)
     model = fit(se_unit(2), TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
     L_k, L_sigma = kernel_lipschitz(model.kernel, BOX2), stddev_lipschitz(model.kernel, BOX2)
-    tau = auto_tau(model, 0.01, 2.0, BOX2, L_k, L_sigma)
-    rep = bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
+    rep = auto_tau(model, 0.01, 2.0, BOX2, L_k, L_sigma)
+    tau = rep.tau
+    assert rep == bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
     assert rep.gamma <= 0.01 * math.sqrt(rep.beta) * 1.0
     bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, BOX2, L_k, L_sigma)
     assert bigger.gamma > 0.01 * math.sqrt(bigger.beta) * 1.0

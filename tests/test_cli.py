@@ -246,8 +246,9 @@ def test_tracking_csv_records_the_applied_input(tmp_path):
     assert cli.run(tracking_config(out, horizon=0.5)) == 0
     resolved = json.loads((out / "summary.json").read_text())["resolved_config"]
     ref = ReferenceSpec(resolved["reference"]["amplitude"], resolved["reference"]["frequency"])
+    data = np.loadtxt(out / "training_data_seed0.csv", delimiter=",", skiprows=1)
     model = gp.fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.5)),
-                   gp.TrainingSet.from_csv(out / "training_data_seed0.csv", resolved["noise_variance"]))
+                   gp.TrainingSet(data[:, :-1], data[:, -1], resolved["noise_variance"]))
     _, g, _ = benchmark_system()
     theta = np.array([200.0, 20.0])  # [theta1 * theta2, theta2] of the config's gains
     rows = np.loadtxt(out / "sim_run_seed0.csv", delimiter=",", skiprows=1)
@@ -350,6 +351,42 @@ def test_auto_tau_and_probabilistic_lf_resolve(tmp_path):
     assert summary["resolved_config"]["bound"]["L_f"] == "probabilistic"
 
 
+def test_an_infeasible_auto_tau_is_a_numerical_failure(tmp_path, capsys):
+    # like an infeasible density-matched tau: no tau in [1e-12, r] meets the prior-scale rule
+    cfg = tracking_config(tmp_path / "t", horizon=0.1)
+    cfg["bound"].update(tau="auto", L_f=1e12)
+    assert cli.run(cfg) == cli.EXIT_NUMERICAL
+    assert "no feasible tau" in capsys.readouterr().err
+
+
+def test_the_auto_tau_report_is_built_once_per_probe(tmp_path, tau_probes):
+    # the report of the search's accepted probe serves the seed; none is rebuilt at its tau
+    out = tmp_path / "t"
+    cfg = tracking_config(out, horizon=0.1)
+    cfg["bound"]["tau"] = "auto"
+    assert cli.run(cfg) == 0
+    assert len(tau_probes.probes) > 2
+    assert [rep.tau for rep in tau_probes.reports] == tau_probes.probes
+    seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
+    tau = seed["resolved_bound"]["tau"]
+    resolved = cli.resolve(cfg)[0]
+    box, spec = cli._box_from(resolved), cli._kernel_from(resolved)
+    model = cli._tracking_models(resolved, [0])[0]
+    fresh = tau_probes.real_constants(model, tau, 0.01, 2.0, box, cli.kern.kernel_lipschitz(spec, box),
+                                      cli.kern.stddev_lipschitz(spec, box))
+    assert seed["bound"] == {**fresh.to_json_dict(), "L_f_source": "given"}
+
+
+def test_every_tracking_csv_ends_its_lines_with_a_line_feed_only(tmp_path):
+    out = tmp_path / "t"
+    assert cli.run(tracking_config(out, seeds=(0, 1), horizon=0.1)) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 6
+    for path in csvs:
+        body = read_bytes(path)
+        assert body.endswith(b"\n") and b"\r" not in body, path.name
+
+
 def test_an_auto_tau_summary_reruns_every_seed(tmp_path):
     # each seed's model resolves its own tau, so the summary must not pin seed 0's
     out = tmp_path / "t"
@@ -374,8 +411,9 @@ def test_training_data_holds_the_measurements_of_its_seed(tmp_path):
     # the default data grid, x1 slowest
     grid = np.array([[x1, x2] for x1 in np.linspace(0.0, 3.0, 5) for x2 in np.linspace(-4.0, 4.0, 5)])
     for seed in (0, 3):
-        measure(grid, f, 0.01, seed).to_csv(tmp_path / "expected.csv")
-        assert read_bytes(out / f"training_data_seed{seed}.csv") == read_bytes(tmp_path / "expected.csv")
+        data = measure(grid, f, 0.01, seed)
+        rows = [f"{x1!r},{x2!r},{y!r}\n" for (x1, x2), y in zip(data.inputs.tolist(), data.targets.tolist())]
+        assert read_bytes(out / f"training_data_seed{seed}.csv") == ("x_1,x_2,y\n" + "".join(rows)).encode()
 
 
 def test_episodic_states_outside_the_box_are_violations(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gpcert.density import (
-    BindingConstraint,
     data_density,
     data_density_batch,
     density_variance_bound,
@@ -99,7 +98,6 @@ def test_density_coincident_and_empty():
     m25 = fit(se_unit(), TrainingSet(np.zeros((25, 1)), np.ones(25), 0.01))
     res = data_density(m25, np.array([0.0]))
     assert res.rho == pytest.approx(2500.0)
-    assert res.binding_constraint is BindingConstraint.CARDINALITY
     assert len(res.subset_indices) == 25
     empty = fit(se_unit(), TrainingSet.empty(1, 0.01))
     assert data_density(empty, np.array([0.0])).rho == 0.0

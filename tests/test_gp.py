@@ -153,16 +153,6 @@ def test_downsample_identity_and_strides():
         downsample(raw, 3e-4, 1e-4)
 
 
-def test_training_set_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    d = TrainingSet(rng.uniform(-1, 1, (9, 2)), rng.normal(size=9), 0.01)
-    path = tmp_path / "data.csv"
-    d.to_csv(path)
-    back = TrainingSet.from_csv(path, 0.01)
-    np.testing.assert_array_equal(back.inputs, d.inputs)
-    np.testing.assert_array_equal(back.targets, d.targets)
-
-
 def test_training_set_validation():
     with pytest.raises(ValueError):
         TrainingSet(np.zeros((2, 1)), np.zeros(3), 0.01)

@@ -12,14 +12,13 @@ from gpcert.tracking import (
     SAFETY_FACTOR,
     ClosedLoop,
     LinearPlant,
-    baseline_gain,
+    certificate_holds,
     certify,
     closed_loop,
     contraction_rate,
     gain_condition,
     gains_for_kappa,
     half_step_times,
-    initial_bound,
     kappa,
     lambda_for_kappa,
     max_tracking_bound,
@@ -178,21 +177,13 @@ def test_solve_scalar_gain_fixed_point():
     assert -loop.lambda_max == pytest.approx(30.0 * loop.zeta, rel=1e-9)
 
 
-def test_initial_bound_formula():
-    loop = closed_loop(PLANT, np.array([200.0, 20.0]))
-    e0 = np.array([0.3, -0.4])
-    expect = np.linalg.norm(loop.U, 2) * np.linalg.norm(np.linalg.inv(loop.U) @ e0.astype(complex))
-    assert initial_bound(loop, e0) == pytest.approx(expect, rel=1e-12)
-    assert initial_bound(loop, np.zeros(2)) == 0.0
-
-
 def test_tau_for_density():
     spec = se_unit(2)
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet.empty(2, 0.01))
     L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
-    assert tau_for_density(model, 0.0, box, 0.01, 2.0, L_k, L_sigma) == box.edge
-    taus = [tau_for_density(model, r, box, 0.01, 2.0, L_k, L_sigma) for r in (1.0, 10.0, 100.0)]
+    assert tau_for_density(model, 0.0, box, 0.01, 2.0, L_k, L_sigma).tau == box.edge
+    taus = [tau_for_density(model, r, box, 0.01, 2.0, L_k, L_sigma).tau for r in (1.0, 10.0, 100.0)]
     assert taus[0] >= taus[1] >= taus[2]
     # feasibility certificate: the returned tau satisfies the inequality
     from gpcert import bounds as bnd
@@ -219,18 +210,13 @@ def test_tau_for_density_is_boundary():
     model = fit(spec, TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
     L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
     rho = 50.0
-    tau = tau_for_density(model, rho, box, 0.01, 2.0, L_k, L_sigma)
+    rep = tau_for_density(model, rho, box, 0.01, 2.0, L_k, L_sigma)
+    tau = rep.tau
     assert tau < box.edge
-    rep = bound_constants(model, tau, 0.01, 2.0, box, L_k, L_sigma)
+    assert rep == bound_constants(model, tau, 0.01, 2.0, box, L_k, L_sigma)
     assert rep.beta >= rep.gamma * rep.gamma * rho * spec.signal_variance / 2.0
     bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, box, L_k, L_sigma)
     assert bigger.beta < bigger.gamma * bigger.gamma * rho * spec.signal_variance / 2.0
-
-
-def test_baseline_gain_examples():
-    assert baseline_gain(1.0, 3.0, 0.1) == pytest.approx(30.0)
-    assert baseline_gain(1.0, 3.0, 1e9) == pytest.approx(0.0, abs=1e-8)
-    assert baseline_gain(2.0, 3.0, 0.05) == pytest.approx(2 * baseline_gain(2.0, 3.0, 0.1))
 
 
 def test_certify_rejects_points_too_coarse_for_the_safety_factor():
@@ -256,3 +242,31 @@ def test_certify_rejects_points_too_coarse_for_the_safety_factor():
     assert fine.sup_eta >= fine.sup_eta / SAFETY_FACTOR + fine.sampling_term
     with pytest.raises(InfeasibilityError, match="too coarse"):
         certify_on(5)  # arcs of pi: sqrt(beta) omega_sigma is far above 5 % of max eta
+
+
+def test_certify_builds_each_report_once(tau_probes):
+    # the search's accepted probe serves the certificate; no report is rebuilt at its tau
+    rng = np.random.default_rng(1)
+    spec = se_unit(2)
+    box = DomainBox(2, 10.0)
+    model = fit(spec, TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
+    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    ref = ReferenceSpec(2.0, 1.0)
+    points = ref.state(np.linspace(0.0, ref.period, 4001))
+    cert = certify(model, 50.0, points, ref.max_speed * ref.period / 4000,
+                   lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b), box, 0.01, 2.0, L_k, L_sigma)
+    assert len(tau_probes.probes) > 2
+    assert [rep.tau for rep in tau_probes.reports] == tau_probes.probes
+    fresh = tau_probes.real_constants(model, cert.tau, 0.01, 2.0, box, L_k, L_sigma)
+    assert (cert.beta, cert.gamma, cert.L_mu) == (fresh.beta, fresh.gamma, fresh.L_mu)
+
+
+def test_a_certificate_allows_no_slack():
+    box = DomainBox(2, 10.0)
+    states = np.zeros((3, 2))
+    bound = np.array([0.0, 1.0, 2.0])
+    assert certificate_holds(bound, bound, states, box)
+    assert certificate_holds(np.zeros(3), 2.0, states, box)
+    assert not certificate_holds(bound + [0.0, 5e-13, 0.0], bound, states, box)
+    assert not certificate_holds(np.array([0.0, 1.0, np.nan]), bound, states, box)
+    assert not certificate_holds(np.zeros(3), bound, states + [0.0, 5.0 + 1e-9], box)
