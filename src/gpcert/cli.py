@@ -39,7 +39,7 @@ from .errors import GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
 from .simulation import ReferenceSpec, benchmark_system, measure, prior_factor, run_closed_loop
-from .tracking import LinearPlant, closed_loop
+from .tracking import closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
 
@@ -79,34 +79,34 @@ _REQUIRED = object()  # the default of a field that has none; its absence is a p
 _POSITIVE = _positive, "a positive number"
 _FRACTION = (lambda v: _number(v) and 0 < v < 1), "a number in (0, 1)"
 _NOT_TRACKING = tuple(e for e in EXPERIMENTS if e != "tracking")
+_CLOSED_LOOP = ("tracking", "density_sweep", "episodic")  # simulate the benchmark loop against the reference
+_ERROR_BOUND = _CLOSED_LOOP + ("validate_bounds",)  # fit noisy data and evaluate the uniform error bound
 _AXIS = (lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1])
          and _number(v[2], int) and v[2] > 0), "[lo, hi, count] with count a positive integer"
 
 # (dotted path, (predicate, what the field "must be"), default or _REQUIRED,
-# experiments).  A row checks and fills its field only for its experiments;
-# a field that no row names passes through unchecked.
+# experiments).  An experiment's rows are exactly the fields its runner reads,
+# each checked and filled in; a field that no row names passes through unread.
 _SCHEMA = (
     ("kernel.family", (lambda v: v in kern._FAMILIES, f"one of {', '.join(kern._FAMILIES)}"),
      kern.SQUARED_EXPONENTIAL, EXPERIMENTS),
     ("kernel.signal_variance", _POSITIVE, 1.0, EXPERIMENTS),
     ("kernel.lengthscales", (_list_of(_positive), "a nonempty list of positive numbers"), [1.0, 1.0], EXPERIMENTS),
-    ("plant.A", (_list_of(_list_of(_number)), "a list of rows of numbers"), [[0.0, 1.0], [0.0, 0.0]], EXPERIMENTS),
-    ("plant.b", (_list_of(_number), "a nonempty list of numbers"), [0.0, 1.0], EXPERIMENTS),
     ("domain.dimension", _count(1), 2, EXPERIMENTS),
     ("domain.edge", _POSITIVE, 10.0, EXPERIMENTS),
     ("domain.center", (_list_of(_number), "a nonempty list of numbers"), [0.0, 0.0], EXPERIMENTS),
-    # only tracking resolves tau "auto" and L_f "probabilistic"; the other
-    # experiments take the fields as numbers
+    # only tracking resolves tau "auto" and L_f "probabilistic"; density_sweep and
+    # episodic match tau to rho, and validate_bounds derives L_f per trial
     ("bound.tau", (lambda v: v == "auto" or _positive(v), "a positive number or 'auto'"), 0.01, ("tracking",)),
-    ("bound.tau", _POSITIVE, 0.01, _NOT_TRACKING),
-    ("bound.delta", _FRACTION, 0.01, EXPERIMENTS),
+    ("bound.tau", _POSITIVE, 0.01, ("validate_bounds",)),
+    ("bound.delta", _FRACTION, 0.01, _ERROR_BOUND),
     ("bound.L_f", (lambda v: v == "probabilistic" or _nonnegative(v),
                    "a nonnegative number or 'probabilistic'"), 2.0, ("tracking",)),
-    ("bound.L_f", (_nonnegative, "a nonnegative number"), 2.0, _NOT_TRACKING),
-    ("bound.delta_L", _FRACTION, 0.01, EXPERIMENTS),
-    ("reference.amplitude", (_number, "a finite number"), 2.0, EXPERIMENTS),
-    ("reference.frequency", _POSITIVE, 1.0, EXPERIMENTS),
-    ("noise_variance", _POSITIVE, 0.01, EXPERIMENTS),
+    ("bound.L_f", (_nonnegative, "a nonnegative number"), 2.0, ("density_sweep", "episodic")),
+    ("bound.delta_L", _FRACTION, 0.01, ("tracking", "validate_lipschitz")),
+    ("reference.amplitude", (_number, "a finite number"), 2.0, _CLOSED_LOOP),
+    ("reference.frequency", _POSITIVE, 1.0, _CLOSED_LOOP),
+    ("noise_variance", _POSITIVE, 0.01, _ERROR_BOUND),
     ("seeds", (_list_of(lambda s: _number(s, int)), "a nonempty list of integers"), [0], ("tracking",)),
     # the other experiments run one seed; a second one would be dropped unread
     ("seeds", (lambda v: isinstance(v, list) and len(v) == 1 and _number(v[0], int),
@@ -174,11 +174,13 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
         return cfg, problems
 
     family = cfg["kernel"]["family"]
-    if exp in ("tracking", "density_sweep", "episodic") and family not in kern._STATIONARY:
+    if exp in _CLOSED_LOOP and family not in kern._STATIONARY:
         problems.append(f"kernel.family: {exp} needs L_sigma, which the non-stationary {family!r} kernel lacks")
-    if cfg["bound"]["L_f"] == "probabilistic" and family == kern.MATERN32:
-        problems.append("bound.L_f: probabilistic Lipschitz constants need fourth-order "
-                        "smoothness; Matern 3/2 is not smooth enough")
+    # validate_lipschitz always derives a probabilistic L_f, tracking when asked to
+    lipschitz = exp == "validate_lipschitz"
+    if family == kern.MATERN32 and (lipschitz or exp in _CLOSED_LOOP and cfg["bound"]["L_f"] == "probabilistic"):
+        problems.append(f"{'kernel.family' if lipschitz else 'bound.L_f'}: probabilistic Lipschitz constants need "
+                        "fourth-order smoothness; Matern 3/2 is not smooth enough")
     gains = cfg.get("gains")
     if exp == "tracking" and "theta" not in gains and not all(_number(gains.get(k)) for k in ("theta1", "theta2")):
         problems.append(f"gains: must hold theta, or numbers theta1 and theta2, got {gains!r}")
@@ -193,11 +195,6 @@ def validate(config: dict) -> list[str]:
 def _kernel_from(cfg: dict) -> KernelSpec:
     kb = cfg["kernel"]
     return KernelSpec(kb["family"], kb["signal_variance"], tuple(kb["lengthscales"]))
-
-
-def _plant_from(cfg: dict) -> LinearPlant:
-    pb = cfg["plant"]
-    return LinearPlant(np.asarray(pb["A"], dtype=float), np.asarray(pb["b"], dtype=float))
 
 
 def _box_from(cfg: dict) -> bnd.DomainBox:
@@ -296,12 +293,12 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     """
     box = _box_from(cfg)
     ref = _reference_from(cfg)
-    f, g, _ = benchmark_system()
+    f, g, plant = benchmark_system()
     bb = cfg["bound"]
     horizon = float(cfg["horizon"])
     dt = float(cfg["fine_dt"])
     source = "probabilistic" if bb["L_f"] == "probabilistic" else "given"
-    loop = closed_loop(_plant_from(cfg), _theta_from(cfg))
+    loop = closed_loop(plant, _theta_from(cfg))
 
     models = _tracking_models(cfg, seeds)
     reps = [_tracking_bound(cfg, model, L_f, L_k, L_sigma) for model in models]
@@ -309,7 +306,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
     sims = run_closed_loop(loop, models, ref, horizon, dt, f)
-    # the phase of the worst posterior uncertainty, over the first two periods
+    # the phase of the worst posterior uncertainty, over one period of the half-step grid (pitch dt/2)
     period = ref.period
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
@@ -401,10 +398,9 @@ def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]
 
 def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
-    plant = _plant_from(cfg)
     box = _box_from(cfg)
     ref = _reference_from(cfg)
-    f, _, _ = benchmark_system()
+    f, _, plant = benchmark_system()
     sw = cfg["sweep"]
     pitches = [float(p) for p in sw["pitches"]]
     kappa_target = float(sw["kappa"])
@@ -473,12 +469,11 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
 def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
-    plant = _plant_from(cfg)
     box = _box_from(cfg)
     L_k = kern.kernel_lipschitz(spec, box)
     L_sigma = kern.stddev_lipschitz(spec, box)
     ref = _reference_from(cfg)
-    f, _, _ = benchmark_system()
+    f, _, plant = benchmark_system()
     ep = cfg["episodic"]
     config = epi.EpisodeConfig(
         target_error=float(ep["target_error"]),

@@ -87,10 +87,9 @@ def test_run_returns_config_error_code(tmp_path):
 
 @pytest.mark.parametrize("change", [
     {"kernel": {"family": "squared_exponential", "signal_variance": 1.0, "lengthscales": [1.0, 1.0, 1.0]}},
-    {"plant": {"A": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 1.0]}},
     {"horizon": -1},
     {"gains": {"theta": ["a", "b"]}},
-], ids=["kernel_dimension", "uncontrollable_plant", "negative_horizon", "non_numeric_gains"])
+], ids=["kernel_dimension", "negative_horizon", "non_numeric_gains"])
 def test_run_maps_malformed_values_to_config_error(tmp_path, capsys, change):
     cfg = tracking_config(tmp_path / "t", horizon=0.1)
     cfg.update(change)
@@ -127,6 +126,9 @@ def test_validate_rejects_wrongly_typed_fields(tmp_path, capsys, block, change, 
     ("tracking.json", "kernel", {"family": "linear"}, "kernel.family"),
     ("density_sweep.json", "kernel", {"family": "linear"}, "kernel.family"),
     ("episodic.json", "kernel", {"family": "linear"}, "kernel.family"),
+    # validate_lipschitz always derives a probabilistic L_f, which Matern 3/2 cannot give;
+    # the run used to end in exit code 4
+    ("validate_lipschitz.json", "kernel", {"family": "matern32"}, "kernel.family"),
     # time fields (block None: top level); a negative horizon reaches the runner
     ("tracking.json", None, {"fine_dt": 0}, "fine_dt"),
     ("tracking.json", None, {"horizon": None}, "horizon"),
@@ -136,7 +138,7 @@ def test_validate_rejects_wrongly_typed_fields(tmp_path, capsys, block, change, 
     ("episodic.json", "episodic", {"horizon": None}, "episodic.horizon"),
 ], ids=["scalar_extent", "reversed_extent", "null_kappa", "string_pitch", "null_trials",
         "one_grid_point", "float_train_points", "zero_draws",
-        "linear_tracking", "linear_density_sweep", "linear_episodic",
+        "linear_tracking", "linear_density_sweep", "linear_episodic", "matern32_validate_lipschitz",
         "zero_fine_dt", "null_horizon", "zero_sim_dt", "string_horizon",
         "zero_episodic_fine_dt", "null_episodic_horizon"])
 def test_validate_rejects_bad_fields_in_shipped_configs(tmp_path, capsys, name, block, change, field):
@@ -491,7 +493,6 @@ def set_field(cfg, path, value):
     ("density_sweep", "bound.delta", None, "bound.delta"),
     ("episodic", "bound.delta", None, "bound.delta"),
     ("validate_lipschitz", "bound.delta_L", None, "bound.delta_L"),
-    ("tracking", "plant", 5, "plant"),
     ("tracking", "kernel", 5, "kernel"),
     ("tracking", "out_dir", 5, "out_dir"),
     ("tracking", "horizon", math.inf, "horizon"),
@@ -511,7 +512,7 @@ def set_field(cfg, path, value):
     ("episodic", "bound.L_f", "probabilistic", "bound.L_f"),
     ("validate_bounds", "bound.tau", "auto", "bound.tau"),
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
-        "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_plant", "scalar_kernel",
+        "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
         "true_noise_variance", "true_seed", "true_trials", "true_grid_count", "infinite_noise_variance",
         "nan_horizon", "nan_amplitude", "probabilistic_L_f_density_sweep", "probabilistic_L_f_episodic",
@@ -576,7 +577,8 @@ def test_resolved_config_holds_the_defaults_of_its_experiment_only():
     cfg, problems = cli.resolve({"experiment": "validate_lipschitz", "unknown": {"kept": 1}})
     assert problems == []
     assert cfg["validation"] == {"draws": 500} and cfg["unknown"] == {"kept": 1}
-    assert "horizon" not in cfg and "gains" not in cfg
+    assert cfg["bound"] == {"delta_L": 0.01}
+    assert not {"horizon", "gains", "plant", "reference", "noise_variance"} & set(cfg)
 
 
 def test_resolve_leaves_its_argument_alone():
@@ -584,6 +586,70 @@ def test_resolve_leaves_its_argument_alone():
     cfg, problems = cli.resolve(config)
     assert problems == [] and cfg["sweep"]["kappa"] == 10.0 and cfg["sweep"]["extent"] == [-4.0, 4.0]
     assert config == {"experiment": "density_sweep", "sweep": {"pitches": [1.0]}}
+
+
+class Recording(dict):
+    """A config block that records the dotted path of every key read from it."""
+
+    def __init__(self, block, reads, prefix=""):
+        super().__init__({k: Recording(v, reads, f"{prefix}{k}.") if isinstance(v, dict) else v
+                          for k, v in block.items()})
+        self.reads, self.prefix = reads, prefix
+
+    def __getitem__(self, key):
+        self.reads.add(self.prefix + key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(self.prefix + key)
+        return super().get(key, default)
+
+
+def fields_read(experiment, out_dir, **bound):
+    """The schema paths that the runner of a SMALL config reads, its bound block updated by ``bound``."""
+    cfg = small_config(experiment, out_dir)
+    cfg["bound"].update(bound)
+    resolved, problems = cli.resolve(cfg)
+    assert problems == []
+    reads = set()
+    out_dir.mkdir()
+    runner = cli.run_tracking if experiment == "tracking" else cli._RUNNERS[experiment]
+    runner(Recording(resolved, reads), str(out_dir))
+    paths = {path for path, *_ in cli._SCHEMA}
+    # a read of a block ("kernel") names no field; a read inside a field ("gains.theta1") is that field's
+    return {next((p for p in paths if r == p or r.startswith(p + ".")), r)
+            for r in reads if not any(p.startswith(r + ".") for p in paths)}
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_each_experiment_has_a_schema_row_for_exactly_the_fields_its_runner_reads(tmp_path, experiment):
+    read = fields_read(experiment, tmp_path / "given")
+    if experiment == "tracking":  # bound.delta_L serves only a probabilistic L_f
+        read |= fields_read(experiment, tmp_path / "probabilistic", L_f="probabilistic")
+    rows = {path for path, _, _, experiments in cli._SCHEMA if experiment in experiments}
+    assert read | {"out_dir"} == rows  # run reads out_dir and hands it to the runner
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_every_experiment_reruns_from_its_resolved_config(tmp_path, experiment):
+    out = tmp_path / "out"
+    assert cli.run(small_config(experiment, out)) == cli.EXIT_OK
+    first = {path.name: read_bytes(path) for path in out.iterdir()}
+    out.rename(tmp_path / "first")  # the rerun must write every artifact afresh
+    assert cli.run(json.loads(first["summary.json"])["resolved_config"]) == cli.EXIT_OK
+    assert {path.name: read_bytes(path) for path in out.iterdir()} == first
+
+
+def test_a_plant_block_passes_through_unread(tmp_path):
+    # the reference solves x_ref' = A x_ref + b r_ref for the benchmark double integrator
+    # only, so the closed loop always simulates that plant; a plant block used to replace it
+    plant = {"A": [[0.0, 1.0], [-40.0, 0.0]], "b": [0.0, 1.0]}
+    given = small_config("tracking", tmp_path / "given")
+    changed = {**small_config("tracking", tmp_path / "changed"), "plant": plant}
+    assert cli.run(given) == cli.run(changed) == cli.EXIT_OK
+    for name in ("tracking_run_seed0.csv", "sim_run_seed0.csv"):
+        assert read_bytes(tmp_path / "changed" / name) == read_bytes(tmp_path / "given" / name), name
+    assert json.loads((tmp_path / "changed" / "summary.json").read_text())["resolved_config"]["plant"] == plant
 
 
 def test_cli_main_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
