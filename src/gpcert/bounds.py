@@ -18,9 +18,9 @@ standard deviation at points of its box into eta.  The building blocks:
 * ``stddev_modulus``                    -- modulus of continuity of sigma,
   the pointwise minimum of the sqrt(2 L_k tau) rate and the stationary
   linear rate L_sigma * tau (both are valid moduli),
-* ``expected_sup_bound`` / ``sample_sup_bound`` / ``probabilistic_lipschitz``
-  -- high-probability Lipschitz constants derived from the prior via the
-  expected-supremum (metric entropy) and Borell-TIS routes.
+* ``probabilistic_lipschitz``           -- a high-probability Lipschitz
+  constant derived from the prior via the expected-supremum (metric
+  entropy) and Borell-TIS bounds on each derivative process.
 """
 
 from __future__ import annotations
@@ -169,30 +169,12 @@ def uniform_error_bound(report: BoundReport, x, sigma):
     return math.sqrt(report.beta) * sigma + report.gamma
 
 
-def _max_sqrt_k(spec: KernelSpec, box: DomainBox) -> float:
-    if spec.stationary:
-        return spec.sigma_f
-    return spec.sigma_f * kernels._box_corner_norm(box, 1.0 / spec.ell)
-
-
 def _expected_sup(max_sqrt_k: float, L_k: float, r: float, d: int) -> float:
     return 12.0 * math.sqrt(6.0 * d) * max(max_sqrt_k, math.sqrt(r * L_k))
 
 
 def _sample_sup(delta: float, max_sqrt_k: float, L_k: float, r: float, d: int) -> float:
     return math.sqrt(2.0 * math.log(1.0 / delta)) * max_sqrt_k + _expected_sup(max_sqrt_k, L_k, r, d)
-
-
-def expected_sup_bound(spec: KernelSpec, box: DomainBox, L_k: float) -> float:
-    """Metric-entropy bound 12 sqrt(6 d) max{max sqrt(k), sqrt(r L_k)} on E[sup f]."""
-    return _expected_sup(_max_sqrt_k(spec, box), L_k, box.edge, box.dimension)
-
-
-def sample_sup_bound(spec: KernelSpec, box: DomainBox, delta_L: float, L_k: float) -> float:
-    """Borell-TIS bound on sup f holding with probability at least 1 - delta_L."""
-    if not 0 < delta_L < 1:
-        raise ValueError("delta_L must lie in (0, 1)")
-    return _sample_sup(delta_L, _max_sqrt_k(spec, box), L_k, box.edge, box.dimension)
 
 
 def _derivative_kernel_constants(spec: KernelSpec, i: int, dim: int) -> tuple[float, float]:

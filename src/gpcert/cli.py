@@ -38,7 +38,7 @@ from . import tracking as trk
 from .errors import GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, benchmark_system, measure, prior_factor, run_closed_loop
+from .simulation import BENCHMARK_L_F, ReferenceSpec, benchmark_system, measure, prior_factor, run_closed_loop
 from .tracking import closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
@@ -81,6 +81,8 @@ _FRACTION = (lambda v: _number(v) and 0 < v < 1), "a number in (0, 1)"
 _NOT_TRACKING = tuple(e for e in EXPERIMENTS if e != "tracking")
 _CLOSED_LOOP = ("tracking", "density_sweep", "episodic")  # simulate the benchmark loop against the reference
 _ERROR_BOUND = _CLOSED_LOOP + ("validate_bounds",)  # fit noisy data and evaluate the uniform error bound
+_LENGTHSCALES = _list_of(_positive), "a nonempty list of positive numbers"
+_CENTER = _list_of(_number), "a nonempty list of numbers"
 _AXIS = (lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1])
          and _number(v[2], int) and v[2] > 0), "[lo, hi, count] with count a positive integer"
 
@@ -91,18 +93,22 @@ _SCHEMA = (
     ("kernel.family", (lambda v: v in kern._FAMILIES, f"one of {', '.join(kern._FAMILIES)}"),
      kern.SQUARED_EXPONENTIAL, EXPERIMENTS),
     ("kernel.signal_variance", _POSITIVE, 1.0, EXPERIMENTS),
-    ("kernel.lengthscales", (_list_of(_positive), "a nonempty list of positive numbers"), [1.0, 1.0], EXPERIMENTS),
-    ("domain.dimension", _count(1), 2, EXPERIMENTS),
+    # resolve() holds the three dimension fields to one another and to the experiment's dimension
+    ("kernel.lengthscales", _LENGTHSCALES, [1.0, 1.0], _ERROR_BOUND),
+    ("kernel.lengthscales", _LENGTHSCALES, [1.0], ("validate_lipschitz",)),
+    ("domain.dimension", _count(1), 2, _ERROR_BOUND),
+    ("domain.dimension", _count(1), 1, ("validate_lipschitz",)),
     ("domain.edge", _POSITIVE, 10.0, EXPERIMENTS),
-    ("domain.center", (_list_of(_number), "a nonempty list of numbers"), [0.0, 0.0], EXPERIMENTS),
+    ("domain.center", _CENTER, [0.0, 0.0], _ERROR_BOUND),
+    ("domain.center", _CENTER, [0.0], ("validate_lipschitz",)),
     # only tracking resolves tau "auto" and L_f "probabilistic"; density_sweep and
     # episodic match tau to rho, and validate_bounds derives L_f per trial
     ("bound.tau", (lambda v: v == "auto" or _positive(v), "a positive number or 'auto'"), 0.01, ("tracking",)),
     ("bound.tau", _POSITIVE, 0.01, ("validate_bounds",)),
     ("bound.delta", _FRACTION, 0.01, _ERROR_BOUND),
     ("bound.L_f", (lambda v: v == "probabilistic" or _nonnegative(v),
-                   "a nonnegative number or 'probabilistic'"), 2.0, ("tracking",)),
-    ("bound.L_f", (_nonnegative, "a nonnegative number"), 2.0, ("density_sweep", "episodic")),
+                   "a nonnegative number or 'probabilistic'"), BENCHMARK_L_F, ("tracking",)),
+    ("bound.L_f", (_nonnegative, "a nonnegative number"), BENCHMARK_L_F, ("density_sweep", "episodic")),
     ("bound.delta_L", _FRACTION, 0.01, ("tracking", "validate_lipschitz")),
     ("reference.amplitude", (_number, "a finite number"), 2.0, _CLOSED_LOOP),
     ("reference.frequency", _POSITIVE, 1.0, _CLOSED_LOOP),
@@ -173,6 +179,15 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
     if problems:
         return cfg, problems
 
+    # the closed loop and its reference live in the plane; validate_lipschitz scans a line
+    dim = cfg["domain"]["dimension"]
+    need = 2 if exp in _CLOSED_LOOP else 1 if exp == "validate_lipschitz" else dim
+    if dim != need:
+        problems.append(f"domain.dimension: must be {need} for {exp}, got {dim}")
+    for path in ("kernel.lengthscales", "domain.center"):
+        block, _, name = path.partition(".")
+        if len(cfg[block][name]) != need:
+            problems.append(f"{path}: must hold one entry per dimension ({need}), got {cfg[block][name]!r}")
     family = cfg["kernel"]["family"]
     if exp in _CLOSED_LOOP and family not in kern._STATIONARY:
         problems.append(f"kernel.family: {exp} needs L_sigma, which the non-stationary {family!r} kernel lacks")
@@ -298,6 +313,10 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     horizon = float(cfg["horizon"])
     dt = float(cfg["fine_dt"])
     source = "probabilistic" if bb["L_f"] == "probabilistic" else "given"
+    # the bound fields the run read: delta_L only when it derived L_f
+    resolved_bound = {"delta": bb["delta"], "L_f": L_f, "L_f_source": source}
+    if source == "probabilistic":
+        resolved_bound["delta_L"] = bb["delta_L"]
     loop = closed_loop(plant, _theta_from(cfg))
 
     models = _tracking_models(cfg, seeds)
@@ -349,7 +368,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
             "argmax_sigma_time": t_sig,
             "error_peak_in_uncertain_half_period": bool(same_half),
             "bound": {**rep.to_json_dict(), "L_f_source": source},
-            "resolved_bound": {**bb, "tau": rep.tau, "L_f": L_f, "L_f_source": source},
+            "resolved_bound": resolved_bound | {"tau": rep.tau},
             "zeta": loop.zeta,
             "lambda_max": loop.lambda_max,
             "L_sigma": L_sigma,
@@ -585,8 +604,6 @@ def run_validate_lipschitz(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     draws = cfg["validation"]["draws"]
     delta_L = float(cfg["bound"]["delta_L"])
     seed0 = cfg["seeds"][0]
-    if box.dimension != 1 or spec.dim != 1:
-        raise ValueError("validate_lipschitz runs on a one-dimensional domain")
 
     L_hat = bnd.probabilistic_lipschitz(spec, box, delta_L)
     pitch = spec.ell_min / 8.0

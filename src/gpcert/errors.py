@@ -10,10 +10,6 @@ class GPCertError(Exception):
     """Base class for all library-specific failures."""
 
 
-class NumericalDegeneracyError(GPCertError):
-    """A quantity that must be nonnegative came out significantly negative."""
-
-
 class UnsupportedOperationError(GPCertError):
     """The kernel family lacks the smoothness or structure the operation needs."""
 

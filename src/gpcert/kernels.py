@@ -4,12 +4,13 @@ Supported families: squared exponential (with per-dimension lengthscales),
 Matern 3/2 and 5/2 (scaled-distance form), and the linear kernel
 ``k(x, x') = sigma_f^2 * sum_i x_i x'_i / l_i^2``.
 
-Besides plain evaluation this module supplies everything the bound machinery
-consumes: gradients, the kernel metric d_k, the kernel Lipschitz constant L_k,
-the standard-deviation Lipschitz constant L_sigma, the mixed partial
-derivative kernels, and the Lipschitz constant of the kernel derivative
-L_dk.  Continuity constants for anisotropic lengthscales use the minimum
-lengthscale, which is conservative and valid.
+Besides plain evaluation this module supplies the continuity constants the
+bound machinery consumes: the kernel Lipschitz constant L_k, the
+standard-deviation Lipschitz constant L_sigma and the Lipschitz constant of
+the kernel derivative L_dk.  Continuity constants for anisotropic
+lengthscales use the minimum lengthscale, which is conservative and valid.
+The kernel gradient, the metric d_k and the derivative kernels, whose dense
+scans the tests hold these closed forms against, live in ``tests/oracles.py``.
 
 Every constant is a closed form.  L_sigma, L_dk and the derivative-kernel
 variance of :mod:`bounds` read one table, ``_CURVATURE``: the zero-lag
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError, UnsupportedOperationError
+from .errors import UnsupportedOperationError
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 MATERN32 = "matern32"
@@ -36,9 +37,6 @@ _FAMILIES = _STATIONARY + (LINEAR,)
 
 # zero-lag curvature c = -k''(0) l^2 / sigma_f^2: k = sigma_f^2 (1 - c r^2 / 2 + o(r^2)) in the scaled lag r
 _CURVATURE = {SQUARED_EXPONENTIAL: 1.0, MATERN32: 3.0, MATERN52: 5.0 / 3.0}
-
-# radicand clamp for the kernel metric: [-1e-12, 0] is round-off, below is a bug
-_METRIC_TOL = 1e-12
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -195,34 +193,6 @@ def kernel_diag(spec: KernelSpec, X) -> np.ndarray:
     return spec.signal_variance * np.einsum("ij,ij->i", z, z)
 
 
-def kernel_gradient(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of k with respect to its first argument, evaluated at (x, y)."""
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
-    sf2 = spec.signal_variance
-    ell2 = spec.ell ** 2
-    if spec.family == LINEAR:
-        return sf2 * y / ell2
-    u = x - y
-    r = math.sqrt(float(np.sum((u / spec.ell) ** 2)))
-    if spec.family == SQUARED_EXPONENTIAL:
-        return -sf2 * math.exp(-0.5 * r * r) * u / ell2
-    if spec.family == MATERN32:
-        return -3.0 * sf2 * math.exp(-_SQRT3 * r) * u / ell2
-    # matern52; the 1/r singularity cancels analytically
-    return -(5.0 / 3.0) * sf2 * (1.0 + _SQRT5 * r) * math.exp(-_SQRT5 * r) * u / ell2
-
-
-def kernel_metric(spec: KernelSpec, x, y) -> float:
-    """Kernel metric d_k(x, y) = sqrt(k(x,x) + k(y,y) - 2 k(x,y))."""
-    rad = kernel_eval(spec, x, x) + kernel_eval(spec, y, y) - 2.0 * kernel_eval(spec, x, y)
-    if rad < -_METRIC_TOL:
-        raise NumericalDegeneracyError(
-            f"kernel metric radicand {rad:.3e} below tolerance; kernel is not PSD"
-        )
-    return math.sqrt(max(rad, 0.0))
-
-
 def _box_corner_norm(box, weights: np.ndarray) -> float:
     """max over the box of ||diag(weights) x||, attained at a corner."""
     c = np.asarray(box.center, dtype=float)
@@ -255,32 +225,6 @@ def kernel_lipschitz(spec: KernelSpec, box) -> float:
         v = (5.0 + _SQRT5) / 10.0
         return sf2 * ((5.0 / 3.0) * v * (1.0 + _SQRT5 * v) * math.exp(-_SQRT5 * v)) / lm
     return sf2 * _box_corner_norm(box, 1.0 / spec.ell ** 2)
-
-
-def derivative_kernel_eval(spec: KernelSpec, i: int, x, y) -> float:
-    """Mixed second partial k^di(x, y) = d^2 k / (dx_i dy_i).
-
-    Requires continuous partials up to fourth order, so Matern 3/2 is
-    rejected.
-    """
-    if spec.family == MATERN32:
-        raise UnsupportedOperationError("Matern 3/2 lacks the smoothness for derivative kernels")
-    x = _check_point(spec, x)
-    y = _check_point(spec, y)
-    if not 0 <= i < spec.dim:
-        raise ValueError(f"axis {i} out of range for dimension {spec.dim}")
-    sf2 = spec.signal_variance
-    li2 = spec.lengthscales[i] ** 2
-    if spec.family == LINEAR:
-        return sf2 / li2
-    u = x - y
-    if spec.family == SQUARED_EXPONENTIAL:
-        k = kernel_eval(spec, x, y)
-        return (1.0 - u[i] ** 2 / li2) * k / li2
-    # matern52
-    r = math.sqrt(float(np.sum((u / spec.ell) ** 2)))
-    vi2 = u[i] ** 2 / li2
-    return (5.0 / 3.0) * sf2 * math.exp(-_SQRT5 * r) * ((1.0 + _SQRT5 * r) - 5.0 * vi2) / li2
 
 
 def stddev_lipschitz(spec: KernelSpec, box) -> float:
@@ -316,8 +260,8 @@ def gradient_lipschitz(spec: KernelSpec) -> float:
     and (5/3) (1 + sqrt5 v - 5 v^2) e^{-sqrt5 v} for Matern 5/2, each at most
     c in absolute value.
 
-    Not defined for the linear kernel, whose density subsets are handled
-    geometrically instead.
+    Not defined for the linear kernel, whose density subsets are sphere
+    segments instead (``tests/oracles.py``).
     """
     if not spec.stationary:
         raise UnsupportedOperationError("gradient Lipschitz constant undefined for the linear kernel")

@@ -45,6 +45,12 @@ def integrate(dynamics, x0, horizon: float, dt: float):
     return times, states
 
 
+# sup ||grad f|| of the benchmark f below, rounded up: |df/dx1| = |2 cos 2 x1| <= 2 and
+# |df/dx2| = s (1 - s) <= 1/4 for the logistic s(x2), both at x1 = k pi / 2, x2 = 0,
+# so the supremum is sqrt(4 + 1/16) = 2.015564 on any box holding such a point
+BENCHMARK_L_F = 2.0156
+
+
 def benchmark_system():
     """Nonlinearity, input gain and plant of the simulation benchmark.
 

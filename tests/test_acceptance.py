@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gpcert import cli
-from gpcert.density import data_density, density_variance_bound, variance_bound_general, variance_bound_stationary
+from gpcert.density import data_density
 from gpcert.episodic import episode_count_bound
 from gpcert.kernels import (
     SQUARED_EXPONENTIAL,
@@ -24,6 +24,7 @@ from gpcert.kernels import (
 from gpcert.tracking import LinearPlant, closed_loop
 
 from conftest import random_kernel, random_model
+from oracles import density_variance_bound, variance_bound_general, variance_bound_stationary
 from test_density import brute_force_density
 
 

@@ -11,12 +11,10 @@ from gpcert.bounds import (
     beta,
     bound_constants,
     covering_number_bound,
-    expected_sup_bound,
     gamma,
     geometric_bisect,
     mean_lipschitz,
     probabilistic_lipschitz,
-    sample_sup_bound,
     stddev_modulus,
     uniform_error_bound,
 )
@@ -27,13 +25,13 @@ from gpcert.kernels import (
     MATERN52,
     SQUARED_EXPONENTIAL,
     KernelSpec,
-    derivative_kernel_eval,
     kernel_eval,
     kernel_lipschitz,
     stddev_lipschitz,
 )
 
 from conftest import se_unit
+from oracles import derivative_kernel_eval, expected_sup_bound, sample_sup_bound
 
 BOX2 = DomainBox(2, 10.0)
 

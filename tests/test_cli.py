@@ -86,10 +86,9 @@ def test_run_returns_config_error_code(tmp_path):
 
 
 @pytest.mark.parametrize("change", [
-    {"kernel": {"family": "squared_exponential", "signal_variance": 1.0, "lengthscales": [1.0, 1.0, 1.0]}},
     {"horizon": -1},
     {"gains": {"theta": ["a", "b"]}},
-], ids=["kernel_dimension", "negative_horizon", "non_numeric_gains"])
+], ids=["negative_horizon", "non_numeric_gains"])
 def test_run_maps_malformed_values_to_config_error(tmp_path, capsys, change):
     cfg = tracking_config(tmp_path / "t", horizon=0.1)
     cfg.update(change)
@@ -353,6 +352,17 @@ def test_auto_tau_and_probabilistic_lf_resolve(tmp_path):
     assert summary["resolved_config"]["bound"]["L_f"] == "probabilistic"
 
 
+def test_a_resolved_bound_holds_delta_L_only_when_the_run_derived_L_f(tmp_path):
+    # a given L_f leaves delta_L unread, so the summary must not echo it
+    for L_f, read in ((2.0, set()), ("probabilistic", {"delta_L"})):
+        out = tmp_path / str(L_f)
+        cfg = tracking_config(out, horizon=0.1)
+        cfg["bound"]["L_f"] = L_f
+        assert cli.run(cfg) == 0
+        resolved = json.loads((out / "summary.json").read_text())["per_seed"][0]["resolved_bound"]
+        assert set(resolved) == {"tau", "delta", "L_f", "L_f_source"} | read, L_f
+
+
 def test_an_infeasible_auto_tau_is_a_numerical_failure(tmp_path, capsys):
     # like an infeasible density-matched tau: no tau in [1e-12, r] meets the prior-scale rule
     cfg = tracking_config(tmp_path / "t", horizon=0.1)
@@ -511,12 +521,22 @@ def set_field(cfg, path, value):
     ("density_sweep", "bound.L_f", "probabilistic", "bound.L_f"),
     ("episodic", "bound.L_f", "probabilistic", "bound.L_f"),
     ("validate_bounds", "bound.tau", "auto", "bound.tau"),
+    # each of these passed validate and then failed in the runner, with no path or a numpy message
+    ("validate_lipschitz", "domain.dimension", 2, "domain.dimension"),
+    ("validate_lipschitz", "domain.center", [0.0, 0.0], "domain.center"),
+    ("validate_lipschitz", "kernel.lengthscales", [1.0, 1.0], "kernel.lengthscales"),
+    ("tracking", "domain.dimension", 3, "domain.dimension"),
+    ("tracking", "kernel.lengthscales", [1.0, 1.0, 1.0], "kernel.lengthscales"),
+    ("tracking", "domain.center", [0.0], "domain.center"),
+    ("validate_bounds", "kernel.lengthscales", [1.0], "kernel.lengthscales"),
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
         "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
         "true_noise_variance", "true_seed", "true_trials", "true_grid_count", "infinite_noise_variance",
         "nan_horizon", "nan_amplitude", "probabilistic_L_f_density_sweep", "probabilistic_L_f_episodic",
-        "auto_tau_validate_bounds"])
+        "auto_tau_validate_bounds", "dimension_2_validate_lipschitz", "two_center_coordinates_validate_lipschitz",
+        "two_lengthscales_validate_lipschitz", "dimension_3_tracking", "three_lengthscales_tracking",
+        "one_center_coordinate_tracking", "one_lengthscale_validate_bounds"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)
@@ -572,7 +592,7 @@ def test_resolved_config_holds_the_defaults_of_its_experiment_only():
     assert problems == []
     assert cfg["horizon"] == 30.0 and cfg["fine_dt"] == 3e-4
     assert cfg["data_grid"] == {"x1": [0.0, 3.0, 5], "x2": [-4.0, 4.0, 5]}
-    assert cfg["bound"] == {"tau": 0.01, "delta": 0.01, "L_f": 2.0, "delta_L": 0.01}
+    assert cfg["bound"] == {"tau": 0.01, "delta": 0.01, "L_f": 2.0156, "delta_L": 0.01}
     assert not {"sim_dt", "sweep", "episodic", "validation"} & set(cfg)
     cfg, problems = cli.resolve({"experiment": "validate_lipschitz", "unknown": {"kept": 1}})
     assert problems == []
@@ -779,3 +799,10 @@ def test_shipped_lipschitz_constants_bound_the_benchmark_gradient():
         grid_max = float(np.sqrt(d1 * d1 + d2 * d2).max())
         assert 2.0 < grid_max <= analytic + 1e-8, name  # the old L_f = 2.0 was below it
         assert L_f >= analytic and L_f >= grid_max, name
+        # a config that omits L_f is certified with the default, which must bound the gradient too
+        cfg = cli.load_config(str(CONFIGS / name))
+        del cfg["bound"]["L_f"]
+        resolved, problems = cli.resolve(cfg)
+        assert problems == [], name
+        default = resolved["bound"]["L_f"]
+        assert default >= analytic and default >= grid_max, name

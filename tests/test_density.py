@@ -6,12 +6,7 @@ import pytest
 from gpcert.density import (
     data_density,
     data_density_batch,
-    density_variance_bound,
-    geometric_ball_radius,
-    geometric_subset_linear,
     kernel_subset,
-    variance_bound_general,
-    variance_bound_stationary,
 )
 from gpcert.errors import DegenerateInputError, UnsupportedOperationError
 from gpcert.gp import TrainingSet, fit
@@ -26,6 +21,13 @@ from gpcert.kernels import (
 )
 
 from conftest import random_kernel, random_model, se_unit
+from oracles import (
+    density_variance_bound,
+    geometric_ball_radius,
+    geometric_subset_linear,
+    variance_bound_general,
+    variance_bound_stationary,
+)
 
 
 def brute_force_density(model, x, grid_points=1_000_000):

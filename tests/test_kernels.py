@@ -13,15 +13,14 @@ from gpcert.kernels import (
     SQUARED_EXPONENTIAL,
     KernelSpec,
     _scaled_sqdist,
-    derivative_kernel_eval,
     gradient_lipschitz,
     gram,
     kernel_eval,
-    kernel_gradient,
     kernel_lipschitz,
-    kernel_metric,
     stddev_lipschitz,
 )
+
+from oracles import derivative_kernel_eval, kernel_gradient, kernel_metric
 
 SE1 = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0,))
 LIN2 = KernelSpec(LINEAR, 1.0, (1.0, 1.0))
