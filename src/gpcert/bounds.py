@@ -37,6 +37,10 @@ from .kernels import KernelSpec
 
 _SQRT5 = math.sqrt(5.0)
 
+# the most (rows, width) arrays that a block of the derivative-kernel grid
+# holds at once: 6 for SE, 8 for Matern 5/2 (tracemalloc, numpy 2.4)
+_GRID_TEMPORARIES = 8
+
 
 @dataclass(frozen=True)
 class DomainBox:
@@ -228,8 +232,12 @@ def _derivative_kernel_constants(spec: KernelSpec, i: int, dim: int) -> tuple[fl
             dGs = _SQRT5 * (s / rsafe) * E * (5.0 * a * a - _SQRT5 * r)
             return float(((c * dGa / li) ** 2 + ((c * dGs / lm) ** 2 if dim > 1 else 0.0)).max())
 
-    # the grid is evaluated in row blocks of a; its maximum is exact either way
-    grad2_max = max(block_max(a_all[rows]) for rows in kernels._row_blocks(n, s.shape[1]))
+    # the grid is evaluated in row blocks of a whose live temporaries together
+    # fit the kernel block budget (20 rows at width 801); its maximum is exact
+    # either way.  Not kernels._row_blocks: its 256-row floor serves BLAS
+    # products, and every operation here is elementwise.
+    rows = max(1, kernels._BLOCK_ELEMENTS // (_GRID_TEMPORARIES * s.shape[1]))
+    grad2_max = max(block_max(a_all[lo:lo + rows]) for lo in range(0, n, rows))
     return max_sq, math.sqrt(grad2_max)
 
 

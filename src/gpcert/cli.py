@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import functools
 import json
@@ -252,12 +253,27 @@ _CSV_CHUNK_ROWS = 256  # bounds the cell strings held at once (and so peak RSS)
 
 def _write_csv(path: str, header: list[str], columns) -> None:
     """Write equally long columns as CSV rows: repr of floats, integers as such."""
-    n = len(columns[0]) if columns else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    _write_csvs([(path, header, columns)])
+
+
+def _write_csvs(files) -> None:
+    """Write several CSVs, each a (path, header, columns) triple, in one chunked pass.
+
+    A column object that more than one file holds is formatted once per
+    chunk.  Every file gets the bytes :func:`_write_csv` writes for it.
+    """
+    n = max((len(columns[0]) for _, _, columns in files if columns), default=0)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", newline="")) for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write(",".join(header) + "\n")
         for lo in range(0, n, _CSV_CHUNK_ROWS):
-            cells = [_cells(c[lo:lo + _CSV_CHUNK_ROWS]) for c in columns]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            cells = {}
+            for fh, (_, _, columns) in zip(handles, files):
+                for c in columns:
+                    if id(c) not in cells:
+                        cells[id(c)] = _cells(c[lo:lo + _CSV_CHUNK_ROWS])
+                fh.write("".join([",".join(row) + "\n" for row in zip(*(cells[id(c)] for c in columns))]))
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -297,14 +313,22 @@ def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: 
     return bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box, L_k, L_sigma)
 
 
+# A tracking batch rolls out and writes its seeds in sub-batches that hold at
+# most this many state elements (two per seed and sample time) at once.
+_STATE_BUDGET = 1 << 21
+
+
 def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seeds) -> list[dict]:
     """Seeds of the tracking experiment, rolled out together; L_f, L_k and L_sigma are the run's.
 
-    One factorization serves every seed's model (:func:`_tracking_models`),
-    one :func:`run_closed_loop` steps every seed, and a per-seed writer forms
-    eta and upsilon and writes the seed's CSVs.  The seeds share inputs,
-    kernel, noise, gains and reference, so their posterior stddev along the
-    reference is one array, computed once.
+    One factorization serves every seed's model (:func:`_tracking_models`).
+    The seeds share inputs, kernel, noise, gains and reference, so their
+    posterior stddev along the reference is one array, computed once.  The
+    seeds are then rolled out in sub-batches of at most
+    _STATE_BUDGET / (2 (n + 1)) seeds, n being the step count: one
+    :func:`run_closed_loop` steps every seed of a sub-batch, and a per-seed
+    writer forms eta and upsilon and writes the seed's CSVs before the next
+    sub-batch is rolled out.
     """
     box = _box_from(cfg)
     ref = _reference_from(cfg)
@@ -324,13 +348,11 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     t_half = trk.half_step_times(horizon, dt)
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
-    sims = run_closed_loop(loop, models, ref, horizon, dt, f)
     # the phase of the worst posterior uncertainty, over one period of the half-step grid (pitch dt/2)
     period = ref.period
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
-    results = []
-    for seed, model, rep, sim in zip(seeds, models, reps, sims):
+    def seed_result(seed, model, rep, sim):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
         e = sim.error_norms
@@ -342,23 +364,22 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
         t_e = float(sim.times[int(np.argmax(e))]) % period
         same_half = (t_e < period / 2.0) == (t_sig < period / 2.0)
 
-        _write_csv(
-            os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
-            ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
-            [sim.times, e, upsilon, eta_half[::2], sigma_half[::2]],
-        )
-        _write_csv(
-            os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
-            ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
-            [sim.times, sim.states[:, 0], sim.states[:, 1],
-             sim.reference_states[:, 0], sim.reference_states[:, 1], u, e],
-        )
+        # t and e_norm, in both run CSVs, are formatted once
+        _write_csvs([
+            (os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
+             ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
+             [sim.times, e, upsilon, eta_half[::2], sigma_half[::2]]),
+            (os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
+             ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
+             [sim.times, sim.states[:, 0], sim.states[:, 1],
+              sim.reference_states[:, 0], sim.reference_states[:, 1], u, e]),
+        ])
         _write_csv(
             os.path.join(out_dir, f"training_data_seed{seed}.csv"),
             [f"x_{i + 1}" for i in range(model.data.dimension)] + ["y"],
             [*model.data.inputs.T, model.data.targets],
         )
-        results.append({
+        return {
             "seed": seed,
             "certified": trk.certificate_holds(e, upsilon, sim.states, box),
             "gain_condition": trk.gain_condition(loop, L_sigma, rep.beta),
@@ -373,7 +394,15 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
             "lambda_max": loop.lambda_max,
             "L_sigma": L_sigma,
             "L_k": L_k,
-        })
+        }
+
+    size = max(1, _STATE_BUDGET // (2 * (trk.step_count(horizon, dt) + 1)))
+    results = []
+    for lo in range(0, len(seeds), size):
+        sub = slice(lo, lo + size)
+        sims = run_closed_loop(loop, models[sub], ref, horizon, dt, f)
+        results += map(seed_result, seeds[sub], models[sub], reps[sub], sims)
+        del sims  # this sub-batch's states go before the next rollout allocates its own
     return results
 
 
@@ -382,7 +411,8 @@ def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]
     box constants L_f, L_k and L_sigma are computed once, here.
 
     A seed's artifacts do not depend on its batch.  A seed that diverges
-    stops its whole batch before the batch writes any artifact.
+    stops its sub-batch (see :func:`_run_tracking_batch`) before that
+    sub-batch writes any artifact; earlier sub-batches have written theirs.
     """
     spec, box, bb = _kernel_from(cfg), _box_from(cfg), cfg["bound"]
     L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"]) if bb["L_f"] == "probabilistic" else float(bb["L_f"])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpcert import bounds, kernels
 from gpcert.bounds import (
     DomainBox,
     _derivative_kernel_constants,
@@ -287,6 +289,32 @@ def test_derivative_kernel_window_matches_full_grid(family, log_sf2, log_ells, d
     spec = KernelSpec(family, math.exp(log_sf2), tuple(math.exp(v) for v in log_ells))
     i = data.draw(st.integers(0, dim - 1))
     assert _derivative_kernel_constants(spec, i, dim)[1] == _full_grid_derivative_lipschitz(spec, i, dim)
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivative_kernel_grid_blocks_do_not_move_bits(monkeypatch, family, dim):
+    # one row a block, the budget's blocks (20 rows at d = 2, all 801 at d = 1) and one block of all 801 rows
+    spec = KernelSpec(family, 1.7, (0.8, 1.5)[:dim])
+    found = []
+    for budget in (1, kernels._BLOCK_ELEMENTS, bounds._GRID_TEMPORARIES * 801 * 801):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", budget)
+        found.append([_derivative_kernel_constants(spec, i, dim) for i in range(dim)])
+    assert found[0] == found[1] == found[2]
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
+def test_probabilistic_lipschitz_holds_a_bounded_grid(family):
+    # the 801 x 801 grid of the benchmark tracking kernel is evaluated in blocks whose live
+    # arrays fit the 2^17-element (1 MiB) budget; one whole-grid array alone is 5.1 MB
+    spec = KernelSpec(family, 1.0, (1.0, 1.5))
+    tracemalloc.start()
+    try:
+        probabilistic_lipschitz(spec, BOX2, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_params_validation():

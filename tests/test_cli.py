@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import scipy.linalg
 
-from gpcert import cli, gp
+from gpcert import cli, gp, tracking
 from gpcert.kernels import KernelSpec
 from gpcert.simulation import ReferenceSpec, benchmark_system, measure
 
@@ -806,3 +806,75 @@ def test_shipped_lipschitz_constants_bound_the_benchmark_gradient():
         assert problems == [], name
         default = resolved["bound"]["L_f"]
         assert default >= analytic and default >= grid_max, name
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
+def test_the_one_pass_writer_writes_the_bytes_of_one_call_per_file(tmp_path, monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    t = rng.standard_normal(rows)
+    counts = np.arange(rows) * 7  # an integer column, in both files
+    listed = [float(v) for v in rng.standard_normal(rows)]  # not an ndarray
+    files = [("a.csv", ["t", "k", "x"], [t, counts, rng.standard_normal(rows)]),
+             ("b.csv", ["t", "l", "k", "t"], [t, listed, counts, t])]
+    formatted = []
+    cells = cli._cells
+    monkeypatch.setattr(cli, "_cells", lambda values: formatted.append(len(values)) or cells(values))
+    cli._write_csvs([(str(tmp_path / f"joint_{name}"), header, columns) for name, header, columns in files])
+    assert sum(formatted) == 4 * rows  # each of the four distinct columns once
+    for name, header, columns in files:
+        cli._write_csv(str(tmp_path / name), header, columns)
+        body = read_bytes(tmp_path / name)
+        assert body.count(b"\n") == rows + 1
+        assert read_bytes(tmp_path / f"joint_{name}") == body, name
+
+
+def test_sub_batches_match_one_batch_and_workers(tmp_path, monkeypatch):
+    seeds, horizon = range(5), 0.5
+    assert cli.run(tracking_config(tmp_path / "whole", seeds=seeds, horizon=horizon)) == 0
+    assert cli.run(tracking_config(tmp_path / "fanned", seeds=seeds, horizon=horizon), workers=2) == 0
+    states = tracking.step_count(horizon, 1e-3) + 1
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 2 * 2 * states + 1)  # two seeds a sub-batch, not three
+    rollouts, factors = [], []
+    run_closed_loop, cholesky = cli.run_closed_loop, scipy.linalg.cholesky
+
+    def counted_rollout(loop, models, *args):
+        rollouts.append(len(models))
+        return run_closed_loop(loop, models, *args)
+
+    def counted_factor(*args, **kwargs):
+        factors.append(args[0].shape)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_closed_loop", counted_rollout)
+    monkeypatch.setattr(scipy.linalg, "cholesky", counted_factor)
+    assert cli.run(tracking_config(tmp_path / "split", seeds=seeds, horizon=horizon)) == 0
+    assert rollouts == [2, 2, 1]
+    assert factors == [(25, 25)]  # still once per worker batch
+    split_files, _, split = tracking_outputs(tmp_path / "split", seeds)
+    del split["resolved_config"]["out_dir"]
+    for name in ("whole", "fanned"):
+        files, _, summary = tracking_outputs(tmp_path / name, seeds)
+        del summary["resolved_config"]["out_dir"]
+        assert files == split_files, name
+        assert summary == split, name
+
+
+def test_a_seed_diverging_in_a_later_sub_batch_stops_it_after_earlier_ones_wrote(tmp_path, monkeypatch, capsys):
+    horizon = 0.5
+    monkeypatch.setattr(cli, "_STATE_BUDGET", 2 * 2 * (tracking.step_count(horizon, 1e-3) + 1))
+    tracking_models = cli._tracking_models
+
+    def models_with_overflowing_weights_for_the_third_seed(cfg, seeds):
+        return [dataclasses.replace(m, alpha=m.alpha * 1e308) if k == 2 else m
+                for k, m in enumerate(tracking_models(cfg, seeds))]
+
+    monkeypatch.setattr(cli, "_tracking_models", models_with_overflowing_weights_for_the_third_seed)
+    out = tmp_path / "t"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself, in the bound constants
+        rc = cli.run(tracking_config(out, seeds=range(5), horizon=horizon))
+    assert rc == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure in tracking: state diverged at t = ")
+    # the first sub-batch, seeds 0 and 1, wrote its artifacts; the second stopped before writing any
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+        f"{stem}_seed{seed}.csv" for seed in (0, 1) for stem in ("tracking_run", "sim_run", "training_data"))
