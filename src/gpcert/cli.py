@@ -39,7 +39,8 @@ from . import tracking as trk
 from .errors import GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import BENCHMARK_L_F, ReferenceSpec, benchmark_system, measure, prior_factor, run_closed_loop
+from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, measure, prior_draw, prior_factor,
+                         run_closed_loop)
 from .tracking import closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
@@ -197,6 +198,8 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
     if family == kern.MATERN32 and (lipschitz or exp in _CLOSED_LOOP and cfg["bound"]["L_f"] == "probabilistic"):
         problems.append(f"{'kernel.family' if lipschitz else 'bound.L_f'}: probabilistic Lipschitz constants need "
                         "fourth-order smoothness; Matern 3/2 is not smooth enough")
+    if exp == "episodic" and cfg["episodic"]["fine_dt"] > cfg["episodic"]["horizon"]:
+        problems.append(f"episodic.fine_dt: must be at most episodic.horizon, got {cfg['episodic']['fine_dt']!r}")
     gains = cfg.get("gains")
     if exp == "tracking" and "theta" not in gains and not all(_number(gains.get(k)) for k in ("theta1", "theta2")):
         problems.append(f"gains: must hold theta, or numbers theta1 and theta2, got {gains!r}")
@@ -601,7 +604,7 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     covered_n = 0
     for t in range(trials):
         rng = np.random.default_rng(seed0 + t)
-        fvals = L @ rng.standard_normal(grid.shape[0])
+        fvals = prior_draw(L, rng)
         idx = rng.choice(grid.shape[0], size=n_train, replace=False)
         y = fvals[idx] + rng.normal(0.0, math.sqrt(noise), n_train)
         model = fit(spec, TrainingSet(grid[idx], y, noise))
@@ -642,10 +645,8 @@ def run_validate_lipschitz(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     pitch = float(grid[1, 0] - grid[0, 0])
     L = prior_factor(spec, grid)
 
-    slopes = np.empty(draws)
-    for t in range(draws):
-        f = L @ np.random.default_rng(seed0 + t).standard_normal(n)
-        slopes[t] = float(np.abs(np.diff(f)).max() / pitch)
+    slopes = np.array([np.abs(np.diff(prior_draw(L, np.random.default_rng(seed0 + t)))).max() / pitch
+                       for t in range(draws)])
     covered = slopes <= L_hat
     coverage = float(covered.mean())
     _write_csv(os.path.join(out_dir, "lipschitz_trials.csv"),

@@ -15,10 +15,9 @@ grows.  There is no automatic jitter beyond the noise variance: a failed
 factorization surfaces as :class:`IllConditionedDataError` so experiments
 stay faithful to the exact equations.
 
-Every BLAS call on a factor of fewer than ``_SERIAL_BELOW`` rows runs on one
-OpenBLAS thread (:func:`_blas_threads`).  At those sizes threads cost CPU
-and save no wall time, and from about 128 rows a threaded Cholesky changes
-its last bits with the thread count, so artifacts would depend on the host.
+Every BLAS call on a factor runs on one OpenBLAS thread, at every size
+(:func:`_blas_threads`): from about 128 rows a threaded Cholesky changes its
+last bits with the thread count, so artifacts would depend on the host.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ import scipy.linalg
 
 from .errors import IllConditionedDataError
 from .kernels import SQUARED_EXPONENTIAL, KernelSpec, _row_blocks, gram, kernel_diag
-
-# factors of fewer rows run their BLAS calls on one thread; larger ladder solves gain from threads
-_SERIAL_BELOW = 512
 
 # (getter, setter) of the thread count, by the name each OpenBLAS build exports
 _THREAD_SYMBOLS = (
@@ -77,16 +73,14 @@ def _blas_pools() -> tuple:
 
 
 @contextlib.contextmanager
-def _blas_threads(n: int):
-    """Run the body on one BLAS thread when the factor has fewer than ``_SERIAL_BELOW`` rows.
+def _blas_threads():
+    """Run the body with every OpenBLAS pool of :func:`_blas_pools` on one thread.
 
-    Every OpenBLAS pool of :func:`_blas_pools` is pinned to one thread and
-    gets its previous count back on exit, on errors too.  From
-    ``_SERIAL_BELOW`` rows, or with no pool found, the body runs as it is.
-    The counts belong to the process, so threads of one process that fit
-    or predict at the same time can leave each other's counts pinned.
+    Each pool gets its previous count back on exit, on errors too; with no
+    pool found, the body runs as it is.  The counts belong to the process,
+    so threads of one process that fit at once can leave them pinned.
     """
-    pools = _blas_pools() if n < _SERIAL_BELOW else ()
+    pools = _blas_pools()
     previous = [get() for get, _ in pools]
     for _, put in pools:
         put(1)
@@ -168,9 +162,8 @@ class GPModel:
         X, single = self._query(x)
         mu = np.zeros(X.shape[0])
         if len(self) > 0:
-            # OpenBLAS threads no one-row product at these sizes, and the RK4 stages
-            # of a model without a buffered mean call this once per point
-            with _blas_threads(len(self)) if X.shape[0] > 1 else contextlib.nullcontext():
+            # OpenBLAS threads no one-row product at these sizes; unbuffered RK4 stages call this per point
+            with _blas_threads() if X.shape[0] > 1 else contextlib.nullcontext():
                 for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
                     mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
         return float(mu[0]) if single else mu
@@ -196,7 +189,7 @@ class GPModel:
             return
         for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
             kx = gram(self.kernel, self.data.inputs, X[rows])
-            with _blas_threads(len(self)):
+            with _blas_threads():
                 v = scipy.linalg.solve_triangular(self.chol, kx, lower=True)
             yield rows, np.clip(prior[rows] - np.einsum("ij,ij->j", v, v), 0.0, prior[rows])
 
@@ -322,7 +315,7 @@ def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:
     if n == 0:
         return GPModel(kernel, data, None, np.zeros(0))
     K = gram(kernel, data.inputs) + data.noise_variance * np.eye(n)
-    with _blas_threads(n):
+    with _blas_threads():
         try:
             L = scipy.linalg.cholesky(K, lower=True)
         except scipy.linalg.LinAlgError:
@@ -336,7 +329,7 @@ def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:
 
 def _weights(chol: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """alpha = (K + s_on^2 I)^{-1} y from the lower Cholesky factor of K + s_on^2 I."""
-    with _blas_threads(chol.shape[0]):
+    with _blas_threads():
         return scipy.linalg.cho_solve((chol, True), targets)
 
 

@@ -299,8 +299,14 @@ def prior_factor(spec: KernelSpec, grid) -> np.ndarray:
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     K = gram(spec, grid) + 1e-10 * np.eye(grid.shape[0])
     try:
-        with _blas_threads(grid.shape[0]):
+        with _blas_threads():
             return scipy.linalg.cholesky(K, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedDataError(f"prior covariance factorization failed: {exc}") from None
+
+
+def prior_draw(L: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One prior sample L z on the grid of the factor L, with z standard normal from rng."""
+    with _blas_threads():
+        return L @ rng.standard_normal(L.shape[0])
 

@@ -529,6 +529,7 @@ def set_field(cfg, path, value):
     ("tracking", "kernel.lengthscales", [1.0, 1.0, 1.0], "kernel.lengthscales"),
     ("tracking", "domain.center", [0.0], "domain.center"),
     ("validate_bounds", "kernel.lengthscales", [1.0], "kernel.lengthscales"),
+    ("episodic", "episodic.fine_dt", 1.0, "episodic.fine_dt"),
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
         "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
@@ -536,7 +537,8 @@ def set_field(cfg, path, value):
         "nan_horizon", "nan_amplitude", "probabilistic_L_f_density_sweep", "probabilistic_L_f_episodic",
         "auto_tau_validate_bounds", "dimension_2_validate_lipschitz", "two_center_coordinates_validate_lipschitz",
         "two_lengthscales_validate_lipschitz", "dimension_3_tracking", "three_lengthscales_tracking",
-        "one_center_coordinate_tracking", "one_lengthscale_validate_bounds"])
+        "one_center_coordinate_tracking", "one_lengthscale_validate_bounds",
+        "fine_dt_above_horizon_episodic"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)

@@ -12,6 +12,7 @@ from gpcert.density import data_density_batch
 from gpcert.errors import IllConditionedDataError
 from gpcert.gp import GPModel, TrainingSet, add_samples, downsample, fit, stacked_mean_function
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram, kernel_diag
+from gpcert.simulation import prior_draw, prior_factor
 
 from conftest import random_kernel, random_model, se_unit
 
@@ -385,7 +386,7 @@ def test_with_targets_is_fit_on_the_new_targets():
     np.testing.assert_array_equal(reused.data.targets, y)
 
 
-# the thread rule of gp._blas_threads: one OpenBLAS thread below gp._SERIAL_BELOW rows
+# the thread rule of gp._blas_threads: one OpenBLAS thread for every factor, whatever its size
 
 def _pool_counts():
     return [get() for get, _ in gp._blas_pools()]
@@ -417,7 +418,7 @@ def _fake_pools(monkeypatch, count):
     return log, state
 
 
-@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("n", [200, 400, 600])
 def test_small_factor_results_do_not_depend_on_blas_threads(n, caller_threads):
     rng = np.random.default_rng(n)
     X = rng.uniform(-4.0, 4.0, (n, 2))
@@ -437,7 +438,7 @@ def test_blas_threads_pins_small_factors_and_restores_the_callers_count(caller_t
         pytest.skip("no OpenBLAS in this process")
     _set_pools(2)
     before = _pool_counts()
-    with gp._blas_threads(gp._SERIAL_BELOW - 1):
+    with gp._blas_threads():
         assert _pool_counts() == [1] * len(before)
     assert _pool_counts() == before
     fit(se_unit(), TrainingSet(np.linspace(0.0, 5.0, 50)[:, None], np.zeros(50), 0.01))
@@ -454,17 +455,17 @@ def test_blas_threads_restores_the_count_after_an_error(monkeypatch):
     assert log[0] == 1 and state["count"] == 3
 
 
-def test_blas_threads_leaves_large_factors_alone(monkeypatch):
-    log, state = _fake_pools(monkeypatch, 3)
-    X = np.random.default_rng(0).uniform(-4.0, 4.0, (gp._SERIAL_BELOW, 2))
-    m = fit(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5)), TrainingSet(X, np.zeros(len(X)), 0.01))
-    m.predict_mean(X[:300])
-    m.predict_var(X[:300])
-    assert log == [] and state["count"] == 3
-    small = fit(se_unit(), TrainingSet(np.linspace(0.0, 5.0, 50)[:, None], np.zeros(50), 0.01))
-    log.clear()
-    small.predict_var(np.zeros((10, 1)))
-    assert log == [1, 3]
+def test_prior_factor_and_draw_do_not_depend_on_blas_threads(caller_threads):
+    # a 23 x 23 grid, 529 rows: threaded, this factor and its draws change bits with the thread count
+    axis = np.linspace(-5.0, 5.0, 23)
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")])
+    spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.0))
+    results = []
+    for count in (1, 2):
+        _set_pools(count)
+        L = prior_factor(spec, grid)
+        results.append([L.tobytes(), prior_draw(L, np.random.default_rng(0)).tobytes()])
+    assert results[0] == results[1]
 
 
 def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
@@ -474,7 +475,7 @@ def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
     monkeypatch.setattr(gp, "open", no_proc, raising=False)
     assert gp._blas_pools.__wrapped__() == ()
     monkeypatch.setattr(gp, "_blas_pools", lambda: ())
-    with gp._blas_threads(1):
+    with gp._blas_threads():
         pass
     m = fit(se_unit(), TrainingSet(np.array([[0.0]]), np.array([1.0]), 0.01))
     assert m.predict_mean(np.array([0.0])) == pytest.approx(1.0 / 1.01)

@@ -10,6 +10,7 @@ from gpcert.simulation import (
     benchmark_system,
     integrate,
     measure,
+    prior_draw,
     prior_factor,
     run_closed_loop,
 )
@@ -168,11 +169,11 @@ def test_prior_sampling_statistics():
     grid = np.array([[0.0]])
     # one factor, one draw per seed, as the CLI runners draw
     L = prior_factor(spec, grid)
-    draws = np.array([(L @ np.random.default_rng(s).standard_normal(1))[0] for s in range(10000)])
+    draws = np.array([prior_draw(L, np.random.default_rng(s))[0] for s in range(10000)])
     assert draws.var() == pytest.approx(1.0, rel=0.05)
     assert abs(draws.mean()) <= 3.0 / math.sqrt(10000)
     two = np.array([[0.0], [10.0]])
     L = prior_factor(spec, two)
-    pairs = np.array([L @ np.random.default_rng(s).standard_normal(2) for s in range(10000)])
+    pairs = np.array([prior_draw(L, np.random.default_rng(s)) for s in range(10000)])
     corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(corr) <= 0.05
