@@ -201,7 +201,10 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
     if exp == "episodic" and cfg["episodic"]["fine_dt"] > cfg["episodic"]["horizon"]:
         problems.append(f"episodic.fine_dt: must be at most episodic.horizon, got {cfg['episodic']['fine_dt']!r}")
     gains = cfg.get("gains")
-    if exp == "tracking" and "theta" not in gains and not all(_number(gains.get(k)) for k in ("theta1", "theta2")):
+    if exp == "tracking" and "theta" in gains:
+        if not (_list_of(_number)(gains["theta"]) and len(gains["theta"]) == 2):
+            problems.append(f"gains.theta: must be a list of two finite numbers, got {gains['theta']!r}")
+    elif exp == "tracking" and not all(_number(gains.get(k)) for k in ("theta1", "theta2")):
         problems.append(f"gains: must hold theta, or numbers theta1 and theta2, got {gains!r}")
     return cfg, problems
 

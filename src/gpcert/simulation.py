@@ -17,31 +17,32 @@ import scipy.linalg
 from .errors import DivergenceError, IllConditionedDataError
 from .gp import GPModel, TrainingSet, _blas_threads, stacked_mean_function
 from .kernels import KernelSpec, gram
-from .tracking import ClosedLoop, LinearPlant, step_count
+from .tracking import ClosedLoop, LinearPlant, half_step_times, stage_samples
 
 
 def integrate(dynamics, x0, horizon: float, dt: float):
     """Classical 4th-order Runge-Kutta at fixed pitch dt.
 
-    Returns (times, states) with states[k] = x(k dt) for the
-    :func:`tracking.step_count` steps.  A non-finite state aborts with the
-    offending time stamp.
+    Returns (times, states) with states[k] = x(k dt), the times being the even
+    samples of :func:`tracking.half_step_times`; step k calls ``dynamics`` at
+    samples 2k, 2k + 1 (twice) and 2k + 2.  A non-finite state aborts with
+    the offending time stamp.
     """
-    n = step_count(horizon, dt)
+    t_half = half_step_times(horizon, dt)
+    times = t_half[::2]
     x = np.asarray(x0, dtype=float).copy()
-    times = np.arange(n + 1) * dt
-    states = np.empty((n + 1, x.shape[0]))
+    states = np.empty((len(times), x.shape[0]))
     states[0] = x
-    for k in range(n):
-        t = times[k]
-        k1 = dynamics(t, x)
-        k2 = dynamics(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = dynamics(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = dynamics(t + dt, x + dt * k3)
+    h = dt / 2.0
+    for k, (ta, tb, tc) in enumerate(stage_samples(t_half), 1):
+        k1 = dynamics(ta, x)
+        k2 = dynamics(tb, x + h * k1)
+        k3 = dynamics(tb, x + h * k2)
+        k4 = dynamics(tc, x + dt * k3)
         x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state diverged at t = {times[k + 1]:.6g}", time=float(times[k + 1]))
-        states[k + 1] = x
+            raise _diverged(times, k)
+        states[k] = x
     return times, states
 
 
@@ -139,7 +140,9 @@ def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float
     alone.  S = 1 is stepped by :func:`_closed_loop_rk4` and S > 1 by
     :func:`_closed_loop_rk4_batch`, with the models'
     :func:`gp.stacked_mean_function`; a model that diverges raises at the
-    earliest divergence time of the batch.
+    earliest divergence time of the batch.  x_ref and r_ref are sampled once,
+    on :func:`tracking.half_step_times`: every run starts at x_ref(0), and its
+    times and reference states are the even samples.
 
     At every RK4 stage ``nonlinearity`` is called on one point of shape (2,).
     That array is a scratch buffer the stepper overwrites at the next stage:
@@ -148,13 +151,14 @@ def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float
     single = isinstance(models, GPModel)
     if single:
         models = [models]
-    if len(models) == 1:
-        times, states = _closed_loop_rk4(loop, models[0], ref, horizon, fine_dt, nonlinearity)
-        per_model = [states]
-    else:
-        times, per_model = _closed_loop_rk4_batch(loop, stacked_mean_function(models), len(models), ref, horizon,
-                                                  fine_dt, nonlinearity)
-    ref_states = ref.state(times)
+    if loop.plant.A.shape != (2, 2):
+        raise ValueError("the closed-loop simulation needs a plant of dimension 2")
+    t_half = half_step_times(horizon, fine_dt)
+    x_half, r_half = ref.state(t_half), ref.signal(t_half)
+    times, ref_states = t_half[::2], x_half[::2]
+    args = times, x_half[0], stage_samples(x_half[:, 0], x_half[:, 1], r_half), fine_dt, nonlinearity
+    per_model = ([_closed_loop_rk4(loop, models[0], *args)] if len(models) == 1
+                 else _closed_loop_rk4_batch(loop, stacked_mean_function(models), len(models), *args))
     runs = [SimRun(times, states, ref_states) for states in per_model]
     return runs[0] if single else runs
 
@@ -166,42 +170,31 @@ def measure(states: np.ndarray, nonlinearity, noise_variance: float, seed: int) 
     return TrainingSet(states, f_vals + eps, noise_variance)
 
 
-def _stage_table(loop: ClosedLoop, ref: ReferenceSpec, horizon: float, dt: float):
-    """Sample times and, per step, x_ref at the three stage times then r_ref at them."""
-    n = step_count(horizon, dt)
-    if loop.plant.A.shape != (2, 2):
-        raise ValueError("the closed-loop simulation needs a plant of dimension 2")
-    times = np.arange(n + 1) * dt
-    t = times[:-1, None]
-    stage_times = np.hstack([t, t + 0.5 * dt, t + dt])  # (n, 3): the three distinct stage times
-    return times, np.hstack([ref.state(stage_times).reshape(n, 6), ref.signal(stage_times)])
-
-
 def _diverged(times, k: int) -> DivergenceError:
     return DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
 
 
-def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizon: float, dt: float,
-                     nonlinearity):
+def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, times, x_init, stages, dt: float, nonlinearity):
     """:func:`integrate` specialised to x' = A x + b (u_nom + f(x)) on a 2-d plant.
 
-    u_nom = -theta^T (x - x_ref) + r_ref - mu(x).  The result is bit-identical
-    to :func:`integrate` on that field: x_ref and r_ref are sampled once at
-    the stage times times[k], times[k] + 0.5 dt and times[k] + dt of every
-    step, the state is carried as two floats, and every sum keeps the
-    generic loop's operation order.  The products theta^T e and A x stay
-    separate numpy calls, because BLAS fuses their multiply-adds.  The stage
-    point, x - x_ref and A x live in three 2-buffers reused by every stage,
-    and mu reads the stage point in place (:meth:`GPModel.mean_at`).
+    u_nom = -theta^T (x - x_ref) + r_ref - mu(x).  Returns the states at
+    ``times`` from ``x_init``.  ``stages`` is :func:`tracking.stage_samples`
+    of x_ref's two coordinates and r_ref on :func:`tracking.half_step_times`,
+    the grid :func:`integrate` steps on.  The result is bit-identical to
+    :func:`integrate` on that field: the state is carried as two floats, and
+    every sum keeps the generic loop's operation order.  The products
+    theta^T e and A x stay separate numpy calls, because BLAS fuses their
+    multiply-adds.  The stage point, x - x_ref and A x live in three
+    2-buffers reused by every stage, and mu reads the stage point in place
+    (:meth:`GPModel.mean_at`).
     """
-    times, table = _stage_table(loop, ref, horizon, dt)
     A, b, theta = loop.plant.A, loop.plant.b, loop.theta
     b0, b1 = b.tolist()
     x = np.empty(2)  # the stage point, handed to mu and nonlinearity
     e = np.empty(2)  # x - x_ref; read only by theta.dot
     ax = np.empty(2)  # A x
     predict = model.mean_at(x)
-    h, h6 = 0.5 * dt, dt / 6.0
+    h, h6 = dt / 2.0, dt / 6.0
 
     def field(x0, x1, r0, r1, r_ff):
         x[0] = x0
@@ -214,10 +207,9 @@ def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horiz
         return ax0 + b0 * s, ax1 + b1 * s
 
     states = np.empty((len(times), 2))
-    states[0] = ref.state(0.0)
+    states[0] = x_init
     x0, x1 = states[0].tolist()
-    for k, row in enumerate(table, 1):
-        ra0, ra1, rb0, rb1, rc0, rc1, sa, sb, sc = row.tolist()
+    for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
         k10, k11 = field(x0, x1, ra0, ra1, sa)
         k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
         k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
@@ -228,12 +220,11 @@ def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horiz
             raise _diverged(times, k)
         states[k, 0] = x0
         states[k, 1] = x1
-    return times, states
+    return states
 
 
-def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, ref: ReferenceSpec, horizon: float, dt: float,
-                           nonlinearity):
-    """:func:`_closed_loop_rk4` for S models at once; returns times and S state arrays.
+def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, times, x_init, stages, dt: float, nonlinearity):
+    """:func:`_closed_loop_rk4` for S models at once; returns S state arrays.
 
     ``mean`` is the models' :func:`gp.stacked_mean_function`.
 
@@ -249,11 +240,10 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, ref: ReferenceSpec, h
 
     Both steppers stay because each wins where it serves (median of 15
     alternating in-process pairs at horizon 2 s, dt 1e-3, N = 25, on a
-    2-vCPU Xeon): at S = 1 this loop is 1.39 times slower than
-    :func:`_closed_loop_rk4`, while stepping the models one by one is 1.24
-    times slower than this loop at S = 2 and 2.90 times slower at S = 10.
+    2-vCPU Xeon): at S = 1 this loop is 1.43 times slower than
+    :func:`_closed_loop_rk4`, while stepping the models one by one is 1.18
+    times slower than this loop at S = 2 and 2.9 times slower at S = 10.
     """
-    times, table = _stage_table(loop, ref, horizon, dt)
     A, theta = loop.plant.A, loop.theta[None, :]
     b0, b1 = loop.plant.b.tolist()
     pe = np.empty((2, S, 2, 1))  # the S stage points, then the S values of x - x_ref
@@ -263,7 +253,7 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, ref: ReferenceSpec, h
     point = list(p.reshape(S, 2))  # seed s's (2,) point, handed to nonlinearity
     out = np.empty(4 * S)  # theta^T e for each seed, then A x, then mu
     te, ax, mu = out[:S].reshape(S, 1, 1), out[S:3 * S].reshape(S, 2, 1), out[3 * S:].reshape(S, 1, 1)
-    h, h6 = 0.5 * dt, dt / 6.0
+    h, h6 = dt / 2.0, dt / 6.0
 
     def field(x, r0, r1, r_ff):
         pe_flat[:] = x + [xi - ri for xi, ri in zip(x, (r0, r1) * S)]
@@ -278,11 +268,10 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, ref: ReferenceSpec, h
         return k
 
     states = np.empty((len(times), 2 * S))  # seed s in columns 2s and 2s + 1
-    states[0] = np.tile(ref.state(0.0), S)
+    states[0] = np.tile(x_init, S)
     x = states[0].tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below, as in the scalar loop
-        for k, row in enumerate(table, 1):
-            ra0, ra1, rb0, rb1, rc0, rc1, sa, sb, sc = row.tolist()
+        for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
             k1 = field(x, ra0, ra1, sa)
             k2 = field([xi + h * ki for xi, ki in zip(x, k1)], rb0, rb1, sb)
             k3 = field([xi + h * ki for xi, ki in zip(x, k2)], rb0, rb1, sb)
@@ -291,7 +280,7 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, ref: ReferenceSpec, h
             if not all(map(math.isfinite, x)):
                 raise _diverged(times, k)
             states[k] = x
-    return times, [states[:, 2 * s:2 * s + 2] for s in range(S)]
+    return [states[:, 2 * s:2 * s + 2] for s in range(S)]
 
 
 def prior_factor(spec: KernelSpec, grid) -> np.ndarray:

@@ -9,11 +9,11 @@ whose solution dominates ||e(t)|| with the confidence of the underlying
 uniform error bound.  zeta = ||U|| ||U^{-1} b|| comes from the complex
 eigendecomposition of A_theta (matrix norms are spectral norms).  The module
 also provides the fixed-step grid of every RK4 loop (:func:`step_count`,
-:func:`half_step_times`), the stationary maximum bound, the decay ratio
-kappa, the grid constant satisfying the density condition
-beta >= gamma^2 rho k(0) / 2, :func:`certify`, which chains them into one
-stationary certificate, and :func:`certificate_holds`, the verdict on a
-rollout against a certified bound.
+:func:`half_step_times`, read per step by :func:`stage_samples`), the
+stationary maximum bound, the decay ratio kappa, the grid constant
+satisfying the density condition beta >= gamma^2 rho k(0) / 2,
+:func:`certify`, which chains them into one stationary certificate, and
+:func:`certificate_holds`, the verdict on a rollout against a certified bound.
 """
 
 from __future__ import annotations
@@ -130,6 +130,15 @@ def half_step_times(horizon: float, dt: float) -> np.ndarray:
     return np.arange(2 * step_count(horizon, dt) + 1) * (dt / 2.0)
 
 
+def stage_samples(*columns):
+    """Samples 2k, 2k + 1 and 2k + 2 of each 1-d float64 :func:`half_step_times` column, per RK4 step k.
+
+    They are the values at t_k, t_k + dt/2 and t_{k+1}, as Python floats in one flat tuple per step.
+    """
+    views = [memoryview(c) for c in columns]
+    return zip(*(s for v in views for s in (v[0:-1:2], v[1::2], v[2::2])))
+
+
 def tracking_bound_ode(
     loop: ClosedLoop,
     eta_ref,
@@ -142,7 +151,7 @@ def tracking_bound_ode(
     """Integrate the comparison ODE with fixed-step RK4 at pitch dt.
 
     ``eta_ref`` is the error bound along the reference at the
-    :func:`half_step_times`, which are all the RK4 stage times.
+    :func:`half_step_times`, the RK4 stage times of v and of the rollout.
     Returns v at times 0, dt, ..., matching the simulator's sample grid so
     the certificate can be compared sample-by-sample.
     """
@@ -151,11 +160,10 @@ def tracking_bound_ode(
     if eta.shape != (2 * n + 1,):
         raise ValueError(f"eta_ref needs {2 * n + 1} half-step values, got shape {eta.shape}")
     a = contraction_rate(loop, L_sigma, beta)
-    forcing = memoryview(loop.zeta * eta)  # zeta eta(t) at every stage time, as floats
     h, h6 = 0.5 * dt, dt / 6.0
     out = np.empty(n + 1)
     out[0] = v = float(v0)
-    for k, (z1, z2, z4) in enumerate(zip(forcing[0:-1:2], forcing[1::2], forcing[2::2]), 1):
+    for k, (z1, z2, z4) in enumerate(stage_samples(loop.zeta * eta), 1):  # zeta eta at the stage times
         k1 = a * v + z1
         k2 = a * (v + h * k1) + z2
         k3 = a * (v + h * k2) + z2

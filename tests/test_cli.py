@@ -87,8 +87,7 @@ def test_run_returns_config_error_code(tmp_path):
 
 @pytest.mark.parametrize("change", [
     {"horizon": -1},
-    {"gains": {"theta": ["a", "b"]}},
-], ids=["negative_horizon", "non_numeric_gains"])
+], ids=["negative_horizon"])
 def test_run_maps_malformed_values_to_config_error(tmp_path, capsys, change):
     cfg = tracking_config(tmp_path / "t", horizon=0.1)
     cfg.update(change)
@@ -530,6 +529,13 @@ def set_field(cfg, path, value):
     ("tracking", "domain.center", [0.0], "domain.center"),
     ("validate_bounds", "kernel.lengthscales", [1.0], "kernel.lengthscales"),
     ("episodic", "episodic.fine_dt", 1.0, "episodic.fine_dt"),
+    # and these reached the runner unchecked: it ran a true gain, or ended in numpy's
+    # message, a message with no path or a numerical failure
+    ("tracking", "gains.theta", ["a", "b"], "gains.theta"),
+    ("tracking", "gains.theta", [True, 1], "gains.theta"),
+    ("tracking", "gains.theta", [1, 2, 3], "gains.theta"),
+    ("tracking", "gains.theta", "ab", "gains.theta"),
+    ("tracking", "gains.theta", [[1, 2]], "gains.theta"),
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
         "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
@@ -538,7 +544,8 @@ def set_field(cfg, path, value):
         "auto_tau_validate_bounds", "dimension_2_validate_lipschitz", "two_center_coordinates_validate_lipschitz",
         "two_lengthscales_validate_lipschitz", "dimension_3_tracking", "three_lengthscales_tracking",
         "one_center_coordinate_tracking", "one_lengthscale_validate_bounds",
-        "fine_dt_above_horizon_episodic"])
+        "fine_dt_above_horizon_episodic", "non_numeric_gains", "true_theta", "three_theta", "string_theta",
+        "nested_theta"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)
