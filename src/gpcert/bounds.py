@@ -125,8 +125,6 @@ class BoundReport:
     L_mu: float
     L_f: float
     covering_number_bound: float
-    L_k: float
-    L_sigma: float | None
     omega_sigma: float
     box: DomainBox = field(repr=False, compare=False)
 
@@ -153,7 +151,7 @@ def bound_constants(model: GPModel, tau: float, delta: float, L_f: float, box: D
     L_mu = mean_lipschitz(model, L_k)
     om = stddev_modulus(tau, L_k, L_sigma)
     g = gamma(tau, L_mu, L_f, b, om)
-    return BoundReport(tau, delta, b, g, L_mu, L_f, covering_number_bound(tau, box), L_k, L_sigma, om, box)
+    return BoundReport(tau, delta, b, g, L_mu, L_f, covering_number_bound(tau, box), om, box)
 
 
 def uniform_error_bound(report: BoundReport, x, sigma):

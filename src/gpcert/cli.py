@@ -120,7 +120,8 @@ _SCHEMA = (
     ("seeds", (lambda v: isinstance(v, list) and len(v) == 1 and _number(v[0], int),
                "a list of exactly one integer"), [0], _NOT_TRACKING),
     ("out_dir", (lambda v: isinstance(v, str) and v != "", "a nonempty path"), "runs", EXPERIMENTS),
-    ("gains", (lambda v: isinstance(v, dict), "an object"), _REQUIRED, ("tracking",)),
+    ("gains.theta1", (_number, "a finite number"), _REQUIRED, ("tracking",)),
+    ("gains.theta2", (_number, "a finite number"), _REQUIRED, ("tracking",)),
     # any finite horizon reaches the runner, which rejects a negative one
     ("horizon", (_number, "a finite number"), 30.0, ("tracking",)),
     ("horizon", (_number, "a finite number"), 2.0 * math.pi, ("density_sweep",)),
@@ -200,12 +201,6 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
                         "fourth-order smoothness; Matern 3/2 is not smooth enough")
     if exp == "episodic" and cfg["episodic"]["fine_dt"] > cfg["episodic"]["horizon"]:
         problems.append(f"episodic.fine_dt: must be at most episodic.horizon, got {cfg['episodic']['fine_dt']!r}")
-    gains = cfg.get("gains")
-    if exp == "tracking" and "theta" in gains:
-        if not (_list_of(_number)(gains["theta"]) and len(gains["theta"]) == 2):
-            problems.append(f"gains.theta: must be a list of two finite numbers, got {gains['theta']!r}")
-    elif exp == "tracking" and not all(_number(gains.get(k)) for k in ("theta1", "theta2")):
-        problems.append(f"gains: must hold theta, or numbers theta1 and theta2, got {gains!r}")
     return cfg, problems
 
 
@@ -230,10 +225,7 @@ def _reference_from(cfg: dict) -> ReferenceSpec:
 
 
 def _theta_from(cfg: dict) -> np.ndarray:
-    gb = cfg["gains"]
-    if "theta" in gb:
-        return np.asarray(gb["theta"], dtype=float)
-    t1, t2 = float(gb["theta1"]), float(gb["theta2"])
+    t1, t2 = float(cfg["gains"]["theta1"]), float(cfg["gains"]["theta2"])
     return np.array([t1 * t2, t2])
 
 

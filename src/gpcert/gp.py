@@ -8,12 +8,14 @@ Predictions follow the standard closed forms
 backed by a cached lower-triangular Cholesky factor.  Models are immutable;
 the episodic loop refits with :func:`add_samples`, a full :func:`fit` on the
 concatenated data, once per ladder rung (the cubic refit cost is acceptable
-at its data sizes).  Batch
-predictions run over the queries in the row blocks of
-:func:`kernels._row_blocks`, so their memory stays bounded as the query set
-grows.  There is no automatic jitter beyond the noise variance: a failed
-factorization surfaces as :class:`IllConditionedDataError` so experiments
-stay faithful to the exact equations.
+at its data sizes).  Batch predictions run over the queries in the row
+blocks of :func:`kernels._row_blocks`, so their memory stays bounded as the
+query set grows.  The RK4 stages read the mean through
+:meth:`GPModel.mean_at` and :func:`stacked_mean_function`, which write
+kernel rows with :func:`kernels._rows` into buffers allocated once.  There
+is no automatic jitter beyond the noise variance: a failed factorization
+surfaces as :class:`IllConditionedDataError` so experiments stay faithful
+to the exact equations.
 
 Every BLAS call on a factor runs on one OpenBLAS thread, at every size
 (:func:`_blas_threads`): from about 128 rows a threaded Cholesky changes its
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedDataError
-from .kernels import SQUARED_EXPONENTIAL, KernelSpec, _row_blocks, gram, kernel_diag
+from .kernels import KernelSpec, _row_blocks, _rows, gram, kernel_diag
 
 # (getter, setter) of the thread count, by the name each OpenBLAS build exports
 _THREAD_SYMBOLS = (
@@ -162,8 +164,7 @@ class GPModel:
         X, single = self._query(x)
         mu = np.zeros(X.shape[0])
         if len(self) > 0:
-            # OpenBLAS threads no one-row product at these sizes; unbuffered RK4 stages call this per point
-            with _blas_threads() if X.shape[0] > 1 else contextlib.nullcontext():
+            with _blas_threads():
                 for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
                     mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
         return float(mu[0]) if single else mu
@@ -209,22 +210,22 @@ class GPModel:
         """Callable () -> mu(point) for a (d,) buffer that the caller overwrites between calls.
 
         Bit-identical to :meth:`predict_mean` on the buffer's current value.
-        For the squared-exponential kernel of dimension 2 it evaluates the
-        buffered kernel row of :func:`_se_rows` at a (2, 1) view of the
-        buffer and returns ``0.0 + q.dot(alpha)``, the same dot product as
-        ``predict_mean``'s.  Other families and dimensions call
+        For a stationary kernel it writes the kernel row at a (d, 1) view of
+        the buffer with :func:`kernels._rows`, on the buffers of
+        :func:`_stage_buffers`, and returns ``0.0 + q.dot(alpha)``, the same
+        dot product as ``predict_mean``'s.  The linear kernel calls
         :meth:`predict_mean` on the buffer, and an empty model returns 0.
         The buffers make the callable non-reentrant.
         """
         if len(self) == 0:
             return lambda: 0.0
-        if not _buffered(self.kernel):
+        if not self.kernel.stationary:
             return lambda: self.predict_mean(point)
-        rows, q = _se_rows(self.kernel, self.data.inputs, ())
-        p, alpha = point[:, None], self.alpha
+        spec, p, alpha = self.kernel, point[:, None], self.alpha
+        YT, ell, D, Dk, q = _stage_buffers(spec, self.data.inputs, ())
 
         def mean():
-            rows(p)
+            _rows(spec, p, YT, ell, D, Dk, q)
             # ndarray.dot takes a (1,) array for a scalar and returns q0 alpha0, -0.0 included;
             # 0.0 + is the accumulator numpy's dot starts from at every other N, and matmul's
             return 0.0 + float(q.dot(alpha))
@@ -232,63 +233,40 @@ class GPModel:
         return mean
 
 
-def _buffered(kernel: KernelSpec) -> bool:
-    return kernel.family == SQUARED_EXPONENTIAL and kernel.dim == 2
+def _stage_buffers(kernel: KernelSpec, inputs: np.ndarray, stack: tuple):
+    """Buffers of :func:`kernels._rows` for the kernel rows of the RK4 stages.
 
-
-def _se_rows(kernel: KernelSpec, inputs: np.ndarray, stack: tuple):
-    """Buffered squared-exponential rows k(p, X) of dimension 2, for the RK4 stages.
-
-    Returns ``(rows, q)``: ``rows(p)`` writes k(p, X) into the (*stack, N)
-    buffer q for points p of shape (2, *stack, 1), coordinate first.  The
-    data and lengthscales are held at the full (2, *stack, N) size, so the
-    ufuncs, called with positional ``out``, skip the broadcast set-up.  The
-    operation order is :func:`kernels.gram`'s: (X - p) / ell, squared, row 0
-    plus row 1 (its per-coordinate sum at d = 2), times -0.5, exp, times
-    sf2; the last multiply is dropped when sf2 is 1.0, since x 1.0 is the
-    identity on every double.
+    Returns ``(YT, ell, D, Dk, q)``: the (N, d) inputs and the lengthscales
+    held at the full (d, *stack, N) size, coordinate first, a scratch buffer
+    D of that size with its coordinate slices Dk, and the (*stack, N) row
+    buffer q.  At full size the ufuncs skip the broadcast set-up; the points
+    come as (d, *stack, 1).
     """
-    n = inputs.shape[0]
-    shape = (2, *stack, n)
-    lead = (2,) + (1,) * len(stack)
-    XT = np.ascontiguousarray(np.broadcast_to(inputs.T.reshape(*lead, n), shape))
+    n, d = inputs.shape
+    shape = (d, *stack, n)
+    lead = (d,) + (1,) * len(stack)
+    YT = np.ascontiguousarray(np.broadcast_to(inputs.T.reshape(*lead, n), shape))
     ell = np.ascontiguousarray(np.broadcast_to(kernel.ell.reshape(*lead, 1), shape))
-    sf2 = kernel.signal_variance
-    scaled = sf2 != 1.0
     D = np.empty(shape)
-    D0, D1 = D
-    q = np.empty(shape[1:])
-
-    def rows(p):
-        np.subtract(XT, p, D)
-        np.divide(D, ell, D)
-        np.multiply(D, D, D)
-        np.add(D0, D1, q)
-        np.multiply(q, -0.5, q)
-        np.exp(q, q)
-        if scaled:
-            np.multiply(q, sf2, q)
-
-    return rows, q
+    return YT, ell, D, tuple(D), np.empty(shape[1:])
 
 
 def stacked_mean_function(models):
     """Callable filling mu_s(x_s) for S models at S points, for the batched RK4 stages.
 
-    The callable takes the points as a (2, S, 1) array, coordinate first (a
-    transposed view of an (S, 2, 1) stack will do), and an (S, 1, 1) array
+    The callable takes the points as a (d, S, 1) array, coordinate first (a
+    transposed view of an (S, d, 1) stack will do), and an (S, 1, 1) array
     ``out`` that receives the S means.  Entry s is bit-identical to
     :meth:`GPModel.predict_mean` of ``models[s]`` at x_s.  When every model
-    has the same squared-exponential kernel of dimension 2 and the same
-    nonempty inputs, so that they differ only in alpha, one set of ufunc
-    calls serves all S points: the rows of :func:`_se_rows` on a (2, S, N)
-    buffer, then the stacked product (S, 1, N) @ (S, N, 1), which makes the
-    same dot product per model.  Otherwise each model's
-    :meth:`GPModel.predict_mean` runs on its point.  The buffers make the
-    callable non-reentrant.
+    has the same stationary kernel and the same nonempty inputs, so that
+    they differ only in alpha, one set of ufunc calls serves all S points:
+    :func:`kernels._rows` on (d, S, N) buffers, then the stacked product
+    (S, 1, N) @ (S, N, 1), which makes the same dot product per model.
+    Otherwise each model's :meth:`GPModel.predict_mean` runs on its point.
+    The buffers make the callable non-reentrant.
     """
     first = models[0]
-    if not (len(first) > 0 and _buffered(first.kernel)
+    if not (len(first) > 0 and first.kernel.stationary
             and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
                     for m in models)):
         def each(points, out):
@@ -296,12 +274,13 @@ def stacked_mean_function(models):
                 out[s] = model.predict_mean(points[:, s, 0])
 
         return each
-    rows, q = _se_rows(first.kernel, first.data.inputs, (len(models),))
+    spec = first.kernel
+    YT, ell, D, Dk, q = _stage_buffers(spec, first.data.inputs, (len(models),))
     alpha = np.stack([m.alpha for m in models])[:, :, None]  # (S, N, 1)
     q_rows = q[:, None, :]
 
     def mean(points, out):
-        rows(points)
+        _rows(spec, points, YT, ell, D, Dk, q)
         np.matmul(q_rows, alpha, out=out)
 
     return mean

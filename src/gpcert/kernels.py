@@ -4,7 +4,9 @@ Supported families: squared exponential (with per-dimension lengthscales),
 Matern 3/2 and 5/2 (scaled-distance form), and the linear kernel
 ``k(x, x') = sigma_f^2 * sum_i x_i x'_i / l_i^2``.
 
-Besides plain evaluation this module supplies the continuity constants the
+Every stationary kernel value, in :func:`gram` and in the buffered means of
+the RK4 stages, comes from one in-place routine, :func:`_rows`.  Besides
+plain evaluation this module supplies the continuity constants the
 bound machinery consumes: the kernel Lipschitz constant L_k, the
 standard-deviation Lipschitz constant L_sigma and the Lipschitz constant of
 the kernel derivative L_dk.  Continuity constants for anisotropic
@@ -121,60 +123,82 @@ def _row_blocks(n: int, width: int):
         yield slice(start, n)
 
 
-def _scaled_sqdist(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum_k ((X_ik - Y_jk) / ell_k)^2 as an (n, m) array, one coordinate at a time.
-
-    The squares of the even-indexed and of the odd-indexed coordinates are
-    summed apart, then the two sums added: ``einsum("ijk,ijk->ij")``'s own
-    pairing, bit for bit up to d = 7 (numpy 2.4; from d = 8 it moves last
-    bits).
-    """
-    sums = [None, None]
-    for k, ell in enumerate(spec.lengthscales):
-        d = X[:, k, None] - Y[:, k]
-        d /= ell
-        d *= d
-        if sums[k % 2] is None:
-            sums[k % 2] = d
-        else:
-            sums[k % 2] += d
-    even, odd = sums
-    if odd is not None:
-        even += odd
-    return even
-
-
 def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
     """Kernel matrix k(X, Y), shape (n, m).  Y=None means Y=X.
 
-    Filled in row blocks of X (see :func:`_row_blocks`), so the (rows, m)
-    distance arrays never exceed one block.
+    Filled in row blocks of X (see :func:`_row_blocks`), so the (d, rows, m)
+    distance buffer of :func:`_rows` never exceeds one block.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != spec.dim or Y.shape[1] != spec.dim:
         raise ValueError("input dimension does not match kernel dimension")
     n, m = X.shape[0], Y.shape[0]
-    if n * m * spec.dim <= _BLOCK_ELEMENTS:
-        return _gram_block(spec, X, Y)
     K = np.empty((n, m))
+    YT, ell = Y.T[:, None, :], spec.ell[:, None, None]
     for rows in _row_blocks(n, m * spec.dim):
-        K[rows] = _gram_block(spec, X[rows], Y)
+        if spec.stationary:
+            D = np.empty((spec.dim, rows.stop - rows.start, m))
+            _rows(spec, X[rows].T[:, :, None], YT, ell, D, tuple(D), K[rows])
+        else:
+            K[rows] = spec.signal_variance * ((X[rows] / spec.ell) @ (Y / spec.ell).T)
     return K
 
 
-def _gram_block(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    sf2 = spec.signal_variance
-    if spec.family == SQUARED_EXPONENTIAL:
-        return sf2 * np.exp(-0.5 * _scaled_sqdist(spec, X, Y))
-    if spec.family == MATERN32:
-        r = np.sqrt(_scaled_sqdist(spec, X, Y))
-        return sf2 * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
-    if spec.family == MATERN52:
-        r = np.sqrt(_scaled_sqdist(spec, X, Y))
-        return sf2 * (1.0 + _SQRT5 * r + 5.0 / 3.0 * r * r) * np.exp(-_SQRT5 * r)
-    # linear
-    return sf2 * ((X / spec.ell) @ (Y / spec.ell).T)
+def _rows(spec: KernelSpec, P, YT, ell, D, Dk, q) -> None:
+    """Write the stationary kernel values k(P, Y) into the buffer ``q``, in place.
+
+    ``YT - P`` (inputs and points, coordinate first) and ``ell`` broadcast to
+    the (d, *q.shape) scratch buffer ``D``; ``Dk`` is ``tuple(D)``, held by
+    the caller so that no call makes views.  The steps: (Y - P) / ell,
+    squared, on D; the even-indexed squares summed, then the odd-indexed
+    ones, then the two sums, into q, which is ``einsum``'s own pairing for
+    ``"ijk,ijk->ij"``, bit for bit up to d = 7 (numpy 2.4); last the family's
+    closed form, in the operation order of ``sf2 * exp(-0.5 r^2)``,
+    ``sf2 * (1 + sqrt3 r) * exp(-sqrt3 r)`` and
+    ``sf2 * (1 + sqrt5 r + 5/3 r r) * exp(-sqrt5 r)``.  The multiply by sf2
+    is skipped when sf2 is 1.0, the identity on every double.  A family with
+    no closed form here (the linear one) leaves q at the squared distance.
+    """
+    np.subtract(YT, P, D)
+    np.divide(D, ell, D)
+    np.multiply(D, D, D)
+    if len(Dk) > 2:  # spares the RK4 stages, at d = 2, an empty loop
+        for k in range(2, len(Dk)):
+            np.add(Dk[k % 2], Dk[k], Dk[k % 2])
+    if len(Dk) > 1:
+        np.add(Dk[0], Dk[1], q)
+    else:
+        np.copyto(q, Dk[0])
+    family, sf2 = spec.family, spec.signal_variance
+    if family == SQUARED_EXPONENTIAL:
+        np.multiply(q, -0.5, q)
+        np.exp(q, q)
+        if sf2 != 1.0:
+            np.multiply(q, sf2, q)
+        return
+    if family == MATERN32:
+        e = Dk[0]
+        np.sqrt(q, q)
+        np.multiply(q, -_SQRT3, e)
+        np.exp(e, e)
+        np.multiply(q, _SQRT3, q)
+        np.add(q, 1.0, q)
+    elif family == MATERN52:
+        e, t = Dk[0], Dk[1] if len(Dk) > 1 else np.empty_like(q)
+        np.sqrt(q, q)
+        np.multiply(q, -_SQRT5, e)
+        np.exp(e, e)
+        np.multiply(q, 5.0 / 3.0, t)
+        np.multiply(t, q, t)
+        np.multiply(q, _SQRT5, q)
+        np.add(q, 1.0, q)
+        np.add(q, t, q)
+    else:
+        return
+    if sf2 != 1.0:
+        np.multiply(q, sf2, q)
+    np.multiply(q, e, q)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:

@@ -240,9 +240,9 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, times, x_init, stages
 
     Both steppers stay because each wins where it serves (median of 15
     alternating in-process pairs at horizon 2 s, dt 1e-3, N = 25, on a
-    2-vCPU Xeon): at S = 1 this loop is 1.43 times slower than
-    :func:`_closed_loop_rk4`, while stepping the models one by one is 1.18
-    times slower than this loop at S = 2 and 2.9 times slower at S = 10.
+    2-vCPU Xeon): at S = 1 this loop is 1.42 times slower than
+    :func:`_closed_loop_rk4`, while stepping the models one by one is 1.19
+    times slower than this loop at S = 2 and 2.8 times slower at S = 10.
     """
     A, theta = loop.plant.A, loop.theta[None, :]
     b0, b1 = loop.plant.b.tolist()

@@ -51,7 +51,7 @@ def tracking_config(out_dir, seeds=(0,), horizon=3.0, dt=1e-3):
 
 
 def test_validate_rejects_bad_delta():
-    cfg = {"experiment": "tracking", "gains": {"theta": [200, 20]}, "bound": {"delta": 1.5}}
+    cfg = {"experiment": "tracking", "gains": {"theta1": 10, "theta2": 20}, "bound": {"delta": 1.5}}
     problems = cli.validate(cfg)
     assert any("delta" in p for p in problems)
 
@@ -59,7 +59,7 @@ def test_validate_rejects_bad_delta():
 def test_validate_rejects_matern32_probabilistic():
     cfg = {
         "experiment": "tracking",
-        "gains": {"theta": [200, 20]},
+        "gains": {"theta1": 10, "theta2": 20},
         "kernel": {"family": "matern32", "signal_variance": 1.0, "lengthscales": [1.0, 1.0]},
         "bound": {"L_f": "probabilistic"},
     }
@@ -81,7 +81,7 @@ def test_validate_rejects_unknown_experiment():
 
 
 def test_run_returns_config_error_code(tmp_path):
-    rc = cli.run({"experiment": "tracking", "bound": {"delta": 2.0}, "gains": {"theta": [1, 1]}})
+    rc = cli.run({"experiment": "tracking", "bound": {"delta": 2.0}, "gains": {"theta1": 1, "theta2": 1}})
     assert rc == cli.EXIT_CONFIG
 
 
@@ -495,9 +495,9 @@ def set_field(cfg, path, value):
 @pytest.mark.parametrize("experiment, path, value, field", [
     # each of these used to end in a traceback
     ("episodic", "episodic.max_episodes", None, "episodic.max_episodes"),
-    ("tracking", "gains", {}, "gains"),
+    ("tracking", "gains", {}, "gains.theta1"),
     ("tracking", "gains", 5, "gains"),
-    ("tracking", "gains.theta1", None, "gains"),
+    ("tracking", "gains.theta1", None, "gains.theta1"),
     ("tracking", "bound.delta", None, "bound.delta"),
     ("density_sweep", "bound.delta", None, "bound.delta"),
     ("episodic", "bound.delta", None, "bound.delta"),
@@ -529,13 +529,13 @@ def set_field(cfg, path, value):
     ("tracking", "domain.center", [0.0], "domain.center"),
     ("validate_bounds", "kernel.lengthscales", [1.0], "kernel.lengthscales"),
     ("episodic", "episodic.fine_dt", 1.0, "episodic.fine_dt"),
-    # and these reached the runner unchecked: it ran a true gain, or ended in numpy's
-    # message, a message with no path or a numerical failure
-    ("tracking", "gains.theta", ["a", "b"], "gains.theta"),
-    ("tracking", "gains.theta", [True, 1], "gains.theta"),
-    ("tracking", "gains.theta", [1, 2, 3], "gains.theta"),
-    ("tracking", "gains.theta", "ab", "gains.theta"),
-    ("tracking", "gains.theta", [[1, 2]], "gains.theta"),
+    # the gains are two finite numbers, theta1 and theta2; the list spelling theta is gone
+    ("tracking", "gains", {"theta": [200, 20]}, "gains.theta1"),
+    ("tracking", "gains.theta1", "a", "gains.theta1"),
+    ("tracking", "gains.theta2", True, "gains.theta2"),
+    ("tracking", "gains.theta2", [1, 2, 3], "gains.theta2"),
+    ("tracking", "gains.theta1", "ab", "gains.theta1"),
+    ("tracking", "gains.theta1", [[1, 2]], "gains.theta1"),
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
         "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
@@ -544,8 +544,8 @@ def set_field(cfg, path, value):
         "auto_tau_validate_bounds", "dimension_2_validate_lipschitz", "two_center_coordinates_validate_lipschitz",
         "two_lengthscales_validate_lipschitz", "dimension_3_tracking", "three_lengthscales_tracking",
         "one_center_coordinate_tracking", "one_lengthscale_validate_bounds",
-        "fine_dt_above_horizon_episodic", "non_numeric_gains", "true_theta", "three_theta", "string_theta",
-        "nested_theta"])
+        "fine_dt_above_horizon_episodic", "theta_list_gains", "non_numeric_gains", "true_theta", "three_theta",
+        "string_theta", "nested_theta"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)
@@ -597,7 +597,7 @@ def test_any_schema_field_set_to_any_pool_value_ends_in_an_exit_code(tmp_path_fa
 
 
 def test_resolved_config_holds_the_defaults_of_its_experiment_only():
-    cfg, problems = cli.resolve({"experiment": "tracking", "gains": {"theta": [200.0, 20.0]}})
+    cfg, problems = cli.resolve({"experiment": "tracking", "gains": {"theta1": 10.0, "theta2": 20.0}})
     assert problems == []
     assert cfg["horizon"] == 30.0 and cfg["fine_dt"] == 3e-4
     assert cfg["data_grid"] == {"x1": [0.0, 3.0, 5], "x2": [-4.0, 4.0, 5]}

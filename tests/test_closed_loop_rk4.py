@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gpcert.errors import DivergenceError, UnsupportedOperationError
-from gpcert.gp import TrainingSet, fit
+from gpcert.gp import GPModel, TrainingSet, fit
 from gpcert.kernels import KernelSpec
 from gpcert.simulation import ReferenceSpec, SimRun, benchmark_system, integrate, measure, run_closed_loop
 from gpcert.tracking import LinearPlant, closed_loop, contraction_rate, tracking_bound_ode
@@ -290,7 +290,7 @@ def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, se
 
 
 def test_batched_rollout_with_models_that_do_not_share_a_grid():
-    # no stacked squared-exponential mean serves these models, so each model's own mean runs on its point
+    # other grids, another kernel and an empty model share no stacked mean: each model's own mean runs on its point
     f, _, _ = benchmark_system()
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
     rng = np.random.default_rng(3)
@@ -328,8 +328,7 @@ def test_a_diverging_seed_stops_its_batch_at_its_own_time():
 
 
 def test_diverging_matern_seeds_stop_their_batch_at_the_earliest_time():
-    # Matern models have no stacked mean: the batch runs each model's own mean on its point,
-    # and stops at the earliest divergence time of any seed, not at the first seed's
+    # the batch stops at the earliest divergence time of any seed, not at the first seed's
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
     rng = np.random.default_rng(5)
     X = rng.uniform(-3.0, 3.0, (25, 2))
@@ -370,6 +369,7 @@ def test_rollout_calls_the_nonlinearity_on_one_point_at_a_time(count):
     assert ndims == {1}
 
 
+@pytest.mark.parametrize("family", ["squared_exponential", "matern32", "matern52"])
 @pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
 @pytest.mark.parametrize("sf2", [1.0, 0.7, 2.5])
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -380,9 +380,9 @@ def test_rollout_calls_the_nonlinearity_on_one_point_at_a_time(count):
     steps=st.integers(1, 200),
     dt=st.sampled_from([0.02, 0.05]),
 )
-def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2, plant, theta, n_data, seed,
-                                                                           steps, dt):
-    # sf2 = 1.0 drops the closure's final multiply; the companion row makes A x a sum that one
+def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2, plant, family, theta, n_data,
+                                                                           seed, steps, dt):
+    # sf2 = 1.0 drops the kernel routine's multiply; the companion row makes A x a sum that one
     # fused gemm would round differently
     try:
         loop = closed_loop(plant, np.array(theta))
@@ -391,8 +391,7 @@ def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2,
     f, _, _ = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    model = fit(KernelSpec("squared_exponential", sf2, (0.8, 1.5)),
-                TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
+    model = fit(KernelSpec(family, sf2, (0.8, 1.5)), TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
     ref = ReferenceSpec(2.0, 1.0)
     args = (loop, model, ref, steps * dt, dt, f)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -408,3 +407,21 @@ def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2,
     assert same_run(new, old)
     assert same_bits(new.times, times)
     assert same_bits(new.states, states)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
+    # every stationary family reaches the kernel through the buffered routine at every stage
+    f, _, _ = benchmark_system()
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-3.0, 3.0, (25, 2))
+    spec = KernelSpec("matern52", 1.3, (0.8, 1.5))
+    models = [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(count)]
+    calls = []
+    predict_mean = GPModel.predict_mean
+    monkeypatch.setattr(GPModel, "predict_mean", lambda self, x: calls.append(x) or predict_mean(self, x))
+    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
+    run_closed_loop(loop, models[0] if count == 1 else models, ReferenceSpec(2.0, 1.0), 0.05, 1e-3, f)
+    assert calls == []
+    models[0].predict_mean(X[0])  # the spy does see a call
+    assert len(calls) == 1

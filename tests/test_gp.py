@@ -211,19 +211,22 @@ _BLOCKED_ROWS = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@example(family=SQUARED_EXPONENTIAL, dim=1, n=2, m=257, seed=0)  # one row past a boundary
-@example(family=SQUARED_EXPONENTIAL, dim=2, n=30, m=2 * 256 + 1, seed=1)
-@example(family=LINEAR, dim=2, n=5, m=3 * 256 + 2, seed=2)
+@example(family=SQUARED_EXPONENTIAL, dim=1, n=2, m=257, sf2=1.3, seed=0)  # one row past a boundary
+@example(family=SQUARED_EXPONENTIAL, dim=2, n=30, m=2 * 256 + 1, sf2=1.0, seed=1)
+@example(family=MATERN52, dim=1, n=7, m=300, sf2=1.0, seed=3)  # one coordinate, two scratch arrays
+@example(family=LINEAR, dim=2, n=5, m=3 * 256 + 2, sf2=0.7, seed=2)
 @given(
     family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52, LINEAR]),
     dim=st.integers(1, 3),
     n=st.integers(1, 30),
     m=_BLOCKED_ROWS,
+    # at 1.0 the kernel routine skips its multiply by sf2, which the unblocked formula keeps
+    sf2=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_blocked_evaluations_are_bytewise_unblocked(family, dim, n, m, seed):
+def test_blocked_evaluations_are_bytewise_unblocked(family, dim, n, m, sf2, seed):
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(family, float(rng.uniform(0.5, 2.0)), tuple(rng.uniform(0.5, 2.0, dim)))
+    spec = KernelSpec(family, sf2, tuple(rng.uniform(0.5, 2.0, dim)))
     model = random_model(rng, spec, n)
     X = rng.uniform(-4.0, 4.0, (m, dim))
     with pytest.MonkeyPatch.context() as mp:
@@ -289,21 +292,25 @@ def buffered_mean(model, d=2):
 
 
 @settings(max_examples=60, deadline=None)
-@example(n=1009, ell=(1e-2, 1e2), sf2=1.0, scale=1e3, seed=0)  # exp underflows to 0 on one axis
-@example(n=257, ell=(1e2, 1e-2), sf2=2.5, scale=0.0, seed=1)  # the query sits on a data point
-@example(n=1, ell=(1.0, 1.0), sf2=1.0, scale=40.0, seed=1)  # k = [0] against a negative alpha: mu = +0.0
+# exp underflows to 0 on one axis; the query sits on a data point; k = [0] against a negative
+# alpha gives mu = +0.0; a Matern query on a data point takes r = 0
+@example(family=SQUARED_EXPONENTIAL, n=1009, ell=(1e-2, 1e2), sf2=1.0, scale=1e3, seed=0)
+@example(family=SQUARED_EXPONENTIAL, n=257, ell=(1e2, 1e-2), sf2=2.5, scale=0.0, seed=1)
+@example(family=SQUARED_EXPONENTIAL, n=1, ell=(1.0, 1.0), sf2=1.0, scale=40.0, seed=1)
+@example(family=MATERN52, n=25, ell=(0.8, 1.5), sf2=1.0, scale=0.0, seed=2)
 @given(
+    family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52]),
     n=st.sampled_from([1, 2, 25, 179, 257, 1009]),
     ell=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
     sf2=st.floats(0.1, 10.0),
     scale=st.sampled_from([0.0, 1e-3, 0.3, 3.0, 40.0, 1e3]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_buffered_mean_closure_is_bitwise_predict_mean(n, ell, sf2, scale, seed):
+def test_buffered_mean_closure_is_bitwise_predict_mean(family, n, ell, sf2, scale, seed):
     # scale is the query's offset from a data point in lengthscales: at 40
-    # and beyond every kernel value underflows to 0
+    # and beyond every squared-exponential value underflows to 0
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(SQUARED_EXPONENTIAL, sf2, ell)
+    spec = KernelSpec(family, sf2, ell)
     X = rng.uniform(-5.0, 5.0, (n, 2))
     model = GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
     mean = buffered_mean(model)
@@ -326,15 +333,16 @@ def test_mean_closure_outside_the_buffered_case():
 
 @settings(max_examples=40, deadline=None)
 @given(
+    family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52]),
     n=st.sampled_from([1, 2, 7, 25, 300]),
     count=st.integers(1, 5),
     ell=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
     sf2=st.floats(0.1, 10.0),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_stacked_mean_closure_is_each_models_own_closure(n, count, ell, sf2, seed):
+def test_stacked_mean_closure_is_each_models_own_closure(family, n, count, ell, sf2, seed):
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(SQUARED_EXPONENTIAL, sf2, ell)
+    spec = KernelSpec(family, sf2, ell)
     X = rng.uniform(-5.0, 5.0, (n, 2))
     models = [GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
               for _ in range(count)]

@@ -12,7 +12,7 @@ from gpcert.kernels import (
     MATERN52,
     SQUARED_EXPONENTIAL,
     KernelSpec,
-    _scaled_sqdist,
+    _rows,
     gradient_lipschitz,
     gram,
     kernel_eval,
@@ -278,9 +278,19 @@ def test_closed_form_constants_dominate_scans_along_the_shortest_axis(family, lo
 
 
 def einsum_sqdist(spec, X, Y):
-    # the (rows, m, d) tensor and einsum that _scaled_sqdist's per-coordinate sums replace
+    # the (rows, m, d) tensor and einsum that the per-coordinate sums of _rows replace
     d = (X[:, None, :] - Y[None, :, :]) / spec.ell
     return np.einsum("ijk,ijk->ij", d, d)
+
+
+def routine_sqdist(spec, X, Y):
+    # the distance stage of _rows, steps 1 and 2: the linear family has no closed form there,
+    # so q keeps the scaled squared distance
+    D = np.empty((spec.dim, len(X), len(Y)))
+    q = np.empty((len(X), len(Y)))
+    _rows(KernelSpec(LINEAR, 1.0, spec.lengthscales), X.T[:, :, None], Y.T[:, None, :],
+          spec.ell[:, None, None], D, tuple(D), q)
+    return q
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,6 +306,6 @@ def test_per_coordinate_sqdist_is_bytewise_the_einsum(ell, n, m, scale, seed):
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, tuple(ell))
     X = scale * rng.uniform(-5.0, 5.0, (n, len(ell)))
     Y = rng.uniform(-5.0, 5.0, (m, len(ell)))
-    got = _scaled_sqdist(spec, X, Y)
+    got = routine_sqdist(spec, X, Y)
     assert got.shape == (n, m)
     assert got.tobytes() == einsum_sqdist(spec, X, Y).tobytes()

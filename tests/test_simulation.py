@@ -39,11 +39,12 @@ def test_integrate_fourth_order():
 
 
 def test_integrate_harmonic_energy_drift():
-    # 100 periods of the unit oscillator at dt = 1e-3
+    # 100 periods of the unit oscillator at dt = 0.02: RK4 loses n h^6 / 72 = 2.8e-8 of the
+    # energy over n steps, while a second-order scheme drifts by about 1e-3
     def osc(t, x):
         return np.array([x[1], -x[0]])
 
-    _, x = integrate(osc, np.array([1.0, 0.0]), 100 * 2 * math.pi, 1e-3)
+    _, x = integrate(osc, np.array([1.0, 0.0]), 100 * 2 * math.pi, 0.02)
     energy = 0.5 * (x[:, 0] ** 2 + x[:, 1] ** 2)
     assert np.abs(energy - energy[0]).max() / energy[0] <= 1e-6
 
