@@ -11,6 +11,8 @@ grid constant tau into a :class:`BoundReport` (beta, L_mu, omega_sigma,
 gamma), and :func:`uniform_error_bound` turns a report and the posterior
 standard deviation at points of its box into eta.  The building blocks:
 
+* ``kernel_constants``                  -- L_k and L_sigma of the kernel
+  over the box, the only source of both,
 * ``covering_number_bound`` / ``beta``  -- confidence scaling from a
   hypercube covering of the domain,
 * ``mean_lipschitz``                    -- L_mu from the kernel Lipschitz
@@ -140,13 +142,21 @@ class BoundReport:
         }
 
 
-def bound_constants(model: GPModel, tau: float, delta: float, L_f: float, box: DomainBox,
-                    L_k: float, L_sigma: float | None) -> BoundReport:
+def kernel_constants(spec: KernelSpec, box: DomainBox) -> tuple[float, float | None]:
+    """(L_k, L_sigma): the constants the bound takes from the kernel over a box.
+
+    L_sigma is None for the non-stationary linear kernel, whose standard
+    deviation has the square-root modulus alone.
+    """
+    return kernels.kernel_lipschitz(spec, box), (kernels.stddev_lipschitz(spec, box) if spec.stationary else None)
+
+
+def bound_constants(model: GPModel, tau: float, delta: float, L_f: float, box: DomainBox) -> BoundReport:
     """beta, L_mu, omega_sigma and gamma of a model at grid constant tau over a box.
 
-    ``L_k`` and ``L_sigma`` are the caller's kernel constants; ``L_sigma``
-    None means the square-root modulus alone.
+    L_k and L_sigma are the kernel's own over the box (:func:`kernel_constants`).
     """
+    L_k, L_sigma = kernel_constants(model.kernel, box)
     b = beta(tau, delta, box)
     L_mu = mean_lipschitz(model, L_k)
     om = stddev_modulus(tau, L_k, L_sigma)
@@ -284,8 +294,7 @@ def geometric_bisect(feasible, lo: float, hi: float) -> float | None:
             hi = mid
 
 
-def _tau_search(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
-                L_sigma: float | None, condition) -> BoundReport:
+def _tau_search(model: GPModel, delta: float, L_f: float, box: DomainBox, condition) -> BoundReport:
     """Report at the largest tau whose report meets ``condition``.
 
     The feasible set must be an interval (0, tau*].  :func:`geometric_bisect`
@@ -297,7 +306,7 @@ def _tau_search(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: f
 
     def feasible(tau: float) -> bool:
         nonlocal accepted
-        rep = bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+        rep = bound_constants(model, tau, delta, L_f, box)
         if condition(rep):
             accepted = rep
             return True
@@ -308,15 +317,11 @@ def _tau_search(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: f
     return accepted
 
 
-def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox, L_k: float,
-             L_sigma: float | None) -> BoundReport:
+def auto_tau(model: GPModel, delta: float, L_f: float, box: DomainBox) -> BoundReport:
     """Report at the largest tau with gamma <= 0.01 sqrt(beta) sigma_f.
 
     Implements the default grid-constant rule: make the continuity correction
-    negligible relative to the confidence term at prior scale.  ``L_k`` and
-    ``L_sigma`` are the caller's kernel constants (``L_sigma`` None: the
-    square-root modulus alone).
+    negligible relative to the confidence term at prior scale.
     """
     sigma_f = model.kernel.sigma_f
-    return _tau_search(model, delta, L_f, box, L_k, L_sigma,
-                       lambda rep: rep.gamma <= 0.01 * math.sqrt(rep.beta) * sigma_f)
+    return _tau_search(model, delta, L_f, box, lambda rep: rep.gamma <= 0.01 * math.sqrt(rep.beta) * sigma_f)

@@ -80,6 +80,7 @@ _REQUIRED = object()  # the default of a field that has none; its absence is a p
 
 _POSITIVE = _positive, "a positive number"
 _FRACTION = (lambda v: _number(v) and 0 < v < 1), "a number in (0, 1)"
+_SEED = _count(0)[0]  # a seed seeds numpy's default_rng, which takes no negative integer
 _NOT_TRACKING = tuple(e for e in EXPERIMENTS if e != "tracking")
 _CLOSED_LOOP = ("tracking", "density_sweep", "episodic")  # simulate the benchmark loop against the reference
 _ERROR_BOUND = _CLOSED_LOOP + ("validate_bounds",)  # fit noisy data and evaluate the uniform error bound
@@ -115,10 +116,10 @@ _SCHEMA = (
     ("reference.amplitude", (_number, "a finite number"), 2.0, _CLOSED_LOOP),
     ("reference.frequency", _POSITIVE, 1.0, _CLOSED_LOOP),
     ("noise_variance", _POSITIVE, 0.01, _ERROR_BOUND),
-    ("seeds", (_list_of(lambda s: _number(s, int)), "a nonempty list of integers"), [0], ("tracking",)),
+    ("seeds", (_list_of(_SEED), "a nonempty list of integers of at least 0"), [0], ("tracking",)),
     # the other experiments run one seed; a second one would be dropped unread
-    ("seeds", (lambda v: isinstance(v, list) and len(v) == 1 and _number(v[0], int),
-               "a list of exactly one integer"), [0], _NOT_TRACKING),
+    ("seeds", (lambda v: isinstance(v, list) and len(v) == 1 and _SEED(v[0]),
+               "a list of exactly one integer of at least 0"), [0], _NOT_TRACKING),
     ("out_dir", (lambda v: isinstance(v, str) and v != "", "a nonempty path"), "runs", EXPERIMENTS),
     ("gains.theta1", (_number, "a finite number"), _REQUIRED, ("tracking",)),
     ("gains.theta2", (_number, "a finite number"), _REQUIRED, ("tracking",)),
@@ -201,6 +202,14 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
                         "fourth-order smoothness; Matern 3/2 is not smooth enough")
     if exp == "episodic" and cfg["episodic"]["fine_dt"] > cfg["episodic"]["horizon"]:
         problems.append(f"episodic.fine_dt: must be at most episodic.horizon, got {cfg['episodic']['fine_dt']!r}")
+    if exp == "validate_bounds" and not problems:
+        # the training inputs are drawn from the grid without replacement; once the
+        # lengthscales hold one entry per dimension, the grid's size is a modest power
+        vb = cfg["validation"]
+        cells = vb["grid_points_per_axis"] ** dim
+        if vb["train_points"] > cells:
+            problems.append(f"validation.train_points: must be at most grid_points_per_axis ** domain.dimension "
+                            f"({cells}), got {vb['train_points']!r}")
     return cfg, problems
 
 
@@ -233,17 +242,9 @@ def _theta_from(cfg: dict) -> np.ndarray:
 # artifact helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _cells(values) -> list[str]:
-    """CSV cells of one column; numeric arrays go through tolist() in one call."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return list(map(repr, values.tolist()))  # repr of a Python int is str(int)
-    return [_fmt(v) for v in values]
+    """CSV cells of one numeric column, through tolist() in one call: repr of a Python int is str(int)."""
+    return list(map(repr, np.asarray(values).tolist()))
 
 
 _CSV_CHUNK_ROWS = 256  # bounds the cell strings held at once (and so peak RSS)
@@ -302,13 +303,13 @@ def _tracking_models(cfg: dict, seeds) -> list[GPModel]:
     return [first] + [first.with_targets(d.targets) for d in data[1:]]
 
 
-def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: float) -> bnd.BoundReport:
+def _tracking_bound(cfg: dict, model: GPModel, L_f: float) -> bnd.BoundReport:
     """The bound constants of one seed's model, at the config's tau or the one auto_tau finds."""
     box = _box_from(cfg)
     bb = cfg["bound"]
     if bb["tau"] == "auto":
-        return bnd.auto_tau(model, bb["delta"], L_f, box, L_k, L_sigma)
-    return bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box, L_k, L_sigma)
+        return bnd.auto_tau(model, bb["delta"], L_f, box)
+    return bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box)
 
 
 # A tracking batch rolls out and writes its seeds in sub-batches that hold at
@@ -316,8 +317,9 @@ def _tracking_bound(cfg: dict, model: GPModel, L_f: float, L_k: float, L_sigma: 
 _STATE_BUDGET = 1 << 21
 
 
-def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma: float, seeds) -> list[dict]:
-    """Seeds of the tracking experiment, rolled out together; L_f, L_k and L_sigma are the run's.
+def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict]:
+    """Seeds of the tracking experiment, rolled out together; L_f is the run's, and the
+    comparison ODE and the gain condition take the kernel's own L_sigma.
 
     One factorization serves every seed's model (:func:`_tracking_models`).
     The seeds share inputs, kernel, noise, gains and reference, so their
@@ -329,6 +331,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     sub-batch is rolled out.
     """
     box = _box_from(cfg)
+    L_k, L_sigma = bnd.kernel_constants(_kernel_from(cfg), box)
     ref = _reference_from(cfg)
     f, g, plant = benchmark_system()
     bb = cfg["bound"]
@@ -342,7 +345,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
     loop = closed_loop(plant, _theta_from(cfg))
 
     models = _tracking_models(cfg, seeds)
-    reps = [_tracking_bound(cfg, model, L_f, L_k, L_sigma) for model in models]
+    reps = [_tracking_bound(cfg, model, L_f) for model in models]
     t_half = trk.half_step_times(horizon, dt)
     x_half = ref.state(t_half)
     sigma_half = models[0].predict_stddev(x_half)
@@ -405,8 +408,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, L_k: float, L_sigma
 
 
 def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]:
-    """Every seed, in one contiguous batch per worker process; the kernel and
-    box constants L_f, L_k and L_sigma are computed once, here.
+    """Every seed, in one contiguous batch per worker process; L_f, the one
+    costly constant, is computed once, here, and handed to every batch.
 
     A seed's artifacts do not depend on its batch.  A seed that diverges
     stops its sub-batch (see :func:`_run_tracking_batch`) before that
@@ -414,8 +417,7 @@ def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]
     """
     spec, box, bb = _kernel_from(cfg), _box_from(cfg), cfg["bound"]
     L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"]) if bb["L_f"] == "probabilistic" else float(bb["L_f"])
-    batch_run = functools.partial(_run_tracking_batch, cfg, out_dir, L_f,
-                                  kern.kernel_lipschitz(spec, box), kern.stddev_lipschitz(spec, box))
+    batch_run = functools.partial(_run_tracking_batch, cfg, out_dir, L_f)
     seeds = cfg["seeds"]
     count = max(1, min(workers, len(seeds)))  # workers < 1 runs serially, as one batch
     batches = [seeds[len(seeds) * i // count: len(seeds) * (i + 1) // count] for i in range(count)]
@@ -459,8 +461,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     L_f = float(cfg["bound"]["L_f"])
     seed = cfg["seeds"][0]
 
-    L_k = kern.kernel_lipschitz(spec, box)
-    L_sigma = kern.stddev_lipschitz(spec, box)
+    L_k, L_sigma = bnd.kernel_constants(spec, box)
     n_profile = 128
     t_profile = np.arange(n_profile) * (ref.period / n_profile)
     profile_points = ref.state(t_profile)
@@ -478,7 +479,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         rho_min = float(rho.min())
         cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
-                           box, delta, L_f, L_k, L_sigma)
+                           box, delta, L_f)
         sim = run_closed_loop(cert.loop, model, ref, horizon, dt, f)
         e_max = float(sim.error_norms.max())
         violations += not trk.certificate_holds(sim.error_norms, cert.upsilon_bar, sim.states, box)
@@ -517,8 +518,6 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
-    L_k = kern.kernel_lipschitz(spec, box)
-    L_sigma = kern.stddev_lipschitz(spec, box)
     ref = _reference_from(cfg)
     f, _, plant = benchmark_system()
     ep = cfg["episodic"]
@@ -538,12 +537,13 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         seed=cfg["seeds"][0],
         max_episodes=ep["max_episodes"],
     )
-    reports = epi.learn_control(config, L_k, L_sigma)
+    reports = epi.learn_control(config)
     with open(os.path.join(out_dir, "episodes.jsonl"), "w") as fh:
         for r in reports:
             fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
 
     L_dk = kern.gradient_lipschitz(spec)
+    L_k, L_sigma = bnd.kernel_constants(spec, box)
     n_e = epi.episode_count_bound(config.target_error, L_dk, spec.signal_variance, config.xi)
     violations = sum(r.violated for r in reports)
     return {
@@ -592,8 +592,6 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     pitch = box.edge / (n_axis - 1)
 
     L = prior_factor(spec, grid)
-    L_k = kern.kernel_lipschitz(spec, box)
-    L_sigma = kern.stddev_lipschitz(spec, box) if spec.stationary else None
 
     rows = []
     covered_n = 0
@@ -604,7 +602,7 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         y = fvals[idx] + rng.normal(0.0, math.sqrt(noise), n_train)
         model = fit(spec, TrainingSet(grid[idx], y, noise))
         L_f = _axis_fd_slope(fvals, (n_axis,) * box.dimension, pitch)
-        rep = bnd.bound_constants(model, tau, delta, L_f, box, L_k, L_sigma)
+        rep = bnd.bound_constants(model, tau, delta, L_f, box)
         eta = bnd.uniform_error_bound(rep, grid, model.predict_stddev(grid))
         err = np.abs(fvals - model.predict_mean(grid))
         margin = float(np.min(eta - err))
@@ -622,7 +620,7 @@ def run_validate_bounds(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         "beta": rep.beta,  # beta and omega_sigma do not depend on the trial
         "tau": tau,
         "omega_sigma": rep.omega_sigma,
-        "L_k": L_k,
+        "L_k": bnd.kernel_constants(spec, box)[0],
     }, coverage >= 1.0 - delta
 
 

@@ -189,10 +189,10 @@ def _required_density(L_dk: float, k0: float, upsilon: float) -> float:
     return 1.0 / (8.0 * L_dk * k0 * upsilon ** 2)
 
 
-def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[EpisodeReport]:
+def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     """Run the episodic loop until the certified bound drops below the target.
 
-    ``L_k`` and ``L_sigma`` are the kernel constants over the config's box.
+    The gain rule takes the kernel's own L_sigma over the config's box.
     Returns one report per episode, including the data-free initialization as
     episode 0.  Raises :class:`EpisodeCapExceededError` if the safety cap is
     reached first.
@@ -201,10 +201,10 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
     box = config.domain
     k0 = spec.signal_variance
     L_dk = kern.gradient_lipschitz(spec)
+    L_sigma = bnd.kernel_constants(spec, box)[1]
 
-    period = config.reference.period
-    ref_times = np.arange(0.0, period + config.fine_dt, config.fine_dt)
-    ref_points = config.reference.state(ref_times)
+    # one period of the reference at pitch fine_dt: the even samples of its half-step grid
+    ref_points = config.reference.state(trk.half_step_times(config.reference.period, config.fine_dt)[::2])
     # density is measured on a strided grid; over-reporting the measured
     # minimum only tightens the grid-constant condition, which stays valid
     density_points = ref_points[:: max(1, len(ref_points) // 2048)]
@@ -224,7 +224,7 @@ def learn_control(config: EpisodeConfig, L_k: float, L_sigma: float) -> list[Epi
         rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
         cert = trk.certify(model, rho_eff, ref_points, config.reference.max_speed * config.fine_dt,
                            lambda b: select_gains(config.plant, L_sigma, b, L_dk, config.xi),
-                           box, config.delta, config.L_f, L_k, L_sigma, variance)
+                           box, config.delta, config.L_f, variance)
         reports.append(
             EpisodeReport(
                 episode=i,

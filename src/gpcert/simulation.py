@@ -95,8 +95,8 @@ class ReferenceSpec:
 
     @property
     def max_speed(self) -> float:
-        """max_t |x_ref'(t)| = a w max(1, w)."""
-        return self.amplitude * self.frequency * max(1.0, self.frequency)
+        """max_t |x_ref'(t)| = |a| w max(1, w)."""
+        return abs(self.amplitude) * self.frequency * max(1.0, self.frequency)
 
     def state(self, t):
         t = np.asarray(t, dtype=float)

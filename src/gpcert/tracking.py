@@ -240,15 +240,8 @@ def gains_for_kappa(plant: LinearPlant, kappa_target: float, L_sigma: float, bet
     )
 
 
-def tau_for_density(
-    model: GPModel,
-    rho_lower: float,
-    box: bnd.DomainBox,
-    delta: float,
-    L_f: float,
-    L_k: float,
-    L_sigma: float,
-) -> bnd.BoundReport:
+def tau_for_density(model: GPModel, rho_lower: float, box: bnd.DomainBox, delta: float,
+                    L_f: float) -> bnd.BoundReport:
     """Report at the largest tau with beta >= gamma^2 rho k(0) / 2 (both at tau).
 
     beta grows and gamma shrinks as tau decreases, so the feasible set is an
@@ -260,7 +253,7 @@ def tau_for_density(
     if not spec.stationary:
         raise UnsupportedOperationError("density-matched tau needs a stationary kernel")
     k0 = spec.signal_variance
-    return bnd._tau_search(model, delta, L_f, box, L_k, L_sigma,
+    return bnd._tau_search(model, delta, L_f, box,
                            lambda rep: rep.beta >= rep.gamma * rep.gamma * rho_lower * k0 / 2.0)
 
 
@@ -295,8 +288,7 @@ class Certificate:
 
 
 def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[[float], ClosedLoop],
-            box: bnd.DomainBox, delta: float, L_f: float, L_k: float, L_sigma: float,
-            variance=None) -> Certificate:
+            box: bnd.DomainBox, delta: float, L_f: float, variance=None) -> Certificate:
     """The chain tau -> beta -> gains -> gamma -> sup eta -> upsilon_bar.
 
     tau is the density-matched grid constant for density level ``rho``;
@@ -313,7 +305,8 @@ def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[
     ``variance``, when given, is ``model.predict_var(points)``, which a
     caller that has just computed it passes in place of a second evaluation.
     """
-    rep = tau_for_density(model, rho, box, delta, L_f, L_k, L_sigma)
+    rep = tau_for_density(model, rho, box, delta, L_f)
+    L_k, L_sigma = bnd.kernel_constants(model.kernel, box)
     loop = gains(rep.beta)
     sigma = model.predict_stddev(points) if variance is None else np.sqrt(variance)
     eta = bnd.uniform_error_bound(rep, points, sigma)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpcert import bounds, kernels
 from gpcert.bounds import (
+    BoundReport,
     DomainBox,
     _derivative_kernel_constants,
     auto_tau,
@@ -23,6 +24,7 @@ from gpcert.bounds import (
 from gpcert.errors import DomainError, UnsupportedOperationError
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import (
+    LINEAR,
     MATERN32,
     MATERN52,
     SQUARED_EXPONENTIAL,
@@ -32,7 +34,7 @@ from gpcert.kernels import (
     stddev_lipschitz,
 )
 
-from conftest import se_unit
+from conftest import random_kernel, random_model, se_unit
 from oracles import derivative_kernel_eval, expected_sup_bound, sample_sup_bound
 
 BOX2 = DomainBox(2, 10.0)
@@ -82,35 +84,63 @@ def test_gamma_examples():
     assert gamma(0.1, 1.0, 1.0, 4.0, 0.1) == pytest.approx(0.4)
 
 
-def eta_at(model, x, tau=0.01, delta=0.01, L_f=2.0, **constants):
-    """uniform_error_bound at x; the kernel constants default to the kernel's own."""
-    constants.setdefault("L_k", kernel_lipschitz(model.kernel, BOX2))
-    constants.setdefault("L_sigma", stddev_lipschitz(model.kernel, BOX2))
-    rep = bound_constants(model, tau, delta, L_f, BOX2, **constants)
+def eta_at(model, x, tau=0.01, delta=0.01, L_f=2.0):
+    """uniform_error_bound at x, with the kernel's own constants."""
+    rep = bound_constants(model, tau, delta, L_f, BOX2)
     return uniform_error_bound(rep, x, model.predict_stddev(x))
+
+
+def assembled_report(model, tau, delta, L_f, box, L_k, L_sigma):
+    """The report of beta, mean_lipschitz, stddev_modulus and gamma at the given kernel constants."""
+    b = beta(tau, delta, box)
+    L_mu = mean_lipschitz(model, L_k)
+    om = stddev_modulus(tau, L_k, L_sigma)
+    return BoundReport(tau, delta, b, gamma(tau, L_mu, L_f, b, om), L_mu, L_f, covering_number_bound(tau, box), om,
+                       box)
 
 
 def test_uniform_bound_composes_beta_and_gamma():
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    # spec example forces L_k = 1 and the sqrt(2 L_k tau) modulus
-    eta = eta_at(model, np.zeros(2), L_k=1.0, L_sigma=None)
+    x = np.zeros(2)
+
+    def forced_eta(model):
+        # spec example forces L_k = 1 and the sqrt(2 L_k tau) modulus, which no kernel's own constants give
+        rep = assembled_report(model, 0.01, 0.01, 2.0, BOX2, 1.0, None)
+        return uniform_error_bound(rep, x, model.predict_stddev(x))
+
+    eta = forced_eta(model)
     expect = math.sqrt(BETA_ORACLE) * 1.0 + (0.02 + math.sqrt(BETA_ORACLE) * math.sqrt(0.02))
     assert eta == pytest.approx(expect, rel=1e-12)
     assert eta == pytest.approx(6.81673, abs=5e-3)
 
     m25 = fit(se_unit(2), TrainingSet(np.zeros((25, 2)), np.ones(25), 0.01))
-    eta25 = eta_at(m25, np.zeros(2), L_k=1.0, L_sigma=None)
+    eta25 = forced_eta(m25)
     sigma25 = math.sqrt(0.01 / 25.01)
     gamma25 = (mean_lipschitz(m25, 1.0) + 2.0) * 0.01 + math.sqrt(BETA_ORACLE) * math.sqrt(0.02)
     assert eta25 == pytest.approx(math.sqrt(BETA_ORACLE) * sigma25 + gamma25, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN32, MATERN52, LINEAR])
+def test_bound_constants_uses_the_kernels_own_constants(family):
+    # no caller can hand in a smaller L_k or L_sigma, and with it a smaller gamma
+    rng = np.random.default_rng(7)
+    spec = random_kernel(rng, 2, families=(family,))
+    model = random_model(rng, spec, 12)
+    box = DomainBox(2, 6.0, np.array([1.0, -2.0]))  # off-center: the linear L_k reads the box's far corner
+    L_k = kernel_lipschitz(spec, box)
+    L_sigma = stddev_lipschitz(spec, box) if family != LINEAR else None  # linear: the square-root modulus alone
+    assert bounds.kernel_constants(spec, box) == (L_k, L_sigma)
+    for tau in (1e-6, 1e-3, 0.5):
+        rep = bound_constants(model, tau, 0.01, 2.0, box)
+        assert rep == assembled_report(model, tau, 0.01, 2.0, box, L_k, L_sigma)
+        assert rep.omega_sigma == stddev_modulus(tau, L_k, L_sigma)
 
 
 def test_uniform_bound_zero_sigma_limit():
     # with sigma = 0 the bound reduces to gamma; the empty prior never has
     # sigma = 0, so check via the analytic decomposition instead
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    rep = bound_constants(model, 0.01, 0.01, 2.0, BOX2, kernel_lipschitz(model.kernel, BOX2),
-                          stddev_lipschitz(model.kernel, BOX2))
+    rep = bound_constants(model, 0.01, 0.01, 2.0, BOX2)
     eta = eta_at(model, np.zeros(2))
     assert eta - math.sqrt(rep.beta) * 1.0 == pytest.approx(rep.gamma, rel=1e-12)
 
@@ -150,10 +180,9 @@ def test_eta_monotonicity_sweeps():
 
 def test_gamma_decreases_with_tau():
     model = fit(se_unit(2), TrainingSet(np.zeros((4, 2)), np.ones(4), 0.01))
-    L_k, L_sigma = kernel_lipschitz(model.kernel, BOX2), stddev_lipschitz(model.kernel, BOX2)
     vals = []
     for tau in (1e-2, 1e-4, 1e-6):
-        rep = bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
+        rep = bound_constants(model, tau, 0.01, 2.0, BOX2)
         vals.append(rep.gamma)
     assert vals[0] > vals[1] > vals[2]
 
@@ -320,11 +349,11 @@ def test_probabilistic_lipschitz_holds_a_bounded_grid(family):
 def test_params_validation():
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     with pytest.raises(ValueError):
-        bound_constants(model, 0.0, 0.01, 1.0, BOX2, 1.0, 1.0)
+        bound_constants(model, 0.0, 0.01, 1.0, BOX2)
     with pytest.raises(ValueError):
-        bound_constants(model, 0.01, 1.5, 1.0, BOX2, 1.0, 1.0)
+        bound_constants(model, 0.01, 1.5, 1.0, BOX2)
     with pytest.raises(ValueError):
-        bound_constants(model, 0.01, 0.01, -1.0, BOX2, 1.0, 1.0)
+        bound_constants(model, 0.01, 0.01, -1.0, BOX2)
     with pytest.raises(ValueError):
         DomainBox(0, 1.0)
     with pytest.raises(ValueError):
@@ -334,12 +363,11 @@ def test_params_validation():
 def test_auto_tau_is_boundary():
     rng = np.random.default_rng(1)
     model = fit(se_unit(2), TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
-    L_k, L_sigma = kernel_lipschitz(model.kernel, BOX2), stddev_lipschitz(model.kernel, BOX2)
-    rep = auto_tau(model, 0.01, 2.0, BOX2, L_k, L_sigma)
+    rep = auto_tau(model, 0.01, 2.0, BOX2)
     tau = rep.tau
-    assert rep == bound_constants(model, tau, 0.01, 2.0, BOX2, L_k, L_sigma)
+    assert rep == bound_constants(model, tau, 0.01, 2.0, BOX2)
     assert rep.gamma <= 0.01 * math.sqrt(rep.beta) * 1.0
-    bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, BOX2, L_k, L_sigma)
+    bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, BOX2)
     assert bigger.gamma > 0.01 * math.sqrt(bigger.beta) * 1.0
 
 
@@ -376,7 +404,7 @@ def test_geometric_bisect_matches_fixed_step_reference(r, data):
 
 def test_bound_report_json_keys():
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    rep = bound_constants(model, 0.01, 0.01, 2.0, BOX2, 1.0, 1.0)
+    rep = bound_constants(model, 0.01, 0.01, 2.0, BOX2)
     d = rep.to_json_dict()
     assert set(d) == {
         "tau", "delta", "beta", "gamma", "L_mu", "L_f", "coverage_number_bound",

@@ -381,10 +381,9 @@ def test_the_auto_tau_report_is_built_once_per_probe(tmp_path, tau_probes):
     seed = json.loads((out / "summary.json").read_text())["per_seed"][0]
     tau = seed["resolved_bound"]["tau"]
     resolved = cli.resolve(cfg)[0]
-    box, spec = cli._box_from(resolved), cli._kernel_from(resolved)
+    box = cli._box_from(resolved)
     model = cli._tracking_models(resolved, [0])[0]
-    fresh = tau_probes.real_constants(model, tau, 0.01, 2.0, box, cli.kern.kernel_lipschitz(spec, box),
-                                      cli.kern.stddev_lipschitz(spec, box))
+    fresh = tau_probes.real_constants(model, tau, 0.01, 2.0, box)
     assert seed["bound"] == {**fresh.to_json_dict(), "L_f_source": "given"}
 
 
@@ -536,6 +535,13 @@ def set_field(cfg, path, value):
     ("tracking", "gains.theta2", [1, 2, 3], "gains.theta2"),
     ("tracking", "gains.theta1", "ab", "gains.theta1"),
     ("tracking", "gains.theta1", [[1, 2]], "gains.theta1"),
+    # each of these passed validate and then failed in the runner with numpy's message and no path
+    ("tracking", "seeds", [0, -1], "seeds"),
+    ("density_sweep", "seeds", [-1], "seeds"),
+    ("episodic", "seeds", [-1], "seeds"),  # this one used to run: its noise seeds are seed + 1000003 i, i >= 1
+    ("validate_bounds", "seeds", [-1], "seeds"),
+    ("validate_lipschitz", "seeds", [-1], "seeds"),
+    ("validate_bounds", "validation.train_points", 26, "validation.train_points"),  # 5 ** 2 = 25 grid points
 ], ids=["null_max_episodes", "empty_gains", "scalar_gains", "null_theta1", "null_delta_tracking",
         "null_delta_density_sweep", "null_delta_episodic", "null_delta_L", "scalar_kernel",
         "scalar_out_dir", "infinite_horizon_tracking", "infinite_horizon_density_sweep", "true_tau",
@@ -545,7 +551,9 @@ def set_field(cfg, path, value):
         "two_lengthscales_validate_lipschitz", "dimension_3_tracking", "three_lengthscales_tracking",
         "one_center_coordinate_tracking", "one_lengthscale_validate_bounds",
         "fine_dt_above_horizon_episodic", "theta_list_gains", "non_numeric_gains", "true_theta", "three_theta",
-        "string_theta", "nested_theta"])
+        "string_theta", "nested_theta", "negative_seed_tracking", "negative_seed_density_sweep",
+        "negative_seed_episodic", "negative_seed_validate_bounds", "negative_seed_validate_lipschitz",
+        "train_points_above_grid_validate_bounds"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)
@@ -566,6 +574,15 @@ def test_one_seed_experiments_reject_a_second_seed(tmp_path, capsys, experiment)
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--seed", "1"]) != cli.EXIT_CONFIG
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["resolved_config"]["seeds"] == [1]
+
+
+@pytest.mark.parametrize("experiment", ["density_sweep", "episodic"])
+def test_a_negative_amplitude_runs_as_a_positive_one_does(tmp_path, experiment):
+    # max_speed is |a| w max(1, w); with a < 0 it was negative, and certify refused the negative arc
+    for a in (2.0, -2.0):
+        cfg = small_config(experiment, tmp_path / str(a))
+        cfg["reference"]["amplitude"] = a
+        assert cli.run(cfg) == cli.EXIT_OK, a
 
 
 FUZZ_POOL = [None, True, "x", [], {}, 5, -1, 0, 2, math.nan, math.inf, [1.0, "x"]]

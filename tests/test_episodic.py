@@ -14,7 +14,7 @@ from gpcert.episodic import (
 )
 from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from gpcert.gp import TrainingSet, add_samples, downsample, fit
-from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz, kernel_lipschitz, stddev_lipschitz
+from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz, stddev_lipschitz
 from gpcert.simulation import ReferenceSpec, benchmark_system
 from gpcert.tracking import LinearPlant, certify
 
@@ -45,7 +45,7 @@ def small_episode_config(target=0.1, **overrides):
 
 
 def run_episodes(cfg):
-    return learn_control(cfg, kernel_lipschitz(cfg.kernel, cfg.domain), stddev_lipschitz(cfg.kernel, cfg.domain))
+    return learn_control(cfg)
 
 
 def test_select_gains_margin():
@@ -213,7 +213,7 @@ def test_ladder_variance_serves_the_next_certificate():
     # learn_control hands the accepted refit's variance to certify in place of a second predict_var
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
     box = DomainBox(2, 10.0)
-    L_k, L_sigma, L_dk = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box), gradient_lipschitz(spec)
+    L_sigma, L_dk = stddev_lipschitz(spec, box), gradient_lipschitz(spec)
     f, _, _ = benchmark_system()
     ref = ReferenceSpec(2.0, 1.0)
     ref_points = ref.state(np.arange(0.0, ref.period, 0.01))
@@ -225,8 +225,7 @@ def test_ladder_variance_serves_the_next_certificate():
 
     def cert(**kwargs):
         return certify(refit, 1.0, ref_points, ref.max_speed * 0.01,
-                       lambda b: select_gains(PLANT, L_sigma, b, L_dk, 0.95), box, 0.01, 2.0, L_k, L_sigma,
-                       **kwargs)
+                       lambda b: select_gains(PLANT, L_sigma, b, L_dk, 0.95), box, 0.01, 2.0, **kwargs)
 
     passed, recomputed = cert(variance=variance), cert()
     assert passed.to_json_dict() == recomputed.to_json_dict()

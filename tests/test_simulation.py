@@ -103,7 +103,7 @@ def test_reference_consistency_residual():
     assert np.abs(xdot - rhs).max() <= 1e-8
 
 
-@pytest.mark.parametrize("a, w", [(2.0, 1.0), (1.5, 0.4), (0.5, 3.0)])
+@pytest.mark.parametrize("a, w", [(2.0, 1.0), (1.5, 0.4), (0.5, 3.0), (-2.0, 1.0)])
 def test_reference_max_speed_is_the_sup_of_the_speed(a, w):
     ref = ReferenceSpec(a, w)
     ts = np.linspace(0.0, ref.period, 20001)

@@ -182,8 +182,8 @@ def test_tau_for_density():
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet.empty(2, 0.01))
     L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
-    assert tau_for_density(model, 0.0, box, 0.01, 2.0, L_k, L_sigma).tau == box.edge
-    taus = [tau_for_density(model, r, box, 0.01, 2.0, L_k, L_sigma).tau for r in (1.0, 10.0, 100.0)]
+    assert tau_for_density(model, 0.0, box, 0.01, 2.0).tau == box.edge
+    taus = [tau_for_density(model, r, box, 0.01, 2.0).tau for r in (1.0, 10.0, 100.0)]
     assert taus[0] >= taus[1] >= taus[2]
     # feasibility certificate: the returned tau satisfies the inequality
     from gpcert import bounds as bnd
@@ -200,7 +200,7 @@ def test_tau_for_density_infeasible_raises():
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet.empty(2, 0.01))
     with pytest.raises(InfeasibilityError):
-        tau_for_density(model, 1e30, box, 0.01, 2.0, kernel_lipschitz(spec, box), stddev_lipschitz(spec, box))
+        tau_for_density(model, 1e30, box, 0.01, 2.0)
 
 
 def test_tau_for_density_is_boundary():
@@ -208,14 +208,13 @@ def test_tau_for_density_is_boundary():
     spec = se_unit(2)
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
-    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
     rho = 50.0
-    rep = tau_for_density(model, rho, box, 0.01, 2.0, L_k, L_sigma)
+    rep = tau_for_density(model, rho, box, 0.01, 2.0)
     tau = rep.tau
     assert tau < box.edge
-    assert rep == bound_constants(model, tau, 0.01, 2.0, box, L_k, L_sigma)
+    assert rep == bound_constants(model, tau, 0.01, 2.0, box)
     assert rep.beta >= rep.gamma * rep.gamma * rho * spec.signal_variance / 2.0
-    bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, box, L_k, L_sigma)
+    bigger = bound_constants(model, tau * 1.05, 0.01, 2.0, box)
     assert bigger.beta < bigger.gamma * bigger.gamma * rho * spec.signal_variance / 2.0
 
 
@@ -233,7 +232,7 @@ def test_certify_rejects_points_too_coarse_for_the_safety_factor():
         points = ref.state(np.linspace(0.0, ref.period, n_points))
         max_arc = ref.max_speed * ref.period / (n_points - 1)
         return certify(model, 1.0, points, max_arc, lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b),
-                       box, 0.01, 2.0, L_k, L_sigma)
+                       box, 0.01, 2.0)
 
     fine = certify_on(4001)
     arc = 2.0 * 2.0 * math.pi / 4000  # one 4000th of the circle of radius 2
@@ -250,14 +249,14 @@ def test_certify_builds_each_report_once(tau_probes):
     spec = se_unit(2)
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
-    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    L_sigma = stddev_lipschitz(spec, box)
     ref = ReferenceSpec(2.0, 1.0)
     points = ref.state(np.linspace(0.0, ref.period, 4001))
     cert = certify(model, 50.0, points, ref.max_speed * ref.period / 4000,
-                   lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b), box, 0.01, 2.0, L_k, L_sigma)
+                   lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b), box, 0.01, 2.0)
     assert len(tau_probes.probes) > 2
     assert [rep.tau for rep in tau_probes.reports] == tau_probes.probes
-    fresh = tau_probes.real_constants(model, cert.tau, 0.01, 2.0, box, L_k, L_sigma)
+    fresh = tau_probes.real_constants(model, cert.tau, 0.01, 2.0, box)
     assert (cert.beta, cert.gamma, cert.L_mu) == (fresh.beta, fresh.gamma, fresh.L_mu)
 
 
