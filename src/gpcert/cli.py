@@ -116,7 +116,9 @@ _SCHEMA = (
     ("reference.amplitude", (_number, "a finite number"), 2.0, _CLOSED_LOOP),
     ("reference.frequency", _POSITIVE, 1.0, _CLOSED_LOOP),
     ("noise_variance", _POSITIVE, 0.01, _ERROR_BOUND),
-    ("seeds", (_list_of(_SEED), "a nonempty list of integers of at least 0"), [0], ("tracking",)),
+    # a seed listed twice would roll out twice, count twice and write its CSVs twice
+    ("seeds", (lambda v: _list_of(_SEED)(v) and len(set(v)) == len(v),
+               "a nonempty list of distinct integers of at least 0"), [0], ("tracking",)),
     # the other experiments run one seed; a second one would be dropped unread
     ("seeds", (lambda v: isinstance(v, list) and len(v) == 1 and _SEED(v[0]),
                "a list of exactly one integer of at least 0"), [0], _NOT_TRACKING),
@@ -359,7 +361,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
         e = sim.error_norms
         # the applied input: the nominal one divided by g, which the plant knows exactly
         u = (-((sim.states - sim.reference_states) @ loop.theta) + ref.signal(sim.times)
-             - model.predict_mean(sim.states)) / g(sim.states)
+             - model.predict_mean(sim.states)) / g(sim.states[:, 0], sim.states[:, 1])
         # phase structure: the worst tracking error should fall in the same
         # half-period of the reference as the worst posterior uncertainty
         t_e = float(sim.times[int(np.argmax(e))]) % period
@@ -633,7 +635,7 @@ def run_validate_lipschitz(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
     L_hat = bnd.probabilistic_lipschitz(spec, box, delta_L)
     pitch = spec.ell_min / 8.0
-    n = int(round(box.edge / pitch)) + 1
+    n = max(2, int(round(box.edge / pitch)) + 1)  # a slope needs two points, however short the interval
     grid = np.linspace(box.center[0] - box.edge / 2.0, box.center[0] + box.edge / 2.0, n)[:, None]
     pitch = float(grid[1, 0] - grid[0, 0])
     L = prior_factor(spec, grid)
@@ -686,7 +688,7 @@ def run(config: dict, workers: int = 1) -> int:
     exp = cfg["experiment"]
     try:
         summary, ok = run_tracking(cfg, out_dir, workers) if exp == "tracking" else _RUNNERS[exp](cfg, out_dir)
-    except GPCertError as exc:
+    except (GPCertError, ArithmeticError) as exc:  # ArithmeticError: e.g. a constant of an extreme lengthscale
         print(f"numerical failure in {exp}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # malformed values that validate() does not catch

@@ -40,7 +40,9 @@ _N_E_CAP = 10 ** 9
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Everything one episodic run needs; immutable."""
+    """Everything one episodic run needs; immutable.  ``nonlinearity`` is the
+    unknown f(x1, x2), as :func:`simulation.run_closed_loop` takes it.
+    """
 
     target_error: float
     xi: float

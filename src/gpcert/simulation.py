@@ -55,24 +55,18 @@ BENCHMARK_L_F = 2.0156
 def benchmark_system():
     """Nonlinearity, input gain and plant of the simulation benchmark.
 
-    f(x) = 1 - sin(2 x1) + 1 / (1 + exp(-x2)),  g(x) = 1 + sin(x2 / 2) / 2,
-    with the feedback-linearized double integrator A = [[0,1],[0,0]],
-    b = [0,1].  g is bounded away from zero (minimum 1/2), so dividing the
-    nominal control by it is always well defined.
+    f(x1, x2) = 1 - sin(2 x1) + 1 / (1 + exp(-x2)),  g(x1, x2) = 1 + sin(x2 / 2) / 2,
+    each on two floats or two equally shaped arrays, with the feedback-linearized
+    double integrator A = [[0,1],[0,0]], b = [0,1].  g is bounded away from zero
+    (minimum 1/2), so dividing the nominal control by it is always well defined.
     """
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:  # one point, as the RK4 stages ask: float scalars skip 0-d arrays
-            x1, x2 = x.tolist()
-        else:
-            x1, x2 = x[..., 0], x[..., 1]
+    def f(x1, x2):
         # np.exp, not math.exp: the two differ in the last bit on some inputs
         return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 + 0.5 * np.sin(x[..., 1] / 2.0)
+    def g(x1, x2):
+        return 1.0 + 0.5 * np.sin(x2 / 2.0)
 
     plant = LinearPlant(A=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.array([0.0, 1.0]))
     return f, g, plant
@@ -144,9 +138,9 @@ def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float
     on :func:`tracking.half_step_times`: every run starts at x_ref(0), and its
     times and reference states are the even samples.
 
-    At every RK4 stage ``nonlinearity`` is called on one point of shape (2,).
-    That array is a scratch buffer the stepper overwrites at the next stage:
-    the callee must read it and must not keep it, or a view of it.
+    ``nonlinearity`` is f(x1, x2).  Every RK4 stage calls it once per model on
+    two Python floats, so it should use numpy operations: on a diverging state
+    numpy returns inf where Python float arithmetic raises.
     """
     single = isinstance(models, GPModel)
     if single:
@@ -164,8 +158,8 @@ def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float
 
 
 def measure(states: np.ndarray, nonlinearity, noise_variance: float, seed: int) -> TrainingSet:
-    """Measurements y = f(x) + eps at every state, eps ~ N(0, noise_variance) from ``default_rng(seed)``."""
-    f_vals = np.asarray(nonlinearity(states), dtype=float)
+    """y = f(x1, x2) + eps on the columns of ``states``, eps ~ N(0, noise_variance) from ``default_rng(seed)``."""
+    f_vals = np.asarray(nonlinearity(states[:, 0], states[:, 1]), dtype=float)
     eps = np.random.default_rng(seed).normal(0.0, math.sqrt(noise_variance), size=f_vals.shape)
     return TrainingSet(states, f_vals + eps, noise_variance)
 
@@ -190,7 +184,7 @@ def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, times, x_init, stages, dt
     """
     A, b, theta = loop.plant.A, loop.plant.b, loop.theta
     b0, b1 = b.tolist()
-    x = np.empty(2)  # the stage point, handed to mu and nonlinearity
+    x = np.empty(2)  # the stage point, read by mu
     e = np.empty(2)  # x - x_ref; read only by theta.dot
     ax = np.empty(2)  # A x
     predict = model.mean_at(x)
@@ -201,7 +195,7 @@ def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, times, x_init, stages, dt
         x[1] = x1
         e[0] = x0 - r0
         e[1] = x1 - r1
-        s = -float(theta.dot(e)) + r_ff - predict() + float(nonlinearity(x))
+        s = -float(theta.dot(e)) + r_ff - predict() + float(nonlinearity(x0, x1))
         np.matmul(A, x, ax)
         ax0, ax1 = ax.tolist()
         return ax0 + b0 * s, ax1 + b1 * s
@@ -234,9 +228,10 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, times, x_init, stages
     (1, 2) @ (S, 2, 1) and A x as (2, 2) @ (S, 2, 1), which make the same
     BLAS dot and gemv per model as the single-model products, and the GP
     mean.  The three land in one buffer that a single ``tolist`` reads.  The
-    nonlinearity still runs per model, on one point.  The scalar sums stay
-    Python floats in the single-model operation order.  The first non-finite
-    state raises at its step, as it would alone.
+    nonlinearity runs per model on its two floats: one call on all S points
+    pays only from about S = 5.  The scalar sums stay Python floats in the
+    single-model operation order.  The first non-finite state raises at its
+    step, as it would alone.
 
     Both steppers stay because each wins where it serves (median of 15
     alternating in-process pairs at horizon 2 s, dt 1e-3, N = 25, on a
@@ -250,7 +245,6 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, times, x_init, stages
     pe_flat = pe.reshape(4 * S)
     p, e = pe
     p_t = p.transpose(1, 0, 2)  # the points coordinate first, as the mean takes them
-    point = list(p.reshape(S, 2))  # seed s's (2,) point, handed to nonlinearity
     out = np.empty(4 * S)  # theta^T e for each seed, then A x, then mu
     te, ax, mu = out[:S].reshape(S, 1, 1), out[S:3 * S].reshape(S, 2, 1), out[3 * S:].reshape(S, 1, 1)
     h, h6 = dt / 2.0, dt / 6.0
@@ -263,7 +257,7 @@ def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, times, x_init, stages
         v = out.tolist()
         k = []
         for s in range(S):
-            u = -v[s] + r_ff - v[3 * S + s] + float(nonlinearity(point[s]))
+            u = -v[s] + r_ff - v[3 * S + s] + float(nonlinearity(x[2 * s], x[2 * s + 1]))
             k += (v[S + 2 * s] + b0 * u, v[S + 2 * s + 1] + b1 * u)
         return k
 

@@ -257,7 +257,7 @@ def test_tracking_csv_records_the_applied_input(tmp_path):
         x = np.array([x1, x2])
         assert [r1, r2] == pytest.approx(ref.state(t).tolist(), rel=1e-12, abs=1e-12)
         nominal = -float(theta @ (x - [r1, r2])) + float(ref.signal(t)) - model.predict_mean(x)
-        assert u == pytest.approx(nominal / float(g(x)), rel=1e-12, abs=1e-12)
+        assert u == pytest.approx(nominal / float(g(x1, x2)), rel=1e-12, abs=1e-12)
 
 
 def test_tracking_workers_match_serial(tmp_path):
@@ -537,6 +537,7 @@ def set_field(cfg, path, value):
     ("tracking", "gains.theta1", [[1, 2]], "gains.theta1"),
     # each of these passed validate and then failed in the runner with numpy's message and no path
     ("tracking", "seeds", [0, -1], "seeds"),
+    ("tracking", "seeds", [1, 1], "seeds"),  # this one ran the seed twice and counted it twice
     ("density_sweep", "seeds", [-1], "seeds"),
     ("episodic", "seeds", [-1], "seeds"),  # this one used to run: its noise seeds are seed + 1000003 i, i >= 1
     ("validate_bounds", "seeds", [-1], "seeds"),
@@ -551,14 +552,30 @@ def set_field(cfg, path, value):
         "two_lengthscales_validate_lipschitz", "dimension_3_tracking", "three_lengthscales_tracking",
         "one_center_coordinate_tracking", "one_lengthscale_validate_bounds",
         "fine_dt_above_horizon_episodic", "theta_list_gains", "non_numeric_gains", "true_theta", "three_theta",
-        "string_theta", "nested_theta", "negative_seed_tracking", "negative_seed_density_sweep",
-        "negative_seed_episodic", "negative_seed_validate_bounds", "negative_seed_validate_lipschitz",
+        "string_theta", "nested_theta", "negative_seed_tracking", "duplicate_seeds_tracking",
+        "negative_seed_density_sweep", "negative_seed_episodic", "negative_seed_validate_bounds", "negative_seed_validate_lipschitz",
         "train_points_above_grid_validate_bounds"])
 def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path, value, field):
     cfg = small_config(experiment, tmp_path / "out")
     set_field(cfg, path, value)
     assert cli.run(cfg) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_validate_lipschitz_on_a_short_interval_and_at_extreme_lengthscales(tmp_path, capsys):
+    # an interval shorter than half a pitch had a one-point grid and no slope; the derivative-kernel
+    # constants of an extreme lengthscale overflow or divide by zero in float arithmetic
+    short = cli.load_config(str(CONFIGS / "validate_lipschitz.json"))
+    short.update(out_dir=str(tmp_path / "short"))
+    short["domain"]["edge"] = 0.05
+    assert cli.run(short) == cli.EXIT_OK
+    assert (tmp_path / "short" / "lipschitz_trials.csv").exists()
+    for ell in (1e-120, 1e110):
+        cfg = lipschitz_config(tmp_path / "extreme")
+        cfg["kernel"]["lengthscales"] = [ell]
+        capsys.readouterr()
+        assert cli.run(cfg) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure in validate_lipschitz:")
 
 
 @pytest.mark.parametrize("experiment", ["density_sweep", "episodic", "validate_bounds", "validate_lipschitz"])
@@ -818,10 +835,10 @@ def test_shipped_lipschitz_constants_bound_the_benchmark_gradient():
         half = domain["edge"] / 2.0
         axes = [np.linspace(c - half, c + half, 1001) for c in domain["center"]]
         g1, g2 = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
+        x1, x2 = g1.ravel(), g2.ravel()
         h = 1e-6
-        d1 = (f(pts + [h, 0.0]) - f(pts - [h, 0.0])) / (2.0 * h)
-        d2 = (f(pts + [0.0, h]) - f(pts - [0.0, h])) / (2.0 * h)
+        d1 = (f(x1 + h, x2) - f(x1 - h, x2)) / (2.0 * h)
+        d2 = (f(x1, x2 + h) - f(x1, x2 - h)) / (2.0 * h)
         grid_max = float(np.sqrt(d1 * d1 + d2 * d2).max())
         assert 2.0 < grid_max <= analytic + 1e-8, name  # the old L_f = 2.0 was below it
         assert L_f >= analytic and L_f >= grid_max, name

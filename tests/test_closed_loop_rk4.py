@@ -35,7 +35,7 @@ def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, nonlinearity):
     def dynamics(t, x):
         e = x - ref.state(t)
         u_nom = -float(theta @ e) + float(ref.signal(t)) - predict(x)
-        return A @ x + b * (u_nom + float(nonlinearity(x)))
+        return A @ x + b * (u_nom + float(nonlinearity(x[0], x[1])))
 
     times, states = integrate(dynamics, ref.state(0.0), horizon, fine_dt)
     return SimRun(times, states, ref.state(times))
@@ -96,7 +96,8 @@ def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, s
     f, _, _ = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
+    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)),
+                TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01))
     ref = ReferenceSpec(2.0, 1.0)
     horizon = steps * dt
 
@@ -114,9 +115,8 @@ def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, s
 
 
 def test_diverging_loop_raises_at_the_same_time():
-    def cubic(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 1] ** 3  # x2' = x2^3 + ... blows up in finite time
+    def cubic(x1, x2):
+        return np.power(x2, 3)  # x2' = x2^3 + ... blows up in finite time; numpy gives inf where float ** raises
 
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([2.0, 1.0]))
     model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
@@ -167,7 +167,7 @@ def test_tracking_bound_ode_rejects_a_table_of_the_wrong_length():
 
 
 def batch_benchmark_f(x):
-    # benchmark_system's f before it gained a one-point branch, kept verbatim
+    # benchmark_system's f as it was when it took (..., 2) arrays, kept verbatim
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
@@ -175,7 +175,7 @@ def batch_benchmark_f(x):
 
 def independent_states(loop, model, ref, horizon, dt):
     # mu through the batch predict_mean and f through the batch formula: a
-    # change to mean_at or to f's one-point branch shows up here
+    # change to mean_at or to f on two floats shows up here
     A, b, theta = loop.plant.A, loop.plant.b, loop.theta
 
     def dynamics(t, x):
@@ -229,15 +229,16 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=300, deadline=None)
 @given(x1=_FINITE, x2=st.one_of(_FINITE, st.floats(709.0, 1e4), st.floats(-1e4, -709.0)))
-def test_nonlinearity_one_point_branch_is_the_batch_formula(x1, x2):
+def test_nonlinearity_on_two_floats_is_the_batch_formula(x1, x2):
     # beyond |x2| = 709.78 np.exp(-x2) overflows to inf or underflows to 0
     f, _, _ = benchmark_system()
     point = np.array([x1, x2])
     batch = np.array([[0.5, -1.0], [x1, x2], [2.0, 3.0]])
     with np.errstate(all="ignore"):
-        one = f(point)
+        one = f(x1, x2)
         assert same_bits(one, batch_benchmark_f(point))
         assert same_bits(one, batch_benchmark_f(batch)[1])
+        assert same_bits(f(batch[:, 0], batch[:, 1]), batch_benchmark_f(batch))
 
 
 def same_run(a, b):
@@ -249,7 +250,7 @@ def models_on_one_grid(rng, n_data, count, ell=(0.8, 1.5)):
     f, _, _ = benchmark_system()
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
     spec = KernelSpec("squared_exponential", 1.0, ell)
-    return [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
+    return [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -303,10 +304,9 @@ def test_batched_rollout_with_models_that_do_not_share_a_grid():
         assert same_run(run, run_closed_loop(loop, model, ref, 0.3, 1e-3, f))
 
 
-def far_cubic(x):
+def far_cubic(x1, x2):
     # zero near the reference, x2^3 beyond |x2| = 6, where it blows up in finite time
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x[..., 1]) > 6.0, x[..., 1] ** 3, 0.0)
+    return np.where(np.abs(x2) > 6.0, np.power(x2, 3), 0.0)
 
 
 def test_a_diverging_seed_stops_its_batch_at_its_own_time():
@@ -334,7 +334,7 @@ def test_diverging_matern_seeds_stop_their_batch_at_the_earliest_time():
     X = rng.uniform(-3.0, 3.0, (25, 2))
     f, _, _ = benchmark_system()
     spec = KernelSpec("matern52", 1.0, (0.8, 1.5))
-    models = [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(3)]
+    models = [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(3)]
     # means 1500 and 3000 times too large throw seeds 0 and 2 out to where far_cubic diverges
     models[0] = dataclasses.replace(models[0], alpha=models[0].alpha * 1.5e3)
     models[2] = dataclasses.replace(models[2], alpha=models[2].alpha * 3e3)
@@ -354,19 +354,18 @@ def test_diverging_matern_seeds_stop_their_batch_at_the_earliest_time():
 
 
 @pytest.mark.parametrize("count", [1, 3])
-def test_rollout_calls_the_nonlinearity_on_one_point_at_a_time(count):
+def test_rollout_calls_the_nonlinearity_on_two_python_floats(count):
     f, _, _ = benchmark_system()
-    ndims = set()
+    types = set()
 
-    def one_point_f(x):
-        ndims.add(np.ndim(x))
-        assert np.ndim(x) == 1
-        return f(x)
+    def two_float_f(x1, x2):
+        types.add((type(x1), type(x2)))
+        return f(x1, x2)
 
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
     models = models_on_one_grid(np.random.default_rng(4), 7, count)
-    run_closed_loop(loop, models[0] if count == 1 else models, ReferenceSpec(2.0, 1.0), 0.05, 1e-3, one_point_f)
-    assert ndims == {1}
+    run_closed_loop(loop, models[0] if count == 1 else models, ReferenceSpec(2.0, 1.0), 0.05, 1e-3, two_float_f)
+    assert types == {(float, float)}
 
 
 @pytest.mark.parametrize("family", ["squared_exponential", "matern32", "matern52"])
@@ -391,7 +390,8 @@ def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2,
     f, _, _ = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    model = fit(KernelSpec(family, sf2, (0.8, 1.5)), TrainingSet(X, f(X) + 0.1 * rng.normal(size=n_data), 0.01))
+    model = fit(KernelSpec(family, sf2, (0.8, 1.5)),
+                TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01))
     ref = ReferenceSpec(2.0, 1.0)
     args = (loop, model, ref, steps * dt, dt, f)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -416,7 +416,7 @@ def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.uniform(-3.0, 3.0, (25, 2))
     spec = KernelSpec("matern52", 1.3, (0.8, 1.5))
-    models = [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(count)]
+    models = [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(count)]
     calls = []
     predict_mean = GPModel.predict_mean
     monkeypatch.setattr(GPModel, "predict_mean", lambda self, x: calls.append(x) or predict_mean(self, x))

@@ -218,7 +218,7 @@ def test_ladder_variance_serves_the_next_certificate():
     ref = ReferenceSpec(2.0, 1.0)
     ref_points = ref.state(np.arange(0.0, ref.period, 0.01))
     states = ref.state(np.arange(0.0, ref.period, 1e-3))
-    raw = TrainingSet(states, f(states), 0.01)
+    raw = TrainingSet(states, f(states[:, 0], states[:, 1]), 0.01)
     empty = fit(spec, TrainingSet.empty(2, 0.01))
     _, refit, variance = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0)
     assert variance.tobytes() == refit.predict_var(ref_points).tobytes()
@@ -252,7 +252,8 @@ def test_ladder_stopping_at_a_violating_block_matches_full_evaluation():
     ref = ReferenceSpec(2.0, 1.0)
     ref_points = ref.state(np.arange(0.0, ref.period, 0.002))
     states = ref.state(np.arange(0.0, ref.period, 0.01)) * 0.97
-    raw = TrainingSet(states, f(states) + 0.1 * np.random.default_rng(0).normal(size=len(states)), 0.01)
+    raw = TrainingSet(states, f(states[:, 0], states[:, 1])
+                      + 0.1 * np.random.default_rng(0).normal(size=len(states)), 0.01)
     prior = fit(spec, TrainingSet.empty(2, 0.01))
     base = add_samples(prior, downsample(raw, 0.01, 0.64))
     rejections = 0

@@ -51,7 +51,7 @@ def test_run_closed_loop_samples_the_reference_once_on_the_half_step_grid(S):
     rng = np.random.default_rng(S)
     X = rng.uniform(-3.0, 3.0, (9, 2))
     spec = KernelSpec("squared_exponential", 1.0, (0.8, 1.5))
-    models = [fit(spec, TrainingSet(X, f(X) + 0.1 * rng.normal(size=9), 0.01)) for _ in range(S)]
+    models = [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=9), 0.01)) for _ in range(S)]
     spy = SpyReference(ReferenceSpec(2.0, 1.0))
 
     runs = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), models, spy, HORIZON, DT, f)

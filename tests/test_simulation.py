@@ -58,8 +58,8 @@ def test_integrate_divergence_detected():
 
 def test_benchmark_values():
     f, g, plant = benchmark_system()
-    assert f(np.array([0.0, 0.0])) == pytest.approx(1.5)
-    assert g(np.array([0.0, 0.0])) == pytest.approx(1.0)
+    assert f(0.0, 0.0) == pytest.approx(1.5)
+    assert g(0.0, 0.0) == pytest.approx(1.0)
     np.testing.assert_array_equal(plant.A, [[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_array_equal(plant.b, [0.0, 1.0])
 
@@ -69,10 +69,10 @@ def test_benchmark_partial_derivative_bounds():
     f, _, _ = benchmark_system()
     xs = np.linspace(-5, 5, 301)
     g1, g2 = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
+    x1, x2 = g1.ravel(), g2.ravel()
     h = 1e-6
-    d1 = (f(pts + [h, 0]) - f(pts - [h, 0])) / (2 * h)
-    d2 = (f(pts + [0, h]) - f(pts - [0, h])) / (2 * h)
+    d1 = (f(x1 + h, x2) - f(x1 - h, x2)) / (2 * h)
+    d2 = (f(x1, x2 + h) - f(x1, x2 - h)) / (2 * h)
     assert np.abs(d1).max() <= 2.0 + 1e-6
     assert np.abs(d1).max() >= 1.99
     assert np.abs(d2).max() <= 0.25 + 1e-6
@@ -81,7 +81,7 @@ def test_benchmark_partial_derivative_bounds():
 def test_benchmark_input_gain_bounded_away_from_zero():
     _, g, _ = benchmark_system()
     xs = np.linspace(-50, 50, 10001)
-    vals = g(np.column_stack([np.zeros_like(xs), xs]))
+    vals = g(np.zeros_like(xs), xs)
     assert vals.min() >= 0.5 - 1e-12
 
 
@@ -116,7 +116,7 @@ def test_perfect_model_tracks_exactly():
     _, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    zero_f = lambda x: np.zeros(np.asarray(x).shape[:-1])
+    zero_f = lambda x1, x2: np.zeros(np.shape(x1))
     sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 5.0, 1e-3, zero_f)
     assert sim.error_norms.max() <= 1e-6
 
@@ -128,7 +128,7 @@ def test_measurements_are_f_plus_seeded_noise():
     sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, f)
     n, s2 = len(sim.states), 0.01
     raw = measure(sim.states, f, s2, 3)
-    expected = f(sim.states) + np.random.default_rng(3).normal(0.0, math.sqrt(s2), n)
+    expected = f(sim.states[:, 0], sim.states[:, 1]) + np.random.default_rng(3).normal(0.0, math.sqrt(s2), n)
     assert raw.targets.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(raw.inputs, sim.states)
     assert raw.noise_variance == s2
@@ -150,7 +150,7 @@ def test_measurement_noise_variance():
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     sim = run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 2.0, 1e-3, f)
-    resid = measure(sim.states, f, 0.01, 7).targets - f(sim.states)
+    resid = measure(sim.states, f, 0.01, 7).targets - f(sim.states[:, 0], sim.states[:, 1])
     assert len(resid) >= 1000
     assert resid.var() == pytest.approx(0.01, rel=0.10)
 
