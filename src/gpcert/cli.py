@@ -12,9 +12,10 @@ Experiments: ``tracking`` (closed-loop certificate on the benchmark),
 ``validate_lipschitz`` (coverage of the prior Lipschitz constant).
 
 Exit codes: 0 success, 2 config error, 3 certificate violation, 4 numerical
-failure.  Trajectories go to CSV, scalars to JSON, byte for byte the same for
-the same config and seeds.  Every summary embeds the config with every default
-of its experiment filled in from one table, ``_SCHEMA``, to be rerun from.
+failure, 5 the compiled rollout core could not be built.  Trajectories go to
+CSV, scalars to JSON, byte for byte the same for the same config and seeds.
+Every summary embeds the config with every default of its experiment filled
+in from one table, ``_SCHEMA``, to be rerun from.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import density as dens
 from . import episodic as epi
 from . import kernels as kern
 from . import tracking as trk
-from .errors import GPCertError
+from .errors import CoreBuildError, GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
 from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, measure, prior_draw, prior_factor,
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CERTIFICATE = 3
 EXIT_NUMERICAL = 4
+EXIT_BUILD = 5
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     box = _box_from(cfg)
     L_k, L_sigma = bnd.kernel_constants(_kernel_from(cfg), box)
     ref = _reference_from(cfg)
-    f, g, plant = benchmark_system()
+    _, g, plant = benchmark_system()
     bb = cfg["bound"]
     horizon = float(cfg["horizon"])
     dt = float(cfg["fine_dt"])
@@ -403,7 +405,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     results = []
     for lo in range(0, len(seeds), size):
         sub = slice(lo, lo + size)
-        sims = run_closed_loop(loop, models[sub], ref, horizon, dt, f)
+        sims = run_closed_loop(loop, models[sub], ref, horizon, dt)
         results += map(seed_result, seeds[sub], models[sub], reps[sub], sims)
         del sims  # this sub-batch's states go before the next rollout allocates its own
     return results
@@ -482,7 +484,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f)
-        sim = run_closed_loop(cert.loop, model, ref, horizon, dt, f)
+        sim = run_closed_loop(cert.loop, model, ref, horizon, dt)
         e_max = float(sim.error_norms.max())
         violations += not trk.certificate_holds(sim.error_norms, cert.upsilon_bar, sim.states, box)
 
@@ -521,7 +523,7 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
     ref = _reference_from(cfg)
-    f, _, plant = benchmark_system()
+    _, _, plant = benchmark_system()
     ep = cfg["episodic"]
     config = epi.EpisodeConfig(
         target_error=float(ep["target_error"]),
@@ -535,7 +537,6 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         domain=box,
         noise_variance=float(cfg["noise_variance"]),
         L_f=float(cfg["bound"]["L_f"]),
-        nonlinearity=f,
         seed=cfg["seeds"][0],
         max_episodes=ep["max_episodes"],
     )
@@ -688,6 +689,9 @@ def run(config: dict, workers: int = 1) -> int:
     exp = cfg["experiment"]
     try:
         summary, ok = run_tracking(cfg, out_dir, workers) if exp == "tracking" else _RUNNERS[exp](cfg, out_dir)
+    except CoreBuildError as exc:  # no C compiler, or a failed compile
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUILD
     except (GPCertError, ArithmeticError) as exc:  # ArithmeticError: e.g. a constant of an extreme lengthscale
         print(f"numerical failure in {exp}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .density import data_density_batch
 from .errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from .gp import GPModel, TrainingSet, add_samples, downsample, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, measure, run_closed_loop
+from .simulation import ReferenceSpec, benchmark_system, measure, run_closed_loop
 from .tracking import ClosedLoop, LinearPlant
 
 EPISODE_CAP_DEFAULT = 200
@@ -40,8 +39,8 @@ _N_E_CAP = 10 ** 9
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Everything one episodic run needs; immutable.  ``nonlinearity`` is the
-    unknown f(x1, x2), as :func:`simulation.run_closed_loop` takes it.
+    """Everything one episodic run needs; immutable.  The unknown nonlinearity
+    is the benchmark's f (:func:`simulation.benchmark_system`).
     """
 
     target_error: float
@@ -55,7 +54,6 @@ class EpisodeConfig:
     domain: bnd.DomainBox
     noise_variance: float
     L_f: float
-    nonlinearity: Callable
     seed: int = 0
     max_episodes: int = EPISODE_CAP_DEFAULT
 
@@ -204,6 +202,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     k0 = spec.signal_variance
     L_dk = kern.gradient_lipschitz(spec)
     L_sigma = bnd.kernel_constants(spec, box)[1]
+    f = benchmark_system()[0]  # the nonlinearity the rollout simulates, as measured
 
     # one period of the reference at pitch fine_dt: the even samples of its half-step grid
     ref_points = config.reference.state(trk.half_step_times(config.reference.period, config.fine_dt)[::2])
@@ -249,13 +248,12 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
                 f"{config.target_error} after {config.max_episodes} episodes"
             )
         upsilon_prev = cert.upsilon_bar
-        sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt,
-                              config.nonlinearity)
+        sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt)
         observed = float(sim.error_norms.max())
         violated = not trk.certificate_holds(sim.error_norms, upsilon_prev, sim.states, box)
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
-        raw = measure(sim.states, config.nonlinearity, config.noise_variance, config.seed + 1000003 * i)
+        raw = measure(sim.states, f, config.noise_variance, config.seed + 1000003 * i)
         T_s, model, variance = select_sampling_time(
             raw, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
         )

@@ -52,5 +52,9 @@ class DivergenceError(GPCertError):
         self.time = time
 
 
+class CoreBuildError(GPCertError):
+    """The compiled rollout core could not be built: no C compiler, or it failed."""
+
+
 class DegenerateInputError(GPCertError):
     """An input renders the requested quantity undefined (e.g. k(x,x)=0)."""

@@ -10,12 +10,11 @@ the episodic loop refits with :func:`add_samples`, a full :func:`fit` on the
 concatenated data, once per ladder rung (the cubic refit cost is acceptable
 at its data sizes).  Batch predictions run over the queries in the row
 blocks of :func:`kernels._row_blocks`, so their memory stays bounded as the
-query set grows.  The RK4 stages read the mean through
-:meth:`GPModel.mean_at` and :func:`stacked_mean_function`, which write
-kernel rows with :func:`kernels._rows` into buffers allocated once.  There
-is no automatic jitter beyond the noise variance: a failed factorization
-surfaces as :class:`IllConditionedDataError` so experiments stay faithful
-to the exact equations.
+query set grows.  The closed-loop rollout evaluates the mean in its own
+compiled core (:func:`simulation.run_closed_loop`), from a model's inputs
+and alpha.  There is no automatic jitter beyond the noise variance: a
+failed factorization surfaces as :class:`IllConditionedDataError` so
+experiments stay faithful to the exact equations.
 
 Every BLAS call on a factor runs on one OpenBLAS thread, at every size
 (:func:`_blas_threads`): from about 128 rows a threaded Cholesky changes its
@@ -33,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedDataError
-from .kernels import KernelSpec, _row_blocks, _rows, gram, kernel_diag
+from .kernels import KernelSpec, _row_blocks, gram, kernel_diag
 
 # (getter, setter) of the thread count, by the name each OpenBLAS build exports
 _THREAD_SYMBOLS = (
@@ -205,85 +204,6 @@ class GPModel:
 
     def predict_stddev(self, x):
         return np.sqrt(self.predict_var(x))
-
-    def mean_at(self, point: np.ndarray):
-        """Callable () -> mu(point) for a (d,) buffer that the caller overwrites between calls.
-
-        Bit-identical to :meth:`predict_mean` on the buffer's current value.
-        For a stationary kernel it writes the kernel row at a (d, 1) view of
-        the buffer with :func:`kernels._rows`, on the buffers of
-        :func:`_stage_buffers`, and returns ``0.0 + q.dot(alpha)``, the same
-        dot product as ``predict_mean``'s.  The linear kernel calls
-        :meth:`predict_mean` on the buffer, and an empty model returns 0.
-        The buffers make the callable non-reentrant.
-        """
-        if len(self) == 0:
-            return lambda: 0.0
-        if not self.kernel.stationary:
-            return lambda: self.predict_mean(point)
-        spec, p, alpha = self.kernel, point[:, None], self.alpha
-        YT, ell, D, Dk, q = _stage_buffers(spec, self.data.inputs, ())
-
-        def mean():
-            _rows(spec, p, YT, ell, D, Dk, q)
-            # ndarray.dot takes a (1,) array for a scalar and returns q0 alpha0, -0.0 included;
-            # 0.0 + is the accumulator numpy's dot starts from at every other N, and matmul's
-            return 0.0 + float(q.dot(alpha))
-
-        return mean
-
-
-def _stage_buffers(kernel: KernelSpec, inputs: np.ndarray, stack: tuple):
-    """Buffers of :func:`kernels._rows` for the kernel rows of the RK4 stages.
-
-    Returns ``(YT, ell, D, Dk, q)``: the (N, d) inputs and the lengthscales
-    held at the full (d, *stack, N) size, coordinate first, a scratch buffer
-    D of that size with its coordinate slices Dk, and the (*stack, N) row
-    buffer q.  At full size the ufuncs skip the broadcast set-up; the points
-    come as (d, *stack, 1).
-    """
-    n, d = inputs.shape
-    shape = (d, *stack, n)
-    lead = (d,) + (1,) * len(stack)
-    YT = np.ascontiguousarray(np.broadcast_to(inputs.T.reshape(*lead, n), shape))
-    ell = np.ascontiguousarray(np.broadcast_to(kernel.ell.reshape(*lead, 1), shape))
-    D = np.empty(shape)
-    return YT, ell, D, tuple(D), np.empty(shape[1:])
-
-
-def stacked_mean_function(models):
-    """Callable filling mu_s(x_s) for S models at S points, for the batched RK4 stages.
-
-    The callable takes the points as a (d, S, 1) array, coordinate first (a
-    transposed view of an (S, d, 1) stack will do), and an (S, 1, 1) array
-    ``out`` that receives the S means.  Entry s is bit-identical to
-    :meth:`GPModel.predict_mean` of ``models[s]`` at x_s.  When every model
-    has the same stationary kernel and the same nonempty inputs, so that
-    they differ only in alpha, one set of ufunc calls serves all S points:
-    :func:`kernels._rows` on (d, S, N) buffers, then the stacked product
-    (S, 1, N) @ (S, N, 1), which makes the same dot product per model.
-    Otherwise each model's :meth:`GPModel.predict_mean` runs on its point.
-    The buffers make the callable non-reentrant.
-    """
-    first = models[0]
-    if not (len(first) > 0 and first.kernel.stationary
-            and all(m.kernel == first.kernel and np.array_equal(m.data.inputs, first.data.inputs)
-                    for m in models)):
-        def each(points, out):
-            for s, model in enumerate(models):
-                out[s] = model.predict_mean(points[:, s, 0])
-
-        return each
-    spec = first.kernel
-    YT, ell, D, Dk, q = _stage_buffers(spec, first.data.inputs, (len(models),))
-    alpha = np.stack([m.alpha for m in models])[:, :, None]  # (S, N, 1)
-    q_rows = q[:, None, :]
-
-    def mean(points, out):
-        _rows(spec, points, YT, ell, D, Dk, q)
-        np.matmul(q_rows, alpha, out=out)
-
-    return mean
 
 
 def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:

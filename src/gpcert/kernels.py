@@ -4,10 +4,10 @@ Supported families: squared exponential (with per-dimension lengthscales),
 Matern 3/2 and 5/2 (scaled-distance form), and the linear kernel
 ``k(x, x') = sigma_f^2 * sum_i x_i x'_i / l_i^2``.
 
-Every stationary kernel value, in :func:`gram` and in the buffered means of
-the RK4 stages, comes from one in-place routine, :func:`_rows`.  Besides
-plain evaluation this module supplies the continuity constants the
-bound machinery consumes: the kernel Lipschitz constant L_k, the
+Every stationary kernel value of :func:`gram` comes from one in-place
+routine, :func:`_rows`; the compiled rollout core (``_rollout.c``) repeats
+its operations per kernel value.  Besides plain evaluation this module
+supplies the continuity constants the bound machinery consumes: the kernel Lipschitz constant L_k, the
 standard-deviation Lipschitz constant L_sigma and the Lipschitz constant of
 the kernel derivative L_dk.  Continuity constants for anisotropic
 lengthscales use the minimum lengthscale, which is conservative and valid.
@@ -42,6 +42,9 @@ _CURVATURE = {SQUARED_EXPONENTIAL: 1.0, MATERN32: 3.0, MATERN52: 5.0 / 3.0}
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+# a scaled distance beyond which exp(-sqrt3 r) and exp(-sqrt5 r) are 0; _rows and
+# _rollout.c clamp a Matern r to it, so an overflowing distance gives k = 0
+_R_MAX = 1e3
 
 # Dense kernel evaluations run in row blocks of about this many elements, so
 # memory stays bounded as data and query sets grow.  Block row counts are
@@ -139,18 +142,17 @@ def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
     for rows in _row_blocks(n, m * spec.dim):
         if spec.stationary:
             D = np.empty((spec.dim, rows.stop - rows.start, m))
-            _rows(spec, X[rows].T[:, :, None], YT, ell, D, tuple(D), K[rows])
+            _rows(spec, X[rows].T[:, :, None], YT, ell, D, K[rows])
         else:
             K[rows] = spec.signal_variance * ((X[rows] / spec.ell) @ (Y / spec.ell).T)
     return K
 
 
-def _rows(spec: KernelSpec, P, YT, ell, D, Dk, q) -> None:
+def _rows(spec: KernelSpec, P, YT, ell, D, q) -> None:
     """Write the stationary kernel values k(P, Y) into the buffer ``q``, in place.
 
     ``YT - P`` (inputs and points, coordinate first) and ``ell`` broadcast to
-    the (d, *q.shape) scratch buffer ``D``; ``Dk`` is ``tuple(D)``, held by
-    the caller so that no call makes views.  The steps: (Y - P) / ell,
+    the (d, *q.shape) scratch buffer ``D``.  The steps: (Y - P) / ell,
     squared, on D; the even-indexed squares summed, then the odd-indexed
     ones, then the two sums, into q, which is ``einsum``'s own pairing for
     ``"ijk,ijk->ij"``, bit for bit up to d = 7 (numpy 2.4); last the family's
@@ -159,17 +161,22 @@ def _rows(spec: KernelSpec, P, YT, ell, D, Dk, q) -> None:
     ``sf2 * (1 + sqrt5 r + 5/3 r r) * exp(-sqrt5 r)``.  The multiply by sf2
     is skipped when sf2 is 1.0, the identity on every double.  A family with
     no closed form here (the linear one) leaves q at the squared distance.
+
+    A distance that overflows (a tiny lengthscale) is inf and gives k = 0,
+    without a warning: the Matern forms take r at most ``_R_MAX``, where
+    their exponential is already 0, so the value is 0 and not inf * 0.
     """
-    np.subtract(YT, P, D)
-    np.divide(D, ell, D)
-    np.multiply(D, D, D)
-    if len(Dk) > 2:  # spares the RK4 stages, at d = 2, an empty loop
+    Dk = tuple(D)
+    with np.errstate(over="ignore"):
+        np.subtract(YT, P, D)
+        np.divide(D, ell, D)
+        np.multiply(D, D, D)
         for k in range(2, len(Dk)):
             np.add(Dk[k % 2], Dk[k], Dk[k % 2])
-    if len(Dk) > 1:
-        np.add(Dk[0], Dk[1], q)
-    else:
-        np.copyto(q, Dk[0])
+        if len(Dk) > 1:
+            np.add(Dk[0], Dk[1], q)
+        else:
+            np.copyto(q, Dk[0])
     family, sf2 = spec.family, spec.signal_variance
     if family == SQUARED_EXPONENTIAL:
         np.multiply(q, -0.5, q)
@@ -180,6 +187,7 @@ def _rows(spec: KernelSpec, P, YT, ell, D, Dk, q) -> None:
     if family == MATERN32:
         e = Dk[0]
         np.sqrt(q, q)
+        np.minimum(q, _R_MAX, out=q)
         np.multiply(q, -_SQRT3, e)
         np.exp(e, e)
         np.multiply(q, _SQRT3, q)
@@ -187,6 +195,7 @@ def _rows(spec: KernelSpec, P, YT, ell, D, Dk, q) -> None:
     elif family == MATERN52:
         e, t = Dk[0], Dk[1] if len(Dk) > 1 else np.empty_like(q)
         np.sqrt(q, q)
+        np.minimum(q, _R_MAX, out=q)
         np.multiply(q, -_SQRT5, e)
         np.exp(e, e)
         np.multiply(q, 5.0 / 3.0, t)

@@ -4,19 +4,35 @@ Runs use classical RK4 with a constant pitch so that identical seeds and
 configs reproduce outputs bit for bit and so the comparison-ODE certificate
 can be sampled on the same grid.  Noise enters only the measurements
 (y = f(x) + eps, :func:`measure`), never the plant dynamics.
+
+:func:`run_closed_loop` steps the loop in C: ``_rollout.c``, compiled on
+first use with the C compiler Python was built with and cached in the
+package's ``__pycache__`` (:func:`_library`).  The core evaluates the GP mean
+and the benchmark f itself, so the loop's f is always the benchmark's; the
+numpy f of :func:`benchmark_system` serves :func:`measure` and the tracking
+writer.  :func:`integrate` is the generic RK4 on a Python vector field.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DivergenceError, IllConditionedDataError
-from .gp import GPModel, TrainingSet, _blas_threads, stacked_mean_function
-from .kernels import KernelSpec, gram
+from .errors import CoreBuildError, DivergenceError, IllConditionedDataError, UnsupportedOperationError
+from .gp import GPModel, TrainingSet, _blas_threads
+from .kernels import MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram
 from .tracking import ClosedLoop, LinearPlant, half_step_times, stage_samples
 
 
@@ -59,6 +75,8 @@ def benchmark_system():
     each on two floats or two equally shaped arrays, with the feedback-linearized
     double integrator A = [[0,1],[0,0]], b = [0,1].  g is bounded away from zero
     (minimum 1/2), so dividing the nominal control by it is always well defined.
+    :func:`run_closed_loop` simulates the same f, compiled into ``_rollout.c``
+    in the same operation order on libm's sin and exp.
     """
 
     def f(x1, x2):
@@ -122,38 +140,52 @@ class SimRun:
         return float(np.linalg.norm(dx, axis=1).max())
 
 
-def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float, fine_dt: float, nonlinearity):
-    """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the true plant.
+def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float, fine_dt: float):
+    """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the benchmark plant.
 
     The sign convention matches the error dynamics e' = (A - b theta^T) e +
-    b (f - mu).  The applied input is u / g(x) with g known exactly, so g
-    cancels from the dynamics; the tracking writer records that input.
+    b (f - mu), with f the benchmark nonlinearity of :func:`benchmark_system`.
+    The applied input is u / g(x) with g known exactly, so g cancels from the
+    dynamics; the tracking writer records that input.
 
     One model gives one :class:`SimRun`.  A sequence of S models gives a
-    list of S runs; every run is bit-identical to the run of its model
-    alone.  S = 1 is stepped by :func:`_closed_loop_rk4` and S > 1 by
-    :func:`_closed_loop_rk4_batch`, with the models'
-    :func:`gp.stacked_mean_function`; a model that diverges raises at the
-    earliest divergence time of the batch.  x_ref and r_ref are sampled once,
-    on :func:`tracking.half_step_times`: every run starts at x_ref(0), and its
-    times and reference states are the even samples.
-
-    ``nonlinearity`` is f(x1, x2).  Every RK4 stage calls it once per model on
-    two Python floats, so it should use numpy operations: on a diverging state
-    numpy returns inf where Python float arithmetic raises.
+    list of S runs, each bit-identical to the run of its model alone.  Every
+    model needs a stationary kernel at d = 2 or no data.  x_ref and r_ref are
+    sampled once, on :func:`tracking.half_step_times`: every run starts at
+    x_ref(0), and its times and reference states are the even samples.  The
+    compiled core (:func:`_library`) steps all S models in one call; a model
+    that diverges raises at the earliest divergence time of the batch.
     """
     single = isinstance(models, GPModel)
     if single:
         models = [models]
     if loop.plant.A.shape != (2, 2):
         raise ValueError("the closed-loop simulation needs a plant of dimension 2")
+    fitted = [m for m in models if len(m) > 0]
+    for m in fitted:
+        if not m.kernel.stationary:
+            raise UnsupportedOperationError(f"the rollout needs a stationary kernel, got {m.kernel.family!r}")
+        # the core reads N rows of two inputs and N weights per model
+        if m.kernel.dim != 2 or m.data.inputs.shape != (len(m), 2) or m.alpha.shape != (len(m),):
+            raise ValueError("the closed-loop simulation needs models of dimension 2 with one weight per input")
     t_half = half_step_times(horizon, fine_dt)
     x_half, r_half = ref.state(t_half), ref.signal(t_half)
-    times, ref_states = t_half[::2], x_half[::2]
-    args = times, x_half[0], stage_samples(x_half[:, 0], x_half[:, 1], r_half), fine_dt, nonlinearity
-    per_model = ([_closed_loop_rk4(loop, models[0], *args)] if len(models) == 1
-                 else _closed_loop_rk4_batch(loop, stacked_mean_function(models), len(models), *args))
-    runs = [SimRun(times, states, ref_states) for states in per_model]
+    times, n = t_half[::2], len(t_half) // 2
+    # per model: its family (any code for an empty model, which has no rows), (sf2, l0, l1),
+    # and its rows offsets[s]:offsets[s + 1] of the stacked inputs and weights
+    family = np.array([_FAMILY_CODES[m.kernel.family] if len(m) else 0 for m in models], dtype=np.int32)
+    kernel = _doubles([(m.kernel.signal_variance, *m.kernel.lengthscales) if len(m) else (1.0,) * 3 for m in models])
+    offsets = np.cumsum([0] + [len(m) for m in models], dtype=np.int64)
+    inputs = _doubles(np.concatenate([np.empty((0, 2))] + [m.data.inputs for m in fitted]))
+    alpha = _doubles(np.concatenate([np.empty(0)] + [m.alpha for m in fitted]))
+    states = np.empty((len(models), n + 1, 2))
+    states[:, 0] = x_half[0]
+    diverged = _library().gpcert_rollout(
+        len(models), n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta),
+        _doubles(np.vstack([x_half.T, r_half])), family, kernel, offsets, inputs, alpha, states)
+    if diverged:
+        raise _diverged(times, diverged)
+    runs = [SimRun(times, run, x_half[::2]) for run in states]
     return runs[0] if single else runs
 
 
@@ -168,113 +200,82 @@ def _diverged(times, k: int) -> DivergenceError:
     return DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
 
 
-def _closed_loop_rk4(loop: ClosedLoop, model: GPModel, times, x_init, stages, dt: float, nonlinearity):
-    """:func:`integrate` specialised to x' = A x + b (u_nom + f(x)) on a 2-d plant.
+# ---------------------------------------------------------------------------
+# the compiled rollout core, _rollout.c
+# ---------------------------------------------------------------------------
 
-    u_nom = -theta^T (x - x_ref) + r_ref - mu(x).  Returns the states at
-    ``times`` from ``x_init``.  ``stages`` is :func:`tracking.stage_samples`
-    of x_ref's two coordinates and r_ref on :func:`tracking.half_step_times`,
-    the grid :func:`integrate` steps on.  The result is bit-identical to
-    :func:`integrate` on that field: the state is carried as two floats, and
-    every sum keeps the generic loop's operation order.  The products
-    theta^T e and A x stay separate numpy calls, because BLAS fuses their
-    multiply-adds.  The stage point, x - x_ref and A x live in three
-    2-buffers reused by every stage, and mu reads the stage point in place
-    (:meth:`GPModel.mean_at`).
+_FAMILY_CODES = {SQUARED_EXPONENTIAL: 1, MATERN32: 2, MATERN52: 3}  # as _rollout.c numbers them
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rollout.c")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no -march, no fast-math: the bits stay IEEE's
+_CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+
+
+def _doubles(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _compiler() -> list[str]:
+    """The C compiler command Python was built with (sysconfig's ``CC``), as an argument list."""
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    """``_rollout.c`` as a shared library, compiled on first use and loaded with ctypes.
+
+    The library is cached in the package's ``__pycache__`` under the SHA-256
+    of the source, the compiler command and flags, and the platform, so a
+    later process loads it without compiling.  It is compiled under a
+    temporary name and renamed into place, so processes that build at once
+    each load a whole file.  Where that directory cannot be written, the
+    library is built in a private temporary directory for this process.  A
+    compiler that is missing or fails raises :class:`CoreBuildError`.
     """
-    A, b, theta = loop.plant.A, loop.plant.b, loop.theta
-    b0, b1 = b.tolist()
-    x = np.empty(2)  # the stage point, read by mu
-    e = np.empty(2)  # x - x_ref; read only by theta.dot
-    ax = np.empty(2)  # A x
-    predict = model.mean_at(x)
-    h, h6 = dt / 2.0, dt / 6.0
-
-    def field(x0, x1, r0, r1, r_ff):
-        x[0] = x0
-        x[1] = x1
-        e[0] = x0 - r0
-        e[1] = x1 - r1
-        s = -float(theta.dot(e)) + r_ff - predict() + float(nonlinearity(x0, x1))
-        np.matmul(A, x, ax)
-        ax0, ax1 = ax.tolist()
-        return ax0 + b0 * s, ax1 + b1 * s
-
-    states = np.empty((len(times), 2))
-    states[0] = x_init
-    x0, x1 = states[0].tolist()
-    for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
-        k10, k11 = field(x0, x1, ra0, ra1, sa)
-        k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
-        k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
-        k40, k41 = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
-        x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
-        x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-        if not (math.isfinite(x0) and math.isfinite(x1)):
-            raise _diverged(times, k)
-        states[k, 0] = x0
-        states[k, 1] = x1
-    return states
+    cc = _compiler()
+    with open(_SOURCE, "rb") as fh:
+        key = hashlib.sha256(b"\0".join([fh.read(), " ".join([*cc, *_FLAGS]).encode(),
+                                         sysconfig.get_platform().encode()])).hexdigest()
+    path = os.path.join(_CACHE, f"_rollout-{key[:20]}.so")
+    if not os.path.exists(path):
+        try:
+            os.makedirs(_CACHE, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=_CACHE)
+            os.close(fd)
+        except OSError:  # e.g. a read-only install
+            with tempfile.TemporaryDirectory(prefix="gpcert-", ignore_cleanup_errors=True) as private:
+                return _load(_compile(cc, os.path.join(private, "_rollout.so")))  # the mapping outlives the file
+        try:
+            os.replace(_compile(cc, tmp), path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+    return _load(path)
 
 
-def _closed_loop_rk4_batch(loop: ClosedLoop, mean, S: int, times, x_init, stages, dt: float, nonlinearity):
-    """:func:`_closed_loop_rk4` for S models at once; returns S state arrays.
+def _load(path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(path)
+    lib.gpcert_rollout.restype = ctypes.c_int64
+    lib.gpcert_rollout.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES,
+        np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"), _DOUBLES,
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), _DOUBLES, _DOUBLES,
+        np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))]
+    return lib
 
-    ``mean`` is the models' :func:`gp.stacked_mean_function`.
 
-    Every state is bit-identical to the single-model stepper's.  The S states
-    are carried as one list of 2S floats, and each stage makes one set of
-    numpy calls for all S points: the stacked products theta^T e as
-    (1, 2) @ (S, 2, 1) and A x as (2, 2) @ (S, 2, 1), which make the same
-    BLAS dot and gemv per model as the single-model products, and the GP
-    mean.  The three land in one buffer that a single ``tolist`` reads.  The
-    nonlinearity runs per model on its two floats: one call on all S points
-    pays only from about S = 5.  The scalar sums stay Python floats in the
-    single-model operation order.  The first non-finite state raises at its
-    step, as it would alone.
-
-    Both steppers stay because each wins where it serves (median of 15
-    alternating in-process pairs at horizon 2 s, dt 1e-3, N = 25, on a
-    2-vCPU Xeon): at S = 1 this loop is 1.42 times slower than
-    :func:`_closed_loop_rk4`, while stepping the models one by one is 1.19
-    times slower than this loop at S = 2 and 2.8 times slower at S = 10.
-    """
-    A, theta = loop.plant.A, loop.theta[None, :]
-    b0, b1 = loop.plant.b.tolist()
-    pe = np.empty((2, S, 2, 1))  # the S stage points, then the S values of x - x_ref
-    pe_flat = pe.reshape(4 * S)
-    p, e = pe
-    p_t = p.transpose(1, 0, 2)  # the points coordinate first, as the mean takes them
-    out = np.empty(4 * S)  # theta^T e for each seed, then A x, then mu
-    te, ax, mu = out[:S].reshape(S, 1, 1), out[S:3 * S].reshape(S, 2, 1), out[3 * S:].reshape(S, 1, 1)
-    h, h6 = dt / 2.0, dt / 6.0
-
-    def field(x, r0, r1, r_ff):
-        pe_flat[:] = x + [xi - ri for xi, ri in zip(x, (r0, r1) * S)]
-        np.matmul(theta, e, out=te)
-        np.matmul(A, p, out=ax)
-        mean(p_t, mu)
-        v = out.tolist()
-        k = []
-        for s in range(S):
-            u = -v[s] + r_ff - v[3 * S + s] + float(nonlinearity(x[2 * s], x[2 * s + 1]))
-            k += (v[S + 2 * s] + b0 * u, v[S + 2 * s + 1] + b1 * u)
-        return k
-
-    states = np.empty((len(times), 2 * S))  # seed s in columns 2s and 2s + 1
-    states[0] = np.tile(x_init, S)
-    x = states[0].tolist()
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below, as in the scalar loop
-        for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
-            k1 = field(x, ra0, ra1, sa)
-            k2 = field([xi + h * ki for xi, ki in zip(x, k1)], rb0, rb1, sb)
-            k3 = field([xi + h * ki for xi, ki in zip(x, k2)], rb0, rb1, sb)
-            k4 = field([xi + dt * ki for xi, ki in zip(x, k3)], rc0, rc1, sc)
-            x = [xi + h6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, x)):
-                raise _diverged(times, k)
-            states[k] = x
-    return [states[:, 2 * s:2 * s + 2] for s in range(S)]
+def _compile(cc: list[str], out: str) -> str:
+    """Compile ``_rollout.c`` into the shared library ``out``; returns ``out``."""
+    cmd = [*cc, *_FLAGS, "-o", out, _SOURCE, "-lm"]
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, text=True)
+    except OSError as exc:
+        raise CoreBuildError(f"cannot build the rollout core: {cc[0]}: {exc.strerror}") from None
+    except subprocess.CalledProcessError as exc:
+        first = (exc.stderr.strip().splitlines() or ["no output"])[0]
+        raise CoreBuildError(f"cannot build the rollout core: {' '.join(cmd)} exited with code "
+                             f"{exc.returncode}: {first}") from None
+    return out
 
 
 def prior_factor(spec: KernelSpec, grid) -> np.ndarray:

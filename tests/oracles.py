@@ -12,7 +12,10 @@
   bound on sigma (``density_variance_bound``), and the geometric inner
   approximations of the kernel neighborhood, a Euclidean ball for SE/Matern
   (``geometric_ball_radius``) and sphere segments for the unit linear kernel
-  (``geometric_subset_linear``).
+  (``geometric_subset_linear``);
+* ``scalar_closed_loop`` and ``scalar_mean``: the closed-loop RK4 rollout
+  and its GP mean on Python floats, in the operation order of the compiled
+  core ``_rollout.c``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import math
 
 import numpy as np
 
-from gpcert import bounds, kernels
+from gpcert import bounds, kernels, tracking
 from gpcert.bounds import DomainBox
 from gpcert.density import data_density, stddev_bound
-from gpcert.errors import DegenerateInputError, UnsupportedOperationError
+from gpcert.errors import DegenerateInputError, DivergenceError, UnsupportedOperationError
 from gpcert.gp import GPModel
 from gpcert.kernels import (
     LINEAR,
@@ -221,3 +224,90 @@ def geometric_subset_linear(x, data, rho_prime: float, c: float) -> list[int]:
         & (inner2 >= c * nx ** 2 * npr ** 2)
     )
     return [int(i) for i in np.nonzero(cond)[0]]
+
+
+# ---------------------------------------------------------------------------
+# the closed-loop rollout
+# ---------------------------------------------------------------------------
+
+def _exp(x: float) -> float:
+    # libm's exp, which math.exp calls, returns inf where math.exp raises
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _sin(x: float) -> float:
+    # libm's sin of an infinity is NaN, where math.sin raises
+    return math.sin(x) if math.isfinite(x) else math.nan
+
+
+def scalar_mean(model: GPModel, p0: float, p1: float) -> float:
+    if len(model) == 0:
+        return 0.0
+    family, sf2 = model.kernel.family, model.kernel.signal_variance
+    l0, l1 = model.kernel.lengthscales
+    acc = 0.0
+    for (y0, y1), a in zip(model.data.inputs.tolist(), model.alpha.tolist()):
+        d0, d1 = (y0 - p0) / l0, (y1 - p1) / l1
+        r2 = d0 * d0 + d1 * d1
+        if family == SQUARED_EXPONENTIAL:
+            k = _exp(r2 * -0.5) * sf2
+        else:
+            r = math.sqrt(r2)
+            r = kernels._R_MAX if r > kernels._R_MAX else r
+            if family == MATERN32:
+                k = (r * _SQRT3 + 1.0) * sf2 * _exp(r * -_SQRT3)
+            else:
+                k = (r * _SQRT5 + 1.0 + r * (5.0 / 3.0) * r) * sf2 * _exp(r * -_SQRT5)
+        acc += k * a
+    return acc
+
+
+def scalar_closed_loop(loop, models, ref, horizon: float, dt: float) -> list[np.ndarray]:
+    """The states of ``simulation.run_closed_loop`` for each model, stepped on Python floats.
+
+    Every operation of ``_rollout.c`` in its order: the benchmark f as
+    1 - sin(2 x1) + 1 / (1 + exp(-x2)), the kernel as in ``kernels._rows``,
+    the mean, theta^T e and A x as plain left-to-right sums, and the RK4
+    stages on the half-step samples of x_ref and r_ref.  Python floats do not
+    fuse multiply-adds, and math.exp and math.sin are libm's.  The first
+    step at which some seed's state is not finite raises
+    :class:`DivergenceError` with its time, as the rollout does.
+    """
+    (a00, a01), (a10, a11) = loop.plant.A.tolist()
+    b0, b1 = loop.plant.b.tolist()
+    th0, th1 = loop.theta.tolist()
+    t_half = tracking.half_step_times(horizon, dt)
+    x_half, r_half = ref.state(t_half), ref.signal(t_half)
+    times = t_half[::2]
+    h, h6 = dt / 2.0, dt / 6.0
+    runs, stop = [], len(times)
+    for model in models:
+
+        def field(x0, x1, r0, r1, rff):
+            u = (-(th0 * (x0 - r0) + th1 * (x1 - r1)) + rff - scalar_mean(model, x0, x1)
+                 + (1.0 - _sin(2.0 * x0) + 1.0 / (1.0 + _exp(-x1))))
+            return (a00 * x0 + a01 * x1) + b0 * u, (a10 * x0 + a11 * x1) + b1 * u
+
+        x0, x1 = x_half[0].tolist()
+        states = [(x0, x1)]
+        stages = tracking.stage_samples(x_half[:, 0], x_half[:, 1], r_half)
+        for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
+            if k >= stop:
+                break
+            k10, k11 = field(x0, x1, ra0, ra1, sa)
+            k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
+            k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
+            k40, k41 = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
+            x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
+            x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+            if not (math.isfinite(x0) and math.isfinite(x1)):
+                stop = k
+                break
+            states.append((x0, x1))
+        runs.append(np.array(states, dtype=float).reshape(-1, 2))
+    if stop < len(times):
+        raise DivergenceError(f"state diverged at t = {times[stop]:.6g}", time=float(times[stop]))
+    return runs

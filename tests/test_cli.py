@@ -578,6 +578,18 @@ def test_validate_lipschitz_on_a_short_interval_and_at_extreme_lengthscales(tmp_
         assert capsys.readouterr().err.startswith("numerical failure in validate_lipschitz:")
 
 
+@pytest.mark.parametrize("family", ["matern52", "squared_exponential"])
+def test_tracking_at_a_tiny_lengthscale_runs_without_runtime_warnings(tmp_path, capsys, family):
+    # at lengthscale 1e-200 every scaled distance between distinct points overflows: the Matern
+    # kernel gave NaN (inf * 0) and a config error, and both families warned of the overflow
+    cfg = shipped_tracking_config(tmp_path / "t", "kernel", {"family": family, "lengthscales": [1e-200, 1.0]})
+    cfg["horizon"] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.run(cfg) == cli.EXIT_OK
+    assert "Warning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["density_sweep", "episodic", "validate_bounds", "validate_lipschitz"])
 def test_one_seed_experiments_reject_a_second_seed(tmp_path, capsys, experiment):
     # these runners read one seed; a second one used to be dropped without a word

@@ -1,10 +1,10 @@
-"""The closed-loop RK4 stepper and the comparison ODE against the generic loops.
+"""The compiled closed-loop rollout against its scalar oracle, and the comparison ODE.
 
-``run_closed_loop`` carries the state as two floats with the reference
-sampled once per stage time, and ``tracking_bound_ode`` reads eta from a
-half-step table.  The references below are the generic forms they replace: a
-dynamics closure driven by ``integrate``, and the comparison RK4 with eta
-looked up by time.  Every output must agree bit for bit.
+``run_closed_loop`` steps every seed in ``_rollout.c``.
+``tests/oracles.py::scalar_closed_loop`` repeats its operations on Python
+floats, so every state, divergence time and message must agree bit for bit.
+``tracking_bound_ode`` reads eta from a half-step table; its reference is the
+comparison RK4 with eta looked up by time.
 """
 
 import dataclasses
@@ -15,30 +15,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from gpcert import simulation
 from gpcert.errors import DivergenceError, UnsupportedOperationError
 from gpcert.gp import GPModel, TrainingSet, fit
-from gpcert.kernels import KernelSpec
-from gpcert.simulation import ReferenceSpec, SimRun, benchmark_system, integrate, measure, run_closed_loop
+from gpcert.kernels import KernelSpec, gram
+from gpcert.simulation import ReferenceSpec, benchmark_system, run_closed_loop
 from gpcert.tracking import LinearPlant, closed_loop, contraction_rate, tracking_bound_ode
 
-
-def generic_run_closed_loop(loop, model, ref, horizon, fine_dt, nonlinearity):
-    A, b = loop.plant.A, loop.plant.b
-    theta = loop.theta
-    xc = np.empty(2)
-    mean = model.mean_at(xc)
-
-    def predict(x):
-        xc[:] = x
-        return mean()
-
-    def dynamics(t, x):
-        e = x - ref.state(t)
-        u_nom = -float(theta @ e) + float(ref.signal(t)) - predict(x)
-        return A @ x + b * (u_nom + float(nonlinearity(x[0], x[1])))
-
-    times, states = integrate(dynamics, ref.state(0.0), horizon, fine_dt)
-    return SimRun(times, states, ref.state(times))
+from oracles import scalar_mean, scalar_closed_loop
 
 
 def generic_tracking_bound_ode(loop, eta_ref, L_sigma, beta, v0, horizon, dt):
@@ -72,72 +56,245 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def same_run(a, b):
+    return all(same_bits(getattr(a, name), getattr(b, name)) for name in ("times", "states", "reference_states"))
+
+
 DOUBLE_INTEGRATOR = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
-# a row with two nonzero entries: A x is a sum, so it stays a numpy product
+# a row with two nonzero entries: A x is a sum of two products
 COMPANION = LinearPlant(np.array([[0.0, 1.0], [-2.0, -0.7]]), np.array([0.0, 1.0]))
+REF = ReferenceSpec(2.0, 1.0)
+
+
+def models_on_one_grid(rng, n_data, count, family="squared_exponential", sf2=1.0, ell=(0.8, 1.5)):
+    # the models of a tracking batch: shared inputs, kernel and noise; only the targets differ
+    f, _, _ = benchmark_system()
+    X = rng.uniform(-3.0, 3.0, (n_data, 2))
+    spec = KernelSpec(family, sf2, ell)
+    return [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
+
+
+def assert_matches_the_oracle(loop, models, horizon, dt):
+    """run_closed_loop against scalar_closed_loop: the same states, or the same divergence."""
+    try:
+        expected = scalar_closed_loop(loop, models, REF, horizon, dt)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as new:
+            run_closed_loop(loop, models, REF, horizon, dt)
+        assert new.value.time == exc.time
+        assert str(new.value) == str(exc)
+        return None
+    runs = run_closed_loop(loop, models, REF, horizon, dt)
+    assert len(runs) == len(models)
+    for run, states in zip(runs, expected):
+        assert same_bits(run.states, states)
+    return runs
+
+
+@pytest.mark.parametrize("family", ["squared_exponential", "matern32", "matern52"])
+@pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
+@pytest.mark.parametrize("sf2", [1.0, 0.7, 2.5])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
+    count=st.sampled_from([1, 2, 3]),
+    n_data=st.sampled_from([0, 1, 7, 40]),
+    seed=st.integers(0, 2 ** 31 - 1),
+    steps=st.integers(0, 150),
+    dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
+)
+def test_rollout_matches_the_scalar_oracle(sf2, plant, family, theta, count, n_data, seed, steps, dt):
+    # at the coarse pitches one stage's h k is not small against x, so a last-bit change in the
+    # field reaches the states, and RK4 is unstable for some fast poles there
+    try:
+        loop = closed_loop(plant, np.array(theta))
+    except UnsupportedOperationError:
+        assume(False)
+    models = models_on_one_grid(np.random.default_rng(seed), n_data, count, family, sf2)
+    runs = assert_matches_the_oracle(loop, models, steps * dt, dt)
+    if runs is not None and count == 1:
+        assert same_run(run_closed_loop(loop, models[0], REF, steps * dt, dt), runs[0])  # one model, one run
+
+
+def mixed_batch(rng):
+    # other grids, other kernels and an empty model in one batch
+    f, _, _ = benchmark_system()
+    X = rng.uniform(-3, 3, (9, 2))
+    return [models_on_one_grid(rng, 25, 1)[0], models_on_one_grid(rng, 7, 1, ell=(1.0, 1.0))[0],
+            fit(KernelSpec("matern52", 2.5, (1.0, 1.5)), TrainingSet(X, f(X[:, 0], X[:, 1]), 0.01)),
+            models_on_one_grid(rng, 12, 1, "matern32", 0.7, (0.5, 2.0))[0],
+            fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))]
+
+
+@pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
+def test_a_mixed_batch_matches_the_oracle_and_each_model_alone(plant):
+    loop = closed_loop(plant, np.array([200.0, 20.0]))
+    models = mixed_batch(np.random.default_rng(3))
+    runs = assert_matches_the_oracle(loop, models, 0.3, 1e-3)
+    for model, run in zip(models, runs):
+        assert same_run(run, run_closed_loop(loop, model, REF, 0.3, 1e-3))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
     plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
-    n_data=st.sampled_from([0, 1, 7, 40]),
+    n_data=st.sampled_from([1, 7, 40]),
+    count=st.sampled_from([2, 3]),
     seed=st.integers(0, 2 ** 31 - 1),
-    steps=st.integers(0, 300),
-    dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
+    steps=st.integers(0, 200),
+    dt=st.sampled_from([0.02, 0.05]),
 )
-def test_run_closed_loop_matches_generic_integrate(theta, plant, n_data, seed, steps, dt):
-    # at the coarse pitches one stage's h k is not small against x, so a
-    # last-bit change in the field reaches the states
+def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, seed, steps, dt):
+    # at the coarse pitches a last-bit change in any stage reaches the states
     try:
         loop = closed_loop(plant, np.array(theta))
     except UnsupportedOperationError:
         assume(False)
-    f, _, _ = benchmark_system()
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)),
-                TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01))
-    ref = ReferenceSpec(2.0, 1.0)
-    horizon = steps * dt
-
-    args = (loop, model, ref, horizon, dt, f)
-    try:
-        new = run_closed_loop(*args)
-    except DivergenceError as exc:  # RK4 is unstable for some fast poles at the coarse pitches
-        with pytest.raises(DivergenceError) as old:
-            generic_run_closed_loop(*args)
-        assert old.value.time == exc.time
+    models = models_on_one_grid(np.random.default_rng(seed), n_data, count)
+    args = (REF, steps * dt, dt)
+    alone, first_divergence = [], None
+    for model in models:
+        try:
+            alone.append(run_closed_loop(loop, model, *args))
+        except DivergenceError as exc:
+            first_divergence = min(exc.time, first_divergence or math.inf)
+    if first_divergence is not None:
+        with pytest.raises(DivergenceError) as batch:
+            run_closed_loop(loop, models, *args)
+        assert batch.value.time == first_divergence
         return
-    old = generic_run_closed_loop(*args)
-    for field in ("times", "states", "reference_states"):
-        assert same_bits(getattr(new, field), getattr(old, field)), field
+    runs = run_closed_loop(loop, models, *args)
+    assert len(runs) == count
+    for run, one in zip(runs, alone):
+        assert same_run(run, one)
 
 
-def test_diverging_loop_raises_at_the_same_time():
-    def cubic(x1, x2):
-        return np.power(x2, 3)  # x2' = x2^3 + ... blows up in finite time; numpy gives inf where float ** raises
+# poles -5.86 and -34.1: at dt = 0.1, -3.41 lies outside RK4's stability interval [-2.79, 0]
+UNSTABLE_AT_A_TENTH = np.array([200.0, 40.0])
 
-    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([2.0, 1.0]))
-    model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
-    ref = ReferenceSpec(2.0, 1.0)
-    with np.errstate(all="ignore"):
-        with pytest.raises(DivergenceError) as new:
-            run_closed_loop(loop, model, ref, 5.0, 1e-3, cubic)
-        with pytest.raises(DivergenceError) as old:
-            generic_run_closed_loop(loop, model, ref, 5.0, 1e-3, cubic)
-    assert 0.0 < new.value.time < 5.0
-    assert new.value.time == old.value.time
-    assert str(new.value) == str(old.value)
+
+@pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
+def test_diverging_seeds_stop_their_batch_at_the_earliest_time(family):
+    # at an RK4-unstable pitch every seed diverges, from a kick as large as its weights: weights
+    # 1e100 and 1e200 times too large diverge earlier, and the batch stops at the earliest
+    loop = closed_loop(DOUBLE_INTEGRATOR, UNSTABLE_AT_A_TENTH)
+    models = models_on_one_grid(np.random.default_rng(5), 25, 3, family)
+    models[0] = dataclasses.replace(models[0], alpha=models[0].alpha * 1e100)
+    models[2] = dataclasses.replace(models[2], alpha=models[2].alpha * 1e200)
+    alone = []
+    for model in models:
+        with pytest.raises(DivergenceError) as exc:
+            run_closed_loop(loop, model, REF, 100.0, 0.1)
+        alone.append(exc.value)
+    assert alone[2].time < alone[0].time < alone[1].time < 100.0
+    with pytest.raises(DivergenceError) as batch:
+        run_closed_loop(loop, models, REF, 100.0, 0.1)
+    assert batch.value.time == alone[2].time
+    assert str(batch.value) == str(alone[2])
+    assert_matches_the_oracle(loop, models, 100.0, 0.1)
+
+
+def test_a_mean_that_overflows_diverges_at_the_first_step():
+    # weights of 1e308 near the start: the sum of the kernel terms overflows to inf
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
+    models = models_on_one_grid(np.random.default_rng(0), 25, 3, ell=(50.0, 50.0))
+    models[1] = dataclasses.replace(models[1], alpha=np.full(25, 1e308))
+    with pytest.raises(DivergenceError) as alone:
+        run_closed_loop(loop, models[1], REF, 3.0, 1e-3)
+    with pytest.raises(DivergenceError) as batch:
+        run_closed_loop(loop, models, REF, 3.0, 1e-3)
+    assert batch.value.time == alone.value.time == 1e-3
+    assert str(batch.value) == str(alone.value) == "state diverged at t = 0.001"
+    assert_matches_the_oracle(loop, models, 3.0, 1e-3)
 
 
 def test_run_closed_loop_rejects_other_plant_dimensions():
     plant = LinearPlant(np.diag([1.0, 1.0], 1), np.array([0.0, 0.0, 1.0]))
     loop = closed_loop(plant, np.array([6.0, 11.0, 6.0]))
     model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
-    f, _, _ = benchmark_system()
     with pytest.raises(ValueError):
-        run_closed_loop(loop, model, ReferenceSpec(2.0, 1.0), 1.0, 1e-3, f)
+        run_closed_loop(loop, model, REF, 1.0, 1e-3)
+
+
+def test_run_closed_loop_rejects_a_non_stationary_kernel():
+    # the core has no linear kernel; an empty linear model has mean 0 and runs
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
+    spec = KernelSpec("linear", 1.0, (1.0, 1.0))
+    with pytest.raises(UnsupportedOperationError):
+        run_closed_loop(loop, fit(spec, TrainingSet(np.ones((3, 2)), np.ones(3), 0.01)), REF, 0.1, 1e-3)
+    empty = run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), REF, 0.1, 1e-3)
+    se = run_closed_loop(loop, fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01)),
+                         REF, 0.1, 1e-3)
+    assert same_run(empty, se)
+
+
+def test_run_closed_loop_refuses_models_the_core_would_misread():
+    # a kernel of another dimension, or weights that do not match the inputs, would make the core
+    # read past the arrays it is handed
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
+    X = np.random.default_rng(0).uniform(-3.0, 3.0, (5, 2))
+    spec = KernelSpec("squared_exponential", 1.0, (1.0, 1.0))
+    model = fit(spec, TrainingSet(X, np.ones(5), 0.01))
+    for bad in (GPModel(KernelSpec("squared_exponential", 1.0, (1.0, 1.0, 1.0)),
+                        TrainingSet(np.ones((5, 3)), np.ones(5), 0.01), None, np.ones(5)),
+                dataclasses.replace(model, alpha=np.ones(4))):
+        with pytest.raises(ValueError):
+            run_closed_loop(loop, [model, bad], REF, 0.1, 1e-3)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
+    # the core evaluates the mean itself, from the inputs and alpha
+    calls = []
+    predict_mean = GPModel.predict_mean
+    monkeypatch.setattr(GPModel, "predict_mean", lambda self, x: calls.append(x) or predict_mean(self, x))
+    models = models_on_one_grid(np.random.default_rng(6), 25, count, "matern52", 1.3)
+    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
+    run_closed_loop(loop, models[0] if count == 1 else models, REF, 0.05, 1e-3)
+    assert calls == []
+    models[0].predict_mean(np.zeros(2))  # the spy does see a call
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["squared_exponential", "matern32", "matern52"]),
+    n=st.sampled_from([1, 2, 25, 179]),
+    ell=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+    sf2=st.floats(0.1, 10.0),
+    scale=st.sampled_from([0.0, 1e-3, 0.3, 3.0, 40.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_the_oracle_mean_is_predict_mean_to_rounding(family, n, ell, sf2, scale, seed):
+    # the rollout's mean, which the oracle pins bit for bit, is the posterior mean: only the
+    # summation order differs from predict_mean's BLAS dot
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-5.0, 5.0, (n, 2))
+    model = GPModel(KernelSpec(family, sf2, ell), TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
+    for _ in range(5):
+        x = X[rng.integers(n)] + scale * np.asarray(ell) * rng.normal(size=2)
+        terms = np.abs(gram(model.kernel, x[None, :], X)[0] * model.alpha).sum()
+        assert abs(scalar_mean(model, *x.tolist()) - model.predict_mean(x)) <= 1e-14 * terms
+
+
+def test_the_compiled_f_is_numpys_f_to_1e_15_on_the_box():
+    # the benchmark box [-5, 5]^2 at pitch 0.005: sin and exp of libm and of numpy differ in
+    # their last bits on some inputs, and f by at most a few ulps of its values (below 3)
+    f, _, _ = benchmark_system()
+    axis = np.linspace(-5.0, 5.0, 2001)
+    x1, x2 = (np.ascontiguousarray(c.ravel()) for c in np.meshgrid(axis, axis, indexing="ij"))
+    compiled = np.empty_like(x1)
+    lib = simulation._library()
+    lib.gpcert_benchmark_f.restype = None
+    lib.gpcert_benchmark_f.argtypes = [simulation.ctypes.c_int64] + [simulation._DOUBLES] * 3
+    lib.gpcert_benchmark_f(len(x1), x1, x2, compiled)
+    numpy_f = f(x1, x2)
+    assert np.abs(compiled - numpy_f).max() <= 1e-15
+    # and the oracle's f is the compiled one bit for bit
+    probe = [(a, b) for a, b in zip(x1[::40009].tolist(), x2[::40009].tolist())]
+    oracle_f = [1.0 - math.sin(2.0 * a) + 1.0 / (1.0 + math.exp(-b)) for a, b in probe]
+    assert same_bits(np.array(oracle_f), compiled[::40009])
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,56 +330,6 @@ def batch_benchmark_f(x):
     return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
 
 
-def independent_states(loop, model, ref, horizon, dt):
-    # mu through the batch predict_mean and f through the batch formula: a
-    # change to mean_at or to f on two floats shows up here
-    A, b, theta = loop.plant.A, loop.plant.b, loop.theta
-
-    def dynamics(t, x):
-        e = x - ref.state(t)
-        u_nom = -float(theta @ e) + float(ref.signal(t)) - model.predict_mean(x)
-        return A @ x + b * (u_nom + float(batch_benchmark_f(x)))
-
-    return integrate(dynamics, ref.state(0.0), horizon, dt)
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
-    plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
-    n_data=st.sampled_from([0, 1, 2, 25, 179]),
-    ell=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
-    seed=st.integers(0, 2 ** 31 - 1),
-    steps=st.integers(0, 200),
-    dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
-)
-def test_run_closed_loop_matches_an_independent_batch_reference(theta, plant, n_data, ell, seed, steps, dt):
-    try:
-        loop = closed_loop(plant, np.array(theta))
-    except UnsupportedOperationError:
-        assume(False)
-    f, _, _ = benchmark_system()
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    model = fit(KernelSpec("squared_exponential", 1.0, ell),
-                TrainingSet(X, batch_benchmark_f(X) + 0.1 * rng.normal(size=n_data), 0.01))
-    ref = ReferenceSpec(2.0, 1.0)
-    horizon = steps * dt
-    try:
-        with np.errstate(over="ignore"):
-            new = run_closed_loop(loop, model, ref, horizon, dt, f)
-    except DivergenceError as exc:
-        with pytest.raises(DivergenceError) as old, np.errstate(over="ignore"):
-            independent_states(loop, model, ref, horizon, dt)
-        assert old.value.time == exc.time
-        return
-    times, states = independent_states(loop, model, ref, horizon, dt)
-    assert same_bits(new.times, times)
-    assert same_bits(new.states, states)
-    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(0.01), len(states))
-    assert same_bits(measure(new.states, f, 0.01, seed).targets, batch_benchmark_f(states) + noise)
-
-
 # finite inputs: a NaN result may carry another sign bit in a vector lane
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -241,187 +348,3 @@ def test_nonlinearity_on_two_floats_is_the_batch_formula(x1, x2):
         assert same_bits(f(batch[:, 0], batch[:, 1]), batch_benchmark_f(batch))
 
 
-def same_run(a, b):
-    return all(same_bits(getattr(a, name), getattr(b, name)) for name in ("times", "states", "reference_states"))
-
-
-def models_on_one_grid(rng, n_data, count, ell=(0.8, 1.5)):
-    # the models of a tracking batch: shared inputs, kernel and noise; only the targets differ
-    f, _, _ = benchmark_system()
-    X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    spec = KernelSpec("squared_exponential", 1.0, ell)
-    return [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
-
-
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
-    plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
-    n_data=st.sampled_from([1, 7, 40]),
-    count=st.sampled_from([2, 3]),
-    seed=st.integers(0, 2 ** 31 - 1),
-    steps=st.integers(0, 200),
-    dt=st.sampled_from([0.02, 0.05]),
-)
-def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, seed, steps, dt):
-    # at the coarse pitches a last-bit change in any stage reaches the states
-    try:
-        loop = closed_loop(plant, np.array(theta))
-    except UnsupportedOperationError:
-        assume(False)
-    f, _, _ = benchmark_system()
-    models = models_on_one_grid(np.random.default_rng(seed), n_data, count)
-    args = (ReferenceSpec(2.0, 1.0), steps * dt, dt)
-    alone, first_divergence = [], None
-    with np.errstate(all="ignore"):
-        for model in models:
-            try:
-                alone.append(run_closed_loop(loop, model, *args, f))
-            except DivergenceError as exc:
-                first_divergence = min(exc.time, first_divergence or math.inf)
-        if first_divergence is not None:
-            with pytest.raises(DivergenceError) as batch:
-                run_closed_loop(loop, models, *args, f)
-            assert batch.value.time == first_divergence
-            return
-        runs = run_closed_loop(loop, models, *args, f)
-    assert len(runs) == count
-    for run, one in zip(runs, alone):
-        assert same_run(run, one)
-
-
-def test_batched_rollout_with_models_that_do_not_share_a_grid():
-    # other grids, another kernel and an empty model share no stacked mean: each model's own mean runs on its point
-    f, _, _ = benchmark_system()
-    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
-    rng = np.random.default_rng(3)
-    models = [models_on_one_grid(rng, 25, 1)[0], models_on_one_grid(rng, 7, 1, ell=(1.0, 1.0))[0],
-              fit(KernelSpec("matern52", 1.0, (1.0, 1.5)), TrainingSet(rng.uniform(-3, 3, (9, 2)), rng.normal(size=9), 0.01)),
-              fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))]
-    ref = ReferenceSpec(2.0, 1.0)
-    runs = run_closed_loop(loop, models, ref, 0.3, 1e-3, f)
-    for model, run in zip(models, runs):
-        assert same_run(run, run_closed_loop(loop, model, ref, 0.3, 1e-3, f))
-
-
-def far_cubic(x1, x2):
-    # zero near the reference, x2^3 beyond |x2| = 6, where it blows up in finite time
-    return np.where(np.abs(x2) > 6.0, np.power(x2, 3), 0.0)
-
-
-def test_a_diverging_seed_stops_its_batch_at_its_own_time():
-    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
-    models = models_on_one_grid(np.random.default_rng(0), 25, 3)
-    # a mean 1000 times too large throws the second seed out to where far_cubic diverges
-    models[1] = dataclasses.replace(models[1], alpha=models[1].alpha * 1e3)
-    ref = ReferenceSpec(2.0, 1.0)
-    with np.errstate(all="ignore"):
-        for s in (0, 2):
-            run_closed_loop(loop, models[s], ref, 3.0, 1e-3, far_cubic)
-        with pytest.raises(DivergenceError) as alone:
-            run_closed_loop(loop, models[1], ref, 3.0, 1e-3, far_cubic)
-        with pytest.raises(DivergenceError) as batch:
-            run_closed_loop(loop, models, ref, 3.0, 1e-3, far_cubic)
-    assert 0.5 < batch.value.time < 3.0
-    assert batch.value.time == alone.value.time
-    assert str(batch.value) == str(alone.value)
-
-
-def test_diverging_matern_seeds_stop_their_batch_at_the_earliest_time():
-    # the batch stops at the earliest divergence time of any seed, not at the first seed's
-    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
-    rng = np.random.default_rng(5)
-    X = rng.uniform(-3.0, 3.0, (25, 2))
-    f, _, _ = benchmark_system()
-    spec = KernelSpec("matern52", 1.0, (0.8, 1.5))
-    models = [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(3)]
-    # means 1500 and 3000 times too large throw seeds 0 and 2 out to where far_cubic diverges
-    models[0] = dataclasses.replace(models[0], alpha=models[0].alpha * 1.5e3)
-    models[2] = dataclasses.replace(models[2], alpha=models[2].alpha * 3e3)
-    ref = ReferenceSpec(2.0, 1.0)
-    alone = []
-    with np.errstate(all="ignore"):
-        run_closed_loop(loop, models[1], ref, 3.0, 1e-3, far_cubic)
-        for s in (0, 2):
-            with pytest.raises(DivergenceError) as exc:
-                run_closed_loop(loop, models[s], ref, 3.0, 1e-3, far_cubic)
-            alone.append(exc.value)
-        with pytest.raises(DivergenceError) as batch:
-            run_closed_loop(loop, models, ref, 3.0, 1e-3, far_cubic)
-    assert alone[1].time < alone[0].time
-    assert batch.value.time == alone[1].time
-    assert str(batch.value) == str(alone[1])
-
-
-@pytest.mark.parametrize("count", [1, 3])
-def test_rollout_calls_the_nonlinearity_on_two_python_floats(count):
-    f, _, _ = benchmark_system()
-    types = set()
-
-    def two_float_f(x1, x2):
-        types.add((type(x1), type(x2)))
-        return f(x1, x2)
-
-    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
-    models = models_on_one_grid(np.random.default_rng(4), 7, count)
-    run_closed_loop(loop, models[0] if count == 1 else models, ReferenceSpec(2.0, 1.0), 0.05, 1e-3, two_float_f)
-    assert types == {(float, float)}
-
-
-@pytest.mark.parametrize("family", ["squared_exponential", "matern32", "matern52"])
-@pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
-@pytest.mark.parametrize("sf2", [1.0, 0.7, 2.5])
-@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
-    n_data=st.sampled_from([1, 7, 40]),
-    seed=st.integers(0, 2 ** 31 - 1),
-    steps=st.integers(1, 200),
-    dt=st.sampled_from([0.02, 0.05]),
-)
-def test_one_seed_rollout_matches_generic_integrate_at_each_signal_variance(sf2, plant, family, theta, n_data,
-                                                                           seed, steps, dt):
-    # sf2 = 1.0 drops the kernel routine's multiply; the companion row makes A x a sum that one
-    # fused gemm would round differently
-    try:
-        loop = closed_loop(plant, np.array(theta))
-    except UnsupportedOperationError:
-        assume(False)
-    f, _, _ = benchmark_system()
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3.0, 3.0, (n_data, 2))
-    model = fit(KernelSpec(family, sf2, (0.8, 1.5)),
-                TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01))
-    ref = ReferenceSpec(2.0, 1.0)
-    args = (loop, model, ref, steps * dt, dt, f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            new = run_closed_loop(*args)
-        except DivergenceError as exc:
-            with pytest.raises(DivergenceError) as old:
-                generic_run_closed_loop(*args)
-            assert old.value.time == exc.time
-            return
-        old = generic_run_closed_loop(*args)
-        times, states = independent_states(loop, model, ref, steps * dt, dt)
-    assert same_run(new, old)
-    assert same_bits(new.times, times)
-    assert same_bits(new.states, states)
-
-
-@pytest.mark.parametrize("count", [1, 3])
-def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
-    # every stationary family reaches the kernel through the buffered routine at every stage
-    f, _, _ = benchmark_system()
-    rng = np.random.default_rng(6)
-    X = rng.uniform(-3.0, 3.0, (25, 2))
-    spec = KernelSpec("matern52", 1.3, (0.8, 1.5))
-    models = [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=25), 0.01)) for _ in range(count)]
-    calls = []
-    predict_mean = GPModel.predict_mean
-    monkeypatch.setattr(GPModel, "predict_mean", lambda self, x: calls.append(x) or predict_mean(self, x))
-    loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
-    run_closed_loop(loop, models[0] if count == 1 else models, ReferenceSpec(2.0, 1.0), 0.05, 1e-3, f)
-    assert calls == []
-    models[0].predict_mean(X[0])  # the spy does see a call
-    assert len(calls) == 1

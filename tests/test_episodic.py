@@ -24,7 +24,6 @@ PLANT = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
 
 
 def small_episode_config(target=0.1, **overrides):
-    f, _, _ = benchmark_system()
     kwargs = dict(
         target_error=target,
         xi=0.95,
@@ -37,7 +36,6 @@ def small_episode_config(target=0.1, **overrides):
         domain=DomainBox(2, 10.0),
         noise_variance=0.01,
         L_f=2.0,
-        nonlinearity=f,
         seed=0,
     )
     kwargs.update(overrides)

@@ -10,7 +10,7 @@ from gpcert import gp, kernels
 from gpcert.bounds import DomainBox, probabilistic_lipschitz
 from gpcert.density import data_density_batch
 from gpcert.errors import IllConditionedDataError
-from gpcert.gp import GPModel, TrainingSet, add_samples, downsample, fit, stacked_mean_function
+from gpcert.gp import TrainingSet, add_samples, downsample, fit
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram, kernel_diag
 from gpcert.simulation import prior_draw, prior_factor
 
@@ -122,17 +122,6 @@ def test_refit_matches_cached_factorization():
     q = np.random.default_rng(6).uniform(-3, 3, (7, 2))
     np.testing.assert_allclose(refit.predict_mean(q), m.predict_mean(q), rtol=1e-8)
     np.testing.assert_allclose(refit.predict_var(q), m.predict_var(q), rtol=1e-8, atol=1e-12)
-
-
-def test_mean_function_matches_predict_mean_exactly():
-    rng = np.random.default_rng(8)
-    m = random_model(rng, se_unit(2), n=14)
-    f = buffered_mean(m)
-    for _ in range(50):
-        x = rng.uniform(-4, 4, 2)
-        assert f(x) == m.predict_mean(x)  # identical operation order, no tolerance
-    empty = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    assert buffered_mean(empty)(np.zeros(2)) == 0.0
 
 
 def test_ill_conditioned_duplicates_raise():
@@ -273,113 +262,6 @@ def test_probabilistic_lipschitz_grid_is_blocked():
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
     peak = _traced_peak(lambda: probabilistic_lipschitz(spec, DomainBox(2, 10.0), 0.01))
     assert peak < 24 * 2 ** 20
-
-
-def _bits(v):
-    return np.float64(v).tobytes()
-
-
-def buffered_mean(model, d=2):
-    # x -> mu(x) through mean_at bound to a d-buffer, the way the one-seed stepper reads it
-    xc = np.empty(d)
-    mean = model.mean_at(xc)
-
-    def mean_of(x):
-        xc[:] = x
-        return mean()
-
-    return mean_of
-
-
-@settings(max_examples=60, deadline=None)
-# exp underflows to 0 on one axis; the query sits on a data point; k = [0] against a negative
-# alpha gives mu = +0.0; a Matern query on a data point takes r = 0
-@example(family=SQUARED_EXPONENTIAL, n=1009, ell=(1e-2, 1e2), sf2=1.0, scale=1e3, seed=0)
-@example(family=SQUARED_EXPONENTIAL, n=257, ell=(1e2, 1e-2), sf2=2.5, scale=0.0, seed=1)
-@example(family=SQUARED_EXPONENTIAL, n=1, ell=(1.0, 1.0), sf2=1.0, scale=40.0, seed=1)
-@example(family=MATERN52, n=25, ell=(0.8, 1.5), sf2=1.0, scale=0.0, seed=2)
-@given(
-    family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52]),
-    n=st.sampled_from([1, 2, 25, 179, 257, 1009]),
-    ell=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
-    sf2=st.floats(0.1, 10.0),
-    scale=st.sampled_from([0.0, 1e-3, 0.3, 3.0, 40.0, 1e3]),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_buffered_mean_closure_is_bitwise_predict_mean(family, n, ell, sf2, scale, seed):
-    # scale is the query's offset from a data point in lengthscales: at 40
-    # and beyond every squared-exponential value underflows to 0
-    rng = np.random.default_rng(seed)
-    spec = KernelSpec(family, sf2, ell)
-    X = rng.uniform(-5.0, 5.0, (n, 2))
-    model = GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
-    mean = buffered_mean(model)
-    for _ in range(5):
-        x = X[rng.integers(n)] + scale * np.asarray(ell) * rng.normal(size=2)
-        assert _bits(mean(x)) == _bits(model.predict_mean(x))
-
-
-def test_mean_closure_outside_the_buffered_case():
-    rng = np.random.default_rng(10)
-    empty = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    assert buffered_mean(empty)(np.ones(2)) == 0.0 == empty.predict_mean(np.ones(2))
-    for d in (1, 3):
-        model = random_model(rng, KernelSpec(SQUARED_EXPONENTIAL, 1.3, tuple(rng.uniform(0.5, 2.0, d))), 30)
-        mean = buffered_mean(model, d)
-        for _ in range(20):
-            x = rng.uniform(-4.0, 4.0, d)
-            assert _bits(mean(x)) == _bits(model.predict_mean(x))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    family=st.sampled_from([SQUARED_EXPONENTIAL, MATERN32, MATERN52]),
-    n=st.sampled_from([1, 2, 7, 25, 300]),
-    count=st.integers(1, 5),
-    ell=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
-    sf2=st.floats(0.1, 10.0),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_stacked_mean_closure_is_each_models_own_closure(family, n, count, ell, sf2, seed):
-    rng = np.random.default_rng(seed)
-    spec = KernelSpec(family, sf2, ell)
-    X = rng.uniform(-5.0, 5.0, (n, 2))
-    models = [GPModel(spec, TrainingSet(X, rng.normal(size=n), 0.01), None, rng.normal(size=n))
-              for _ in range(count)]
-    stacked = stacked_mean_function(models)
-    singles = [buffered_mean(m) for m in models]
-    mu = np.empty((count, 1, 1))
-    for _ in range(3):
-        P = X[rng.integers(n, size=count)] + np.asarray(ell) * rng.normal(size=(count, 2))
-        stacked(P.T[:, :, None], mu)
-        for s in range(count):
-            assert _bits(mu[s, 0, 0]) == _bits(singles[s](P[s]))
-
-
-def test_stacked_mean_closure_needs_one_se_kernel_and_shared_inputs():
-    rng = np.random.default_rng(11)
-    X = rng.uniform(-4.0, 4.0, (20, 2))
-    se = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
-    model = fit(se, TrainingSet(X, rng.normal(size=20), 0.01))
-    mu = np.empty((2, 1, 1))
-
-    def assert_each_predict_mean(models):
-        stacked = stacked_mean_function(models)
-        for _ in range(3):
-            P = rng.uniform(-4.0, 4.0, (2, 2))
-            stacked(P.T[:, :, None], mu)
-            for s, m in enumerate(models):
-                assert _bits(mu[s, 0, 0]) == _bits(m.predict_mean(P[s]))
-
-    assert_each_predict_mean([model, fit(se, TrainingSet(X, rng.normal(size=20), 0.01))])
-    for other in (
-        fit(se, TrainingSet(X[:12], rng.normal(size=12), 0.01)),  # other inputs
-        fit(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.0)), TrainingSet(X, rng.normal(size=20), 0.01)),
-        fit(KernelSpec(MATERN52, 1.0, (1.0, 1.5)), TrainingSet(X, rng.normal(size=20), 0.01)),
-        fit(se, TrainingSet.empty(2, 0.01)),
-    ):
-        assert_each_predict_mean([model, other])
-        assert_each_predict_mean([other, model])
 
 
 def test_with_targets_is_fit_on_the_new_targets():

@@ -54,7 +54,7 @@ def test_run_closed_loop_samples_the_reference_once_on_the_half_step_grid(S):
     models = [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=9), 0.01)) for _ in range(S)]
     spy = SpyReference(ReferenceSpec(2.0, 1.0))
 
-    runs = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), models, spy, HORIZON, DT, f)
+    runs = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), models, spy, HORIZON, DT)
 
     grid = half_step_times(HORIZON, DT)
     assert sorted(name for name, _ in spy.calls) == ["signal", "state"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def routine_sqdist(spec, X, Y):
     D = np.empty((spec.dim, len(X), len(Y)))
     q = np.empty((len(X), len(Y)))
     _rows(KernelSpec(LINEAR, 1.0, spec.lengthscales), X.T[:, :, None], Y.T[:, None, :],
-          spec.ell[:, None, None], D, tuple(D), q)
+          spec.ell[:, None, None], D, q)
     return q
 
 
@@ -309,3 +310,16 @@ def test_per_coordinate_sqdist_is_bytewise_the_einsum(ell, n, m, scale, seed):
     got = routine_sqdist(spec, X, Y)
     assert got.shape == (n, m)
     assert got.tobytes() == einsum_sqdist(spec, X, Y).tobytes()
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN32, MATERN52])
+@pytest.mark.parametrize("sf2", [1.0, 2.5])
+def test_gram_at_a_tiny_lengthscale_is_sf2_times_the_identity(family, sf2):
+    # the scaled distance of distinct points overflows to inf; k there is exactly 0, not
+    # inf * exp(-inf) = NaN, and no overflow warning is raised
+    X = np.random.default_rng(0).uniform(-4.0, 4.0, (30, 2))
+    spec = KernelSpec(family, sf2, (1e-200, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = gram(spec, X)
+    assert K.tobytes() == (sf2 * np.eye(30)).tobytes()
