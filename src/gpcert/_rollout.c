@@ -1,11 +1,11 @@
-/* Closed-loop RK4 of the benchmark plant for S seeds at once.
+/* Closed-loop RK4 of the benchmark plant under one GP model.
  *
- * Seed s integrates x' = A x + b (u + f(x)) with the nominal input
- * u = -theta^T (x - x_ref) + r_ref - mu_s(x), where mu_s is the posterior mean
- * of seed s's GP (squared exponential, Matern 3/2 or Matern 5/2 at d = 2; an
- * empty model has no rows and mean 0) and f is the benchmark nonlinearity.
- * The seeds share A, b, theta, the samples of x_ref and r_ref on the
- * half-step grid, and f; each has its own kernel, inputs and weights alpha.
+ * The loop integrates x' = A x + b (u + f(x)) with the nominal input
+ * u = -theta^T (x - x_ref) + r_ref - mu(x), where mu is the posterior mean of
+ * the model (squared exponential, Matern 3/2 or Matern 5/2 at d = 2, from its
+ * inputs and weights alpha; an empty model has no rows and mean 0) and f is
+ * the benchmark nonlinearity.  x_ref and r_ref are sampled on the half-step
+ * grid.
  *
  * Every value is a plain IEEE double expression: sums run left to right, and
  * the library is compiled with -ffp-contract=off, so no multiply-add is fused.
@@ -77,43 +77,34 @@ static void field(const struct model *m, const double *A, const double *b, const
     out[1] = (A[2] * x0 + A[3] * x1) + b[1] * u;
 }
 
-/* Step every seed n times at pitch dt from states[s][0].
+/* Step the loop n times at pitch dt from states[0].
  *
  * ref holds x_ref's two coordinates and r_ref, each at the 2n + 1 half-step
- * times; step k reads samples 2k - 2, 2k - 1 and 2k.  kernel holds
- * (sf2, l0, l1) per seed, and the inputs and weights of seed s are rows
- * offsets[s] to offsets[s + 1] of inputs and alpha.  states is (S, n + 1, 2).
- * Returns 0, or the first step k at which some seed's state is not finite;
- * no seed is stepped past that step, and the rows from there on are unset.
+ * times; step k reads samples 2k - 2, 2k - 1 and 2k.  The model is its
+ * family, (sf2, l0, l1), N rows of inputs and N weights.  states is
+ * (n + 1, 2).  Returns 0, or the first step k whose state is not finite; the
+ * rows from there on are unset.
  */
-int64_t gpcert_rollout(int64_t S, int64_t n, double dt, const double *A, const double *b,
-                       const double *theta, const double *ref, const int32_t *family,
-                       const double *kernel, const int64_t *offsets, const double *inputs,
-                       const double *alpha, double *states)
+int64_t gpcert_rollout(int64_t n, double dt, const double *A, const double *b, const double *theta,
+                       const double *ref, int32_t family, double sf2, double l0, double l1, int64_t N,
+                       const double *inputs, const double *alpha, double *states)
 {
     const double h = dt / 2.0, h6 = dt / 6.0;
     const double *xr0 = ref, *xr1 = ref + (2 * n + 1), *rr = ref + 2 * (2 * n + 1);
-    int64_t stop = n + 1;
-    for (int64_t s = 0; s < S; s++) {
-        const struct model m = {family[s], kernel[3 * s], kernel[3 * s + 1], kernel[3 * s + 2],
-                                offsets[s + 1] - offsets[s], inputs + 2 * offsets[s], alpha + offsets[s]};
-        double *x = states + 2 * (n + 1) * s;
-        double x0 = x[0], x1 = x[1], k1[2], k2[2], k3[2], k4[2];
-        for (int64_t k = 1; k < stop; k++) {
-            const int64_t a = 2 * k - 2, c = a + 1, e = a + 2;
-            field(&m, A, b, theta, x0, x1, xr0[a], xr1[a], rr[a], k1);
-            field(&m, A, b, theta, x0 + h * k1[0], x1 + h * k1[1], xr0[c], xr1[c], rr[c], k2);
-            field(&m, A, b, theta, x0 + h * k2[0], x1 + h * k2[1], xr0[c], xr1[c], rr[c], k3);
-            field(&m, A, b, theta, x0 + dt * k3[0], x1 + dt * k3[1], xr0[e], xr1[e], rr[e], k4);
-            x0 = x0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]);
-            x1 = x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]);
-            if (!(isfinite(x0) && isfinite(x1))) {
-                stop = k;
-                break;
-            }
-            x[2 * k] = x0;
-            x[2 * k + 1] = x1;
-        }
+    const struct model m = {family, sf2, l0, l1, N, inputs, alpha};
+    double x0 = states[0], x1 = states[1], k1[2], k2[2], k3[2], k4[2];
+    for (int64_t k = 1; k <= n; k++) {
+        const int64_t a = 2 * k - 2, c = a + 1, e = a + 2;
+        field(&m, A, b, theta, x0, x1, xr0[a], xr1[a], rr[a], k1);
+        field(&m, A, b, theta, x0 + h * k1[0], x1 + h * k1[1], xr0[c], xr1[c], rr[c], k2);
+        field(&m, A, b, theta, x0 + h * k2[0], x1 + h * k2[1], xr0[c], xr1[c], rr[c], k3);
+        field(&m, A, b, theta, x0 + dt * k3[0], x1 + dt * k3[1], xr0[e], xr1[e], rr[e], k4);
+        x0 = x0 + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]);
+        x1 = x1 + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]);
+        if (!(isfinite(x0) && isfinite(x1)))
+            return k;
+        states[2 * k] = x0;
+        states[2 * k + 1] = x1;
     }
-    return stop <= n ? stop : 0;
+    return 0;
 }

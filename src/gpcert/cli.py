@@ -316,23 +316,18 @@ def _tracking_bound(cfg: dict, model: GPModel, L_f: float) -> bnd.BoundReport:
     return bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box)
 
 
-# A tracking batch rolls out and writes its seeds in sub-batches that hold at
-# most this many state elements (two per seed and sample time) at once.
-_STATE_BUDGET = 1 << 21
-
-
 def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict]:
-    """Seeds of the tracking experiment, rolled out together; L_f is the run's, and the
+    """Seeds of the tracking experiment, one after another; L_f is the run's, and the
     comparison ODE and the gain condition take the kernel's own L_sigma.
 
     One factorization serves every seed's model (:func:`_tracking_models`).
     The seeds share inputs, kernel, noise, gains and reference, so their
-    posterior stddev along the reference is one array, computed once.  The
-    seeds are then rolled out in sub-batches of at most
-    _STATE_BUDGET / (2 (n + 1)) seeds, n being the step count: one
-    :func:`run_closed_loop` steps every seed of a sub-batch, and a per-seed
-    writer forms eta and upsilon and writes the seed's CSVs before the next
-    sub-batch is rolled out.
+    posterior stddev along the reference is one array, computed once.  Each
+    seed is then rolled out by :func:`run_closed_loop`, its eta and upsilon
+    formed and its CSVs written before the next seed is rolled out, so one
+    seed's states are held at a time.  A seed that diverges raises there:
+    the seeds before it have written their artifacts, it and the later ones
+    write none.
     """
     box = _box_from(cfg)
     L_k, L_sigma = bnd.kernel_constants(_kernel_from(cfg), box)
@@ -357,7 +352,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     period = ref.period
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
-    def seed_result(seed, model, rep, sim):
+    def seed_result(seed, model, rep):
+        sim = run_closed_loop(loop, model, ref, horizon, dt)
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
         e = sim.error_norms
@@ -401,14 +397,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
             "L_k": L_k,
         }
 
-    size = max(1, _STATE_BUDGET // (2 * (trk.step_count(horizon, dt) + 1)))
-    results = []
-    for lo in range(0, len(seeds), size):
-        sub = slice(lo, lo + size)
-        sims = run_closed_loop(loop, models[sub], ref, horizon, dt)
-        results += map(seed_result, seeds[sub], models[sub], reps[sub], sims)
-        del sims  # this sub-batch's states go before the next rollout allocates its own
-    return results
+    return list(map(seed_result, seeds, models, reps))
 
 
 def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]:
@@ -416,8 +405,8 @@ def run_tracking(cfg: dict, out_dir: str, workers: int = 1) -> tuple[dict, bool]
     costly constant, is computed once, here, and handed to every batch.
 
     A seed's artifacts do not depend on its batch.  A seed that diverges
-    stops its sub-batch (see :func:`_run_tracking_batch`) before that
-    sub-batch writes any artifact; earlier sub-batches have written theirs.
+    ends its batch (see :func:`_run_tracking_batch`) after the earlier seeds
+    of that batch have written their artifacts.
     """
     spec, box, bb = _kernel_from(cfg), _box_from(cfg), cfg["bound"]
     L_f = bnd.probabilistic_lipschitz(spec, box, bb["delta_L"]) if bb["L_f"] == "probabilistic" else float(bb["L_f"])

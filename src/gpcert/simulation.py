@@ -140,7 +140,7 @@ class SimRun:
         return float(np.linalg.norm(dx, axis=1).max())
 
 
-def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float, fine_dt: float):
+def run_closed_loop(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizon: float, fine_dt: float) -> SimRun:
     """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the benchmark plant.
 
     The sign convention matches the error dynamics e' = (A - b theta^T) e +
@@ -148,45 +148,34 @@ def run_closed_loop(loop: ClosedLoop, models, ref: ReferenceSpec, horizon: float
     The applied input is u / g(x) with g known exactly, so g cancels from the
     dynamics; the tracking writer records that input.
 
-    One model gives one :class:`SimRun`.  A sequence of S models gives a
-    list of S runs, each bit-identical to the run of its model alone.  Every
-    model needs a stationary kernel at d = 2 or no data.  x_ref and r_ref are
-    sampled once, on :func:`tracking.half_step_times`: every run starts at
+    The model needs a stationary kernel at d = 2 or no data.  x_ref and r_ref
+    are sampled once, on :func:`tracking.half_step_times`: the run starts at
     x_ref(0), and its times and reference states are the even samples.  The
-    compiled core (:func:`_library`) steps all S models in one call; a model
-    that diverges raises at the earliest divergence time of the batch.
+    compiled core (:func:`_library`) steps the loop; a state that is not
+    finite raises :class:`DivergenceError` at its time.
     """
-    single = isinstance(models, GPModel)
-    if single:
-        models = [models]
     if loop.plant.A.shape != (2, 2):
         raise ValueError("the closed-loop simulation needs a plant of dimension 2")
-    fitted = [m for m in models if len(m) > 0]
-    for m in fitted:
-        if not m.kernel.stationary:
-            raise UnsupportedOperationError(f"the rollout needs a stationary kernel, got {m.kernel.family!r}")
-        # the core reads N rows of two inputs and N weights per model
-        if m.kernel.dim != 2 or m.data.inputs.shape != (len(m), 2) or m.alpha.shape != (len(m),):
-            raise ValueError("the closed-loop simulation needs models of dimension 2 with one weight per input")
+    spec, N = model.kernel, len(model)
+    if N and not spec.stationary:
+        raise UnsupportedOperationError(f"the rollout needs a stationary kernel, got {spec.family!r}")
+    # the core reads N rows of two inputs and N weights
+    if N and (spec.dim != 2 or model.data.inputs.shape != (N, 2) or model.alpha.shape != (N,)):
+        raise ValueError("the closed-loop simulation needs a model of dimension 2 with one weight per input")
     t_half = half_step_times(horizon, fine_dt)
     x_half, r_half = ref.state(t_half), ref.signal(t_half)
     times, n = t_half[::2], len(t_half) // 2
-    # per model: its family (any code for an empty model, which has no rows), (sf2, l0, l1),
-    # and its rows offsets[s]:offsets[s + 1] of the stacked inputs and weights
-    family = np.array([_FAMILY_CODES[m.kernel.family] if len(m) else 0 for m in models], dtype=np.int32)
-    kernel = _doubles([(m.kernel.signal_variance, *m.kernel.lengthscales) if len(m) else (1.0,) * 3 for m in models])
-    offsets = np.cumsum([0] + [len(m) for m in models], dtype=np.int64)
-    inputs = _doubles(np.concatenate([np.empty((0, 2))] + [m.data.inputs for m in fitted]))
-    alpha = _doubles(np.concatenate([np.empty(0)] + [m.alpha for m in fitted]))
-    states = np.empty((len(models), n + 1, 2))
-    states[:, 0] = x_half[0]
+    states = np.empty((n + 1, 2))
+    states[0] = x_half[0]
+    # family, sf2, l0, l1; the core reads none of them for an empty model, which has no rows
+    kernel = (_FAMILY_CODES[spec.family], spec.signal_variance, *spec.lengthscales) if N else (0, 1.0, 1.0, 1.0)
     diverged = _library().gpcert_rollout(
-        len(models), n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta),
-        _doubles(np.vstack([x_half.T, r_half])), family, kernel, offsets, inputs, alpha, states)
+        n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta),
+        _doubles(np.vstack([x_half.T, r_half])), *kernel, N, _doubles(model.data.inputs), _doubles(model.alpha),
+        states)
     if diverged:
         raise _diverged(times, diverged)
-    runs = [SimRun(times, run, x_half[::2]) for run in states]
-    return runs[0] if single else runs
+    return SimRun(times, states, x_half[::2])
 
 
 def measure(states: np.ndarray, nonlinearity, noise_variance: float, seed: int) -> TrainingSet:
@@ -257,9 +246,8 @@ def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     lib.gpcert_rollout.restype = ctypes.c_int64
     lib.gpcert_rollout.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES,
-        np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"), _DOUBLES,
-        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), _DOUBLES, _DOUBLES,
+        ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES,
+        ctypes.c_int32, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64, _DOUBLES, _DOUBLES,
         np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))]
     return lib
 

@@ -265,16 +265,16 @@ def scalar_mean(model: GPModel, p0: float, p1: float) -> float:
     return acc
 
 
-def scalar_closed_loop(loop, models, ref, horizon: float, dt: float) -> list[np.ndarray]:
-    """The states of ``simulation.run_closed_loop`` for each model, stepped on Python floats.
+def scalar_closed_loop(loop, model, ref, horizon: float, dt: float) -> np.ndarray:
+    """The states of ``simulation.run_closed_loop`` for one model, stepped on Python floats.
 
     Every operation of ``_rollout.c`` in its order: the benchmark f as
     1 - sin(2 x1) + 1 / (1 + exp(-x2)), the kernel as in ``kernels._rows``,
     the mean, theta^T e and A x as plain left-to-right sums, and the RK4
     stages on the half-step samples of x_ref and r_ref.  Python floats do not
     fuse multiply-adds, and math.exp and math.sin are libm's.  The first
-    step at which some seed's state is not finite raises
-    :class:`DivergenceError` with its time, as the rollout does.
+    step whose state is not finite raises :class:`DivergenceError` with its
+    time, as the rollout does.
     """
     (a00, a01), (a10, a11) = loop.plant.A.tolist()
     b0, b1 = loop.plant.b.tolist()
@@ -283,31 +283,23 @@ def scalar_closed_loop(loop, models, ref, horizon: float, dt: float) -> list[np.
     x_half, r_half = ref.state(t_half), ref.signal(t_half)
     times = t_half[::2]
     h, h6 = dt / 2.0, dt / 6.0
-    runs, stop = [], len(times)
-    for model in models:
 
-        def field(x0, x1, r0, r1, rff):
-            u = (-(th0 * (x0 - r0) + th1 * (x1 - r1)) + rff - scalar_mean(model, x0, x1)
-                 + (1.0 - _sin(2.0 * x0) + 1.0 / (1.0 + _exp(-x1))))
-            return (a00 * x0 + a01 * x1) + b0 * u, (a10 * x0 + a11 * x1) + b1 * u
+    def field(x0, x1, r0, r1, rff):
+        u = (-(th0 * (x0 - r0) + th1 * (x1 - r1)) + rff - scalar_mean(model, x0, x1)
+             + (1.0 - _sin(2.0 * x0) + 1.0 / (1.0 + _exp(-x1))))
+        return (a00 * x0 + a01 * x1) + b0 * u, (a10 * x0 + a11 * x1) + b1 * u
 
-        x0, x1 = x_half[0].tolist()
-        states = [(x0, x1)]
-        stages = tracking.stage_samples(x_half[:, 0], x_half[:, 1], r_half)
-        for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
-            if k >= stop:
-                break
-            k10, k11 = field(x0, x1, ra0, ra1, sa)
-            k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
-            k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
-            k40, k41 = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
-            x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
-            x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-            if not (math.isfinite(x0) and math.isfinite(x1)):
-                stop = k
-                break
-            states.append((x0, x1))
-        runs.append(np.array(states, dtype=float).reshape(-1, 2))
-    if stop < len(times):
-        raise DivergenceError(f"state diverged at t = {times[stop]:.6g}", time=float(times[stop]))
-    return runs
+    x0, x1 = x_half[0].tolist()
+    states = [(x0, x1)]
+    stages = tracking.stage_samples(x_half[:, 0], x_half[:, 1], r_half)
+    for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
+        k10, k11 = field(x0, x1, ra0, ra1, sa)
+        k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
+        k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
+        k40, k41 = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
+        x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
+        x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        if not (math.isfinite(x0) and math.isfinite(x1)):
+            raise DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
+        states.append((x0, x1))
+    return np.array(states, dtype=float).reshape(-1, 2)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from gpcert import cli, gp, tracking
+from gpcert.errors import DivergenceError
 from gpcert.kernels import KernelSpec
 from gpcert.simulation import ReferenceSpec, benchmark_system, measure
 
@@ -775,7 +777,7 @@ def tracking_outputs(out, seeds):
 
 
 def test_a_seeds_artifacts_do_not_depend_on_its_batch(tmp_path):
-    # seed 3 stepped alone takes the one-seed stepper, inside seeds 0-9 the batched one
+    # seed 3 alone fits its own model; inside seeds 0-9 its model reuses seed 0's factorization
     assert cli.run(tracking_config(tmp_path / "alone", seeds=(3,), horizon=0.5)) == 0
     assert cli.run(tracking_config(tmp_path / "batch", seeds=range(10), horizon=0.5)) == 0
     alone, alone_rows, _ = tracking_outputs(tmp_path / "alone", (3,))
@@ -883,18 +885,15 @@ def test_the_one_pass_writer_writes_the_bytes_of_one_call_per_file(tmp_path, mon
         assert read_bytes(tmp_path / f"joint_{name}") == body, name
 
 
-def test_sub_batches_match_one_batch_and_workers(tmp_path, monkeypatch):
+def test_each_seed_is_one_rollout_after_one_factor_serially_and_with_workers(tmp_path, monkeypatch):
     seeds, horizon = range(5), 0.5
-    assert cli.run(tracking_config(tmp_path / "whole", seeds=seeds, horizon=horizon)) == 0
     assert cli.run(tracking_config(tmp_path / "fanned", seeds=seeds, horizon=horizon), workers=2) == 0
-    states = tracking.step_count(horizon, 1e-3) + 1
-    monkeypatch.setattr(cli, "_STATE_BUDGET", 2 * 2 * states + 1)  # two seeds a sub-batch, not three
     rollouts, factors = [], []
     run_closed_loop, cholesky = cli.run_closed_loop, scipy.linalg.cholesky
 
-    def counted_rollout(loop, models, *args):
-        rollouts.append(len(models))
-        return run_closed_loop(loop, models, *args)
+    def counted_rollout(loop, model, *args):
+        rollouts.append(model)
+        return run_closed_loop(loop, model, *args)
 
     def counted_factor(*args, **kwargs):
         factors.append(args[0].shape)
@@ -902,34 +901,63 @@ def test_sub_batches_match_one_batch_and_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_closed_loop", counted_rollout)
     monkeypatch.setattr(scipy.linalg, "cholesky", counted_factor)
-    assert cli.run(tracking_config(tmp_path / "split", seeds=seeds, horizon=horizon)) == 0
-    assert rollouts == [2, 2, 1]
-    assert factors == [(25, 25)]  # still once per worker batch
-    split_files, _, split = tracking_outputs(tmp_path / "split", seeds)
-    del split["resolved_config"]["out_dir"]
-    for name in ("whole", "fanned"):
-        files, _, summary = tracking_outputs(tmp_path / name, seeds)
+    assert cli.run(tracking_config(tmp_path / "serial", seeds=seeds, horizon=horizon)) == 0
+    assert len(rollouts) == 5 and all(isinstance(m, gp.GPModel) for m in rollouts)
+    assert factors == [(25, 25)]  # once per worker batch
+    serial_files, _, serial = tracking_outputs(tmp_path / "serial", seeds)
+    fanned_files, _, fanned = tracking_outputs(tmp_path / "fanned", seeds)
+    assert fanned_files == serial_files
+    for summary in (serial, fanned):
         del summary["resolved_config"]["out_dir"]
-        assert files == split_files, name
-        assert summary == split, name
+    assert fanned == serial
 
 
-def test_a_seed_diverging_in_a_later_sub_batch_stops_it_after_earlier_ones_wrote(tmp_path, monkeypatch, capsys):
-    horizon = 0.5
-    monkeypatch.setattr(cli, "_STATE_BUDGET", 2 * 2 * (tracking.step_count(horizon, 1e-3) + 1))
+def test_a_diverging_seed_ends_its_batch_after_the_earlier_seeds_wrote(tmp_path, monkeypatch, capsys):
+    horizon, fits = 0.5, []
     tracking_models = cli._tracking_models
 
     def models_with_overflowing_weights_for_the_third_seed(cfg, seeds):
-        return [dataclasses.replace(m, alpha=m.alpha * 1e308) if k == 2 else m
-                for k, m in enumerate(tracking_models(cfg, seeds))]
+        fits.extend(dataclasses.replace(m, alpha=m.alpha * 1e308) if k == 2 else m
+                    for k, m in enumerate(tracking_models(cfg, seeds)))
+        return fits
 
     monkeypatch.setattr(cli, "_tracking_models", models_with_overflowing_weights_for_the_third_seed)
     out = tmp_path / "t"
+    cfg = tracking_config(out, seeds=range(5), horizon=horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself, in the bound constants
-        rc = cli.run(tracking_config(out, seeds=range(5), horizon=horizon))
+        rc = cli.run(cfg)
     assert rc == cli.EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("numerical failure in tracking: state diverged at t = ")
-    # the first sub-batch, seeds 0 and 1, wrote its artifacts; the second stopped before writing any
+    # the message is the third seed's own divergence
+    resolved, _ = cli.resolve(cfg)
+    loop = tracking.closed_loop(benchmark_system()[2], cli._theta_from(resolved))
+    with pytest.raises(DivergenceError) as alone:
+        cli.run_closed_loop(loop, fits[2], cli._reference_from(resolved), horizon, 1e-3)
+    assert capsys.readouterr().err == f"numerical failure in tracking: {alone.value}\n"
+    # seeds 0 and 1 wrote their artifacts; seed 2 stopped the batch before writing any
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(
         f"{stem}_seed{seed}.csv" for seed in (0, 1) for stem in ("tracking_run", "sim_run", "training_data"))
+
+
+def test_a_batch_holds_one_seeds_states_at_a_time(tmp_path):
+    # numpy reports its buffers to tracemalloc; at this horizon the rollouts, not the set-up,
+    # make the peak, and four more seeds may add well under one seed's states to it
+    horizon = 10.0
+    states = 2 * 8 * (tracking.step_count(horizon, 1e-3) + 1)
+
+    def peak(seeds):
+        cfg, problems = cli.resolve(tracking_config(tmp_path / f"s{len(seeds)}", seeds=seeds, horizon=horizon))
+        assert problems == []
+        os.makedirs(cfg["out_dir"])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._run_tracking_batch(cfg, cfg["out_dir"], 2.0, cfg["seeds"])
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak([7])  # warm-up: the compiled core and first-call caches are loaded
+    two = peak(range(2))
+    assert two > 10 * states  # the states arrays are traced at all
+    assert peak(range(6)) <= two + states // 4

@@ -1,6 +1,6 @@
 """The compiled closed-loop rollout against its scalar oracle, and the comparison ODE.
 
-``run_closed_loop`` steps every seed in ``_rollout.c``.
+``run_closed_loop`` steps one model's closed loop in ``_rollout.c``.
 ``tests/oracles.py::scalar_closed_loop`` repeats its operations on Python
 floats, so every state, divergence time and message must agree bit for bit.
 ``tracking_bound_ode`` reads eta from a half-step table; its reference is the
@@ -74,21 +74,22 @@ def models_on_one_grid(rng, n_data, count, family="squared_exponential", sf2=1.0
     return [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
 
 
-def assert_matches_the_oracle(loop, models, horizon, dt):
-    """run_closed_loop against scalar_closed_loop: the same states, or the same divergence."""
+def assert_matches_the_oracle(loop, model, horizon, dt):
+    """run_closed_loop against scalar_closed_loop: the same states, or the same divergence.
+
+    Returns the run, or the DivergenceError both raised.
+    """
     try:
-        expected = scalar_closed_loop(loop, models, REF, horizon, dt)
+        expected = scalar_closed_loop(loop, model, REF, horizon, dt)
     except DivergenceError as exc:
         with pytest.raises(DivergenceError) as new:
-            run_closed_loop(loop, models, REF, horizon, dt)
+            run_closed_loop(loop, model, REF, horizon, dt)
         assert new.value.time == exc.time
         assert str(new.value) == str(exc)
-        return None
-    runs = run_closed_loop(loop, models, REF, horizon, dt)
-    assert len(runs) == len(models)
-    for run, states in zip(runs, expected):
-        assert same_bits(run.states, states)
-    return runs
+        return exc
+    run = run_closed_loop(loop, model, REF, horizon, dt)
+    assert same_bits(run.states, expected)
+    return run
 
 
 @pytest.mark.parametrize("family", ["squared_exponential", "matern32", "matern52"])
@@ -97,27 +98,24 @@ def assert_matches_the_oracle(loop, models, horizon, dt):
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
-    count=st.sampled_from([1, 2, 3]),
     n_data=st.sampled_from([0, 1, 7, 40]),
     seed=st.integers(0, 2 ** 31 - 1),
     steps=st.integers(0, 150),
     dt=st.sampled_from([3e-4, 1e-3, 0.02, 0.05]),
 )
-def test_rollout_matches_the_scalar_oracle(sf2, plant, family, theta, count, n_data, seed, steps, dt):
+def test_rollout_matches_the_scalar_oracle(sf2, plant, family, theta, n_data, seed, steps, dt):
     # at the coarse pitches one stage's h k is not small against x, so a last-bit change in the
     # field reaches the states, and RK4 is unstable for some fast poles there
     try:
         loop = closed_loop(plant, np.array(theta))
     except UnsupportedOperationError:
         assume(False)
-    models = models_on_one_grid(np.random.default_rng(seed), n_data, count, family, sf2)
-    runs = assert_matches_the_oracle(loop, models, steps * dt, dt)
-    if runs is not None and count == 1:
-        assert same_run(run_closed_loop(loop, models[0], REF, steps * dt, dt), runs[0])  # one model, one run
+    model = models_on_one_grid(np.random.default_rng(seed), n_data, 1, family, sf2)[0]
+    assert_matches_the_oracle(loop, model, steps * dt, dt)
 
 
-def mixed_batch(rng):
-    # other grids, other kernels and an empty model in one batch
+def mixed_models(rng):
+    # other grids, other kernels and an empty model
     f, _, _ = benchmark_system()
     X = rng.uniform(-3, 3, (9, 2))
     return [models_on_one_grid(rng, 25, 1)[0], models_on_one_grid(rng, 7, 1, ell=(1.0, 1.0))[0],
@@ -127,47 +125,10 @@ def mixed_batch(rng):
 
 
 @pytest.mark.parametrize("plant", [DOUBLE_INTEGRATOR, COMPANION], ids=["double_integrator", "companion"])
-def test_a_mixed_batch_matches_the_oracle_and_each_model_alone(plant):
+def test_mixed_models_each_match_the_oracle(plant):
     loop = closed_loop(plant, np.array([200.0, 20.0]))
-    models = mixed_batch(np.random.default_rng(3))
-    runs = assert_matches_the_oracle(loop, models, 0.3, 1e-3)
-    for model, run in zip(models, runs):
-        assert same_run(run, run_closed_loop(loop, model, REF, 0.3, 1e-3))
-
-
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    theta=st.tuples(st.floats(1.0, 400.0), st.floats(1.0, 40.0)),
-    plant=st.sampled_from([DOUBLE_INTEGRATOR, COMPANION]),
-    n_data=st.sampled_from([1, 7, 40]),
-    count=st.sampled_from([2, 3]),
-    seed=st.integers(0, 2 ** 31 - 1),
-    steps=st.integers(0, 200),
-    dt=st.sampled_from([0.02, 0.05]),
-)
-def test_batched_rollout_matches_each_seed_alone(theta, plant, n_data, count, seed, steps, dt):
-    # at the coarse pitches a last-bit change in any stage reaches the states
-    try:
-        loop = closed_loop(plant, np.array(theta))
-    except UnsupportedOperationError:
-        assume(False)
-    models = models_on_one_grid(np.random.default_rng(seed), n_data, count)
-    args = (REF, steps * dt, dt)
-    alone, first_divergence = [], None
-    for model in models:
-        try:
-            alone.append(run_closed_loop(loop, model, *args))
-        except DivergenceError as exc:
-            first_divergence = min(exc.time, first_divergence or math.inf)
-    if first_divergence is not None:
-        with pytest.raises(DivergenceError) as batch:
-            run_closed_loop(loop, models, *args)
-        assert batch.value.time == first_divergence
-        return
-    runs = run_closed_loop(loop, models, *args)
-    assert len(runs) == count
-    for run, one in zip(runs, alone):
-        assert same_run(run, one)
+    for model in mixed_models(np.random.default_rng(3)):
+        assert isinstance(assert_matches_the_oracle(loop, model, 0.3, 1e-3), simulation.SimRun)
 
 
 # poles -5.86 and -34.1: at dt = 0.1, -3.41 lies outside RK4's stability interval [-2.79, 0]
@@ -175,38 +136,28 @@ UNSTABLE_AT_A_TENTH = np.array([200.0, 40.0])
 
 
 @pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
-def test_diverging_seeds_stop_their_batch_at_the_earliest_time(family):
-    # at an RK4-unstable pitch every seed diverges, from a kick as large as its weights: weights
-    # 1e100 and 1e200 times too large diverge earlier, and the batch stops at the earliest
+def test_diverging_models_match_the_oracle(family):
+    # at an RK4-unstable pitch every model diverges, from a kick as large as its weights: weights
+    # 1e100 and 1e200 times too large diverge earlier
     loop = closed_loop(DOUBLE_INTEGRATOR, UNSTABLE_AT_A_TENTH)
     models = models_on_one_grid(np.random.default_rng(5), 25, 3, family)
     models[0] = dataclasses.replace(models[0], alpha=models[0].alpha * 1e100)
     models[2] = dataclasses.replace(models[2], alpha=models[2].alpha * 1e200)
-    alone = []
-    for model in models:
-        with pytest.raises(DivergenceError) as exc:
-            run_closed_loop(loop, model, REF, 100.0, 0.1)
-        alone.append(exc.value)
-    assert alone[2].time < alone[0].time < alone[1].time < 100.0
-    with pytest.raises(DivergenceError) as batch:
-        run_closed_loop(loop, models, REF, 100.0, 0.1)
-    assert batch.value.time == alone[2].time
-    assert str(batch.value) == str(alone[2])
-    assert_matches_the_oracle(loop, models, 100.0, 0.1)
+    errors = [assert_matches_the_oracle(loop, model, 100.0, 0.1) for model in models]
+    assert all(isinstance(exc, DivergenceError) for exc in errors)
+    assert errors[2].time < errors[0].time < errors[1].time < 100.0
 
 
 def test_a_mean_that_overflows_diverges_at_the_first_step():
     # weights of 1e308 near the start: the sum of the kernel terms overflows to inf
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
-    models = models_on_one_grid(np.random.default_rng(0), 25, 3, ell=(50.0, 50.0))
-    models[1] = dataclasses.replace(models[1], alpha=np.full(25, 1e308))
-    with pytest.raises(DivergenceError) as alone:
-        run_closed_loop(loop, models[1], REF, 3.0, 1e-3)
-    with pytest.raises(DivergenceError) as batch:
-        run_closed_loop(loop, models, REF, 3.0, 1e-3)
-    assert batch.value.time == alone.value.time == 1e-3
-    assert str(batch.value) == str(alone.value) == "state diverged at t = 0.001"
-    assert_matches_the_oracle(loop, models, 3.0, 1e-3)
+    model = models_on_one_grid(np.random.default_rng(0), 25, 1, ell=(50.0, 50.0))[0]
+    model = dataclasses.replace(model, alpha=np.full(25, 1e308))
+    with pytest.raises(DivergenceError) as exc:
+        run_closed_loop(loop, model, REF, 3.0, 1e-3)
+    assert exc.value.time == 1e-3
+    assert str(exc.value) == "state diverged at t = 0.001"
+    assert_matches_the_oracle(loop, model, 3.0, 1e-3)
 
 
 def test_run_closed_loop_rejects_other_plant_dimensions():
@@ -240,20 +191,19 @@ def test_run_closed_loop_refuses_models_the_core_would_misread():
                         TrainingSet(np.ones((5, 3)), np.ones(5), 0.01), None, np.ones(5)),
                 dataclasses.replace(model, alpha=np.ones(4))):
         with pytest.raises(ValueError):
-            run_closed_loop(loop, [model, bad], REF, 0.1, 1e-3)
+            run_closed_loop(loop, bad, REF, 0.1, 1e-3)
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
+def test_matern_rollout_never_calls_predict_mean(monkeypatch):
     # the core evaluates the mean itself, from the inputs and alpha
     calls = []
     predict_mean = GPModel.predict_mean
     monkeypatch.setattr(GPModel, "predict_mean", lambda self, x: calls.append(x) or predict_mean(self, x))
-    models = models_on_one_grid(np.random.default_rng(6), 25, count, "matern52", 1.3)
+    model = models_on_one_grid(np.random.default_rng(6), 25, 1, "matern52", 1.3)[0]
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
-    run_closed_loop(loop, models[0] if count == 1 else models, REF, 0.05, 1e-3)
+    run_closed_loop(loop, model, REF, 0.05, 1e-3)
     assert calls == []
-    models[0].predict_mean(np.zeros(2))  # the spy does see a call
+    model.predict_mean(np.zeros(2))  # the spy does see a call
     assert len(calls) == 1
 
 
