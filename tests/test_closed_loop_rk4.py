@@ -194,16 +194,19 @@ def test_run_closed_loop_refuses_models_the_core_would_misread():
             run_closed_loop(loop, bad, REF, 0.1, 1e-3)
 
 
-def test_matern_rollout_never_calls_predict_mean(monkeypatch):
-    # the core evaluates the mean itself, from the inputs and alpha
+@pytest.mark.parametrize("count", [1, 3])
+def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
+    # the core evaluates the mean itself, from the inputs and alpha, for one model or for several
+    # rolled out one after another as a worker's seeds are
     calls = []
     predict_mean = GPModel.predict_mean
     monkeypatch.setattr(GPModel, "predict_mean", lambda self, x: calls.append(x) or predict_mean(self, x))
-    model = models_on_one_grid(np.random.default_rng(6), 25, 1, "matern52", 1.3)[0]
+    models = models_on_one_grid(np.random.default_rng(6), 25, count, "matern52", 1.3)
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
-    run_closed_loop(loop, model, REF, 0.05, 1e-3)
+    for model in models:
+        run_closed_loop(loop, model, REF, 0.05, 1e-3)
     assert calls == []
-    model.predict_mean(np.zeros(2))  # the spy does see a call
+    models[0].predict_mean(np.zeros(2))  # the spy does see a call
     assert len(calls) == 1
 
 
