@@ -93,11 +93,11 @@ def mean_lipschitz(model: GPModel, L_k: float) -> float:
     return L_k * math.sqrt(n) * float(np.linalg.norm(model.alpha))
 
 
-def stddev_modulus(tau: float, L_k: float, stationary_L_sigma: float | None = None) -> float:
+def stddev_modulus(tau: float, L_k: float, stationary_L_sigma: float | None) -> float:
     """Modulus of continuity of sigma at lag tau.
 
-    Returns min(sqrt(2 L_k tau), L_sigma tau) when the stationary constant is
-    supplied, otherwise the square-root rate alone.
+    Returns min(sqrt(2 L_k tau), L_sigma tau) with the stationary constant
+    L_sigma, or the square-root rate alone when it is None.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -148,7 +148,7 @@ def kernel_constants(spec: KernelSpec, box: DomainBox) -> tuple[float, float | N
     L_sigma is None for the non-stationary linear kernel, whose standard
     deviation has the square-root modulus alone.
     """
-    return kernels.kernel_lipschitz(spec, box), (kernels.stddev_lipschitz(spec, box) if spec.stationary else None)
+    return kernels.kernel_lipschitz(spec, box), (kernels.stddev_lipschitz(spec) if spec.stationary else None)
 
 
 def bound_constants(model: GPModel, tau: float, delta: float, L_f: float, box: DomainBox) -> BoundReport:

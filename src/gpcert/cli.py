@@ -142,7 +142,7 @@ _SCHEMA = (
     ("episodic.xi", _FRACTION, 0.95, ("episodic",)),
     ("episodic.horizon", _POSITIVE, 2.0 * math.pi, ("episodic",)),
     ("episodic.fine_dt", _POSITIVE, 3e-4, ("episodic",)),
-    ("episodic.max_episodes", _count(0), epi.EPISODE_CAP_DEFAULT, ("episodic",)),
+    ("episodic.max_episodes", _count(0), 200, ("episodic",)),
     ("validation.trials", _count(1), 200, ("validate_bounds",)),
     ("validation.grid_points_per_axis", _count(2), 41, ("validate_bounds",)),
     ("validation.train_points", _count(1), 25, ("validate_bounds",)),
@@ -470,7 +470,8 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
         rho = dens.data_density_batch(model, profile_points)
         rho_min = float(rho.min())
-        cert = trk.certify(model, rho_min, half_step_points, ref.max_speed * dt / 2.0,
+        cert = trk.certify(model, rho_min, half_step_points, model.predict_stddev(half_step_points),
+                           ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f)
         sim = run_closed_loop(cert.loop, model, ref, horizon, dt)
@@ -511,8 +512,6 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
-    ref = _reference_from(cfg)
-    _, _, plant = benchmark_system()
     ep = cfg["episodic"]
     config = epi.EpisodeConfig(
         target_error=float(ep["target_error"]),
@@ -521,8 +520,7 @@ def run_episodic(cfg: dict, out_dir: str) -> tuple[dict, bool]:
         fine_dt=float(ep["fine_dt"]),
         delta=float(cfg["bound"]["delta"]),
         kernel=spec,
-        plant=plant,
-        reference=ref,
+        reference=_reference_from(cfg),
         domain=box,
         noise_variance=float(cfg["noise_variance"]),
         L_f=float(cfg["bound"]["L_f"]),
@@ -630,7 +628,7 @@ def run_validate_lipschitz(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     pitch = float(grid[1, 0] - grid[0, 0])
     L = prior_factor(spec, grid)
 
-    slopes = np.array([np.abs(np.diff(prior_draw(L, np.random.default_rng(seed0 + t)))).max() / pitch
+    slopes = np.array([_axis_fd_slope(prior_draw(L, np.random.default_rng(seed0 + t)), (n,), pitch)
                        for t in range(draws)])
     covered = slopes <= L_hat
     coverage = float(covered.mean())

@@ -33,14 +33,13 @@ from .kernels import KernelSpec
 from .simulation import ReferenceSpec, benchmark_system, measure, run_closed_loop
 from .tracking import ClosedLoop, LinearPlant
 
-EPISODE_CAP_DEFAULT = 200
 _N_E_CAP = 10 ** 9
 
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Everything one episodic run needs; immutable.  The unknown nonlinearity
-    is the benchmark's f (:func:`simulation.benchmark_system`).
+    """Everything one episodic run needs; immutable.  The plant and its unknown
+    nonlinearity f are the benchmark's (:func:`simulation.benchmark_system`).
     """
 
     target_error: float
@@ -49,13 +48,12 @@ class EpisodeConfig:
     fine_dt: float
     delta: float
     kernel: KernelSpec
-    plant: LinearPlant
     reference: ReferenceSpec
     domain: bnd.DomainBox
     noise_variance: float
     L_f: float
-    seed: int = 0
-    max_episodes: int = EPISODE_CAP_DEFAULT
+    seed: int
+    max_episodes: int
 
     def __post_init__(self):
         if not 0 < self.xi < 1:
@@ -75,10 +73,10 @@ class EpisodeReport:
     data_size: int
     certificate: trk.Certificate
     observed_max_error: float | None
-    rho_min: float = 0.0
-    min_sampling_time: float | None = None
-    max_speed: float | None = None
-    violated: bool = False  # the rollout broke the previous episode's certificate
+    rho_min: float
+    min_sampling_time: float | None
+    max_speed: float | None
+    violated: bool  # the rollout broke the previous episode's certificate
 
     def to_json_dict(self) -> dict:
         # violated reaches the summary as a count of certificate violations instead
@@ -202,7 +200,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     k0 = spec.signal_variance
     L_dk = kern.gradient_lipschitz(spec)
     L_sigma = bnd.kernel_constants(spec, box)[1]
-    f = benchmark_system()[0]  # the nonlinearity the rollout simulates, as measured
+    f, _, plant = benchmark_system()  # the plant the rollout simulates, its f as measured
 
     # one period of the reference at pitch fine_dt: the even samples of its half-step grid
     ref_points = config.reference.state(trk.half_step_times(config.reference.period, config.fine_dt)[::2])
@@ -214,8 +212,10 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     # seed level producing gamma <= sqrt(beta) sigma_f, the data-free analogue
     # of the variance condition
     upsilon_prev = math.sqrt(k0) / (4.0 * math.sqrt(L_dk))
-    # episode 0 is the data-free initialization: nothing sampled or observed
-    T_s = observed = T_s_lower = max_speed = variance = None
+    # episode 0 is the data-free initialization: nothing sampled or observed,
+    # and its certificate takes the prior variance along the reference
+    T_s = observed = T_s_lower = max_speed = None
+    variance = model.predict_var(ref_points)
     violated = False
     rho_measured = 0.0
     ladder_top = config.horizon
@@ -223,9 +223,10 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     i = 0
     while True:
         rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
-        cert = trk.certify(model, rho_eff, ref_points, config.reference.max_speed * config.fine_dt,
-                           lambda b: select_gains(config.plant, L_sigma, b, L_dk, config.xi),
-                           box, config.delta, config.L_f, variance)
+        cert = trk.certify(model, rho_eff, ref_points, np.sqrt(variance),
+                           config.reference.max_speed * config.fine_dt,
+                           lambda b: select_gains(plant, L_sigma, b, L_dk, config.xi),
+                           box, config.delta, config.L_f)
         reports.append(
             EpisodeReport(
                 episode=i,
@@ -249,8 +250,9 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
             )
         upsilon_prev = cert.upsilon_bar
         sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt)
-        observed = float(sim.error_norms.max())
-        violated = not trk.certificate_holds(sim.error_norms, upsilon_prev, sim.states, box)
+        errors = sim.error_norms
+        observed = float(errors.max())
+        violated = not trk.certificate_holds(errors, upsilon_prev, sim.states, box)
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
         raw = measure(sim.states, f, config.noise_variance, config.seed + 1000003 * i)

@@ -260,7 +260,7 @@ def kernel_lipschitz(spec: KernelSpec, box) -> float:
     return sf2 * _box_corner_norm(box, 1.0 / spec.ell ** 2)
 
 
-def stddev_lipschitz(spec: KernelSpec, box) -> float:
+def stddev_lipschitz(spec: KernelSpec) -> float:
     """Lipschitz constant L_sigma = sqrt(c) sigma_f / l_min of the posterior standard deviation.
 
     For stationary kernels L_sigma is the supremum over lags of
@@ -274,7 +274,7 @@ def stddev_lipschitz(spec: KernelSpec, box) -> float:
     since w e^{-w} <= w <= e^w - 1.  With a = sqrt3 r and a = sqrt5 r the
     Matern 3/2 and 5/2 ratios stay below their limits by a^2 e^{-a} <=
     2 (e^a - 1 - a) and a^2 (1 + a)^2 e^{-a} <= 6 (e^a - 1 - a - a^2/3).  The
-    bound holds over every domain, so ``box`` is not read.
+    bound holds over every domain.
     """
     if not spec.stationary:
         raise UnsupportedOperationError(

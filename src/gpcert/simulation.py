@@ -98,8 +98,8 @@ class ReferenceSpec:
     with r_ref(t) = -a w^2 sin(w t).
     """
 
-    amplitude: float = 2.0
-    frequency: float = 1.0
+    amplitude: float
+    frequency: float
 
     @property
     def period(self) -> float:

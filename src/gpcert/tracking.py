@@ -9,9 +9,9 @@ whose solution dominates ||e(t)|| with the confidence of the underlying
 uniform error bound.  zeta = ||U|| ||U^{-1} b|| comes from the complex
 eigendecomposition of A_theta (matrix norms are spectral norms).  The module
 also provides the fixed-step grid of every RK4 loop (:func:`step_count`,
-:func:`half_step_times`, read per step by :func:`stage_samples`), the
-stationary maximum bound, the decay ratio kappa, the grid constant
-satisfying the density condition beta >= gamma^2 rho k(0) / 2,
+:func:`half_step_times`, which the Python loops read per step through
+:func:`stage_samples`), the stationary maximum bound, the decay ratio kappa,
+the grid constant satisfying the density condition beta >= gamma^2 rho k(0) / 2,
 :func:`certify`, which chains them into one stationary certificate, and
 :func:`certificate_holds`, the verdict on a rollout against a certified bound.
 """
@@ -287,28 +287,26 @@ class Certificate:
         }
 
 
-def certify(model: GPModel, rho: float, points, max_arc: float, gains: Callable[[float], ClosedLoop],
-            box: bnd.DomainBox, delta: float, L_f: float, variance=None) -> Certificate:
+def certify(model: GPModel, rho: float, points, sigma, max_arc: float, gains: Callable[[float], ClosedLoop],
+            box: bnd.DomainBox, delta: float, L_f: float) -> Certificate:
     """The chain tau -> beta -> gains -> gamma -> sup eta -> upsilon_bar.
 
     tau is the density-matched grid constant for density level ``rho``;
     ``gains`` maps beta to the closed loop; sup eta is taken over the
-    reference states ``points``, consecutive samples of one curve, and
-    inflated by :data:`SAFETY_FACTOR`.  ``max_arc`` bounds the arc length of
-    the curve between consecutive samples, so every point of the curve lies
-    within arc length, and hence distance, max_arc / 2 of a sample, and eta
+    reference states ``points``, consecutive samples of one curve, at which
+    ``sigma`` is the model's posterior standard deviation, and inflated by
+    :data:`SAFETY_FACTOR`.  ``max_arc`` bounds the arc length of the curve
+    between consecutive samples, so every point of the curve lies within
+    arc length, and hence distance, max_arc / 2 of a sample, and eta
     = sqrt(beta) sigma + gamma there exceeds the larger of the two sampled
     values by at most sqrt(beta) omega_sigma(max_arc / 2).  The certificate
     stands only while the inflation covers that term.  Raises
     :class:`InfeasibilityError` if it does not or if the gain condition
     fails, and :class:`DomainError` if a point lies outside the box.
-    ``variance``, when given, is ``model.predict_var(points)``, which a
-    caller that has just computed it passes in place of a second evaluation.
     """
     rep = tau_for_density(model, rho, box, delta, L_f)
     L_k, L_sigma = bnd.kernel_constants(model.kernel, box)
     loop = gains(rep.beta)
-    sigma = model.predict_stddev(points) if variance is None else np.sqrt(variance)
     eta = bnd.uniform_error_bound(rep, points, sigma)
     max_eta = float(np.max(eta))
     term = math.sqrt(rep.beta) * bnd.stddev_modulus(max_arc / 2.0, L_k, L_sigma)

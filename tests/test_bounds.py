@@ -71,7 +71,7 @@ def test_mean_lipschitz_examples():
 
 
 def test_stddev_modulus_examples():
-    assert stddev_modulus(0.01, 1.0) == pytest.approx(math.sqrt(0.02))
+    assert stddev_modulus(0.01, 1.0, None) == pytest.approx(math.sqrt(0.02))
     assert stddev_modulus(0.01, 1.0, 1.0) == pytest.approx(0.01)
     assert stddev_modulus(0.0, 1.0, 1.0) == 0.0
 
@@ -128,7 +128,7 @@ def test_bound_constants_uses_the_kernels_own_constants(family):
     model = random_model(rng, spec, 12)
     box = DomainBox(2, 6.0, np.array([1.0, -2.0]))  # off-center: the linear L_k reads the box's far corner
     L_k = kernel_lipschitz(spec, box)
-    L_sigma = stddev_lipschitz(spec, box) if family != LINEAR else None  # linear: the square-root modulus alone
+    L_sigma = stddev_lipschitz(spec) if family != LINEAR else None  # linear: the square-root modulus alone
     assert bounds.kernel_constants(spec, box) == (L_k, L_sigma)
     for tau in (1e-6, 1e-3, 0.5):
         rep = bound_constants(model, tau, 0.01, 2.0, box)

@@ -31,12 +31,12 @@ def small_episode_config(target=0.1, **overrides):
         fine_dt=3e-4,
         delta=0.01,
         kernel=KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5)),
-        plant=PLANT,
         reference=ReferenceSpec(2.0, 1.0),
         domain=DomainBox(2, 10.0),
         noise_variance=0.01,
         L_f=2.0,
         seed=0,
+        max_episodes=200,
     )
     kwargs.update(overrides)
     return EpisodeConfig(**kwargs)
@@ -208,10 +208,10 @@ def test_config_validation():
 
 
 def test_ladder_variance_serves_the_next_certificate():
-    # learn_control hands the accepted refit's variance to certify in place of a second predict_var
+    # learn_control certifies on the root of the accepted refit's variance in place of a second predict_var
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
     box = DomainBox(2, 10.0)
-    L_sigma, L_dk = stddev_lipschitz(spec, box), gradient_lipschitz(spec)
+    L_sigma, L_dk = stddev_lipschitz(spec), gradient_lipschitz(spec)
     f, _, _ = benchmark_system()
     ref = ReferenceSpec(2.0, 1.0)
     ref_points = ref.state(np.arange(0.0, ref.period, 0.01))
@@ -221,11 +221,11 @@ def test_ladder_variance_serves_the_next_certificate():
     _, refit, variance = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0)
     assert variance.tobytes() == refit.predict_var(ref_points).tobytes()
 
-    def cert(**kwargs):
-        return certify(refit, 1.0, ref_points, ref.max_speed * 0.01,
-                       lambda b: select_gains(PLANT, L_sigma, b, L_dk, 0.95), box, 0.01, 2.0, **kwargs)
+    def cert(sigma):
+        return certify(refit, 1.0, ref_points, sigma, ref.max_speed * 0.01,
+                       lambda b: select_gains(PLANT, L_sigma, b, L_dk, 0.95), box, 0.01, 2.0)
 
-    passed, recomputed = cert(variance=variance), cert()
+    passed, recomputed = cert(np.sqrt(variance)), cert(refit.predict_stddev(ref_points))
     assert passed.to_json_dict() == recomputed.to_json_dict()
     assert (passed.sup_eta, passed.sampling_term) == (recomputed.sup_eta, recomputed.sampling_term)
 

@@ -126,17 +126,17 @@ def test_derivative_kernel_matches_mixed_finite_difference(spec):
 
 
 def test_stddev_lipschitz_closed_forms():
-    assert stddev_lipschitz(SE1, BOX1) == pytest.approx(1.0)
-    assert stddev_lipschitz(KernelSpec(SQUARED_EXPONENTIAL, 4.0, (2.0,)), BOX1) == pytest.approx(1.0)
-    assert stddev_lipschitz(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.5,)), BOX1) == pytest.approx(2.0)
+    assert stddev_lipschitz(SE1) == pytest.approx(1.0)
+    assert stddev_lipschitz(KernelSpec(SQUARED_EXPONENTIAL, 4.0, (2.0,))) == pytest.approx(1.0)
+    assert stddev_lipschitz(KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.5,))) == pytest.approx(2.0)
     with pytest.raises(UnsupportedOperationError):
-        stddev_lipschitz(LIN2, DomainBox(2, 10.0))
+        stddev_lipschitz(LIN2)
 
 
 def test_stddev_lipschitz_numeric_maximization_cross_check():
     # independent oracle: dense scan of ||grad k|| / d_k over lags
     for spec in (SE1, KernelSpec(MATERN52, 2.0, (0.7,)), KernelSpec(MATERN32, 1.0, (1.3,))):
-        L = stddev_lipschitz(spec, BOX1)
+        L = stddev_lipschitz(spec)
         lags = np.linspace(1e-3, 10.0, 5000)
         ratios = [
             abs(kernel_gradient(spec, [u], [0.0])[0]) / kernel_metric(spec, [u], [0.0]) for u in lags
@@ -240,8 +240,7 @@ def test_metric_below_linear_rate_stationary(case):
     spec, (x, y) = case
     if not spec.stationary:
         return
-    box = DomainBox(spec.dim, 12.0)
-    L_sigma = stddev_lipschitz(spec, box)
+    L_sigma = stddev_lipschitz(spec)
     assert kernel_metric(spec, x, y) <= L_sigma * np.linalg.norm(x - y) + 1e-9
 
 
@@ -265,7 +264,7 @@ def test_closed_form_constants_dominate_scans_along_the_shortest_axis(family, lo
     lags = lm * np.linspace(1e-3, 10.0, 2000)
     g = grads(lags)
     ratios = np.linalg.norm(g, axis=1) / np.array([kernel_metric(spec, u * axis, zero) for u in lags])
-    assert ratios.max() <= stddev_lipschitz(spec, BOX1)
+    assert ratios.max() <= stddev_lipschitz(spec)
     # each finite-difference slope of k' is the mean of k'' over its step
     slopes = np.abs(np.diff(g @ axis)) / np.diff(lags)
     assert slopes.max() <= gradient_lipschitz(spec)

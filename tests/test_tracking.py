@@ -181,7 +181,7 @@ def test_tau_for_density():
     spec = se_unit(2)
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet.empty(2, 0.01))
-    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec)
     assert tau_for_density(model, 0.0, box, 0.01, 2.0).tau == box.edge
     taus = [tau_for_density(model, r, box, 0.01, 2.0).tau for r in (1.0, 10.0, 100.0)]
     assert taus[0] >= taus[1] >= taus[2]
@@ -225,14 +225,14 @@ def test_certify_rejects_points_too_coarse_for_the_safety_factor():
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (1.0, 1.5))
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet(X, np.sin(X[:, 0]), 0.01))
-    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec, box)
+    L_k, L_sigma = kernel_lipschitz(spec, box), stddev_lipschitz(spec)
     ref = ReferenceSpec(2.0, 1.0)
 
     def certify_on(n_points):
         points = ref.state(np.linspace(0.0, ref.period, n_points))
         max_arc = ref.max_speed * ref.period / (n_points - 1)
-        return certify(model, 1.0, points, max_arc, lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b),
-                       box, 0.01, 2.0)
+        return certify(model, 1.0, points, model.predict_stddev(points), max_arc,
+                       lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b), box, 0.01, 2.0)
 
     fine = certify_on(4001)
     arc = 2.0 * 2.0 * math.pi / 4000  # one 4000th of the circle of radius 2
@@ -249,10 +249,10 @@ def test_certify_builds_each_report_once(tau_probes):
     spec = se_unit(2)
     box = DomainBox(2, 10.0)
     model = fit(spec, TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
-    L_sigma = stddev_lipschitz(spec, box)
+    L_sigma = stddev_lipschitz(spec)
     ref = ReferenceSpec(2.0, 1.0)
     points = ref.state(np.linspace(0.0, ref.period, 4001))
-    cert = certify(model, 50.0, points, ref.max_speed * ref.period / 4000,
+    cert = certify(model, 50.0, points, model.predict_stddev(points), ref.max_speed * ref.period / 4000,
                    lambda b: gains_for_kappa(PLANT, 0.5, L_sigma, b), box, 0.01, 2.0)
     assert len(tau_probes.probes) > 2
     assert [rep.tau for rep in tau_probes.reports] == tau_probes.probes
