@@ -70,6 +70,13 @@ class DomainBox:
     def contains(self, x) -> bool:
         return bool(self.inside(x).all())
 
+    def require(self, x) -> None:
+        """Raise :class:`DomainError` naming the first point of x, a point (d,) or a batch (m, d), outside the box."""
+        inside = self.inside(x)
+        if not inside.all():
+            bad = np.atleast_2d(np.asarray(x, dtype=float))[int(np.argmin(inside))]
+            raise DomainError(f"point {bad} outside the certified box (edge {self.edge}, center {self.center})")
+
 
 def covering_number_bound(tau: float, box: DomainBox) -> float:
     """Upper bound (r sqrt(d) / (2 tau))^d on the tau-covering number, at least 1."""
@@ -173,11 +180,7 @@ def uniform_error_bound(report: BoundReport, x, sigma):
     function is a prior sample.  Raises :class:`DomainError` naming the first
     point outside the box.
     """
-    box = report.box
-    inside = box.inside(x)
-    if not inside.all():
-        bad = np.atleast_2d(np.asarray(x, dtype=float))[int(np.argmin(inside))]
-        raise DomainError(f"point {bad} outside the certified box (edge {box.edge}, center {box.center})")
+    report.box.require(x)
     return math.sqrt(report.beta) * sigma + report.gamma
 
 

@@ -307,27 +307,20 @@ def _tracking_models(cfg: dict, seeds) -> list[GPModel]:
     return [first] + [first.with_targets(d.targets) for d in data[1:]]
 
 
-def _tracking_bound(cfg: dict, model: GPModel, L_f: float) -> bnd.BoundReport:
-    """The bound constants of one seed's model, at the config's tau or the one auto_tau finds."""
-    box = _box_from(cfg)
-    bb = cfg["bound"]
-    if bb["tau"] == "auto":
-        return bnd.auto_tau(model, bb["delta"], L_f, box)
-    return bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box)
-
-
 def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict]:
     """Seeds of the tracking experiment, one after another; L_f is the run's, and the
     comparison ODE and the gain condition take the kernel's own L_sigma.
 
     One factorization serves every seed's model (:func:`_tracking_models`).
-    The seeds share inputs, kernel, noise, gains and reference, so their
-    posterior stddev along the reference is one array, computed once.  Each
-    seed is then rolled out by :func:`run_closed_loop`, its eta and upsilon
-    formed and its CSVs written before the next seed is rolled out, so one
-    seed's states are held at a time.  A seed that diverges raises there:
-    the seeds before it have written their artifacts, it and the later ones
-    write none.
+    The seeds share the config, gains and reference, so the batch decodes
+    them, samples the reference on the half-step grid, checks it against the
+    box and takes the posterior stddev along it once: the ``t`` and ``xref``
+    columns and the ``r_ref`` in ``u`` are the same arrays for every seed.
+    Each seed's eta and upsilon are formed, it is rolled out by
+    :func:`run_closed_loop` and its CSVs are written before the next seed is
+    rolled out, so one seed's states are held at a time.  A seed that
+    diverges raises there: the seeds before it have written their
+    artifacts, it and the later ones write none.
     """
     box = _box_from(cfg)
     L_k, L_sigma = bnd.kernel_constants(_kernel_from(cfg), box)
@@ -343,37 +336,42 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
         resolved_bound["delta_L"] = bb["delta_L"]
     loop = closed_loop(plant, _theta_from(cfg))
 
-    models = _tracking_models(cfg, seeds)
-    reps = [_tracking_bound(cfg, model, L_f) for model in models]
     t_half = trk.half_step_times(horizon, dt)
     x_half = ref.state(t_half)
+    box.require(x_half)  # a reference outside the box ends the run here, before it is rolled out
+    t, x_ref, r_ref = t_half[::2], x_half[::2], ref.signal(t_half[::2])
+    xref_1, xref_2 = x_ref.T
+    models = _tracking_models(cfg, seeds)
+    if bb["tau"] == "auto":
+        reps = [bnd.auto_tau(model, bb["delta"], L_f, box) for model in models]
+    else:
+        reps = [bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box) for model in models]
     sigma_half = models[0].predict_stddev(x_half)
     # the phase of the worst posterior uncertainty, over one period of the half-step grid (pitch dt/2)
     period = ref.period
     t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
 
     def seed_result(seed, model, rep):
-        sim = run_closed_loop(loop, model, ref, horizon, dt)
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
+        sim = run_closed_loop(loop, model, ref, horizon, dt)
         e = sim.error_norms
         # the applied input: the nominal one divided by g, which the plant knows exactly
-        u = (-((sim.states - sim.reference_states) @ loop.theta) + ref.signal(sim.times)
+        u = (-((sim.states - x_ref) @ loop.theta) + r_ref
              - model.predict_mean(sim.states)) / g(sim.states[:, 0], sim.states[:, 1])
         # phase structure: the worst tracking error should fall in the same
         # half-period of the reference as the worst posterior uncertainty
-        t_e = float(sim.times[int(np.argmax(e))]) % period
+        t_e = float(t[int(np.argmax(e))]) % period
         same_half = (t_e < period / 2.0) == (t_sig < period / 2.0)
 
         # t and e_norm, in both run CSVs, are formatted once
         _write_csvs([
             (os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
              ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
-             [sim.times, e, upsilon, eta_half[::2], sigma_half[::2]]),
+             [t, e, upsilon, eta_half[::2], sigma_half[::2]]),
             (os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
              ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
-             [sim.times, sim.states[:, 0], sim.states[:, 1],
-              sim.reference_states[:, 0], sim.reference_states[:, 1], u, e]),
+             [t, sim.states[:, 0], sim.states[:, 1], xref_1, xref_2, u, e]),
         ])
         _write_csv(
             os.path.join(out_dir, f"training_data_seed{seed}.csv"),

@@ -79,8 +79,6 @@ def data_density_batch(model: GPModel, X) -> np.ndarray:
     kxx = kernel_diag(model.kernel, X)
     if np.any(kxx <= 0.0):
         raise DegenerateInputError("data density undefined where k(x,x) = 0")
-    if len(model) == 0:
-        return np.zeros(X.shape[0])
     counts = np.arange(1, len(model) + 1)[None, :]
     c = model.data.noise_variance * kxx
     rho = np.empty(X.shape[0])
@@ -89,7 +87,7 @@ def data_density_batch(model: GPModel, X) -> np.ndarray:
         thr.sort(axis=1)
         thr = thr[:, ::-1]
         values = np.minimum(thr, counts / c[rows, None])
-        rho[rows] = values.max(axis=1)
+        rho[rows] = values.max(axis=1, initial=-np.inf)
     return np.maximum(rho, 0.0)
 
 

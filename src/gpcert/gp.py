@@ -142,7 +142,7 @@ class GPModel:
 
     kernel: KernelSpec
     data: TrainingSet
-    chol: np.ndarray | None = field(repr=False)
+    chol: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
@@ -161,11 +161,10 @@ class GPModel:
     def predict_mean(self, x):
         """Posterior mean at x; accepts a point (d,) or a batch (m, d)."""
         X, single = self._query(x)
-        mu = np.zeros(X.shape[0])
-        if len(self) > 0:
-            with _blas_threads():
-                for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
-                    mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
+        mu = np.empty(X.shape[0])
+        with _blas_threads():
+            for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
+                mu[rows] = gram(self.kernel, X[rows], self.data.inputs) @ self.alpha
         return float(mu[0]) if single else mu
 
     def predict_var(self, x):
@@ -184,7 +183,7 @@ class GPModel:
         caller that needs only part of the variance can stop early.
         """
         prior = kernel_diag(self.kernel, X)
-        if len(self) == 0:
+        if len(self) == 0:  # see fit
             yield slice(0, X.shape[0]), prior
             return
         for rows in _row_blocks(X.shape[0], len(self) * self.kernel.dim):
@@ -196,8 +195,8 @@ class GPModel:
     def with_targets(self, targets) -> "GPModel":
         """The posterior on the same nonempty inputs and noise for other targets.
 
-        Reuses the cached factor, so only alpha is solved for; the result is
-        :func:`fit` on the new data bit for bit.
+        Reuses the cached factor, (0, 0) for zero rows, so only alpha is
+        solved for; the result is :func:`fit` on the new data bit for bit.
         """
         data = TrainingSet(self.data.inputs, targets, self.data.noise_variance)
         return GPModel(self.kernel, data, self.chol, _weights(self.chol, data.targets))
@@ -207,12 +206,13 @@ class GPModel:
 
 
 def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:
-    """Factorize K + s_on^2 I and cache the weight vector alpha."""
-    if data.dimension != kernel.dim and len(data) > 0:
+    """Factorize K + s_on^2 I and cache alpha; a zero-row model gets a (0, 0) factor and no weights."""
+    if data.dimension != kernel.dim:
         raise ValueError("training-set dimension does not match kernel dimension")
     n = len(data)
+    # zero rows stop here and in var_blocks: pyproject allows scipy 1.10, whose LAPACK may refuse 0 x 0
     if n == 0:
-        return GPModel(kernel, data, None, np.zeros(0))
+        return GPModel(kernel, data, np.zeros((0, 0)), np.zeros(0))
     K = gram(kernel, data.inputs) + data.noise_variance * np.eye(n)
     with _blas_threads():
         try:

@@ -148,31 +148,30 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizo
     The applied input is u / g(x) with g known exactly, so g cancels from the
     dynamics; the tracking writer records that input.
 
-    The model needs a stationary kernel at d = 2 or no data.  x_ref and r_ref
-    are sampled once, on :func:`tracking.half_step_times`: the run starts at
-    x_ref(0), and its times and reference states are the even samples.  The
-    compiled core (:func:`_library`) steps the loop; a state that is not
-    finite raises :class:`DivergenceError` at its time.
+    The model needs a stationary kernel at d = 2, with or without data.
+    x_ref and r_ref are sampled once, on :func:`tracking.half_step_times`:
+    the run starts at x_ref(0), and its times and reference states are the
+    even samples.  The compiled core (:func:`_library`) steps the loop; a
+    state that is not finite raises :class:`DivergenceError` at its time.
     """
     if loop.plant.A.shape != (2, 2):
         raise ValueError("the closed-loop simulation needs a plant of dimension 2")
     spec, N = model.kernel, len(model)
-    if N and not spec.stationary:
+    if not spec.stationary:
         raise UnsupportedOperationError(f"the rollout needs a stationary kernel, got {spec.family!r}")
     # the core reads N rows of two inputs and N weights
-    if N and (spec.dim != 2 or model.data.inputs.shape != (N, 2) or model.alpha.shape != (N,)):
+    if spec.dim != 2 or model.data.inputs.shape != (N, 2) or model.alpha.shape != (N,):
         raise ValueError("the closed-loop simulation needs a model of dimension 2 with one weight per input")
     t_half = half_step_times(horizon, fine_dt)
     x_half, r_half = ref.state(t_half), ref.signal(t_half)
     times, n = t_half[::2], len(t_half) // 2
     states = np.empty((n + 1, 2))
     states[0] = x_half[0]
-    # family, sf2, l0, l1; the core reads none of them for an empty model, which has no rows
-    kernel = (_FAMILY_CODES[spec.family], spec.signal_variance, *spec.lengthscales) if N else (0, 1.0, 1.0, 1.0)
+    # the core reads the kernel only per row, so a model with no rows has mean 0 whatever its family
     diverged = _library().gpcert_rollout(
         n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta),
-        _doubles(np.vstack([x_half.T, r_half])), *kernel, N, _doubles(model.data.inputs), _doubles(model.alpha),
-        states)
+        _doubles(np.vstack([x_half.T, r_half])), _FAMILY_CODES[spec.family], spec.signal_variance,
+        *spec.lengthscales, N, _doubles(model.data.inputs), _doubles(model.alpha), states)
     if diverged:
         raise _diverged(times, diverged)
     return SimRun(times, states, x_half[::2])

@@ -177,6 +177,21 @@ def test_tracking_reference_outside_the_box_is_refused(tmp_path, capsys):
     assert err.count("\n") == 1 and "outside the certified box" in err
 
 
+@pytest.mark.parametrize("change, point", [({"frequency": 1e300}, "[0.e+000 2.e+300]"),
+                                           ({"amplitude": 1e308}, "[0.e+000 1.e+308]")],
+                         ids=["frequency", "amplitude"])
+def test_a_reference_far_outside_the_box_is_refused_before_it_is_rolled_out(tmp_path, capsys, change, point):
+    # the box check comes before the rollout, where such a reference diverges, and before
+    # r_ref = -a w^2 sin(w t), which is inf * 0 at t = 0 when w^2 overflows
+    cfg = shipped_tracking_config(tmp_path / "t", "reference", change)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(cfg) == cli.EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (f"numerical failure in tracking: point {point} outside the certified box "
+                                       f"(edge 10.0, center [0. 0.])\n")
+
+
 def test_validate_accepts_non_stationary_kernel_for_bound_validation():
     cfg = cli.load_config(str(CONFIGS / "validate_bounds.json"))
     cfg["kernel"]["family"] = "linear"

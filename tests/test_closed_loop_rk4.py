@@ -169,15 +169,22 @@ def test_run_closed_loop_rejects_other_plant_dimensions():
 
 
 def test_run_closed_loop_rejects_a_non_stationary_kernel():
-    # the core has no linear kernel; an empty linear model has mean 0 and runs
+    # the core has no linear kernel, and the rollout takes stationary models only, with or without data
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
     spec = KernelSpec("linear", 1.0, (1.0, 1.0))
     with pytest.raises(UnsupportedOperationError):
         run_closed_loop(loop, fit(spec, TrainingSet(np.ones((3, 2)), np.ones(3), 0.01)), REF, 0.1, 1e-3)
-    empty = run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), REF, 0.1, 1e-3)
+    with pytest.raises(UnsupportedOperationError):
+        run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), REF, 0.1, 1e-3)
+
+
+def test_zero_row_models_of_every_stationary_family_roll_out_alike():
+    # with no rows the core reads no kernel parameter: the mean is 0 whatever the family and its constants
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
     se = run_closed_loop(loop, fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01)),
                          REF, 0.1, 1e-3)
-    assert same_run(empty, se)
+    for spec in (KernelSpec("matern52", 2.5, (0.3, 4.0)), KernelSpec("matern32", 0.7, (1.0, 1.0))):
+        assert same_run(run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), REF, 0.1, 1e-3), se)
 
 
 def test_run_closed_loop_refuses_models_the_core_would_misread():

@@ -25,6 +25,16 @@ def test_empty_model_is_prior():
     m = fit(se_unit(), TrainingSet.empty(1, 0.01))
     assert m.predict_mean(np.array([2.7])) == 0.0
     assert m.predict_var(np.array([2.7])) == pytest.approx(1.0)
+    # at N = 0 every family, at d = 1 and 2, takes the general closed forms: mu = 0, sigma^2 = k(x,x), rho = 0
+    for family in (SQUARED_EXPONENTIAL, MATERN32, MATERN52, LINEAR):
+        for dim in (1, 2):
+            spec = KernelSpec(family, 0.7, (1.3, 0.6)[:dim])
+            m = fit(spec, TrainingSet.empty(dim, 0.01))
+            X = np.array([[2.7, -1.3], [0.4, 5.0], [-3.0, 0.2]])[:, :dim]
+            assert m.chol.shape == (0, 0)
+            assert m.predict_mean(X).tolist() == [0.0] * 3 and m.predict_mean(X[0]) == 0.0
+            assert m.predict_var(X).tolist() == kernel_diag(spec, X).tolist()
+            assert data_density_batch(m, X).tolist() == [0.0] * 3
 
 
 def test_one_point_closed_form():
@@ -148,6 +158,12 @@ def test_training_set_validation():
         TrainingSet(np.zeros((2, 1)), np.zeros(3), 0.01)
     with pytest.raises(ValueError):
         TrainingSet(np.zeros((2, 1)), np.zeros(2), 0.0)
+
+
+def test_fit_checks_the_dimension_of_every_training_set():
+    for data in (TrainingSet(np.zeros((2, 1)), np.zeros(2), 0.01), TrainingSet.empty(1, 0.01)):
+        with pytest.raises(ValueError):
+            fit(se_unit(2), data)
 
 
 # ---------------------------------------------------------------------------

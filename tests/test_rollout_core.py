@@ -62,6 +62,23 @@ def test_a_cold_cache_compiles_once_and_a_fresh_process_loads_without_compiling(
     assert fresh.stdout == first.states.tobytes()
 
 
+def test_a_cache_that_cannot_be_made_builds_a_private_library_once(cold_cache, monkeypatch, tmp_path):
+    # a cache directory below a regular file cannot be made, even by root, who can write a read-only one
+    cached = rollout()
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    monkeypatch.setattr(simulation, "_CACHE", str(blocker / "__pycache__"))
+    simulation._library.cache_clear()
+    calls = []
+    compile_ = simulation._compile
+    monkeypatch.setattr(simulation, "_compile", lambda *args: calls.append(args) or compile_(*args))
+    assert rollout().states.tobytes() == cached.states.tobytes()
+    assert len(calls) == 1
+    rollout()  # the private directory is gone, and the loaded library still runs
+    assert len(calls) == 1
+    assert blocker.read_bytes() == b"" and not os.path.exists(simulation._CACHE)
+
+
 def tracking10(out_dir):
     cfg = cli.load_config(os.path.join(CONFIGS, "tracking.json"))
     cfg.update(horizon=2.0, seeds=list(range(10)), out_dir=str(out_dir))
