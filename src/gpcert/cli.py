@@ -40,8 +40,8 @@ from . import tracking as trk
 from .errors import CoreBuildError, GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, measure, prior_draw, prior_factor,
-                         run_closed_loop)
+from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, half_step_reference, measure, prior_draw,
+                         prior_factor, run_closed_loop)
 from .tracking import closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
@@ -127,9 +127,8 @@ _SCHEMA = (
     ("out_dir", (lambda v: isinstance(v, str) and v != "", "a nonempty path"), "runs", EXPERIMENTS),
     ("gains.theta1", (_number, "a finite number"), _REQUIRED, ("tracking",)),
     ("gains.theta2", (_number, "a finite number"), _REQUIRED, ("tracking",)),
-    # any finite horizon reaches the runner, which rejects a negative one
-    ("horizon", (_number, "a finite number"), 30.0, ("tracking",)),
-    ("horizon", (_number, "a finite number"), 2.0 * math.pi, ("density_sweep",)),
+    ("horizon", (_nonnegative, "a nonnegative number"), 30.0, ("tracking",)),
+    ("horizon", (_nonnegative, "a nonnegative number"), 2.0 * math.pi, ("density_sweep",)),
     ("fine_dt", _POSITIVE, 3e-4, ("tracking",)),
     ("data_grid.x1", _AXIS, [0.0, 3.0, 5], ("tracking",)),
     ("data_grid.x2", _AXIS, [-4.0, 4.0, 5], ("tracking",)),
@@ -313,9 +312,10 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
 
     One factorization serves every seed's model (:func:`_tracking_models`).
     The seeds share the config, gains and reference, so the batch decodes
-    them, samples the reference on the half-step grid, checks it against the
-    box and takes the posterior stddev along it once: the ``t`` and ``xref``
-    columns and the ``r_ref`` in ``u`` are the same arrays for every seed.
+    them, samples x_ref and r_ref on the half-step grid, checks x_ref against
+    the box and takes the posterior stddev along it once: every seed's
+    rollout reads those samples, and the ``t`` and ``xref`` columns and the
+    ``r_ref`` in ``u`` are their even entries, the same arrays for every seed.
     Each seed's eta and upsilon are formed, it is rolled out by
     :func:`run_closed_loop` and its CSVs are written before the next seed is
     rolled out, so one seed's states are held at a time.  A seed that
@@ -337,9 +337,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     loop = closed_loop(plant, _theta_from(cfg))
 
     t_half = trk.half_step_times(horizon, dt)
-    x_half = ref.state(t_half)
-    box.require(x_half)  # a reference outside the box ends the run here, before it is rolled out
-    t, x_ref, r_ref = t_half[::2], x_half[::2], ref.signal(t_half[::2])
+    x_half, r_half = half_step_reference(ref, box, horizon, dt)  # a reference outside the box ends the run here
+    t, x_ref, r_ref = t_half[::2], x_half[::2], r_half[::2]
     xref_1, xref_2 = x_ref.T
     models = _tracking_models(cfg, seeds)
     if bb["tau"] == "auto":
@@ -354,7 +353,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     def seed_result(seed, model, rep):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
-        sim = run_closed_loop(loop, model, ref, horizon, dt)
+        sim = run_closed_loop(loop, model, x_half, r_half, horizon, dt)
         e = sim.error_norms
         # the applied input: the nominal one divided by g, which the plant knows exactly
         u = (-((sim.states - x_ref) @ loop.theta) + r_ref
@@ -456,7 +455,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     n_profile = 128
     t_profile = np.arange(n_profile) * (ref.period / n_profile)
     profile_points = ref.state(t_profile)
-    half_step_points = ref.state(trk.half_step_times(horizon, dt))
+    x_half, r_half = half_step_reference(ref, box, horizon, dt)  # every pitch's certificate and rollout read these
 
     rows = []
     violations = 0
@@ -468,11 +467,11 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
         rho = dens.data_density_batch(model, profile_points)
         rho_min = float(rho.min())
-        cert = trk.certify(model, rho_min, half_step_points, model.predict_stddev(half_step_points),
+        cert = trk.certify(model, rho_min, x_half, model.predict_stddev(x_half),
                            ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f)
-        sim = run_closed_loop(cert.loop, model, ref, horizon, dt)
+        sim = run_closed_loop(cert.loop, model, x_half, r_half, horizon, dt)
         e_max = float(sim.error_norms.max())
         violations += not trk.certificate_holds(sim.error_norms, cert.upsilon_bar, sim.states, box)
 
@@ -677,7 +676,8 @@ def run(config: dict, workers: int = 1) -> int:
     except CoreBuildError as exc:  # no C compiler, or a failed compile
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    except (GPCertError, ArithmeticError) as exc:  # ArithmeticError: e.g. a constant of an extreme lengthscale
+    # ArithmeticError: e.g. a constant of an extreme lengthscale; MemoryError: e.g. a grid of a tiny pitch
+    except (GPCertError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure in {exp}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # malformed values that validate() does not catch

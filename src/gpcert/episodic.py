@@ -30,7 +30,7 @@ from .density import data_density_batch
 from .errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from .gp import GPModel, TrainingSet, add_samples, downsample, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, benchmark_system, measure, run_closed_loop
+from .simulation import ReferenceSpec, benchmark_system, half_step_reference, measure, run_closed_loop
 from .tracking import ClosedLoop, LinearPlant
 
 _N_E_CAP = 10 ** 9
@@ -191,6 +191,8 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     """Run the episodic loop until the certified bound drops below the target.
 
     The gain rule takes the kernel's own L_sigma over the config's box.
+    The rollout's reference is sampled once, before episode 0, by
+    :func:`simulation.half_step_reference`; every episode's rollout reads it.
     Returns one report per episode, including the data-free initialization as
     episode 0.  Raises :class:`EpisodeCapExceededError` if the safety cap is
     reached first.
@@ -207,6 +209,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     # density is measured on a strided grid; over-reporting the measured
     # minimum only tightens the grid-constant condition, which stays valid
     density_points = ref_points[:: max(1, len(ref_points) // 2048)]
+    x_half, r_half = half_step_reference(config.reference, box, config.horizon, config.fine_dt)
 
     model = fit(spec, TrainingSet.empty(spec.dim, config.noise_variance))
     # seed level producing gamma <= sqrt(beta) sigma_f, the data-free analogue
@@ -249,7 +252,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
                 f"{config.target_error} after {config.max_episodes} episodes"
             )
         upsilon_prev = cert.upsilon_bar
-        sim = run_closed_loop(cert.loop, model, config.reference, config.horizon, config.fine_dt)
+        sim = run_closed_loop(cert.loop, model, x_half, r_half, config.horizon, config.fine_dt)
         errors = sim.error_norms
         observed = float(errors.max())
         violated = not trk.certificate_holds(errors, upsilon_prev, sim.states, box)

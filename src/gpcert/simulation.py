@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .bounds import DomainBox
 from .errors import CoreBuildError, DivergenceError, IllConditionedDataError, UnsupportedOperationError
 from .gp import GPModel, TrainingSet, _blas_threads
 from .kernels import MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec, gram
@@ -140,7 +141,20 @@ class SimRun:
         return float(np.linalg.norm(dx, axis=1).max())
 
 
-def run_closed_loop(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizon: float, fine_dt: float) -> SimRun:
+def half_step_reference(ref: ReferenceSpec, box: DomainBox, horizon: float, fine_dt: float):
+    """(x_half, r_half): x_ref and r_ref on :func:`tracking.half_step_times`, the table :func:`run_closed_loop` reads.
+
+    x_ref must lie in ``box``, where the error bound holds: the first point
+    outside raises :class:`DomainError` before r_ref = -a w^2 sin(w t) is
+    formed, which is inf * 0 at t = 0 when w^2 overflows.
+    """
+    t_half = half_step_times(horizon, fine_dt)
+    x_half = ref.state(t_half)
+    box.require(x_half)
+    return x_half, ref.signal(t_half)
+
+
+def run_closed_loop(loop: ClosedLoop, model: GPModel, x_half, r_half, horizon: float, fine_dt: float) -> SimRun:
     """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the benchmark plant.
 
     The sign convention matches the error dynamics e' = (A - b theta^T) e +
@@ -149,8 +163,12 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizo
     dynamics; the tracking writer records that input.
 
     The model needs a stationary kernel at d = 2, with or without data.
-    x_ref and r_ref are sampled once, on :func:`tracking.half_step_times`:
-    the run starts at x_ref(0), and its times and reference states are the
+    ``x_half`` (shape (2n + 1, 2)) and ``r_half`` (shape (2n + 1,)) are x_ref
+    and r_ref sampled by the caller on :func:`tracking.half_step_times`, n
+    being :func:`tracking.step_count`, as :func:`half_step_reference` gives
+    them; a table of any other shape raises ``ValueError``, as ``eta_ref``
+    does in :func:`tracking.tracking_bound_ode`.
+    The run starts at x_ref(0), and its times and reference states are the
     even samples.  The compiled core (:func:`_library`) steps the loop; a
     state that is not finite raises :class:`DivergenceError` at its time.
     """
@@ -163,7 +181,10 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, ref: ReferenceSpec, horizo
     if spec.dim != 2 or model.data.inputs.shape != (N, 2) or model.alpha.shape != (N,):
         raise ValueError("the closed-loop simulation needs a model of dimension 2 with one weight per input")
     t_half = half_step_times(horizon, fine_dt)
-    x_half, r_half = ref.state(t_half), ref.signal(t_half)
+    x_half, r_half = np.asarray(x_half, dtype=float), np.asarray(r_half, dtype=float)
+    if x_half.shape != (len(t_half), 2) or r_half.shape != t_half.shape:
+        raise ValueError(f"x_half and r_half need {len(t_half)} half-step values, "
+                         f"got shapes {x_half.shape} and {r_half.shape}")
     times, n = t_half[::2], len(t_half) // 2
     states = np.empty((n + 1, 2))
     states[0] = x_half[0]

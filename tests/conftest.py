@@ -6,10 +6,16 @@ from gpcert import bounds
 from gpcert.bounds import DomainBox
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec
+from gpcert.simulation import half_step_reference
 
 
 def se_unit(d=1):
     return KernelSpec(SQUARED_EXPONENTIAL, 1.0, tuple([1.0] * d))
+
+
+def reference_table(ref, horizon, dt):
+    """x_ref and r_ref of ``ref`` on the half-step grid, in the benchmark's box: the table ``run_closed_loop`` reads."""
+    return half_step_reference(ref, DomainBox(2, 10.0), horizon, dt)
 
 
 def random_kernel(rng, d, families=(SQUARED_EXPONENTIAL, MATERN32, MATERN52, LINEAR)):

@@ -265,23 +265,21 @@ def scalar_mean(model: GPModel, p0: float, p1: float) -> float:
     return acc
 
 
-def scalar_closed_loop(loop, model, ref, horizon: float, dt: float) -> np.ndarray:
+def scalar_closed_loop(loop, model, x_half, r_half, horizon: float, dt: float) -> np.ndarray:
     """The states of ``simulation.run_closed_loop`` for one model, stepped on Python floats.
 
     Every operation of ``_rollout.c`` in its order: the benchmark f as
     1 - sin(2 x1) + 1 / (1 + exp(-x2)), the kernel as in ``kernels._rows``,
     the mean, theta^T e and A x as plain left-to-right sums, and the RK4
-    stages on the half-step samples of x_ref and r_ref.  Python floats do not
-    fuse multiply-adds, and math.exp and math.sin are libm's.  The first
-    step whose state is not finite raises :class:`DivergenceError` with its
-    time, as the rollout does.
+    stages on the half-step samples ``x_half`` of x_ref and ``r_half`` of
+    r_ref.  Python floats do not fuse multiply-adds, and math.exp and
+    math.sin are libm's.  The first step whose state is not finite raises
+    :class:`DivergenceError` with its time, as the rollout does.
     """
     (a00, a01), (a10, a11) = loop.plant.A.tolist()
     b0, b1 = loop.plant.b.tolist()
     th0, th1 = loop.theta.tolist()
-    t_half = tracking.half_step_times(horizon, dt)
-    x_half, r_half = ref.state(t_half), ref.signal(t_half)
-    times = t_half[::2]
+    times = tracking.half_step_times(horizon, dt)[::2]
     h, h6 = dt / 2.0, dt / 6.0
 
     def field(x0, x1, r0, r1, rff):

@@ -19,6 +19,8 @@ from gpcert.errors import DivergenceError
 from gpcert.kernels import KernelSpec
 from gpcert.simulation import ReferenceSpec, benchmark_system, measure
 
+from conftest import reference_table
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -87,17 +89,6 @@ def test_run_returns_config_error_code(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("change", [
-    {"horizon": -1},
-], ids=["negative_horizon"])
-def test_run_maps_malformed_values_to_config_error(tmp_path, capsys, change):
-    cfg = tracking_config(tmp_path / "t", horizon=0.1)
-    cfg.update(change)
-    assert cli.validate(cfg) == []
-    assert cli.run(cfg) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
-
-
 @pytest.mark.parametrize("block, change, field", [
     ("domain", {"dimension": "2"}, "domain.dimension"),
     ("domain", {"edge": "10"}, "domain.edge"),
@@ -129,17 +120,20 @@ def test_validate_rejects_wrongly_typed_fields(tmp_path, capsys, block, change, 
     # validate_lipschitz always derives a probabilistic L_f, which Matern 3/2 cannot give;
     # the run used to end in exit code 4
     ("validate_lipschitz.json", "kernel", {"family": "matern32"}, "kernel.family"),
-    # time fields (block None: top level); a negative horizon reaches the runner
+    # time fields (block None: top level); a negative horizon used to pass validate and fail in the runner
     ("tracking.json", None, {"fine_dt": 0}, "fine_dt"),
     ("tracking.json", None, {"horizon": None}, "horizon"),
+    ("tracking.json", None, {"horizon": -1}, "horizon"),
     ("density_sweep.json", None, {"sim_dt": 0}, "sim_dt"),
     ("density_sweep.json", None, {"horizon": "x"}, "horizon"),
+    ("density_sweep.json", None, {"horizon": -1.0}, "horizon"),
     ("episodic.json", "episodic", {"fine_dt": 0}, "episodic.fine_dt"),
     ("episodic.json", "episodic", {"horizon": None}, "episodic.horizon"),
 ], ids=["scalar_extent", "reversed_extent", "null_kappa", "string_pitch", "null_trials",
         "one_grid_point", "float_train_points", "zero_draws",
         "linear_tracking", "linear_density_sweep", "linear_episodic", "matern32_validate_lipschitz",
-        "zero_fine_dt", "null_horizon", "zero_sim_dt", "string_horizon",
+        "zero_fine_dt", "null_horizon", "negative_horizon", "zero_sim_dt", "string_horizon",
+        "negative_sweep_horizon",
         "zero_episodic_fine_dt", "null_episodic_horizon"])
 def test_validate_rejects_bad_fields_in_shipped_configs(tmp_path, capsys, name, block, change, field):
     cfg = cli.load_config(str(CONFIGS / name))
@@ -189,6 +183,23 @@ def test_a_reference_far_outside_the_box_is_refused_before_it_is_rolled_out(tmp_
         assert cli.run(cfg) == cli.EXIT_NUMERICAL
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == (f"numerical failure in tracking: point {point} outside the certified box "
+                                       f"(edge 10.0, center [0. 0.])\n")
+
+
+@pytest.mark.parametrize("experiment", ["density_sweep", "episodic"])
+@pytest.mark.parametrize("change, point", [({"frequency": 1e300}, "[0.e+000 2.e+300]"),
+                                           ({"amplitude": 1e308}, "[0.e+000 1.e+308]")],
+                         ids=["frequency", "amplitude"])
+def test_sweep_and_episodic_refuse_a_far_reference_before_forming_r_ref(tmp_path, capsys, experiment, change, point):
+    # as in tracking: the runner samples the rollout's reference once, up front, and checks x_ref
+    # against the box before r_ref, which is inf * 0 at t = 0 when w^2 overflows
+    cfg = small_config(experiment, tmp_path / "out")
+    cfg["reference"].update(change)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(cfg) == cli.EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (f"numerical failure in {experiment}: point {point} outside the certified box "
                                        f"(edge 10.0, center [0. 0.])\n")
 
 
@@ -595,6 +606,20 @@ def test_validate_lipschitz_on_a_short_interval_and_at_extreme_lengthscales(tmp_
         assert capsys.readouterr().err.startswith("numerical failure in validate_lipschitz:")
 
 
+@pytest.mark.parametrize("experiment", ["tracking", "density_sweep", "validate_bounds"])
+def test_a_grid_too_large_for_memory_is_a_numerical_failure(tmp_path, capsys, monkeypatch, experiment):
+    # sweep.pitches [1e-4] asks numpy for 47.7 GiB; a host that overcommits would grant a real
+    # request, so the grid builder raises as numpy does when it cannot allocate
+    message = "Unable to allocate 47.7 GiB for an array with shape (80001, 80001) and data type float64"
+
+    def refuse(*axes):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_grid", refuse)
+    assert cli.run(small_config(experiment, tmp_path / "out")) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure in {experiment}: {message}\n"
+
+
 @pytest.mark.parametrize("family", ["matern52", "squared_exponential"])
 def test_tracking_at_a_tiny_lengthscale_runs_without_runtime_warnings(tmp_path, capsys, family):
     # at lengthscale 1e-200 every scaled distance between distinct points overflows: the Matern
@@ -927,6 +952,34 @@ def test_each_seed_is_one_rollout_after_one_factor_serially_and_with_workers(tmp
     assert fanned == serial
 
 
+def test_each_runner_samples_the_rollouts_reference_once(tmp_path, monkeypatch):
+    # the rollouts read their runner's samples of x_ref and r_ref: one state and one signal call on
+    # the half-step grid per run, whatever its seeds, pitches or episodes
+    calls = []
+    state, signal = ReferenceSpec.state, ReferenceSpec.signal
+    monkeypatch.setattr(ReferenceSpec, "state", lambda self, t: calls.append(("state", t)) or state(self, t))
+    monkeypatch.setattr(ReferenceSpec, "signal", lambda self, t: calls.append(("signal", t)) or signal(self, t))
+    sweep = small_config("density_sweep", tmp_path / "sweep")
+    sweep["sweep"]["pitches"] = [2.0, 1.6]
+    episodic = small_config("episodic", tmp_path / "episodic")
+    episodic["episodic"].update(target_error=0.1, horizon=2.0 * math.pi, fine_dt=0.01)
+    period = 2.0 * math.pi  # the shipped reference's frequency is 1
+    runs = [(tracking_config(tmp_path / "tracking", seeds=range(3), horizon=0.5), 0.5, 1e-3, None),
+            (sweep, 0.1, 1e-3, np.arange(128) * (period / 128)),
+            (episodic, 2.0 * math.pi, 0.01, tracking.half_step_times(period, 0.01)[::2])]
+    for cfg, horizon, dt, other in runs:
+        calls.clear()
+        assert cli.run(cfg) == cli.EXIT_OK
+        grid = tracking.half_step_times(horizon, dt)
+        on_grid = [name for name, t in calls if np.array_equal(t, grid)]
+        assert sorted(on_grid) == ["signal", "state"], cfg["experiment"]
+        # the sweep's density profile and the episodic loop's one-period ref_points are other grids
+        rest = [(name, t) for name, t in calls if not np.array_equal(t, grid)]
+        assert [name for name, _ in rest] == ([] if other is None else ["state"]), cfg["experiment"]
+        assert other is None or np.array_equal(rest[0][1], other)
+    assert json.loads((tmp_path / "episodic" / "summary.json").read_text())["episodes_run"] >= 2
+
+
 def test_a_diverging_seed_ends_its_batch_after_the_earlier_seeds_wrote(tmp_path, monkeypatch, capsys):
     horizon, fits = 0.5, []
     tracking_models = cli._tracking_models
@@ -946,8 +999,9 @@ def test_a_diverging_seed_ends_its_batch_after_the_earlier_seeds_wrote(tmp_path,
     # the message is the third seed's own divergence
     resolved, _ = cli.resolve(cfg)
     loop = tracking.closed_loop(benchmark_system()[2], cli._theta_from(resolved))
+    table = reference_table(cli._reference_from(resolved), horizon, 1e-3)
     with pytest.raises(DivergenceError) as alone:
-        cli.run_closed_loop(loop, fits[2], cli._reference_from(resolved), horizon, 1e-3)
+        cli.run_closed_loop(loop, fits[2], *table, horizon, 1e-3)
     assert capsys.readouterr().err == f"numerical failure in tracking: {alone.value}\n"
     # seeds 0 and 1 wrote their artifacts; seed 2 stopped the batch before writing any
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(

@@ -1,7 +1,8 @@
 """Every RK4 loop reads its stage times from one grid, ``tracking.half_step_times``.
 
 Step k of the rollout, of ``integrate`` and of the comparison ODE reads
-samples 2k, 2k + 1 (stages 2 and 3) and 2k + 2 of that grid.  A stage time
+samples 2k, 2k + 1 (stages 2 and 3) and 2k + 2 of that grid; the rollout
+reads x_ref and r_ref from its caller's table on it.  A stage time
 formed as t_k + dt/2 or t_k + dt differs from the grid's by one ulp at many
 steps, so the pitch below is one where the two forms disagree.
 """
@@ -22,21 +23,6 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-class SpyReference:
-    """A reference that records the times of every ``state`` and ``signal`` call."""
-
-    def __init__(self, ref):
-        self.ref, self.calls = ref, []
-
-    def state(self, t):
-        self.calls.append(("state", np.array(t, dtype=float)))
-        return self.ref.state(t)
-
-    def signal(self, t):
-        self.calls.append(("signal", np.array(t, dtype=float)))
-        return self.ref.signal(t)
-
-
 def test_stage_samples_reads_samples_2k_2k1_and_2k2_of_each_column():
     a, b = np.arange(7.0), np.arange(14.0).reshape(7, 2)[:, 1]  # b is a strided column
     steps = list(stage_samples(a, b))
@@ -46,23 +32,24 @@ def test_stage_samples_reads_samples_2k_2k1_and_2k2_of_each_column():
 
 
 @pytest.mark.parametrize("seed", [1, 3])
-def test_run_closed_loop_samples_the_reference_once_on_the_half_step_grid(seed):
+def test_run_closed_loop_reads_its_callers_table_on_the_half_step_grid(seed, monkeypatch):
     f, _, plant = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (9, 2))
     spec = KernelSpec("squared_exponential", 1.0, (0.8, 1.5))
     model = fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=9), 0.01))
-    spy = SpyReference(ReferenceSpec(2.0, 1.0))
+    ref, grid = ReferenceSpec(2.0, 1.0), half_step_times(HORIZON, DT)
+    x_half, r_half = ref.state(grid), ref.signal(grid)
+    calls = []
+    monkeypatch.setattr(ReferenceSpec, "state", lambda self, t: calls.append(t))
+    monkeypatch.setattr(ReferenceSpec, "signal", lambda self, t: calls.append(t))
 
-    run = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, spy, HORIZON, DT)
+    run = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, x_half, r_half, HORIZON, DT)
 
-    grid = half_step_times(HORIZON, DT)
-    assert sorted(name for name, _ in spy.calls) == ["signal", "state"]
-    for _, t in spy.calls:
-        assert same_bits(t, grid)
+    assert calls == []  # the rollout samples no reference of its own
     assert same_bits(run.times, grid[::2])
-    assert same_bits(run.reference_states, spy.ref.state(grid)[::2])
-    assert same_bits(run.states[0], spy.ref.state(grid[0]))
+    assert same_bits(run.reference_states, x_half[::2])
+    assert same_bits(run.states[0], x_half[0])
 
 
 def test_integrate_calls_dynamics_at_samples_2k_2k1_2k1_and_2k2():

@@ -19,6 +19,8 @@ from gpcert.kernels import KernelSpec
 from gpcert.simulation import ReferenceSpec, benchmark_system, run_closed_loop
 from gpcert.tracking import closed_loop
 
+from conftest import reference_table
+
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SRC = os.path.join(os.path.dirname(CONFIGS), "src")
 
@@ -37,7 +39,8 @@ def rollout():
     f, _, plant = benchmark_system()
     X = np.random.default_rng(0).uniform(-3.0, 3.0, (9, 2))
     model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, f(X[:, 0], X[:, 1]), 0.01))
-    return run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, ReferenceSpec(2.0, 1.0), 0.1, 1e-3)
+    table = reference_table(ReferenceSpec(2.0, 1.0), 0.1, 1e-3)
+    return run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, *table, 0.1, 1e-3)
 
 
 def test_a_cold_cache_compiles_once_and_a_fresh_process_loads_without_compiling(cold_cache, monkeypatch):
