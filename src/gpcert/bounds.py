@@ -248,7 +248,8 @@ def _derivative_kernel_constants(spec: KernelSpec, i: int, dim: int) -> tuple[fl
     # either way.  Not kernels._row_blocks: its 256-row floor serves BLAS
     # products, and every operation here is elementwise.
     rows = max(1, kernels._BLOCK_ELEMENTS // (_GRID_TEMPORARIES * s.shape[1]))
-    grad2_max = max(block_max(a_all[lo:lo + rows]) for lo in range(0, n, rows))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # an extreme lengthscale raises here
+        grad2_max = max(block_max(a_all[lo:lo + rows]) for lo in range(0, n, rows))
     return max_sq, math.sqrt(grad2_max)
 
 
@@ -257,7 +258,9 @@ def probabilistic_lipschitz(spec: KernelSpec, box: DomainBox, delta_L: float) ->
 
     Applies the supremum bound to each partial-derivative process at
     confidence delta_L / (2 d) and returns the Euclidean norm of the per-axis
-    bounds.  Requires continuous partials up to fourth order.
+    bounds.  Requires continuous partials up to fourth order.  Derivative-kernel
+    constants that overflow or are not finite, as at an extreme lengthscale,
+    raise ``FloatingPointError``.
     """
     if not 0 < delta_L < 1:
         raise ValueError("delta_L must lie in (0, 1)")
@@ -271,6 +274,9 @@ def probabilistic_lipschitz(spec: KernelSpec, box: DomainBox, delta_L: float) ->
     per_axis = []
     for i in range(d):
         max_sq, L_di = _derivative_kernel_constants(spec, i, d)
+        if not (math.isfinite(max_sq) and math.isfinite(L_di)):  # _sample_sup's max() would drop a NaN
+            raise FloatingPointError(f"derivative-kernel constants of axis {i + 1} are not finite: "
+                                     f"max sqrt(k) {max_sq}, Lipschitz constant {L_di}")
         per_axis.append(_sample_sup(delta_L / (2.0 * d), max_sq, L_di, box.edge, d))
     return float(np.linalg.norm(per_axis))
 

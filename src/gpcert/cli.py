@@ -312,10 +312,11 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
 
     One factorization serves every seed's model (:func:`_tracking_models`).
     The seeds share the config, gains and reference, so the batch decodes
-    them, samples x_ref and r_ref on the half-step grid, checks x_ref against
-    the box and takes the posterior stddev along it once: every seed's
-    rollout reads those samples, and the ``t`` and ``xref`` columns and the
-    ``r_ref`` in ``u`` are their even entries, the same arrays for every seed.
+    them, samples x_ref and r_ref into one half-step table
+    (:func:`half_step_reference`), checks x_ref against the box and takes the
+    posterior stddev along it once: every seed's rollout reads that table,
+    and the ``xref`` columns and the ``r_ref`` in ``u`` are views of its even
+    columns, the same arrays for every seed, as is the ``t`` column.
     Each seed's eta and upsilon are formed, it is rolled out by
     :func:`run_closed_loop` and its CSVs are written before the next seed is
     rolled out, so one seed's states are held at a time.  A seed that
@@ -337,8 +338,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     loop = closed_loop(plant, _theta_from(cfg))
 
     t_half = trk.half_step_times(horizon, dt)
-    x_half, r_half = half_step_reference(ref, box, horizon, dt)  # a reference outside the box ends the run here
-    t, x_ref, r_ref = t_half[::2], x_half[::2], r_half[::2]
+    table = half_step_reference(ref, box, horizon, dt)  # a reference outside the box ends the run here
+    x_half, t, x_ref, r_ref = table[:2].T, t_half[::2], table[:2, ::2].T, table[2, ::2]
     xref_1, xref_2 = x_ref.T
     models = _tracking_models(cfg, seeds)
     if bb["tau"] == "auto":
@@ -346,14 +347,14 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     else:
         reps = [bnd.bound_constants(model, float(bb["tau"]), bb["delta"], L_f, box) for model in models]
     sigma_half = models[0].predict_stddev(x_half)
-    # the phase of the worst posterior uncertainty, over one period of the half-step grid (pitch dt/2)
+    # the phase of the worst posterior uncertainty, over the first period of the half-step grid
     period = ref.period
-    t_sig = float(t_half[int(np.argmax(sigma_half[: int(round(2 * period / dt)) + 1]))]) % period
+    t_sig = float(t_half[int(np.argmax(sigma_half[:trk.period_samples(period, dt)]))]) % period
 
     def seed_result(seed, model, rep):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
-        sim = run_closed_loop(loop, model, x_half, r_half, horizon, dt)
+        sim = run_closed_loop(loop, model, table, dt)
         e = sim.error_norms
         # the applied input: the nominal one divided by g, which the plant knows exactly
         u = (-((sim.states - x_ref) @ loop.theta) + r_ref
@@ -455,7 +456,8 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     n_profile = 128
     t_profile = np.arange(n_profile) * (ref.period / n_profile)
     profile_points = ref.state(t_profile)
-    x_half, r_half = half_step_reference(ref, box, horizon, dt)  # every pitch's certificate and rollout read these
+    table = half_step_reference(ref, box, horizon, dt)  # every pitch's certificate and rollout read it
+    x_half = table[:2].T
 
     rows = []
     violations = 0
@@ -471,7 +473,7 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
                            ref.max_speed * dt / 2.0,
                            lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
                            box, delta, L_f)
-        sim = run_closed_loop(cert.loop, model, x_half, r_half, horizon, dt)
+        sim = run_closed_loop(cert.loop, model, table, dt)
         e_max = float(sim.error_norms.max())
         violations += not trk.certificate_holds(sim.error_norms, cert.upsilon_bar, sim.states, box)
 

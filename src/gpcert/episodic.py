@@ -191,8 +191,9 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     """Run the episodic loop until the certified bound drops below the target.
 
     The gain rule takes the kernel's own L_sigma over the config's box.
-    The rollout's reference is sampled once, before episode 0, by
-    :func:`simulation.half_step_reference`; every episode's rollout reads it.
+    The reference is sampled once, before episode 0, into the half-step
+    table of :func:`simulation.half_step_reference`, which every rollout
+    reads; the certificates, the ladder and the data density read slices of it.
     Returns one report per episode, including the data-free initialization as
     episode 0.  Raises :class:`EpisodeCapExceededError` if the safety cap is
     reached first.
@@ -204,12 +205,12 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     L_sigma = bnd.kernel_constants(spec, box)[1]
     f, _, plant = benchmark_system()  # the plant the rollout simulates, its f as measured
 
-    # one period of the reference at pitch fine_dt: the even samples of its half-step grid
-    ref_points = config.reference.state(trk.half_step_times(config.reference.period, config.fine_dt)[::2])
+    table = half_step_reference(config.reference, box, config.horizon, config.fine_dt)
+    # x_ref at pitch fine_dt over the first period, or over a shorter horizon: what the next rollout visits
+    ref_points = table[:2, :trk.period_samples(config.reference.period, config.fine_dt):2].T
     # density is measured on a strided grid; over-reporting the measured
     # minimum only tightens the grid-constant condition, which stays valid
     density_points = ref_points[:: max(1, len(ref_points) // 2048)]
-    x_half, r_half = half_step_reference(config.reference, box, config.horizon, config.fine_dt)
 
     model = fit(spec, TrainingSet.empty(spec.dim, config.noise_variance))
     # seed level producing gamma <= sqrt(beta) sigma_f, the data-free analogue
@@ -252,7 +253,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
                 f"{config.target_error} after {config.max_episodes} episodes"
             )
         upsilon_prev = cert.upsilon_bar
-        sim = run_closed_loop(cert.loop, model, x_half, r_half, config.horizon, config.fine_dt)
+        sim = run_closed_loop(cert.loop, model, table, config.fine_dt)
         errors = sim.error_norms
         observed = float(errors.max())
         violated = not trk.certificate_holds(errors, upsilon_prev, sim.states, box)

@@ -141,20 +141,24 @@ class SimRun:
         return float(np.linalg.norm(dx, axis=1).max())
 
 
-def half_step_reference(ref: ReferenceSpec, box: DomainBox, horizon: float, fine_dt: float):
-    """(x_half, r_half): x_ref and r_ref on :func:`tracking.half_step_times`, the table :func:`run_closed_loop` reads.
+def half_step_reference(ref: ReferenceSpec, box: DomainBox, horizon: float, fine_dt: float) -> np.ndarray:
+    """The table :func:`run_closed_loop` reads: x_ref and r_ref on :func:`tracking.half_step_times`.
 
-    x_ref must lie in ``box``, where the error bound holds: the first point
-    outside raises :class:`DomainError` before r_ref = -a w^2 sin(w t) is
-    formed, which is inf * 0 at t = 0 when w^2 overflows.
+    One C-contiguous (3, 2n + 1) float64 array, n being :func:`tracking.step_count`,
+    whose rows are x_ref's two coordinates and r_ref.  x_ref must lie in
+    ``box``, where the error bound holds: the first point outside raises
+    :class:`DomainError` before r_ref = -a w^2 sin(w t) is formed, which is
+    inf * 0 at t = 0 when w^2 overflows.
     """
     t_half = half_step_times(horizon, fine_dt)
-    x_half = ref.state(t_half)
-    box.require(x_half)
-    return x_half, ref.signal(t_half)
+    table = np.empty((3, len(t_half)))
+    table[:2] = ref.state(t_half).T
+    box.require(table[:2].T)
+    table[2] = ref.signal(t_half)
+    return table
 
 
-def run_closed_loop(loop: ClosedLoop, model: GPModel, x_half, r_half, horizon: float, fine_dt: float) -> SimRun:
+def run_closed_loop(loop: ClosedLoop, model: GPModel, table, fine_dt: float) -> SimRun:
     """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the benchmark plant.
 
     The sign convention matches the error dynamics e' = (A - b theta^T) e +
@@ -163,14 +167,14 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, x_half, r_half, horizon: f
     dynamics; the tracking writer records that input.
 
     The model needs a stationary kernel at d = 2, with or without data.
-    ``x_half`` (shape (2n + 1, 2)) and ``r_half`` (shape (2n + 1,)) are x_ref
-    and r_ref sampled by the caller on :func:`tracking.half_step_times`, n
-    being :func:`tracking.step_count`, as :func:`half_step_reference` gives
-    them; a table of any other shape raises ``ValueError``, as ``eta_ref``
-    does in :func:`tracking.tracking_bound_ode`.
-    The run starts at x_ref(0), and its times and reference states are the
-    even samples.  The compiled core (:func:`_library`) steps the loop; a
-    state that is not finite raises :class:`DivergenceError` at its time.
+    ``table`` is the caller's (3, 2n + 1) half-step table of x_ref and r_ref
+    from :func:`half_step_reference`, which the core reads in place; an array
+    of any other shape or layout raises ``ValueError``.  The run takes n
+    steps of pitch ``fine_dt`` from x_ref(0).  Its times k fine_dt are the
+    even samples of :func:`tracking.half_step_times` bit for bit (dt/2 is
+    exact), and its reference states are the table's even columns.  The
+    compiled core (:func:`_library`) steps the loop; a state that is not
+    finite raises :class:`DivergenceError` at its time.
     """
     if loop.plant.A.shape != (2, 2):
         raise ValueError("the closed-loop simulation needs a plant of dimension 2")
@@ -180,22 +184,21 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, x_half, r_half, horizon: f
     # the core reads N rows of two inputs and N weights
     if spec.dim != 2 or model.data.inputs.shape != (N, 2) or model.alpha.shape != (N,):
         raise ValueError("the closed-loop simulation needs a model of dimension 2 with one weight per input")
-    t_half = half_step_times(horizon, fine_dt)
-    x_half, r_half = np.asarray(x_half, dtype=float), np.asarray(r_half, dtype=float)
-    if x_half.shape != (len(t_half), 2) or r_half.shape != t_half.shape:
-        raise ValueError(f"x_half and r_half need {len(t_half)} half-step values, "
-                         f"got shapes {x_half.shape} and {r_half.shape}")
-    times, n = t_half[::2], len(t_half) // 2
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] != 3 or table.shape[1] % 2 != 1 or not table.flags.c_contiguous:
+        raise ValueError(f"the reference table needs shape (3, 2n + 1) in C order, got {table.shape}")
+    n = table.shape[1] // 2
+    times = np.arange(n + 1) * fine_dt
     states = np.empty((n + 1, 2))
-    states[0] = x_half[0]
+    states[0] = table[:2, 0]
     # the core reads the kernel only per row, so a model with no rows has mean 0 whatever its family
     diverged = _library().gpcert_rollout(
-        n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta),
-        _doubles(np.vstack([x_half.T, r_half])), _FAMILY_CODES[spec.family], spec.signal_variance,
-        *spec.lengthscales, N, _doubles(model.data.inputs), _doubles(model.alpha), states)
+        n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta), table,
+        _FAMILY_CODES[spec.family], spec.signal_variance, *spec.lengthscales, N, _doubles(model.data.inputs),
+        _doubles(model.alpha), states)
     if diverged:
         raise _diverged(times, diverged)
-    return SimRun(times, states, x_half[::2])
+    return SimRun(times, states, table[:2, ::2].T)
 
 
 def measure(states: np.ndarray, nonlinearity, noise_variance: float, seed: int) -> TrainingSet:

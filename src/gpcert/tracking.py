@@ -9,9 +9,10 @@ whose solution dominates ||e(t)|| with the confidence of the underlying
 uniform error bound.  zeta = ||U|| ||U^{-1} b|| comes from the complex
 eigendecomposition of A_theta (matrix norms are spectral norms).  The module
 also provides the fixed-step grid of every RK4 loop (:func:`step_count`,
-:func:`half_step_times`, which the Python loops read per step through
-:func:`stage_samples`), the stationary maximum bound, the decay ratio kappa,
-the grid constant satisfying the density condition beta >= gamma^2 rho k(0) / 2,
+:func:`half_step_times`, its first period :func:`period_samples`, and
+:func:`stage_samples`, through which the Python loops read it per step), the
+stationary maximum bound, the decay ratio kappa, the grid constant
+satisfying the density condition beta >= gamma^2 rho k(0) / 2,
 :func:`certify`, which chains them into one stationary certificate, and
 :func:`certificate_holds`, the verdict on a rollout against a certified bound.
 """
@@ -128,6 +129,11 @@ def step_count(horizon: float, dt: float) -> int:
 def half_step_times(horizon: float, dt: float) -> np.ndarray:
     """Times 0, dt/2, ..., n dt (n = :func:`step_count`): every RK4 stage time."""
     return np.arange(2 * step_count(horizon, dt) + 1) * (dt / 2.0)
+
+
+def period_samples(period: float, dt: float) -> int:
+    """How many :func:`half_step_times` samples span the first period; a shorter grid sliced to it stays whole."""
+    return 2 * step_count(period, dt) + 1
 
 
 def stage_samples(*columns):

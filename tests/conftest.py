@@ -14,7 +14,7 @@ def se_unit(d=1):
 
 
 def reference_table(ref, horizon, dt):
-    """x_ref and r_ref of ``ref`` on the half-step grid, in the benchmark's box: the table ``run_closed_loop`` reads."""
+    """The (3, 2n + 1) half-step table of ``ref``'s x_ref and r_ref in the benchmark's box: ``run_closed_loop``'s."""
     return half_step_reference(ref, DomainBox(2, 10.0), horizon, dt)
 
 

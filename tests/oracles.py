@@ -265,21 +265,21 @@ def scalar_mean(model: GPModel, p0: float, p1: float) -> float:
     return acc
 
 
-def scalar_closed_loop(loop, model, x_half, r_half, horizon: float, dt: float) -> np.ndarray:
+def scalar_closed_loop(loop, model, table, dt: float) -> np.ndarray:
     """The states of ``simulation.run_closed_loop`` for one model, stepped on Python floats.
 
     Every operation of ``_rollout.c`` in its order: the benchmark f as
     1 - sin(2 x1) + 1 / (1 + exp(-x2)), the kernel as in ``kernels._rows``,
     the mean, theta^T e and A x as plain left-to-right sums, and the RK4
-    stages on the half-step samples ``x_half`` of x_ref and ``r_half`` of
-    r_ref.  Python floats do not fuse multiply-adds, and math.exp and
-    math.sin are libm's.  The first step whose state is not finite raises
+    stages on the half-step table ``table``, whose rows are x_ref's two
+    coordinates and r_ref.  Python floats do not fuse multiply-adds, and
+    math.exp and math.sin are libm's.  The first step whose state is not finite raises
     :class:`DivergenceError` with its time, as the rollout does.
     """
     (a00, a01), (a10, a11) = loop.plant.A.tolist()
     b0, b1 = loop.plant.b.tolist()
     th0, th1 = loop.theta.tolist()
-    times = tracking.half_step_times(horizon, dt)[::2]
+    times = (np.arange(table.shape[1]) * (dt / 2.0))[::2]  # the half-step grid's even samples
     h, h6 = dt / 2.0, dt / 6.0
 
     def field(x0, x1, r0, r1, rff):
@@ -287,9 +287,9 @@ def scalar_closed_loop(loop, model, x_half, r_half, horizon: float, dt: float) -
              + (1.0 - _sin(2.0 * x0) + 1.0 / (1.0 + _exp(-x1))))
         return (a00 * x0 + a01 * x1) + b0 * u, (a10 * x0 + a11 * x1) + b1 * u
 
-    x0, x1 = x_half[0].tolist()
+    x0, x1 = table[:2, 0].tolist()
     states = [(x0, x1)]
-    stages = tracking.stage_samples(x_half[:, 0], x_half[:, 1], r_half)
+    stages = tracking.stage_samples(*table)
     for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
         k10, k11 = field(x0, x1, ra0, ra1, sa)
         k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)

@@ -598,12 +598,30 @@ def test_validate_lipschitz_on_a_short_interval_and_at_extreme_lengthscales(tmp_
     short["domain"]["edge"] = 0.05
     assert cli.run(short) == cli.EXIT_OK
     assert (tmp_path / "short" / "lipschitz_trials.csv").exists()
-    for ell in (1e-120, 1e110):
+    for ell in (1e-60, 1e-100, 1e-105, 1e-120, 1e110):
         cfg = lipschitz_config(tmp_path / "extreme")
         cfg["kernel"]["lengthscales"] = [ell]
         capsys.readouterr()
-        assert cli.run(cfg) == cli.EXIT_NUMERICAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(cfg) == cli.EXIT_NUMERICAL, ell
         assert capsys.readouterr().err.startswith("numerical failure in validate_lipschitz:")
+
+
+@pytest.mark.parametrize("ell", [1e-100, 1e-105])
+def test_a_probabilistic_lf_that_overflows_or_goes_nan_is_a_numerical_failure(tmp_path, capsys, ell):
+    # L_f came out inf (1e-100) or, with the NaN dropped by a max, finite and unsound (1e-105), and the
+    # run exited 0 with every seed "certified"
+    out = tmp_path / "t"
+    cfg = shipped_tracking_config(out, "kernel", {"lengthscales": [ell, ell]})
+    cfg["bound"]["L_f"] = "probabilistic"
+    cfg["horizon"] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(cfg) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in tracking:") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("experiment", ["tracking", "density_sweep", "validate_bounds"])
@@ -966,18 +984,30 @@ def test_each_runner_samples_the_rollouts_reference_once(tmp_path, monkeypatch):
     period = 2.0 * math.pi  # the shipped reference's frequency is 1
     runs = [(tracking_config(tmp_path / "tracking", seeds=range(3), horizon=0.5), 0.5, 1e-3, None),
             (sweep, 0.1, 1e-3, np.arange(128) * (period / 128)),
-            (episodic, 2.0 * math.pi, 0.01, tracking.half_step_times(period, 0.01)[::2])]
+            (episodic, 2.0 * math.pi, 0.01, None)]
     for cfg, horizon, dt, other in runs:
         calls.clear()
         assert cli.run(cfg) == cli.EXIT_OK
         grid = tracking.half_step_times(horizon, dt)
         on_grid = [name for name, t in calls if np.array_equal(t, grid)]
         assert sorted(on_grid) == ["signal", "state"], cfg["experiment"]
-        # the sweep's density profile and the episodic loop's one-period ref_points are other grids
+        # the sweep's density profile is another grid; the episodic certificate reads the rollout's table
         rest = [(name, t) for name, t in calls if not np.array_equal(t, grid)]
         assert [name for name, _ in rest] == ([] if other is None else ["state"]), cfg["experiment"]
         assert other is None or np.array_equal(rest[0][1], other)
     assert json.loads((tmp_path / "episodic" / "summary.json").read_text())["episodes_run"] >= 2
+
+
+def test_an_episode_shorter_than_the_period_is_certified_over_its_horizon(tmp_path):
+    # each certificate covers the reference the next rollout visits, here half a period; over a whole
+    # period it demanded a small variance where no episode measures, and the ladder could not reach it
+    out = tmp_path / "half"
+    cfg = small_config("episodic", out)
+    cfg["episodic"].update(target_error=0.1, horizon=math.pi, fine_dt=0.01)
+    assert cli.run(cfg) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["terminated"] and summary["episodes_run"] == 3
+    assert summary["certificate_violations"] == 0
 
 
 def test_a_diverging_seed_ends_its_batch_after_the_earlier_seeds_wrote(tmp_path, monkeypatch, capsys):
@@ -1001,7 +1031,7 @@ def test_a_diverging_seed_ends_its_batch_after_the_earlier_seeds_wrote(tmp_path,
     loop = tracking.closed_loop(benchmark_system()[2], cli._theta_from(resolved))
     table = reference_table(cli._reference_from(resolved), horizon, 1e-3)
     with pytest.raises(DivergenceError) as alone:
-        cli.run_closed_loop(loop, fits[2], *table, horizon, 1e-3)
+        cli.run_closed_loop(loop, fits[2], table, 1e-3)
     assert capsys.readouterr().err == f"numerical failure in tracking: {alone.value}\n"
     # seeds 0 and 1 wrote their artifacts; seed 2 stopped the batch before writing any
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(

@@ -82,14 +82,14 @@ def assert_matches_the_oracle(loop, model, horizon, dt):
     """
     table = reference_table(REF, horizon, dt)
     try:
-        expected = scalar_closed_loop(loop, model, *table, horizon, dt)
+        expected = scalar_closed_loop(loop, model, table, dt)
     except DivergenceError as exc:
         with pytest.raises(DivergenceError) as new:
-            run_closed_loop(loop, model, *table, horizon, dt)
+            run_closed_loop(loop, model, table, dt)
         assert new.value.time == exc.time
         assert str(new.value) == str(exc)
         return exc
-    run = run_closed_loop(loop, model, *table, horizon, dt)
+    run = run_closed_loop(loop, model, table, dt)
     assert same_bits(run.states, expected)
     return run
 
@@ -156,7 +156,7 @@ def test_a_mean_that_overflows_diverges_at_the_first_step():
     model = models_on_one_grid(np.random.default_rng(0), 25, 1, ell=(50.0, 50.0))[0]
     model = dataclasses.replace(model, alpha=np.full(25, 1e308))
     with pytest.raises(DivergenceError) as exc:
-        run_closed_loop(loop, model, *reference_table(REF, 3.0, 1e-3), 3.0, 1e-3)
+        run_closed_loop(loop, model, reference_table(REF, 3.0, 1e-3), 1e-3)
     assert exc.value.time == 1e-3
     assert str(exc.value) == "state diverged at t = 0.001"
     assert_matches_the_oracle(loop, model, 3.0, 1e-3)
@@ -167,7 +167,7 @@ def test_run_closed_loop_rejects_other_plant_dimensions():
     loop = closed_loop(plant, np.array([6.0, 11.0, 6.0]))
     model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
     with pytest.raises(ValueError):
-        run_closed_loop(loop, model, *reference_table(REF, 1.0, 1e-3), 1.0, 1e-3)
+        run_closed_loop(loop, model, reference_table(REF, 1.0, 1e-3), 1e-3)
 
 
 def test_run_closed_loop_rejects_a_non_stationary_kernel():
@@ -176,9 +176,9 @@ def test_run_closed_loop_rejects_a_non_stationary_kernel():
     spec = KernelSpec("linear", 1.0, (1.0, 1.0))
     table = reference_table(REF, 0.1, 1e-3)
     with pytest.raises(UnsupportedOperationError):
-        run_closed_loop(loop, fit(spec, TrainingSet(np.ones((3, 2)), np.ones(3), 0.01)), *table, 0.1, 1e-3)
+        run_closed_loop(loop, fit(spec, TrainingSet(np.ones((3, 2)), np.ones(3), 0.01)), table, 1e-3)
     with pytest.raises(UnsupportedOperationError):
-        run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), *table, 0.1, 1e-3)
+        run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), table, 1e-3)
 
 
 def test_zero_row_models_of_every_stationary_family_roll_out_alike():
@@ -186,9 +186,9 @@ def test_zero_row_models_of_every_stationary_family_roll_out_alike():
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
     table = reference_table(REF, 0.1, 1e-3)
     se = run_closed_loop(loop, fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01)),
-                         *table, 0.1, 1e-3)
+                         table, 1e-3)
     for spec in (KernelSpec("matern52", 2.5, (0.3, 4.0)), KernelSpec("matern32", 0.7, (1.0, 1.0))):
-        assert same_run(run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), *table, 0.1, 1e-3), se)
+        assert same_run(run_closed_loop(loop, fit(spec, TrainingSet.empty(2, 0.01)), table, 1e-3), se)
 
 
 def test_run_closed_loop_refuses_models_the_core_would_misread():
@@ -202,21 +202,37 @@ def test_run_closed_loop_refuses_models_the_core_would_misread():
                         TrainingSet(np.ones((5, 3)), np.ones(5), 0.01), None, np.ones(5)),
                 dataclasses.replace(model, alpha=np.ones(4))):
         with pytest.raises(ValueError):
-            run_closed_loop(loop, bad, *reference_table(REF, 0.1, 1e-3), 0.1, 1e-3)
+            run_closed_loop(loop, bad, reference_table(REF, 0.1, 1e-3), 1e-3)
 
 
 def test_run_closed_loop_rejects_a_table_of_the_wrong_shape():
-    # the core reads 2n + 1 samples of x_ref and of r_ref; a shorter table would make it read past them
+    # the core reads 3 C-order rows of 2n + 1 half-step samples; it would misread any other shape or layout
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
     model = fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))
-    x_half, r_half = reference_table(REF, 0.1, 1e-3)  # n = 100 steps: 201 samples
-    short_x, short_r = reference_table(REF, 0.099, 1e-3)
-    for bad_x, bad_r in ((short_x, r_half), (x_half, short_r), (short_x, short_r), (x_half[:-1], r_half),
-                         (x_half, r_half[1:]), (np.zeros((203, 2)), r_half), (x_half, np.zeros(202)),
-                         (x_half[:, :1], r_half), (x_half.ravel()[:201], r_half), (x_half, x_half)):
+    table = reference_table(REF, 0.1, 1e-3)  # n = 100 steps: 201 samples
+    for bad in (np.zeros((3, 202)), table[:, :-1], table[:2], np.zeros((2, 201)), table[0], np.zeros(603),
+                np.asfortranarray(table)):
         with pytest.raises(ValueError):
-            run_closed_loop(loop, model, bad_x, bad_r, 0.1, 1e-3)
-    assert len(run_closed_loop(loop, model, x_half, r_half, 0.1, 1e-3).times) == 101
+            run_closed_loop(loop, model, bad, 1e-3)
+    assert len(run_closed_loop(loop, model, table, 1e-3).times) == 101
+
+
+def test_the_core_reads_its_callers_table_in_place(monkeypatch):
+    # the table goes to the core as it is: no copy per rollout
+    seen = []
+
+    class Core:
+        def gpcert_rollout(self, *args):
+            seen.append(args[5])  # ref
+            return 0
+
+    monkeypatch.setattr(simulation, "_library", Core)
+    loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
+    model = models_on_one_grid(np.random.default_rng(2), 9, 1)[0]
+    table = reference_table(REF, 0.1, 1e-3)
+    run = run_closed_loop(loop, model, table, 1e-3)
+    assert len(seen) == 1 and seen[0] is table
+    assert np.shares_memory(run.reference_states, table)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -230,7 +246,7 @@ def test_matern_rollout_never_calls_predict_mean(count, monkeypatch):
     loop = closed_loop(COMPANION, np.array([200.0, 20.0]))
     table = reference_table(REF, 0.05, 1e-3)
     for model in models:
-        run_closed_loop(loop, model, *table, 0.05, 1e-3)
+        run_closed_loop(loop, model, table, 1e-3)
     assert calls == []
     models[0].predict_mean(np.zeros(2))  # the spy does see a call
     assert len(calls) == 1

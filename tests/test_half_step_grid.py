@@ -39,17 +39,29 @@ def test_run_closed_loop_reads_its_callers_table_on_the_half_step_grid(seed, mon
     spec = KernelSpec("squared_exponential", 1.0, (0.8, 1.5))
     model = fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=9), 0.01))
     ref, grid = ReferenceSpec(2.0, 1.0), half_step_times(HORIZON, DT)
-    x_half, r_half = ref.state(grid), ref.signal(grid)
+    x_half = ref.state(grid)
+    table = np.array([*x_half.T, ref.signal(grid)])
     calls = []
     monkeypatch.setattr(ReferenceSpec, "state", lambda self, t: calls.append(t))
     monkeypatch.setattr(ReferenceSpec, "signal", lambda self, t: calls.append(t))
 
-    run = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, x_half, r_half, HORIZON, DT)
+    run = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, table, DT)
 
     assert calls == []  # the rollout samples no reference of its own
     assert same_bits(run.times, grid[::2])
     assert same_bits(run.reference_states, x_half[::2])
     assert same_bits(run.states[0], x_half[0])
+
+
+def test_run_closed_loop_times_are_the_even_half_step_times_at_any_pitch():
+    # the rollout forms k dt, the grid 2k (dt / 2): dt / 2 is exact, so both round the same real number
+    _, _, plant = benchmark_system()
+    loop = closed_loop(plant, np.array([1.0, 1.0]))  # slow poles: RK4 stays stable up to the largest pitch
+    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet.empty(2, 0.01))
+    for dt in [DT, 1e-3, 1.0 / 3.0, *np.random.default_rng(0).uniform(1e-4, 1.0, 40)]:
+        grid = half_step_times(1000 * dt, dt)
+        table = np.array([np.zeros_like(grid), np.zeros_like(grid), np.zeros_like(grid)])
+        assert same_bits(run_closed_loop(loop, model, table, dt).times, grid[::2]), dt
 
 
 def test_integrate_calls_dynamics_at_samples_2k_2k1_2k1_and_2k2():

@@ -40,7 +40,7 @@ def rollout():
     X = np.random.default_rng(0).uniform(-3.0, 3.0, (9, 2))
     model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, f(X[:, 0], X[:, 1]), 0.01))
     table = reference_table(ReferenceSpec(2.0, 1.0), 0.1, 1e-3)
-    return run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, *table, 0.1, 1e-3)
+    return run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, table, 1e-3)
 
 
 def test_a_cold_cache_compiles_once_and_a_fresh_process_loads_without_compiling(cold_cache, monkeypatch):

@@ -116,7 +116,7 @@ def test_measurements_are_f_plus_seeded_noise():
     f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    sim = run_closed_loop(loop, model, *reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1.0, 1e-3)
+    sim = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1e-3)
     n, s2 = len(sim.states), 0.01
     raw = measure(sim.states, f, s2, 3)
     expected = f(sim.states[:, 0], sim.states[:, 1]) + np.random.default_rng(3).normal(0.0, math.sqrt(s2), n)
@@ -130,7 +130,7 @@ def test_measurement_count_and_grid():
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     T, dt = 3.0, 1e-3
-    sim = run_closed_loop(loop, model, *reference_table(ReferenceSpec(2.0, 1.0), T, dt), T, dt)
+    sim = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), T, dt), dt)
     assert len(measure(sim.states, f, 0.01, 1)) == int(math.floor(1 + T / dt + 1e-9))
     steps = np.diff(sim.times)
     assert steps.max() - steps.min() <= 1e-12
@@ -140,7 +140,7 @@ def test_measurement_noise_variance():
     f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    sim = run_closed_loop(loop, model, *reference_table(ReferenceSpec(2.0, 1.0), 2.0, 1e-3), 2.0, 1e-3)
+    sim = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 2.0, 1e-3), 1e-3)
     resid = measure(sim.states, f, 0.01, 7).targets - f(sim.states[:, 0], sim.states[:, 1])
     assert len(resid) >= 1000
     assert resid.var() == pytest.approx(0.01, rel=0.10)
@@ -150,8 +150,8 @@ def test_run_determinism():
     f, _, plant = benchmark_system()
     loop = closed_loop(plant, np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
-    a = run_closed_loop(loop, model, *reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1.0, 1e-3)
-    b = run_closed_loop(loop, model, *reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1.0, 1e-3)
+    a = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1e-3)
+    b = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1e-3)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(measure(a.states, f, 0.01, 42).targets, measure(b.states, f, 0.01, 42).targets)
 
