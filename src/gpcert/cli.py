@@ -12,8 +12,9 @@ Experiments: ``tracking`` (closed-loop certificate on the benchmark),
 ``validate_lipschitz`` (coverage of the prior Lipschitz constant).
 
 Exit codes: 0 success, 2 config error, 3 certificate violation, 4 numerical
-failure, 5 the compiled rollout core could not be built.  Trajectories go to
-CSV, scalars to JSON, byte for byte the same for the same config and seeds.
+failure, 5 the compiled core, which steps every rollout and formats every
+CSV cell, could not be built.  Trajectories go to CSV, scalars to JSON, byte
+for byte the same for the same config and seeds.
 Every summary embeds the config with every default of its experiment filled
 in from one table, ``_SCHEMA``, to be rerun from.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import copy
 import functools
 import json
@@ -40,8 +40,8 @@ from . import tracking as trk
 from .errors import CoreBuildError, GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, half_step_reference, measure, prior_draw,
-                         prior_factor, run_closed_loop)
+from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, csv_chunks, half_step_reference, measure,
+                         prior_draw, prior_factor, run_closed_loop)
 from .tracking import closed_loop
 
 EXPERIMENTS = ("tracking", "density_sweep", "episodic", "validate_bounds", "validate_lipschitz")
@@ -90,6 +90,21 @@ _LENGTHSCALES = _list_of(_positive), "a nonempty list of positive numbers"
 _CENTER = _list_of(_number), "a nonempty list of numbers"
 _AXIS = (lambda v: isinstance(v, list) and len(v) == 3 and _number(v[0]) and _number(v[1])
          and _number(v[2], int) and v[2] > 0), "[lo, hi, count] with count a positive integer"
+
+# The power of a lengthscale l that bounds._derivative_kernel_constants divides
+# sigma_f^2 by, per family: l ** 3 (squared exponential, so about 1.35e-108 <= l
+# <= 5.64e102) or l ** 2 (Matern 5/2, about 1.57e-162 <= l <= 1.34e154) must be
+# a positive finite double, or the constants cannot be formed at all.
+_DERIVATIVE_POWER = {kern.SQUARED_EXPONENTIAL: 3, kern.MATERN52: 2}
+
+
+def _power_finite(v, power: int) -> bool:
+    """Whether v ** power, on floats, is a positive finite double."""
+    try:
+        return float(v) ** power > 0.0
+    except OverflowError:
+        return False
+
 
 # (dotted path, (predicate, what the field "must be"), default or _REQUIRED,
 # experiments).  An experiment's rows are exactly the fields its runner reads,
@@ -200,9 +215,15 @@ def resolve(config: dict) -> tuple[dict, list[str]]:
         problems.append(f"kernel.family: {exp} needs L_sigma, which the non-stationary {family!r} kernel lacks")
     # validate_lipschitz always derives a probabilistic L_f, tracking when asked to
     lipschitz = exp == "validate_lipschitz"
-    if family == kern.MATERN32 and (lipschitz or exp in _CLOSED_LOOP and cfg["bound"]["L_f"] == "probabilistic"):
+    derives_lf = lipschitz or exp in _CLOSED_LOOP and cfg["bound"]["L_f"] == "probabilistic"
+    if family == kern.MATERN32 and derives_lf:
         problems.append(f"{'kernel.family' if lipschitz else 'bound.L_f'}: probabilistic Lipschitz constants need "
                         "fourth-order smoothness; Matern 3/2 is not smooth enough")
+    power = _DERIVATIVE_POWER.get(family)
+    if power and derives_lf and not all(_power_finite(v, power) for v in cfg["kernel"]["lengthscales"]):
+        problems.append(f"kernel.lengthscales: the derivative-kernel constants of a probabilistic Lipschitz constant "
+                        f"divide by l ** {power}, which must be a positive finite double, got "
+                        f"{cfg['kernel']['lengthscales']!r}")
     if exp == "episodic" and cfg["episodic"]["fine_dt"] > cfg["episodic"]["horizon"]:
         problems.append(f"episodic.fine_dt: must be at most episodic.horizon, got {cfg['episodic']['fine_dt']!r}")
     if exp == "validate_bounds" and not problems:
@@ -245,37 +266,13 @@ def _theta_from(cfg: dict) -> np.ndarray:
 # artifact helpers
 # ---------------------------------------------------------------------------
 
-def _cells(values) -> list[str]:
-    """CSV cells of one numeric column, through tolist() in one call: repr of a Python int is str(int)."""
-    return list(map(repr, np.asarray(values).tolist()))
-
-
-_CSV_CHUNK_ROWS = 256  # bounds the cell strings held at once (and so peak RSS)
-
-
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write equally long columns as CSV rows: repr of floats, integers as such."""
-    _write_csvs([(path, header, columns)])
-
-
-def _write_csvs(files) -> None:
-    """Write several CSVs, each a (path, header, columns) triple, in one chunked pass.
-
-    A column object that more than one file holds is formatted once per
-    chunk.  Every file gets the bytes :func:`_write_csv` writes for it.
-    """
-    n = max((len(columns[0]) for _, _, columns in files if columns), default=0)
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", newline="")) for path, _, _ in files]
-        for fh, (_, header, _) in zip(handles, files):
-            fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CSV_CHUNK_ROWS):
-            cells = {}
-            for fh, (_, _, columns) in zip(handles, files):
-                for c in columns:
-                    if id(c) not in cells:
-                        cells[id(c)] = _cells(c[lo:lo + _CSV_CHUNK_ROWS])
-                fh.write("".join([",".join(row) + "\n" for row in zip(*(cells[id(c)] for c in columns))]))
+    """Write equally long numeric columns as CSV rows: repr of floats, integers as such (:func:`csv_chunks`)."""
+    chunks = csv_chunks(columns)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -316,7 +313,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     (:func:`half_step_reference`), checks x_ref against the box and takes the
     posterior stddev along it once: every seed's rollout reads that table,
     and the ``xref`` columns and the ``r_ref`` in ``u`` are views of its even
-    columns, the same arrays for every seed, as is the ``t`` column.
+    columns, the same arrays for every seed.  The ``t`` column is the run's
+    times, the grid's even samples bit for bit (:func:`run_closed_loop`).
     Each seed's eta and upsilon are formed, it is rolled out by
     :func:`run_closed_loop` and its CSVs are written before the next seed is
     rolled out, so one seed's states are held at a time.  A seed that
@@ -337,9 +335,8 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
         resolved_bound["delta_L"] = bb["delta_L"]
     loop = closed_loop(plant, _theta_from(cfg))
 
-    t_half = trk.half_step_times(horizon, dt)
     table = half_step_reference(ref, box, horizon, dt)  # a reference outside the box ends the run here
-    x_half, t, x_ref, r_ref = table[:2].T, t_half[::2], table[:2, ::2].T, table[2, ::2]
+    x_half, x_ref, r_ref = table[:2].T, table[:2, ::2].T, table[2, ::2]
     xref_1, xref_2 = x_ref.T
     models = _tracking_models(cfg, seeds)
     if bb["tau"] == "auto":
@@ -349,7 +346,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     sigma_half = models[0].predict_stddev(x_half)
     # the phase of the worst posterior uncertainty, over the first period of the half-step grid
     period = ref.period
-    t_sig = float(t_half[int(np.argmax(sigma_half[:trk.period_samples(period, dt)]))]) % period
+    t_sig = int(np.argmax(sigma_half[:trk.period_samples(period, dt)])) * (dt / 2.0) % period
 
     def seed_result(seed, model, rep):
         eta_half = bnd.uniform_error_bound(rep, x_half, sigma_half)
@@ -361,18 +358,16 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
              - model.predict_mean(sim.states)) / g(sim.states[:, 0], sim.states[:, 1])
         # phase structure: the worst tracking error should fall in the same
         # half-period of the reference as the worst posterior uncertainty
+        t = sim.times
         t_e = float(t[int(np.argmax(e))]) % period
         same_half = (t_e < period / 2.0) == (t_sig < period / 2.0)
 
-        # t and e_norm, in both run CSVs, are formatted once
-        _write_csvs([
-            (os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
-             ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
-             [t, e, upsilon, eta_half[::2], sigma_half[::2]]),
-            (os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
-             ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
-             [t, sim.states[:, 0], sim.states[:, 1], xref_1, xref_2, u, e]),
-        ])
+        _write_csv(os.path.join(out_dir, f"tracking_run_seed{seed}.csv"),
+                   ["t", "e_norm", "upsilon", "eta_ref", "sigma_ref"],
+                   [t, e, upsilon, eta_half[::2], sigma_half[::2]])
+        _write_csv(os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
+                   ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
+                   [t, sim.states[:, 0], sim.states[:, 1], xref_1, xref_2, u, e])
         _write_csv(
             os.path.join(out_dir, f"training_data_seed{seed}.csv"),
             [f"x_{i + 1}" for i in range(model.data.dimension)] + ["y"],

@@ -53,7 +53,7 @@ class DivergenceError(GPCertError):
 
 
 class CoreBuildError(GPCertError):
-    """The compiled rollout core could not be built: no C compiler, or it failed."""
+    """The compiled core (rollout and CSV formatter) could not be built: no C compiler, or it failed."""
 
 
 class DegenerateInputError(GPCertError):

@@ -11,6 +11,8 @@ package's ``__pycache__`` (:func:`_library`).  The core evaluates the GP mean
 and the benchmark f itself, so the loop's f is always the benchmark's; the
 numpy f of :func:`benchmark_system` serves :func:`measure` and the tracking
 writer.  :func:`integrate` is the generic RK4 on a Python vector field.
+The same library holds ``_csv.c``, which formats the CSV cells of every
+artifact (:func:`csv_chunks`).
 """
 
 from __future__ import annotations
@@ -213,14 +215,17 @@ def _diverged(times, k: int) -> DivergenceError:
 
 
 # ---------------------------------------------------------------------------
-# the compiled rollout core, _rollout.c
+# the compiled core: _rollout.c and _csv.c
 # ---------------------------------------------------------------------------
 
 _FAMILY_CODES = {SQUARED_EXPONENTIAL: 1, MATERN32: 2, MATERN52: 3}  # as _rollout.c numbers them
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rollout.c")
+_SOURCES = tuple(os.path.join(os.path.dirname(os.path.abspath(__file__)), name) for name in ("_rollout.c", "_csv.c"))
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no -march, no fast-math: the bits stay IEEE's
-_CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+_CACHE = os.path.join(os.path.dirname(_SOURCES[0]), "__pycache__")
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_POW5_COUNTS = (291, 326)  # the sizes of _csv.c's two power-of-5 tables
+_CELL_BYTES = 25  # the longest CSV cell, -2.2250738585072014e-308, and its separator
+_CSV_CHUNK_BYTES = 1 << 18  # the most bytes of CSV rows formatted at once
 
 
 def _doubles(a) -> np.ndarray:
@@ -234,10 +239,10 @@ def _compiler() -> list[str]:
 
 @functools.cache
 def _library() -> ctypes.CDLL:
-    """``_rollout.c`` as a shared library, compiled on first use and loaded with ctypes.
+    """``_rollout.c`` and ``_csv.c`` as one shared library, compiled on first use and loaded with ctypes.
 
     The library is cached in the package's ``__pycache__`` under the SHA-256
-    of the source, the compiler command and flags, and the platform, so a
+    of the sources, the compiler command and flags, and the platform, so a
     later process loads it without compiling.  It is compiled under a
     temporary name and renamed into place, so processes that build at once
     each load a whole file.  Where that directory cannot be written, the
@@ -245,10 +250,11 @@ def _library() -> ctypes.CDLL:
     compiler that is missing or fails raises :class:`CoreBuildError`.
     """
     cc = _compiler()
-    with open(_SOURCE, "rb") as fh:
-        key = hashlib.sha256(b"\0".join([fh.read(), " ".join([*cc, *_FLAGS]).encode(),
-                                         sysconfig.get_platform().encode()])).hexdigest()
-    path = os.path.join(_CACHE, f"_rollout-{key[:20]}.so")
+    digest = hashlib.sha256(" ".join([*cc, *_FLAGS]).encode() + b"\0" + sysconfig.get_platform().encode())
+    for source in _SOURCES:
+        with open(source, "rb") as fh:
+            digest.update(b"\0" + fh.read())
+    path = os.path.join(_CACHE, f"_rollout-{digest.hexdigest()[:20]}.so")
     if not os.path.exists(path):
         try:
             os.makedirs(_CACHE, exist_ok=True)
@@ -272,12 +278,40 @@ def _load(path: str) -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES,
         ctypes.c_int32, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64, _DOUBLES, _DOUBLES,
         np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))]
+    words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    lib.gpcert_csv_tables.restype = ctypes.c_int32
+    lib.gpcert_csv_tables.argtypes = [ctypes.c_int32, words, ctypes.c_int32, words]
+    lib.gpcert_csv_rows.restype = ctypes.c_int64
+    lib.gpcert_csv_rows.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int32, ctypes.c_char_p, ctypes.POINTER(ctypes.c_void_p),
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))]
+    inv, pow5 = _pow5_tables()
+    if lib.gpcert_csv_tables(len(inv), inv, len(pow5), pow5):
+        raise RuntimeError("_csv.c declares power-of-5 tables of other sizes than _POW5_COUNTS")
     return lib
 
 
+def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The power-of-5 tables of ``_csv.c``'s shortest-digit search, exact on Python integers.
+
+    With b the bit length of 5^i, row i of the first table is
+    floor(2^(b - 1 + 125) / 5^i) + 1 and row i of the second is 5^i scaled
+    by a power of 2 to exactly 125 bits; each row holds the low and then the
+    high 64-bit word.
+    """
+    def rows(values):
+        return np.array([(v & (2 ** 64 - 1), v >> 64) for v in values], dtype=np.uint64)
+
+    inv_count, count = _POW5_COUNTS
+    inv = rows((1 << (p.bit_length() - 1 + 125)) // p + 1 for p in (5 ** i for i in range(inv_count)))
+    pow5 = rows(p << 125 >> p.bit_length() for p in (5 ** i for i in range(count)))
+    return inv, pow5
+
+
 def _compile(cc: list[str], out: str) -> str:
-    """Compile ``_rollout.c`` into the shared library ``out``; returns ``out``."""
-    cmd = [*cc, *_FLAGS, "-o", out, _SOURCE, "-lm"]
+    """Compile ``_rollout.c`` and ``_csv.c`` into the shared library ``out``; returns ``out``."""
+    cmd = [*cc, *_FLAGS, "-o", out, *_SOURCES, "-lm"]
     try:
         subprocess.run(cmd, check=True, capture_output=True, text=True)
     except OSError as exc:
@@ -287,6 +321,35 @@ def _compile(cc: list[str], out: str) -> str:
         raise CoreBuildError(f"cannot build the rollout core: {' '.join(cmd)} exited with code "
                              f"{exc.returncode}: {first}") from None
     return out
+
+
+def csv_chunks(columns):
+    """CSV rows of equally long numeric columns, as byte chunks of at most 256 KiB.
+
+    A float column's cells are ``repr`` of each value as a float64 and an
+    integer column's ``str`` of each value as an int64; a column of another
+    kind, or one that cannot be held in those exactly, raises ``TypeError``.
+    The columns are checked and the compiled core (:func:`_library`) loaded
+    before the first chunk is asked for; each chunk is formatted as it is
+    asked for, into a view of one buffer that the next overwrites.
+    """
+    cols = []
+    for c in columns:
+        a = np.asarray(c)
+        if a.ndim != 1 or a.dtype.kind not in "fiu":
+            raise TypeError(f"a CSV column must be one-dimensional and numeric, got {a.dtype} of shape {a.shape}")
+        cols.append(a.astype(np.float64 if a.dtype.kind == "f" else np.int64, casting="safe", copy=False))
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in cols]}")
+    lib = _library()
+    kinds = "".join(c.dtype.kind for c in cols).encode()
+    addresses = (ctypes.c_void_p * len(cols))(*(c.ctypes.data for c in cols))
+    strides = np.array([c.strides[0] for c in cols], dtype=np.int64)
+    step = max(1, _CSV_CHUNK_BYTES // (_CELL_BYTES * len(cols))) if cols else 1
+    buf = np.empty(step * _CELL_BYTES * len(cols), dtype=np.uint8)
+    return (buf[:lib.gpcert_csv_rows(lo, min(n, lo + step), len(cols), kinds, addresses, strides, buf)]
+            for lo in range(0, n, step))
 
 
 def prior_factor(spec: KernelSpec, grid) -> np.ndarray:

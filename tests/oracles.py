@@ -15,7 +15,9 @@
   (``geometric_subset_linear``);
 * ``scalar_closed_loop`` and ``scalar_mean``: the closed-loop RK4 rollout
   and its GP mean on Python floats, in the operation order of the compiled
-  core ``_rollout.c``.
+  core ``_rollout.c``;
+* ``csv_bytes``: the bytes of a CSV written with Python's ``repr``, which
+  the compiled formatter ``_csv.c`` must reproduce.
 """
 
 from __future__ import annotations
@@ -301,3 +303,17 @@ def scalar_closed_loop(loop, model, table, dt: float) -> np.ndarray:
             raise DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
         states.append((x0, x1))
     return np.array(states, dtype=float).reshape(-1, 2)
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+def csv_bytes(header, columns) -> bytes:
+    """The bytes ``cli._write_csv(path, header, columns)`` must write.
+
+    Each column goes through ``tolist()`` in one call and each cell is its
+    ``repr``: a float's shortest round-trip string, an integer's ``str``.
+    """
+    cells = [list(map(repr, np.asarray(c).tolist())) for c in columns]
+    return "".join([",".join(header) + "\n", *(",".join(row) + "\n" for row in zip(*cells))]).encode()

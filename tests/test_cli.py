@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import scipy.linalg
 
-from gpcert import cli, gp, tracking
+from gpcert import cli, gp, simulation, tracking
 from gpcert.errors import DivergenceError
 from gpcert.kernels import KernelSpec
 from gpcert.simulation import ReferenceSpec, benchmark_system, measure
 
 from conftest import reference_table
+from oracles import csv_bytes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -514,6 +515,25 @@ def small_config(experiment, out_dir):
     return cfg
 
 
+@pytest.mark.parametrize("experiment, count", [("tracking", 3), ("density_sweep", 2), ("episodic", 0),
+                                               ("validate_bounds", 1), ("validate_lipschitz", 1)])
+def test_every_csv_of_a_small_run_is_the_oracles_bytes(tmp_path, monkeypatch, experiment, count):
+    expected = {}
+    write = cli._write_csv
+
+    def spy(path, header, columns):
+        expected[os.path.basename(path)] = csv_bytes(header, columns)
+        write(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    out = tmp_path / "out"
+    assert cli.run(small_config(experiment, out)) in (cli.EXIT_OK, cli.EXIT_CERTIFICATE)
+    assert len(expected) == count
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(expected)
+    for name, blob in expected.items():
+        assert read_bytes(out / name) == blob, name
+
+
 def set_field(cfg, path, value):
     block, _, name = path.rpartition(".")
     (cfg.setdefault(block, {}) if block else cfg)[name] = value
@@ -592,20 +612,67 @@ def test_run_reports_malformed_fields_by_path(tmp_path, capsys, experiment, path
 
 def test_validate_lipschitz_on_a_short_interval_and_at_extreme_lengthscales(tmp_path, capsys):
     # an interval shorter than half a pitch had a one-point grid and no slope; the derivative-kernel
-    # constants of an extreme lengthscale overflow or divide by zero in float arithmetic
+    # constants of an extreme lengthscale overflow, and where l ** 3 underflows to 0 or overflows
+    # (1e-120, 1e110) they cannot be formed at all: a config error, no longer a numerical failure
     short = cli.load_config(str(CONFIGS / "validate_lipschitz.json"))
     short.update(out_dir=str(tmp_path / "short"))
     short["domain"]["edge"] = 0.05
     assert cli.run(short) == cli.EXIT_OK
     assert (tmp_path / "short" / "lipschitz_trials.csv").exists()
-    for ell in (1e-60, 1e-100, 1e-105, 1e-120, 1e110):
+    for ell, code, prefix in [(1e-60, cli.EXIT_NUMERICAL, "numerical failure in validate_lipschitz:"),
+                              (1e-100, cli.EXIT_NUMERICAL, "numerical failure in validate_lipschitz:"),
+                              (1e-105, cli.EXIT_NUMERICAL, "numerical failure in validate_lipschitz:"),
+                              (1e-120, cli.EXIT_CONFIG, "config error: kernel.lengthscales:"),
+                              (1e110, cli.EXIT_CONFIG, "config error: kernel.lengthscales:")]:
         cfg = lipschitz_config(tmp_path / "extreme")
         cfg["kernel"]["lengthscales"] = [ell]
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.run(cfg) == cli.EXIT_NUMERICAL, ell
-        assert capsys.readouterr().err.startswith("numerical failure in validate_lipschitz:")
+            assert cli.run(cfg) == code, ell
+        assert capsys.readouterr().err.startswith(prefix), ell
+
+
+@pytest.mark.parametrize("family, power", [("squared_exponential", 3), ("matern52", 2)])
+def test_a_probabilistic_lf_takes_lengthscales_whose_power_is_a_positive_finite_double(family, power):
+    # the derivative-kernel constants divide sigma_f^2 by l ** power: find the smallest and the largest
+    # double at which that power is positive and finite, by bisection on the bit patterns
+    def ok(v):
+        try:
+            return v ** power > 0.0
+        except OverflowError:
+            return False
+
+    def as_float(bits):
+        return float(np.uint64(bits).view(np.float64))
+
+    def edge(lo, hi):  # ok(as_float(lo)) != ok(as_float(hi)); the last bits on lo's side
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if ok(as_float(mid)) == ok(as_float(lo)) else (lo, mid)
+        return as_float(lo), as_float(hi)
+
+    one, inf = int(np.float64(1.0).view(np.uint64)), int(np.float64(math.inf).view(np.uint64))
+    below, smallest = edge(0, one)
+    largest, above = edge(one, inf)
+    assert {3: (1.3e-108, 1.4e-108, 5.6e102, 5.7e102), 2: (1.5e-162, 1.6e-162, 1.3e154, 1.4e154)}[power] \
+        == pytest.approx((smallest, smallest, largest, largest), rel=0.05)
+    tracking = tracking_config("unused")
+    tracking["kernel"]["family"] = family
+    tracking["bound"]["L_f"] = "probabilistic"
+    lipschitz = lipschitz_config("unused")
+    lipschitz["kernel"]["family"] = family
+    for cfg, bad in ((tracking, [[1.0, below], [above, 1.0]]), (lipschitz, [[below], [above]])):
+        for good in ([smallest] * len(bad[0]), [largest] * len(bad[0])):
+            cfg["kernel"]["lengthscales"] = good
+            assert cli.validate(cfg) == [], good
+        for ls in bad:
+            cfg["kernel"]["lengthscales"] = ls
+            problems = cli.validate(cfg)
+            assert len(problems) == 1 and problems[0].startswith("kernel.lengthscales:"), ls
+    # a given L_f forms no derivative-kernel constants, so it takes any positive lengthscale
+    tracking["bound"]["L_f"] = 2.0156
+    assert cli.validate(tracking) == []
 
 
 @pytest.mark.parametrize("ell", [1e-100, 1e-105])
@@ -923,24 +990,23 @@ def test_shipped_lipschitz_constants_bound_the_benchmark_gradient():
         assert default >= analytic and default >= grid_max, name
 
 
-@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
-def test_the_one_pass_writer_writes_the_bytes_of_one_call_per_file(tmp_path, monkeypatch, rows):
+CHUNK = simulation._CSV_CHUNK_BYTES // (simulation._CELL_BYTES * 4)  # rows of one chunk of b.csv below
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1],
+                         ids=["0", "1", "chunk-1", "chunk", "chunk+1", "2chunks+1"])
+def test_the_writer_writes_the_oracle_bytes_across_chunk_boundaries(tmp_path, rows):
     rng = np.random.default_rng(rows)
     t = rng.standard_normal(rows)
     counts = np.arange(rows) * 7  # an integer column, in both files
     listed = [float(v) for v in rng.standard_normal(rows)]  # not an ndarray
     files = [("a.csv", ["t", "k", "x"], [t, counts, rng.standard_normal(rows)]),
-             ("b.csv", ["t", "l", "k", "t"], [t, listed, counts, t])]
-    formatted = []
-    cells = cli._cells
-    monkeypatch.setattr(cli, "_cells", lambda values: formatted.append(len(values)) or cells(values))
-    cli._write_csvs([(str(tmp_path / f"joint_{name}"), header, columns) for name, header, columns in files])
-    assert sum(formatted) == 4 * rows  # each of the four distinct columns once
+             ("b.csv", ["t", "l", "k", "t"], [t, listed, counts, t[::-1]])]
     for name, header, columns in files:
         cli._write_csv(str(tmp_path / name), header, columns)
         body = read_bytes(tmp_path / name)
         assert body.count(b"\n") == rows + 1
-        assert read_bytes(tmp_path / f"joint_{name}") == body, name
+        assert body == csv_bytes(header, columns), name
 
 
 def test_each_seed_is_one_rollout_after_one_factor_serially_and_with_workers(tmp_path, monkeypatch):

@@ -103,6 +103,22 @@ def test_a_compiler_that_cannot_build_is_one_diagnostic_line(cold_cache, monkeyp
     assert list(cold_cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("experiment, cut", [
+    ("validate_bounds", {"trials": 1, "grid_points_per_axis": 5, "train_points": 5}),
+    ("validate_lipschitz", {"draws": 2})])
+def test_an_experiment_that_only_writes_csvs_needs_the_core_too(cold_cache, monkeypatch, capsys, tmp_path,
+                                                                experiment, cut):
+    # the core formats every CSV cell, so a run that writes a CSV cannot end without it
+    monkeypatch.setattr(simulation, "_compiler", lambda: ["gpcert-no-such-cc"])
+    cfg = cli.load_config(os.path.join(CONFIGS, f"{experiment}.json"))
+    cfg["validation"].update(cut)
+    cfg["out_dir"] = str(tmp_path / "out")
+    assert cli.run(cfg) == cli.EXIT_BUILD
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot build the rollout core: gpcert-no-such-cc")
+    assert list((tmp_path / "out").iterdir()) == []  # the writer loads the core before it opens a file
+
+
 def test_workers_starting_on_an_empty_cache_write_the_serial_bytes(cold_cache, tmp_path):
     # three worker processes find no library and each compiles one; their renames do not collide
     assert cli.run(tracking10(tmp_path / "w3"), workers=3) == cli.EXIT_OK
