@@ -260,7 +260,7 @@ def probabilistic_lipschitz(spec: KernelSpec, box: DomainBox, delta_L: float) ->
     confidence delta_L / (2 d) and returns the Euclidean norm of the per-axis
     bounds.  Requires continuous partials up to fourth order.  Derivative-kernel
     constants that overflow or are not finite, as at an extreme lengthscale,
-    raise ``FloatingPointError``.
+    raise ``FloatingPointError`` naming the axis, its lengthscale and sigma_f^2.
     """
     if not 0 < delta_L < 1:
         raise ValueError("delta_L must lie in (0, 1)")
@@ -272,11 +272,14 @@ def probabilistic_lipschitz(spec: KernelSpec, box: DomainBox, delta_L: float) ->
     if spec.dim != d:
         raise ValueError("kernel dimension does not match the box dimension")
     per_axis = []
-    for i in range(d):
-        max_sq, L_di = _derivative_kernel_constants(spec, i, d)
-        if not (math.isfinite(max_sq) and math.isfinite(L_di)):  # _sample_sup's max() would drop a NaN
-            raise FloatingPointError(f"derivative-kernel constants of axis {i + 1} are not finite: "
-                                     f"max sqrt(k) {max_sq}, Lipschitz constant {L_di}")
+    for i, ell in enumerate(spec.lengthscales):
+        try:
+            max_sq, L_di = _derivative_kernel_constants(spec, i, d)
+            if not (math.isfinite(max_sq) and math.isfinite(L_di)):  # _sample_sup's max() would drop a NaN
+                raise FloatingPointError(f"not finite: max sqrt(k) {max_sq}, Lipschitz constant {L_di}")
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"derivative-kernel constants of axis {i + 1} at lengthscale {ell!r} "
+                                     f"and signal variance {spec.signal_variance!r}: {exc}") from None
         per_axis.append(_sample_sup(delta_L / (2.0 * d), max_sq, L_di, box.edge, d))
     return float(np.linalg.norm(per_axis))
 

@@ -40,7 +40,7 @@ from . import tracking as trk
 from .errors import CoreBuildError, GPCertError
 from .gp import GPModel, TrainingSet, fit
 from .kernels import KernelSpec
-from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_system, csv_chunks, half_step_reference, measure,
+from .simulation import (BENCHMARK_L_F, ReferenceSpec, benchmark_plant, csv_chunks, half_step_reference, measure,
                          prior_draw, prior_factor, run_closed_loop)
 from .tracking import closed_loop
 
@@ -296,9 +296,8 @@ def _tracking_models(cfg: dict, seeds) -> list[GPModel]:
     The seeds share the grid and the noise, so one factorization serves them
     all and each further seed solves for its own alpha only.
     """
-    f, _, _ = benchmark_system()
     grid = _grid(*(np.linspace(*cfg["data_grid"][axis]) for axis in ("x1", "x2")))
-    data = [measure(grid, f, float(cfg["noise_variance"]), seed) for seed in seeds]
+    data = [measure(grid, float(cfg["noise_variance"]), seed) for seed in seeds]
     first = fit(_kernel_from(cfg), data[0])
     return [first] + [first.with_targets(d.targets) for d in data[1:]]
 
@@ -312,9 +311,9 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     them, samples x_ref and r_ref into one half-step table
     (:func:`half_step_reference`), checks x_ref against the box and takes the
     posterior stddev along it once: every seed's rollout reads that table,
-    and the ``xref`` columns and the ``r_ref`` in ``u`` are views of its even
-    columns, the same arrays for every seed.  The ``t`` column is the run's
-    times, the grid's even samples bit for bit (:func:`run_closed_loop`).
+    and the ``xref`` columns are views of its even columns, the same arrays
+    for every seed.  The ``t`` and ``u`` columns are the run's times, the
+    grid's even samples bit for bit, and inputs (:func:`run_closed_loop`).
     Each seed's eta and upsilon are formed, it is rolled out by
     :func:`run_closed_loop` and its CSVs are written before the next seed is
     rolled out, so one seed's states are held at a time.  A seed that
@@ -324,7 +323,6 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     box = _box_from(cfg)
     L_k, L_sigma = bnd.kernel_constants(_kernel_from(cfg), box)
     ref = _reference_from(cfg)
-    _, g, plant = benchmark_system()
     bb = cfg["bound"]
     horizon = float(cfg["horizon"])
     dt = float(cfg["fine_dt"])
@@ -333,11 +331,11 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
     resolved_bound = {"delta": bb["delta"], "L_f": L_f, "L_f_source": source}
     if source == "probabilistic":
         resolved_bound["delta_L"] = bb["delta_L"]
-    loop = closed_loop(plant, _theta_from(cfg))
+    loop = closed_loop(benchmark_plant(), _theta_from(cfg))
 
     table = half_step_reference(ref, box, horizon, dt)  # a reference outside the box ends the run here
-    x_half, x_ref, r_ref = table[:2].T, table[:2, ::2].T, table[2, ::2]
-    xref_1, xref_2 = x_ref.T
+    x_half = table[:2].T
+    xref_1, xref_2 = table[:2, ::2]
     models = _tracking_models(cfg, seeds)
     if bb["tau"] == "auto":
         reps = [bnd.auto_tau(model, bb["delta"], L_f, box) for model in models]
@@ -353,9 +351,6 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
         upsilon = trk.tracking_bound_ode(loop, eta_half, L_sigma, rep.beta, v0=0.0, horizon=horizon, dt=dt)
         sim = run_closed_loop(loop, model, table, dt)
         e = sim.error_norms
-        # the applied input: the nominal one divided by g, which the plant knows exactly
-        u = (-((sim.states - x_ref) @ loop.theta) + r_ref
-             - model.predict_mean(sim.states)) / g(sim.states[:, 0], sim.states[:, 1])
         # phase structure: the worst tracking error should fall in the same
         # half-period of the reference as the worst posterior uncertainty
         t = sim.times
@@ -367,7 +362,7 @@ def _run_tracking_batch(cfg: dict, out_dir: str, L_f: float, seeds) -> list[dict
                    [t, e, upsilon, eta_half[::2], sigma_half[::2]])
         _write_csv(os.path.join(out_dir, f"sim_run_seed{seed}.csv"),
                    ["t", "x_1", "x_2", "xref_1", "xref_2", "u", "e_norm"],
-                   [t, sim.states[:, 0], sim.states[:, 1], xref_1, xref_2, u, e])
+                   [t, sim.states[:, 0], sim.states[:, 1], xref_1, xref_2, sim.inputs, e])
         _write_csv(
             os.path.join(out_dir, f"training_data_seed{seed}.csv"),
             [f"x_{i + 1}" for i in range(model.data.dimension)] + ["y"],
@@ -435,7 +430,6 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     spec = _kernel_from(cfg)
     box = _box_from(cfg)
     ref = _reference_from(cfg)
-    f, _, plant = benchmark_system()
     sw = cfg["sweep"]
     pitches = [float(p) for p in sw["pitches"]]
     kappa_target = float(sw["kappa"])
@@ -459,14 +453,14 @@ def run_density_sweep(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     for j, pitch in enumerate(pitches):
         ax = np.linspace(lo, hi, int(round((hi - lo) / pitch)) + 1)
         grid = _grid(ax, ax)
-        data = measure(grid, f, noise, seed + j)
+        data = measure(grid, noise, seed + j)
         model = fit(spec, data)
 
         rho = dens.data_density_batch(model, profile_points)
         rho_min = float(rho.min())
         cert = trk.certify(model, rho_min, x_half, model.predict_stddev(x_half),
                            ref.max_speed * dt / 2.0,
-                           lambda b: trk.gains_for_kappa(plant, kappa_target, L_sigma, b),
+                           lambda b: trk.gains_for_kappa(benchmark_plant(), kappa_target, L_sigma, b),
                            box, delta, L_f)
         sim = run_closed_loop(cert.loop, model, table, dt)
         e_max = float(sim.error_norms.max())

@@ -30,7 +30,7 @@ from .density import data_density_batch
 from .errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from .gp import GPModel, TrainingSet, add_samples, downsample, fit
 from .kernels import KernelSpec
-from .simulation import ReferenceSpec, benchmark_system, half_step_reference, measure, run_closed_loop
+from .simulation import ReferenceSpec, benchmark_plant, half_step_reference, measure, run_closed_loop
 from .tracking import ClosedLoop, LinearPlant
 
 _N_E_CAP = 10 ** 9
@@ -39,7 +39,7 @@ _N_E_CAP = 10 ** 9
 @dataclass(frozen=True)
 class EpisodeConfig:
     """Everything one episodic run needs; immutable.  The plant and its unknown
-    nonlinearity f are the benchmark's (:func:`simulation.benchmark_system`).
+    nonlinearity f are the benchmark's (:func:`simulation.benchmark_plant`).
     """
 
     target_error: float
@@ -203,7 +203,6 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
     k0 = spec.signal_variance
     L_dk = kern.gradient_lipschitz(spec)
     L_sigma = bnd.kernel_constants(spec, box)[1]
-    f, _, plant = benchmark_system()  # the plant the rollout simulates, its f as measured
 
     table = half_step_reference(config.reference, box, config.horizon, config.fine_dt)
     # x_ref at pitch fine_dt over the first period, or over a shorter horizon: what the next rollout visits
@@ -229,7 +228,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
         rho_eff = max(rho_measured, _required_density(L_dk, k0, upsilon_prev))
         cert = trk.certify(model, rho_eff, ref_points, np.sqrt(variance),
                            config.reference.max_speed * config.fine_dt,
-                           lambda b: select_gains(plant, L_sigma, b, L_dk, config.xi),
+                           lambda b: select_gains(benchmark_plant(), L_sigma, b, L_dk, config.xi),
                            box, config.delta, config.L_f)
         reports.append(
             EpisodeReport(
@@ -259,7 +258,7 @@ def learn_control(config: EpisodeConfig) -> list[EpisodeReport]:
         violated = not trk.certificate_holds(errors, upsilon_prev, sim.states, box)
         # the chosen refit's data is the cumulative downsampled data, and its
         # variance along the reference serves the next certificate
-        raw = measure(sim.states, f, config.noise_variance, config.seed + 1000003 * i)
+        raw = measure(sim.states, config.noise_variance, config.seed + 1000003 * i)
         T_s, model, variance = select_sampling_time(
             raw, model, ref_points, upsilon_prev, L_dk, config.fine_dt, ladder_top
         )

@@ -213,7 +213,8 @@ def fit(kernel: KernelSpec, data: TrainingSet) -> GPModel:
     # zero rows stop here and in var_blocks: pyproject allows scipy 1.10, whose LAPACK may refuse 0 x 0
     if n == 0:
         return GPModel(kernel, data, np.zeros((0, 0)), np.zeros(0))
-    K = gram(kernel, data.inputs) + data.noise_variance * np.eye(n)
+    K = gram(kernel, data.inputs)
+    K.flat[:: n + 1] += data.noise_variance  # on the diagonal, in place: no second n x n array
     with _blas_threads():
         try:
             L = scipy.linalg.cholesky(K, lower=True)

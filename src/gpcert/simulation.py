@@ -7,10 +7,10 @@ can be sampled on the same grid.  Noise enters only the measurements
 
 :func:`run_closed_loop` steps the loop in C: ``_rollout.c``, compiled on
 first use with the C compiler Python was built with and cached in the
-package's ``__pycache__`` (:func:`_library`).  The core evaluates the GP mean
-and the benchmark f itself, so the loop's f is always the benchmark's; the
-numpy f of :func:`benchmark_system` serves :func:`measure` and the tracking
-writer.  :func:`integrate` is the generic RK4 on a Python vector field.
+package's ``__pycache__`` (:func:`_library`).  That core is the one
+definition of the benchmark's f and g: it evaluates the GP mean and f itself,
+reports the input u / g it applied at each state, and :func:`measure` samples
+its f.  :func:`integrate` is the generic RK4 on a Python vector field.
 The same library holds ``_csv.c``, which formats the CSV cells of every
 artifact (:func:`csv_chunks`).
 """
@@ -65,32 +65,18 @@ def integrate(dynamics, x0, horizon: float, dt: float):
     return times, states
 
 
-# sup ||grad f|| of the benchmark f below, rounded up: |df/dx1| = |2 cos 2 x1| <= 2 and
+# sup ||grad f|| of the benchmark f (_rollout.c), rounded up: |df/dx1| = |2 cos 2 x1| <= 2 and
 # |df/dx2| = s (1 - s) <= 1/4 for the logistic s(x2), both at x1 = k pi / 2, x2 = 0,
 # so the supremum is sqrt(4 + 1/16) = 2.015564 on any box holding such a point
 BENCHMARK_L_F = 2.0156
 
 
-def benchmark_system():
-    """Nonlinearity, input gain and plant of the simulation benchmark.
+def benchmark_plant() -> LinearPlant:
+    """The benchmark's feedback-linearized double integrator, A = [[0,1],[0,0]] and b = [0,1].
 
-    f(x1, x2) = 1 - sin(2 x1) + 1 / (1 + exp(-x2)),  g(x1, x2) = 1 + sin(x2 / 2) / 2,
-    each on two floats or two equally shaped arrays, with the feedback-linearized
-    double integrator A = [[0,1],[0,0]], b = [0,1].  g is bounded away from zero
-    (minimum 1/2), so dividing the nominal control by it is always well defined.
-    :func:`run_closed_loop` simulates the same f, compiled into ``_rollout.c``
-    in the same operation order on libm's sin and exp.
+    Its f and g live in ``_rollout.c`` only, which :func:`run_closed_loop` simulates and :func:`measure` samples.
     """
-
-    def f(x1, x2):
-        # np.exp, not math.exp: the two differ in the last bit on some inputs
-        return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
-
-    def g(x1, x2):
-        return 1.0 + 0.5 * np.sin(x2 / 2.0)
-
-    plant = LinearPlant(A=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.array([0.0, 1.0]))
-    return f, g, plant
+    return LinearPlant(A=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.array([0.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -126,11 +112,12 @@ class ReferenceSpec:
 
 @dataclass(frozen=True)
 class SimRun:
-    """One closed-loop roll-out: sample times, states and reference states."""
+    """One closed-loop roll-out: sample times, states, reference states and the input applied at each state."""
 
     times: np.ndarray
     states: np.ndarray
     reference_states: np.ndarray
+    inputs: np.ndarray
 
     @property
     def error_norms(self) -> np.ndarray:
@@ -164,9 +151,10 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, table, fine_dt: float) -> 
     """Simulate u = -theta^T (x - x_ref) + r_ref - mu(x) against the benchmark plant.
 
     The sign convention matches the error dynamics e' = (A - b theta^T) e +
-    b (f - mu), with f the benchmark nonlinearity of :func:`benchmark_system`.
+    b (f - mu), with f the benchmark nonlinearity (:func:`benchmark_plant`).
     The applied input is u / g(x) with g known exactly, so g cancels from the
-    dynamics; the tracking writer records that input.
+    dynamics.  The run's ``inputs`` hold it at each state: at the first stage
+    of the step from there, and at the last state for the last sample.
 
     The model needs a stationary kernel at d = 2, with or without data.
     ``table`` is the caller's (3, 2n + 1) half-step table of x_ref and r_ref
@@ -191,21 +179,28 @@ def run_closed_loop(loop: ClosedLoop, model: GPModel, table, fine_dt: float) -> 
         raise ValueError(f"the reference table needs shape (3, 2n + 1) in C order, got {table.shape}")
     n = table.shape[1] // 2
     times = np.arange(n + 1) * fine_dt
-    states = np.empty((n + 1, 2))
+    states, inputs = np.empty((n + 1, 2)), np.empty(n + 1)
     states[0] = table[:2, 0]
     # the core reads the kernel only per row, so a model with no rows has mean 0 whatever its family
     diverged = _library().gpcert_rollout(
         n, fine_dt, _doubles(loop.plant.A), _doubles(loop.plant.b), _doubles(loop.theta), table,
         _FAMILY_CODES[spec.family], spec.signal_variance, *spec.lengthscales, N, _doubles(model.data.inputs),
-        _doubles(model.alpha), states)
+        _doubles(model.alpha), states, inputs)
     if diverged:
         raise _diverged(times, diverged)
-    return SimRun(times, states, table[:2, ::2].T)
+    return SimRun(times, states, table[:2, ::2].T, inputs)
 
 
-def measure(states: np.ndarray, nonlinearity, noise_variance: float, seed: int) -> TrainingSet:
-    """y = f(x1, x2) + eps on the columns of ``states``, eps ~ N(0, noise_variance) from ``default_rng(seed)``."""
-    f_vals = np.asarray(nonlinearity(states[:, 0], states[:, 1]), dtype=float)
+def measure(states: np.ndarray, noise_variance: float, seed: int) -> TrainingSet:
+    """y = f(x) + eps at the (m, 2) rows of ``states``, eps ~ N(0, noise_variance) from ``default_rng(seed)``.
+
+    f is the compiled core's (:func:`_library`), which reads C-contiguous float64 rows in place.
+    """
+    x = _doubles(states)
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"measurements need states of shape (m, 2), got {x.shape}")
+    f_vals = np.empty(len(x))
+    _library().gpcert_benchmark_f(len(x), x, f_vals)
     eps = np.random.default_rng(seed).normal(0.0, math.sqrt(noise_variance), size=f_vals.shape)
     return TrainingSet(states, f_vals + eps, noise_variance)
 
@@ -273,11 +268,14 @@ def _library() -> ctypes.CDLL:
 
 def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
+    out = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.gpcert_rollout.restype = ctypes.c_int64
     lib.gpcert_rollout.argtypes = [
         ctypes.c_int64, ctypes.c_double, _DOUBLES, _DOUBLES, _DOUBLES, _DOUBLES,
         ctypes.c_int32, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64, _DOUBLES, _DOUBLES,
-        np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))]
+        out, out]
+    lib.gpcert_benchmark_f.restype = None
+    lib.gpcert_benchmark_f.argtypes = [ctypes.c_int64, _DOUBLES, out]
     words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     lib.gpcert_csv_tables.restype = ctypes.c_int32
     lib.gpcert_csv_tables.argtypes = [ctypes.c_int32, words, ctypes.c_int32, words]
@@ -355,7 +353,8 @@ def csv_chunks(columns):
 def prior_factor(spec: KernelSpec, grid) -> np.ndarray:
     """Lower Cholesky factor L of the prior covariance on a grid (1e-10 jitter)."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    K = gram(spec, grid) + 1e-10 * np.eye(grid.shape[0])
+    K = gram(spec, grid)
+    K.flat[:: grid.shape[0] + 1] += 1e-10  # on the diagonal, in place
     try:
         with _blas_threads():
             return scipy.linalg.cholesky(K, lower=True)

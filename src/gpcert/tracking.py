@@ -307,14 +307,17 @@ def certify(model: GPModel, rho: float, points, sigma, max_arc: float, gains: Ca
     = sqrt(beta) sigma + gamma there exceeds the larger of the two sampled
     values by at most sqrt(beta) omega_sigma(max_arc / 2).  The certificate
     stands only while the inflation covers that term.  Raises
-    :class:`InfeasibilityError` if it does not or if the gain condition
+    :class:`InfeasibilityError` if max eta is not finite, before ``gains``
+    runs, if the inflation does not cover the term or if the gain condition
     fails, and :class:`DomainError` if a point lies outside the box.
     """
     rep = tau_for_density(model, rho, box, delta, L_f)
     L_k, L_sigma = bnd.kernel_constants(model.kernel, box)
-    loop = gains(rep.beta)
     eta = bnd.uniform_error_bound(rep, points, sigma)
     max_eta = float(np.max(eta))
+    if not math.isfinite(max_eta):  # a NaN would pass every comparison below as a bound
+        raise InfeasibilityError(f"max eta is {max_eta}: the posterior stddev along the reference is not finite")
+    loop = gains(rep.beta)
     term = math.sqrt(rep.beta) * bnd.stddev_modulus(max_arc / 2.0, L_k, L_sigma)
     sup_eta = SAFETY_FACTOR * max_eta
     if sup_eta < max_eta + term:

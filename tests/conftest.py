@@ -1,8 +1,9 @@
 import types
 
+import numpy as np
 import pytest
 
-from gpcert import bounds
+from gpcert import bounds, simulation
 from gpcert.bounds import DomainBox
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import LINEAR, MATERN32, MATERN52, SQUARED_EXPONENTIAL, KernelSpec
@@ -11,6 +12,14 @@ from gpcert.simulation import half_step_reference
 
 def se_unit(d=1):
     return KernelSpec(SQUARED_EXPONENTIAL, 1.0, tuple([1.0] * d))
+
+
+def benchmark_f(X):
+    """The benchmark f at the (m, 2) rows of X, from the compiled core, as ``simulation.measure`` evaluates it."""
+    X = np.ascontiguousarray(X, dtype=float)
+    out = np.empty(len(X))
+    simulation._library().gpcert_benchmark_f(len(X), X, out)
+    return out
 
 
 def reference_table(ref, horizon, dt):

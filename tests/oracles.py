@@ -245,6 +245,16 @@ def _sin(x: float) -> float:
     return math.sin(x) if math.isfinite(x) else math.nan
 
 
+def benchmark_f(x1: float, x2: float) -> float:
+    """The benchmark nonlinearity 1 - sin(2 x1) + 1 / (1 + exp(-x2)), in ``_rollout.c``'s operation order."""
+    return 1.0 - _sin(2.0 * x1) + 1.0 / (1.0 + _exp(-x2))
+
+
+def benchmark_g(x1: float, x2: float) -> float:
+    """The benchmark input gain 1 + sin(x2 / 2) / 2, in ``_rollout.c``'s operation order."""
+    return 1.0 + 0.5 * _sin(x2 / 2.0)
+
+
 def scalar_mean(model: GPModel, p0: float, p1: float) -> float:
     if len(model) == 0:
         return 0.0
@@ -267,15 +277,18 @@ def scalar_mean(model: GPModel, p0: float, p1: float) -> float:
     return acc
 
 
-def scalar_closed_loop(loop, model, table, dt: float) -> np.ndarray:
-    """The states of ``simulation.run_closed_loop`` for one model, stepped on Python floats.
+def scalar_closed_loop(loop, model, table, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The states and applied inputs of ``simulation.run_closed_loop`` for one model, stepped on Python floats.
 
-    Every operation of ``_rollout.c`` in its order: the benchmark f as
-    1 - sin(2 x1) + 1 / (1 + exp(-x2)), the kernel as in ``kernels._rows``,
-    the mean, theta^T e and A x as plain left-to-right sums, and the RK4
-    stages on the half-step table ``table``, whose rows are x_ref's two
-    coordinates and r_ref.  Python floats do not fuse multiply-adds, and
-    math.exp and math.sin are libm's.  The first step whose state is not finite raises
+    Every operation of ``_rollout.c`` in its order: the benchmark f and g
+    (:func:`benchmark_f`, :func:`benchmark_g`), the kernel as in
+    ``kernels._rows``, the mean, theta^T e and A x as plain left-to-right
+    sums, the nominal input summed before f is added, and the RK4 stages on
+    the half-step table ``table``, whose rows are x_ref's two coordinates and
+    r_ref.  The input at a state is the nominal one of the step's first stage
+    over g, and at the last state the nominal one for the last sample over
+    g.  Python floats do not fuse multiply-adds, and math.exp and math.sin
+    are libm's.  The first step whose state is not finite raises
     :class:`DivergenceError` with its time, as the rollout does.
     """
     (a00, a01), (a10, a11) = loop.plant.A.tolist()
@@ -284,25 +297,31 @@ def scalar_closed_loop(loop, model, table, dt: float) -> np.ndarray:
     times = (np.arange(table.shape[1]) * (dt / 2.0))[::2]  # the half-step grid's even samples
     h, h6 = dt / 2.0, dt / 6.0
 
-    def field(x0, x1, r0, r1, rff):
-        u = (-(th0 * (x0 - r0) + th1 * (x1 - r1)) + rff - scalar_mean(model, x0, x1)
-             + (1.0 - _sin(2.0 * x0) + 1.0 / (1.0 + _exp(-x1))))
-        return (a00 * x0 + a01 * x1) + b0 * u, (a10 * x0 + a11 * x1) + b1 * u
+    def nominal(x0, x1, r0, r1, rff):
+        return -(th0 * (x0 - r0) + th1 * (x1 - r1)) + rff - scalar_mean(model, x0, x1)
+
+    def field(x0, x1, r0, r1, rff):  # the field and the nominal input at x
+        u = nominal(x0, x1, r0, r1, rff)
+        v = u + benchmark_f(x0, x1)
+        return (a00 * x0 + a01 * x1) + b0 * v, (a10 * x0 + a11 * x1) + b1 * v, u
 
     x0, x1 = table[:2, 0].tolist()
-    states = [(x0, x1)]
+    states, inputs = [(x0, x1)], []
     stages = tracking.stage_samples(*table)
     for k, (ra0, rb0, rc0, ra1, rb1, rc1, sa, sb, sc) in enumerate(stages, 1):
-        k10, k11 = field(x0, x1, ra0, ra1, sa)
-        k20, k21 = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
-        k30, k31 = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
-        k40, k41 = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
+        k10, k11, u = field(x0, x1, ra0, ra1, sa)
+        inputs.append(u / benchmark_g(x0, x1))
+        k20, k21, _ = field(x0 + h * k10, x1 + h * k11, rb0, rb1, sb)
+        k30, k31, _ = field(x0 + h * k20, x1 + h * k21, rb0, rb1, sb)
+        k40, k41, _ = field(x0 + dt * k30, x1 + dt * k31, rc0, rc1, sc)
         x0 = x0 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
         x1 = x1 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
         if not (math.isfinite(x0) and math.isfinite(x1)):
             raise DivergenceError(f"state diverged at t = {times[k]:.6g}", time=float(times[k]))
         states.append((x0, x1))
-    return np.array(states, dtype=float).reshape(-1, 2)
+    r0, r1, rff = table[:, -1].tolist()
+    inputs.append(nominal(x0, x1, r0, r1, rff) / benchmark_g(x0, x1))
+    return np.array(states, dtype=float).reshape(-1, 2), np.array(inputs, dtype=float)
 
 
 # ---------------------------------------------------------------------------

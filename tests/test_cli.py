@@ -17,10 +17,10 @@ import scipy.linalg
 from gpcert import cli, gp, simulation, tracking
 from gpcert.errors import DivergenceError
 from gpcert.kernels import KernelSpec
-from gpcert.simulation import ReferenceSpec, benchmark_system, measure
+from gpcert.simulation import ReferenceSpec, benchmark_plant, measure
 
-from conftest import reference_table
-from oracles import csv_bytes
+from conftest import benchmark_f, reference_table
+from oracles import csv_bytes, scalar_closed_loop
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -269,24 +269,20 @@ def test_tracking_csv_headers(tmp_path):
 
 
 def test_tracking_csv_records_the_applied_input(tmp_path):
-    # u = (-theta^T (x - x_ref) + r_ref - mu(x)) / g(x), with the model refit from the seed's
-    # training data and every term evaluated one point at a time
+    # u = (-theta^T (x - x_ref) + r_ref - mu(x)) / g(x) as the rollout applied it: the scalar oracle's
+    # inputs bit for bit, with the model refit from the seed's training data
     out = tmp_path / "t"
     assert cli.run(tracking_config(out, horizon=0.5)) == 0
     resolved = json.loads((out / "summary.json").read_text())["resolved_config"]
-    ref = ReferenceSpec(resolved["reference"]["amplitude"], resolved["reference"]["frequency"])
     data = np.loadtxt(out / "training_data_seed0.csv", delimiter=",", skiprows=1)
     model = gp.fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.5)),
                    gp.TrainingSet(data[:, :-1], data[:, -1], resolved["noise_variance"]))
-    _, g, _ = benchmark_system()
-    theta = np.array([200.0, 20.0])  # [theta1 * theta2, theta2] of the config's gains
+    loop = tracking.closed_loop(benchmark_plant(), cli._theta_from(resolved))
+    states, inputs = scalar_closed_loop(loop, model, reference_table(cli._reference_from(resolved), 0.5, 1e-3), 1e-3)
     rows = np.loadtxt(out / "sim_run_seed0.csv", delimiter=",", skiprows=1)
     assert len(rows) == 501
-    for t, x1, x2, r1, r2, u, _ in rows[::25]:
-        x = np.array([x1, x2])
-        assert [r1, r2] == pytest.approx(ref.state(t).tolist(), rel=1e-12, abs=1e-12)
-        nominal = -float(theta @ (x - [r1, r2])) + float(ref.signal(t)) - model.predict_mean(x)
-        assert u == pytest.approx(nominal / float(g(x1, x2)), rel=1e-12, abs=1e-12)
+    assert rows[:, 1:3].tobytes() == states.tobytes()
+    assert rows[:, 5].tobytes() == inputs.tobytes()
 
 
 def test_tracking_workers_match_serial(tmp_path):
@@ -446,11 +442,10 @@ def test_an_auto_tau_summary_reruns_every_seed(tmp_path):
 def test_training_data_holds_the_measurements_of_its_seed(tmp_path):
     out = tmp_path / "t"
     assert cli.run(tracking_config(out, seeds=(0, 3), horizon=0.1)) == 0
-    f, _, _ = benchmark_system()
     # the default data grid, x1 slowest
     grid = np.array([[x1, x2] for x1 in np.linspace(0.0, 3.0, 5) for x2 in np.linspace(-4.0, 4.0, 5)])
     for seed in (0, 3):
-        data = measure(grid, f, 0.01, seed)
+        data = measure(grid, 0.01, seed)
         rows = [f"{x1!r},{x2!r},{y!r}\n" for (x1, x2), y in zip(data.inputs.tolist(), data.targets.tolist())]
         assert read_bytes(out / f"training_data_seed{seed}.csv") == ("x_1,x_2,y\n" + "".join(rows)).encode()
 
@@ -689,6 +684,19 @@ def test_a_probabilistic_lf_that_overflows_or_goes_nan_is_a_numerical_failure(tm
     err = capsys.readouterr().err
     assert err.startswith("numerical failure in tracking:") and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_probabilistic_lf_that_overflows_names_the_axis_its_lengthscale_and_sigma_f2(tmp_path, capsys):
+    # (sigma_f^2 / l^3)^2 overflows at l = 1e-60 on the first axis; the one line names where
+    cfg = shipped_tracking_config(tmp_path / "t", "kernel", {"signal_variance": 2.5, "lengthscales": [1e-60, 1e-60]})
+    cfg["bound"]["L_f"] = "probabilistic"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(cfg) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in tracking: derivative-kernel constants of axis 1 at lengthscale "
+                          "1e-60 and signal variance 2.5: overflow encountered in ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("experiment", ["tracking", "density_sweep", "validate_bounds"])
@@ -962,7 +970,10 @@ def test_tracking_factors_once_per_batch(tmp_path, monkeypatch):
 def test_shipped_lipschitz_constants_bound_the_benchmark_gradient():
     # grad f = (-2 cos 2 x1, s(x2) (1 - s(x2))) with s the logistic function, largest at x1 = k pi / 2, x2 = 0
     analytic = math.sqrt(2.0 ** 2 + 0.25 ** 2)
-    f, _, _ = benchmark_system()
+
+    def f(x1, x2):
+        return benchmark_f(np.column_stack([x1, x2]))
+
     given = {}
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = cli.load_config(str(path))
@@ -1094,7 +1105,7 @@ def test_a_diverging_seed_ends_its_batch_after_the_earlier_seeds_wrote(tmp_path,
     assert rc == cli.EXIT_NUMERICAL
     # the message is the third seed's own divergence
     resolved, _ = cli.resolve(cfg)
-    loop = tracking.closed_loop(benchmark_system()[2], cli._theta_from(resolved))
+    loop = tracking.closed_loop(benchmark_plant(), cli._theta_from(resolved))
     table = reference_table(cli._reference_from(resolved), horizon, 1e-3)
     with pytest.raises(DivergenceError) as alone:
         cli.run_closed_loop(loop, fits[2], table, 1e-3)

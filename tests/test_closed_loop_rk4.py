@@ -8,7 +8,6 @@ comparison RK4 with eta looked up by time.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -19,11 +18,11 @@ from gpcert import simulation
 from gpcert.errors import DivergenceError, UnsupportedOperationError
 from gpcert.gp import GPModel, TrainingSet, fit
 from gpcert.kernels import KernelSpec, gram
-from gpcert.simulation import ReferenceSpec, benchmark_system, run_closed_loop
+from gpcert.simulation import ReferenceSpec, run_closed_loop
 from gpcert.tracking import LinearPlant, closed_loop, contraction_rate, tracking_bound_ode
 
-from conftest import reference_table
-from oracles import scalar_mean, scalar_closed_loop
+from conftest import benchmark_f, reference_table
+from oracles import benchmark_f as oracle_f, scalar_closed_loop, scalar_mean
 
 
 def generic_tracking_bound_ode(loop, eta_ref, L_sigma, beta, v0, horizon, dt):
@@ -58,7 +57,8 @@ def same_bits(a, b):
 
 
 def same_run(a, b):
-    return all(same_bits(getattr(a, name), getattr(b, name)) for name in ("times", "states", "reference_states"))
+    return all(same_bits(getattr(a, name), getattr(b, name))
+               for name in ("times", "states", "reference_states", "inputs"))
 
 
 DOUBLE_INTEGRATOR = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
@@ -69,20 +69,19 @@ REF = ReferenceSpec(2.0, 1.0)
 
 def models_on_one_grid(rng, n_data, count, family="squared_exponential", sf2=1.0, ell=(0.8, 1.5)):
     # the models of a tracking batch: shared inputs, kernel and noise; only the targets differ
-    f, _, _ = benchmark_system()
     X = rng.uniform(-3.0, 3.0, (n_data, 2))
     spec = KernelSpec(family, sf2, ell)
-    return [fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
+    return [fit(spec, TrainingSet(X, benchmark_f(X) + 0.1 * rng.normal(size=n_data), 0.01)) for _ in range(count)]
 
 
 def assert_matches_the_oracle(loop, model, horizon, dt):
-    """run_closed_loop against scalar_closed_loop: the same states, or the same divergence.
+    """run_closed_loop against scalar_closed_loop: the same states and inputs, or the same divergence.
 
     Returns the run, or the DivergenceError both raised.
     """
     table = reference_table(REF, horizon, dt)
     try:
-        expected = scalar_closed_loop(loop, model, table, dt)
+        states, inputs = scalar_closed_loop(loop, model, table, dt)
     except DivergenceError as exc:
         with pytest.raises(DivergenceError) as new:
             run_closed_loop(loop, model, table, dt)
@@ -90,7 +89,8 @@ def assert_matches_the_oracle(loop, model, horizon, dt):
         assert str(new.value) == str(exc)
         return exc
     run = run_closed_loop(loop, model, table, dt)
-    assert same_bits(run.states, expected)
+    assert same_bits(run.states, states)
+    assert same_bits(run.inputs, inputs)
     return run
 
 
@@ -118,10 +118,9 @@ def test_rollout_matches_the_scalar_oracle(sf2, plant, family, theta, n_data, se
 
 def mixed_models(rng):
     # other grids, other kernels and an empty model
-    f, _, _ = benchmark_system()
     X = rng.uniform(-3, 3, (9, 2))
     return [models_on_one_grid(rng, 25, 1)[0], models_on_one_grid(rng, 7, 1, ell=(1.0, 1.0))[0],
-            fit(KernelSpec("matern52", 2.5, (1.0, 1.5)), TrainingSet(X, f(X[:, 0], X[:, 1]), 0.01)),
+            fit(KernelSpec("matern52", 2.5, (1.0, 1.5)), TrainingSet(X, benchmark_f(X), 0.01)),
             models_on_one_grid(rng, 12, 1, "matern32", 0.7, (0.5, 2.0))[0],
             fit(KernelSpec("squared_exponential", 1.0, (1.0, 1.0)), TrainingSet.empty(2, 0.01))]
 
@@ -226,9 +225,9 @@ def test_the_core_reads_its_callers_table_in_place(monkeypatch):
             seen.append(args[5])  # ref
             return 0
 
-    monkeypatch.setattr(simulation, "_library", Core)
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([200.0, 20.0]))
     model = models_on_one_grid(np.random.default_rng(2), 9, 1)[0]
+    monkeypatch.setattr(simulation, "_library", Core)
     table = reference_table(REF, 0.1, 1e-3)
     run = run_closed_loop(loop, model, table, 1e-3)
     assert len(seen) == 1 and seen[0] is table
@@ -273,23 +272,12 @@ def test_the_oracle_mean_is_predict_mean_to_rounding(family, n, ell, sf2, scale,
         assert abs(scalar_mean(model, *x.tolist()) - model.predict_mean(x)) <= 1e-14 * terms
 
 
-def test_the_compiled_f_is_numpys_f_to_1e_15_on_the_box():
-    # the benchmark box [-5, 5]^2 at pitch 0.005: sin and exp of libm and of numpy differ in
-    # their last bits on some inputs, and f by at most a few ulps of its values (below 3)
-    f, _, _ = benchmark_system()
-    axis = np.linspace(-5.0, 5.0, 2001)
-    x1, x2 = (np.ascontiguousarray(c.ravel()) for c in np.meshgrid(axis, axis, indexing="ij"))
-    compiled = np.empty_like(x1)
-    lib = simulation._library()
-    lib.gpcert_benchmark_f.restype = None
-    lib.gpcert_benchmark_f.argtypes = [simulation.ctypes.c_int64] + [simulation._DOUBLES] * 3
-    lib.gpcert_benchmark_f(len(x1), x1, x2, compiled)
-    numpy_f = f(x1, x2)
-    assert np.abs(compiled - numpy_f).max() <= 1e-15
-    # and the oracle's f is the compiled one bit for bit
-    probe = [(a, b) for a, b in zip(x1[::40009].tolist(), x2[::40009].tolist())]
-    oracle_f = [1.0 - math.sin(2.0 * a) + 1.0 / (1.0 + math.exp(-b)) for a, b in probe]
-    assert same_bits(np.array(oracle_f), compiled[::40009])
+def test_the_compiled_f_is_the_oracles_f_on_the_box():
+    # the benchmark box [-5, 5]^2 at pitch 0.05: the core's f, which measure samples and the
+    # rollout simulates, is the oracle's f on libm's sin and exp bit for bit
+    axis = np.linspace(-5.0, 5.0, 201)
+    X = np.column_stack([c.ravel() for c in np.meshgrid(axis, axis, indexing="ij")])
+    assert same_bits(benchmark_f(X), np.array([oracle_f(a, b) for a, b in X.tolist()]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,30 +304,3 @@ def test_tracking_bound_ode_rejects_a_table_of_the_wrong_length():
     loop = closed_loop(DOUBLE_INTEGRATOR, np.array([100.0, 10.0]))
     with pytest.raises(ValueError):
         tracking_bound_ode(loop, np.zeros(100), 0.0, 1.0, v0=0.0, horizon=0.1, dt=1e-3)
-
-
-def batch_benchmark_f(x):
-    # benchmark_system's f as it was when it took (..., 2) arrays, kept verbatim
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    return 1.0 - np.sin(2.0 * x1) + 1.0 / (1.0 + np.exp(-x2))
-
-
-# finite inputs: a NaN result may carry another sign bit in a vector lane
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(x1=_FINITE, x2=st.one_of(_FINITE, st.floats(709.0, 1e4), st.floats(-1e4, -709.0)))
-def test_nonlinearity_on_two_floats_is_the_batch_formula(x1, x2):
-    # beyond |x2| = 709.78 np.exp(-x2) overflows to inf or underflows to 0
-    f, _, _ = benchmark_system()
-    point = np.array([x1, x2])
-    batch = np.array([[0.5, -1.0], [x1, x2], [2.0, 3.0]])
-    with np.errstate(all="ignore"):
-        one = f(x1, x2)
-        assert same_bits(one, batch_benchmark_f(point))
-        assert same_bits(one, batch_benchmark_f(batch)[1])
-        assert same_bits(f(batch[:, 0], batch[:, 1]), batch_benchmark_f(batch))
-
-

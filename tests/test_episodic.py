@@ -15,10 +15,10 @@ from gpcert.episodic import (
 from gpcert.errors import ConditionUnreachableError, EpisodeCapExceededError, InfeasibilityError
 from gpcert.gp import TrainingSet, add_samples, downsample, fit
 from gpcert.kernels import SQUARED_EXPONENTIAL, KernelSpec, gradient_lipschitz, stddev_lipschitz
-from gpcert.simulation import ReferenceSpec, benchmark_system
+from gpcert.simulation import ReferenceSpec
 from gpcert.tracking import LinearPlant, certify
 
-from conftest import se_unit
+from conftest import benchmark_f, se_unit
 
 PLANT = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 1.0]))
 
@@ -212,11 +212,10 @@ def test_ladder_variance_serves_the_next_certificate():
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
     box = DomainBox(2, 10.0)
     L_sigma, L_dk = stddev_lipschitz(spec), gradient_lipschitz(spec)
-    f, _, _ = benchmark_system()
     ref = ReferenceSpec(2.0, 1.0)
     ref_points = ref.state(np.arange(0.0, ref.period, 0.01))
     states = ref.state(np.arange(0.0, ref.period, 1e-3))
-    raw = TrainingSet(states, f(states[:, 0], states[:, 1]), 0.01)
+    raw = TrainingSet(states, benchmark_f(states), 0.01)
     empty = fit(spec, TrainingSet.empty(2, 0.01))
     _, refit, variance = select_sampling_time(raw, empty, ref_points, 0.05, L_dk, 1e-3, 1.0)
     assert variance.tobytes() == refit.predict_var(ref_points).tobytes()
@@ -246,11 +245,10 @@ def test_ladder_stopping_at_a_violating_block_matches_full_evaluation():
     # 3142 reference points: the variance runs in several row blocks at every rung
     spec = KernelSpec(SQUARED_EXPONENTIAL, 1.0, (0.8, 1.5))
     L_dk = gradient_lipschitz(spec)
-    f, _, _ = benchmark_system()
     ref = ReferenceSpec(2.0, 1.0)
     ref_points = ref.state(np.arange(0.0, ref.period, 0.002))
     states = ref.state(np.arange(0.0, ref.period, 0.01)) * 0.97
-    raw = TrainingSet(states, f(states[:, 0], states[:, 1])
+    raw = TrainingSet(states, benchmark_f(states)
                       + 0.1 * np.random.default_rng(0).normal(size=len(states)), 0.01)
     prior = fit(spec, TrainingSet.empty(2, 0.01))
     base = add_samples(prior, downsample(raw, 0.01, 0.64))

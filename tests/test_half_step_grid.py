@@ -12,8 +12,10 @@ import pytest
 
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import KernelSpec
-from gpcert.simulation import ReferenceSpec, benchmark_system, integrate, run_closed_loop
+from gpcert.simulation import ReferenceSpec, benchmark_plant, integrate, run_closed_loop
 from gpcert.tracking import closed_loop, half_step_times, stage_samples
+
+from conftest import benchmark_f
 
 HORIZON, DT = 0.3, 3e-4  # 1000 steps
 
@@ -33,11 +35,10 @@ def test_stage_samples_reads_samples_2k_2k1_and_2k2_of_each_column():
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_run_closed_loop_reads_its_callers_table_on_the_half_step_grid(seed, monkeypatch):
-    f, _, plant = benchmark_system()
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, (9, 2))
     spec = KernelSpec("squared_exponential", 1.0, (0.8, 1.5))
-    model = fit(spec, TrainingSet(X, f(X[:, 0], X[:, 1]) + 0.1 * rng.normal(size=9), 0.01))
+    model = fit(spec, TrainingSet(X, benchmark_f(X) + 0.1 * rng.normal(size=9), 0.01))
     ref, grid = ReferenceSpec(2.0, 1.0), half_step_times(HORIZON, DT)
     x_half = ref.state(grid)
     table = np.array([*x_half.T, ref.signal(grid)])
@@ -45,7 +46,7 @@ def test_run_closed_loop_reads_its_callers_table_on_the_half_step_grid(seed, mon
     monkeypatch.setattr(ReferenceSpec, "state", lambda self, t: calls.append(t))
     monkeypatch.setattr(ReferenceSpec, "signal", lambda self, t: calls.append(t))
 
-    run = run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, table, DT)
+    run = run_closed_loop(closed_loop(benchmark_plant(), np.array([200.0, 20.0])), model, table, DT)
 
     assert calls == []  # the rollout samples no reference of its own
     assert same_bits(run.times, grid[::2])
@@ -55,8 +56,7 @@ def test_run_closed_loop_reads_its_callers_table_on_the_half_step_grid(seed, mon
 
 def test_run_closed_loop_times_are_the_even_half_step_times_at_any_pitch():
     # the rollout forms k dt, the grid 2k (dt / 2): dt / 2 is exact, so both round the same real number
-    _, _, plant = benchmark_system()
-    loop = closed_loop(plant, np.array([1.0, 1.0]))  # slow poles: RK4 stays stable up to the largest pitch
+    loop = closed_loop(benchmark_plant(), np.array([1.0, 1.0]))  # slow poles: RK4 stays stable up to the largest pitch
     model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet.empty(2, 0.01))
     for dt in [DT, 1e-3, 1.0 / 3.0, *np.random.default_rng(0).uniform(1e-4, 1.0, 40)]:
         grid = half_step_times(1000 * dt, dt)

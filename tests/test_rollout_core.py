@@ -16,10 +16,10 @@ import pytest
 from gpcert import cli, simulation
 from gpcert.gp import TrainingSet, fit
 from gpcert.kernels import KernelSpec
-from gpcert.simulation import ReferenceSpec, benchmark_system, run_closed_loop
+from gpcert.simulation import ReferenceSpec, benchmark_plant, run_closed_loop
 from gpcert.tracking import closed_loop
 
-from conftest import reference_table
+from conftest import benchmark_f, reference_table
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SRC = os.path.join(os.path.dirname(CONFIGS), "src")
@@ -36,11 +36,10 @@ def cold_cache(tmp_path, monkeypatch):
 
 
 def rollout():
-    f, _, plant = benchmark_system()
     X = np.random.default_rng(0).uniform(-3.0, 3.0, (9, 2))
-    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, f(X[:, 0], X[:, 1]), 0.01))
+    model = fit(KernelSpec("squared_exponential", 1.0, (0.8, 1.5)), TrainingSet(X, benchmark_f(X), 0.01))
     table = reference_table(ReferenceSpec(2.0, 1.0), 0.1, 1e-3)
-    return run_closed_loop(closed_loop(plant, np.array([200.0, 20.0])), model, table, 1e-3)
+    return run_closed_loop(closed_loop(benchmark_plant(), np.array([200.0, 20.0])), model, table, 1e-3)
 
 
 def test_a_cold_cache_compiles_once_and_a_fresh_process_loads_without_compiling(cold_cache, monkeypatch):

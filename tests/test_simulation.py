@@ -7,7 +7,7 @@ from gpcert.errors import DivergenceError
 from gpcert.gp import TrainingSet, fit
 from gpcert.simulation import (
     ReferenceSpec,
-    benchmark_system,
+    benchmark_plant,
     integrate,
     measure,
     prior_draw,
@@ -16,7 +16,8 @@ from gpcert.simulation import (
 )
 from gpcert.tracking import closed_loop
 
-from conftest import reference_table, se_unit
+from conftest import benchmark_f, reference_table, se_unit
+from oracles import benchmark_f as oracle_f, benchmark_g as oracle_g
 
 
 def test_integrate_exponential_decay():
@@ -57,16 +58,19 @@ def test_integrate_divergence_detected():
 
 
 def test_benchmark_values():
-    f, g, plant = benchmark_system()
-    assert f(0.0, 0.0) == pytest.approx(1.5)
-    assert g(0.0, 0.0) == pytest.approx(1.0)
+    plant = benchmark_plant()
+    assert benchmark_f(np.zeros((1, 2))).tolist() == [1.5]
+    assert oracle_g(0.0, 0.0) == 1.0
     np.testing.assert_array_equal(plant.A, [[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_array_equal(plant.b, [0.0, 1.0])
 
 
 def test_benchmark_partial_derivative_bounds():
     # |df/dx1| <= 2 (attained), |df/dx2| <= 1/4: the basis for L_f = 2
-    f, _, _ = benchmark_system()
+
+    def f(x1, x2):
+        return benchmark_f(np.column_stack([x1, x2]))
+
     xs = np.linspace(-5, 5, 301)
     g1, g2 = np.meshgrid(xs, xs, indexing="ij")
     x1, x2 = g1.ravel(), g2.ravel()
@@ -79,10 +83,9 @@ def test_benchmark_partial_derivative_bounds():
 
 
 def test_benchmark_input_gain_bounded_away_from_zero():
-    _, g, _ = benchmark_system()
-    xs = np.linspace(-50, 50, 10001)
-    vals = g(np.zeros_like(xs), xs)
-    assert vals.min() >= 0.5 - 1e-12
+    # the oracle's g, which the rollout's applied inputs follow bit for bit (test_closed_loop_rk4)
+    vals = [oracle_g(0.0, x2) for x2 in np.linspace(-50, 50, 10001).tolist()]
+    assert min(vals) >= 0.5 - 1e-12
 
 
 def test_reference_examples():
@@ -94,7 +97,7 @@ def test_reference_examples():
 
 def test_reference_consistency_residual():
     # finite-difference x_ref' against A x_ref + b r_ref on a grid
-    _, _, plant = benchmark_system()
+    plant = benchmark_plant()
     ref = ReferenceSpec(2.0, 1.0)
     ts = np.linspace(0.1, 6.0, 60)
     h = 1e-4
@@ -113,47 +116,63 @@ def test_reference_max_speed_is_the_sup_of_the_speed(a, w):
 
 
 def test_measurements_are_f_plus_seeded_noise():
-    f, _, plant = benchmark_system()
-    loop = closed_loop(plant, np.array([200.0, 20.0]))
+    loop = closed_loop(benchmark_plant(), np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     sim = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1e-3)
     n, s2 = len(sim.states), 0.01
-    raw = measure(sim.states, f, s2, 3)
-    expected = f(sim.states[:, 0], sim.states[:, 1]) + np.random.default_rng(3).normal(0.0, math.sqrt(s2), n)
+    raw = measure(sim.states, s2, 3)
+    f = np.array([oracle_f(x1, x2) for x1, x2 in sim.states.tolist()])
+    expected = f + np.random.default_rng(3).normal(0.0, math.sqrt(s2), n)
     assert raw.targets.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(raw.inputs, sim.states)
     assert raw.noise_variance == s2
 
 
 def test_measurement_count_and_grid():
-    f, _, plant = benchmark_system()
-    loop = closed_loop(plant, np.array([200.0, 20.0]))
+    loop = closed_loop(benchmark_plant(), np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     T, dt = 3.0, 1e-3
     sim = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), T, dt), dt)
-    assert len(measure(sim.states, f, 0.01, 1)) == int(math.floor(1 + T / dt + 1e-9))
+    assert len(measure(sim.states, 0.01, 1)) == int(math.floor(1 + T / dt + 1e-9))
     steps = np.diff(sim.times)
     assert steps.max() - steps.min() <= 1e-12
 
 
 def test_measurement_noise_variance():
-    f, _, plant = benchmark_system()
-    loop = closed_loop(plant, np.array([200.0, 20.0]))
+    loop = closed_loop(benchmark_plant(), np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     sim = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 2.0, 1e-3), 1e-3)
-    resid = measure(sim.states, f, 0.01, 7).targets - f(sim.states[:, 0], sim.states[:, 1])
+    resid = measure(sim.states, 0.01, 7).targets - benchmark_f(sim.states)
     assert len(resid) >= 1000
     assert resid.var() == pytest.approx(0.01, rel=0.10)
 
 
 def test_run_determinism():
-    f, _, plant = benchmark_system()
-    loop = closed_loop(plant, np.array([200.0, 20.0]))
+    loop = closed_loop(benchmark_plant(), np.array([200.0, 20.0]))
     model = fit(se_unit(2), TrainingSet.empty(2, 0.01))
     a = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1e-3)
     b = run_closed_loop(loop, model, reference_table(ReferenceSpec(2.0, 1.0), 1.0, 1e-3), 1e-3)
     np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(measure(a.states, f, 0.01, 42).targets, measure(b.states, f, 0.01, 42).targets)
+    np.testing.assert_array_equal(a.inputs, b.inputs)
+    np.testing.assert_array_equal(measure(a.states, 0.01, 42).targets, measure(b.states, 0.01, 42).targets)
+
+
+def test_measure_takes_y_minus_eps_from_the_oracles_f_bit_for_bit():
+    # the core's f at every (m, 2) row, strided or not, including x2 where exp(-x2) overflows or
+    # underflows; y - eps is f exactly when f + eps is formed once, so y is compared with that sum
+    rng = np.random.default_rng(11)
+    X = np.vstack([rng.uniform(-5.0, 5.0, (500, 2)), [[0.0, 800.0], [1.0, -800.0], [-0.0, 0.0], [3.0, 709.8]]])
+    f = np.array([oracle_f(x1, x2) for x1, x2 in X.tolist()])
+    eps = np.random.default_rng(5).normal(0.0, math.sqrt(0.04), len(X))
+    raw = measure(X, 0.04, 5)
+    assert raw.targets.tobytes() == (f + eps).tobytes()
+    assert raw.inputs is X
+    for other in (np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):  # the same rows in other layouts
+        assert measure(other, 0.04, 5).targets.tobytes() == raw.targets.tobytes()
+    assert benchmark_f(X).tobytes() == f.tobytes()
+    for bad in (X[:, :1], X.ravel(), np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            measure(bad, 0.04, 5)
 
 
 def test_prior_sampling_statistics():

@@ -243,6 +243,22 @@ def test_certify_rejects_points_too_coarse_for_the_safety_factor():
         certify_on(5)  # arcs of pi: sqrt(beta) omega_sigma is far above 5 % of max eta
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_certify_refuses_a_max_eta_that_is_not_finite(bad):
+    # a NaN bound would pass "not upsilon_bar > target" as reached; the gain rule is never asked
+    rng = np.random.default_rng(1)
+    model = fit(se_unit(2), TrainingSet(rng.uniform(-3, 3, (10, 2)), rng.normal(size=10), 0.01))
+    ref = ReferenceSpec(2.0, 1.0)
+    points = ref.state(np.linspace(0.0, ref.period, 401))
+    sigma = model.predict_stddev(points)
+    sigma[200] = bad
+    asked = []
+    with pytest.raises(InfeasibilityError, match="max eta is"):
+        certify(model, 50.0, points, sigma, ref.max_speed * ref.period / 400,
+                lambda b: asked.append(b), DomainBox(2, 10.0), 0.01, 2.0)
+    assert asked == []
+
+
 def test_certify_builds_each_report_once(tau_probes):
     # the search's accepted probe serves the certificate; no report is rebuilt at its tau
     rng = np.random.default_rng(1)
